@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
+from .errors import Infeasible
 from .field import ZeroConvention, character_table, log2, make_field
 from .montecarlo import interface_scan
 from .primes import primes_in_range
@@ -69,19 +70,54 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _existing_column(path: Path, column: str) -> set[int]:
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"bad flag {text!r}")
+    return text == "true"
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(";")] if text else []
+
+
+def _read_rows(path: Path, fields: dict) -> list[dict]:
+    """Parsed rows of a checkpoint CSV written with header ``list(fields)``.
+
+    A row is trusted only when every header field is present and parses
+    with its converter; any other row is dropped, so its item is redone.
+    """
     if not path.exists():
-        return set()
+        return []
+    rows = []
     with path.open(newline="", encoding="utf-8") as fh:
-        return {int(row[column]) for row in csv.DictReader(fh)}
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is not None and reader.fieldnames != list(fields):
+            raise ValueError(f"{path} has columns {reader.fieldnames}, "
+                             f"expected {list(fields)}")
+        for raw in reader:
+            if None in raw or None in raw.values():
+                continue  # more or fewer fields than the header
+            try:
+                rows.append({k: parse(raw[k]) for k, parse in fields.items()})
+            except (TypeError, ValueError):
+                continue
+    return rows
 
 
 class _Csv:
-    """Append-mode CSV writer that flushes after every row."""
+    """Append-mode CSV writer that flushes after every row.
+
+    On resume, a partial last line left by an interrupted write is cut
+    off first, so every appended row starts on a fresh line.
+    """
 
     def __init__(self, path: Path, header: list[str], resume: bool):
         self.path = path
-        fresh = not (resume and path.exists())
+        if resume and path.exists():
+            with path.open("r+b") as fh:
+                data = fh.read()
+                fh.truncate(data.rfind(b"\n") + 1)
+        fresh = not (resume and path.exists() and path.stat().st_size > 0)
         self.fh = path.open("w" if fresh else "a", newline="", encoding="utf-8")
         self.writer = csv.writer(self.fh)
         if fresh:
@@ -100,8 +136,10 @@ class _Csv:
 # vcdim
 # ---------------------------------------------------------------------------
 
-VCDIM_HEADER = ["q", "vcdim", "exact", "alpha_q", "witness", "convention",
-                "elapsed_ms"]
+VCDIM_FIELDS = {"q": int, "vcdim": int, "exact": _flag, "alpha_q": float,
+                "witness": _int_list, "convention": ZeroConvention.parse,
+                "elapsed_ms": float}
+VCDIM_HEADER = list(VCDIM_FIELDS)
 
 
 def cmd_vcdim(args) -> int:
@@ -116,16 +154,16 @@ def cmd_vcdim(args) -> int:
                     "deterministic": "no RNG used by this command"},
         started_at=_now())
     csv_path = out / "vcdim.csv"
-    done = _existing_column(csv_path, "q") if args.resume else set()
     sheet = _Csv(csv_path, VCDIM_HEADER, args.resume)
-    rows = []
-    for q in sorted(done):
-        manifest.items.append({"q": q, "status": "checkpointed"})
 
     def on_error(q, exc):
         manifest.items.append({"q": q, "status": "error", "detail": str(exc)})
 
     try:
+        done = ({row["q"] for row in _read_rows(csv_path, VCDIM_FIELDS)}
+                if args.resume else set())
+        for q in sorted(done):
+            manifest.items.append({"q": q, "status": "checkpointed"})
         for r in vc_sweep(q_lo, q_hi, conv, early_exit=args.early_exit,
                           jobs=args.jobs, skip=frozenset(done),
                           on_error=on_error):
@@ -133,14 +171,12 @@ def cmd_vcdim(args) -> int:
                        ";".join(str(y) for y in r.witness), r.convention.value,
                        f"{r.elapsed_ms:.1f}"])
             manifest.items.append({"q": r.q, "status": "ok", "vcdim": r.vcdim,
-                                   "exact": r.exact})
-            rows.append((r.q, r.vcdim))
+                                   "exact": r.exact, "nodes": r.nodes,
+                                   "cells": r.cells})
     finally:
         sheet.close()
-    with csv_path.open(newline="", encoding="utf-8") as fh:
-        all_rows = [(int(row["q"]), int(row["vcdim"]))
-                    for row in csv.DictReader(fh)]
-    all_rows.sort()
+    all_rows = sorted((row["q"], row["vcdim"])
+                      for row in _read_rows(csv_path, VCDIM_FIELDS))
     svg_path = out / "vcdim.svg"
     curve_qs = primes_in_range(max(q_lo, 5), q_hi) or [5, 7]
     scatter_svg(svg_path, all_rows,
@@ -157,7 +193,9 @@ def cmd_vcdim(args) -> int:
 # ap
 # ---------------------------------------------------------------------------
 
-AP_HEADER = ["q", "longest", "log2_q", "ratio", "convention"]
+AP_FIELDS = {"q": int, "longest": int, "log2_q": float, "ratio": float,
+             "convention": ZeroConvention.parse}
+AP_HEADER = list(AP_FIELDS)
 
 
 def cmd_ap(args) -> int:
@@ -171,11 +209,12 @@ def cmd_ap(args) -> int:
                     "deterministic": "no RNG used by this command"},
         started_at=_now())
     csv_path = out / "ap.csv"
-    done = _existing_column(csv_path, "q") if args.resume else set()
     sheet = _Csv(csv_path, AP_HEADER, args.resume)
-    for q in sorted(done):
-        manifest.items.append({"q": q, "status": "checkpointed"})
     try:
+        done = ({row["q"] for row in _read_rows(csv_path, AP_FIELDS)}
+                if args.resume else set())
+        for q in sorted(done):
+            manifest.items.append({"q": q, "status": "checkpointed"})
         for q in primes_in_range(max(q_lo, 5), q_hi):
             if q in done:
                 continue
@@ -191,10 +230,8 @@ def cmd_ap(args) -> int:
                                    "longest": r.longest})
     finally:
         sheet.close()
-    with csv_path.open(newline="", encoding="utf-8") as fh:
-        pts = [(int(row["q"]), int(row["longest"]))
-               for row in csv.DictReader(fh)]
-    pts.sort()
+    pts = sorted((row["q"], row["longest"])
+                 for row in _read_rows(csv_path, AP_FIELDS))
     svg_path = out / "ap.svg"
     curve_qs = primes_in_range(max(q_lo, 5), q_hi) or [5, 7]
     scatter_svg(svg_path, pts,
@@ -263,6 +300,32 @@ VERIFY_HEADER = ["check", "q", "r", "params", "instances", "violations",
                  "max_quantity", "bound_form", "status"]
 
 
+def _weil_check(F, r: int, args):
+    w = verify_weil(F, character_table(F, r), args.n_max,
+                    samples=args.samples, seed=args.seed)
+    return (f"n_max={args.n_max}", w.instances, w.violations,
+            f"{w.max_ratio:.6f}")
+
+
+def _equidistribution_check(F, r: int, args):
+    e = verify_equidistribution(F, r, args.n_max, samples=args.samples,
+                                seed=args.seed)
+    return (f"n_max={args.n_max}", e.instances, e.violations,
+            f"{e.max_normalized:.6f}")
+
+
+def _shattering_check(F, r: int, args):
+    t = verify_shattering_theorem(F, r, args.epsilon)
+    return f"epsilon={args.epsilon};n_star={t.n_star}", t.checked, t.failures, ""
+
+
+# (check, bound_form, run); run returns (params, instances, violations,
+# max_quantity) or raises Infeasible when over its operation budget.
+VERIFY_CHECKS = [("weil", "(n-1)sqrt(q)", _weil_check),
+                 ("equidistribution", "n/sqrt(q)+n/q", _equidistribution_check),
+                 ("shattering", "all subsets shattered", _shattering_check)]
+
+
 def cmd_verify(args) -> int:
     out = _out_dir(args, "verify")
     r_set = [int(v) for v in args.r.split(",")]
@@ -283,26 +346,21 @@ def cmd_verify(args) -> int:
                     manifest.items.append({"q": q, "r": r, "status": "skipped",
                                            "detail": "r does not divide q-1"})
                     continue
-                C = character_table(F, r)
-                w = verify_weil(F, C, args.n_max, samples=args.samples,
-                                seed=args.seed)
-                sheet.row(["weil", q, r, f"n_max={args.n_max}", w.instances,
-                           w.violations, f"{w.max_ratio:.6f}",
-                           "(n-1)sqrt(q)", "ok" if w.violations == 0 else "FAIL"])
-                e = verify_equidistribution(F, r, args.n_max,
-                                            samples=args.samples,
-                                            seed=args.seed)
-                sheet.row(["equidistribution", q, r, f"n_max={args.n_max}",
-                           e.instances, e.violations,
-                           f"{e.max_normalized:.6f}", "n/sqrt(q)+n/q",
-                           "ok" if e.violations == 0 else "FAIL"])
-                t = verify_shattering_theorem(F, r, args.epsilon)
-                sheet.row(["shattering", q, r,
-                           f"epsilon={args.epsilon};n_star={t.n_star}",
-                           t.checked, t.failures, "", "all subsets shattered",
-                           "ok" if t.passed else "FAIL"])
-                total_violations += w.violations + e.violations + t.failures
-                manifest.items.append({"q": q, "r": r, "status": "ok"})
+                item = {"q": q, "r": r, "status": "ok"}
+                for check, bound_form, run in VERIFY_CHECKS:
+                    try:
+                        params, instances, violations, quantity = run(F, r, args)
+                    except Infeasible as exc:
+                        sheet.row([check, q, r, "", "", "", "", bound_form,
+                                   "skipped"])
+                        item["status"] = "partial"
+                        item.setdefault("skipped", {})[check] = str(exc)
+                        continue
+                    sheet.row([check, q, r, params, instances, violations,
+                               quantity, bound_form,
+                               "ok" if violations == 0 else "FAIL"])
+                    total_violations += violations
+                manifest.items.append(item)
     finally:
         sheet.close()
     manifest.outputs = [str(csv_path)]

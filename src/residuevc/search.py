@@ -1,15 +1,29 @@
 """Exact VC-dimension search, testing dimension, and shattered-prefix length.
 
 The search walks the tree of subsets rooted at a canonical seed: a node Y
-has children Y + {m} for m > max(Y), visited in increasing order.  Two
-prunes cut the walk:
+has children Y + {m}, visited in increasing m.  Each node carries the
+candidates it inherited from its parent and counts one block of
+children over exactly those candidates (the root's candidates are every
+m > max(Y)).  With best the largest shattered size known, only children
+whose minimum pattern count is at least 2^(best - |Y|) survive, and the
+child Y + {m} inherits the survivors after m.
 
-- generation bound: the largest descendant of Y has size
-  |Y| + q - 1 - max(Y), so a subtree whose bound cannot beat the best
-  known size is skipped;
-- index bound: a shattered Y with minimum pattern count c can only grow
-  by floor(log2 c) elements and stay shattered, so descendants are
-  explored only when |Y| + floor(log2 c) exceeds the best known size.
+The prune is sound under every zero convention.  Let Z be shattered with
+Y <= W <= Z.  Each pattern of W extends to 2^(|Z| - |W|) patterns of Z,
+each realized by its own allowed translate of Z; under STRICT every
+translate allowed for Z is allowed for W too.  So W has minimum count at
+least 2^(|Z| - |W|), and for z in Z - Y the set Y + {z} has at least
+2^(|Z| - |Y| - 1).  A Z larger than best therefore draws every element
+after max(Y) from the survivors.  Below a child Y + {m} with minimum
+count c and s survivors after m, such a Z has at most |Y| + 1 + s and at
+most |Y| + 1 + floor(log2 c) elements; when either bound fails to beat
+best the child is not expanded, and when the first fails its later
+siblings are skipped too.  Because best only grows, a threshold from an
+older best is only more permissive.
+
+Under STRICT, translates landing on the subset go to a sentinel bin
+beyond the 2^(|Y|+1) patterns, so excluding them costs one assignment per
+block.
 
 Canonicalization uses translation invariance (exact under every zero
 convention) plus dilation invariance where the convention supports it:
@@ -26,6 +40,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import (ResidueTable, ZeroConvention, log2, log2_floor,
                     make_field, squares_table)
@@ -45,6 +60,8 @@ class VcResult:
     witness: tuple[int, ...]
     elapsed_ms: float
     exact: bool
+    nodes: int
+    cells: int
 
 
 @dataclass(frozen=True)
@@ -71,14 +88,22 @@ class _TreeSearch:
         self.q = T.q
         self.strict = T.convention is ZeroConvention.STRICT
         self.doubled = reflected_doubled(T)
-        self.xs = np.arange(self.q, dtype=np.int64)
-        self.early_exit_at = early_exit_at
+        # windows[n][q - m] is the column of m shifted to bit n: a strided
+        # view, so gathering a block copies whole rows.  offsets[n] moves
+        # each row of a block at depth n to its own run of bins.
+        depths = range(log2_floor(self.q) + 1)
+        self.windows = [sliding_window_view(self.doubled << n, self.q)
+                        for n in depths]
+        self.offsets = [np.arange(self.q, dtype=np.int64)[:, None]
+                        * self.bins(n) for n in depths]
         # The walk only compares best against the target, so a sentinel
         # above any reachable size disables early exit cheaply.
         self.exit_at = early_exit_at if early_exit_at is not None else 1 << 62
         self.best = 0
         self.witness: tuple[int, ...] = ()
         self.cut_short = False
+        self.nodes = 0
+        self.cells = 0
         self._lock = threading.Lock()
 
     def record(self, size: int, elems: tuple[int, ...]) -> None:
@@ -93,65 +118,76 @@ class _TreeSearch:
             return True
         return False
 
+    def threshold(self, n: int) -> int:
+        """Least minimum count a child of an n-element node needs to be
+        recorded or to lie below a set larger than the best known."""
+        return 1 << max(0, self.best - n)
+
+    def bins(self, n: int) -> int:
+        """Bins per row of a child block below an n-element node."""
+        return (2 << n) + int(self.strict)
+
     def child_block(self, Y: list[int], sig: np.ndarray, ms: np.ndarray):
         """Signatures and minimum pattern counts of Y + {m} for each m."""
         q, n = self.q, len(Y)
-        cols = self.doubled[q - ms[:, None] + self.xs[None, :]]
-        np.left_shift(cols, n, out=cols)
+        rows = ms.shape[0]
+        cols = self.windows[n][q - ms]
         cols += sig
-        width = 1 << (n + 1)
-        m_rows = ms.shape[0]
-        rows = np.arange(m_rows)
-        offsets = (rows.astype(np.int64) * width)[:, None]
-        cols += offsets
-        counts = np.bincount(cols.ravel(),
-                             minlength=m_rows * width).reshape(m_rows, width)
-        cols -= offsets
+        width = 2 << n
         if self.strict:
-            # Discard translates landing on the subset: one per element.
-            for y in Y:
-                np.subtract.at(counts, (rows, cols[:, y]), 1)
-            np.subtract.at(counts, (rows, cols[rows, ms]), 1)
-        return cols, counts.min(axis=1)
+            # Translates landing on the subset go to a sentinel bin that
+            # the minimum skips.  A descendant overwrites these columns
+            # with its own sentinel, so they need no restore.
+            cols[:, Y] = width
+            cols[np.arange(rows), ms] = width
+        offsets = self.offsets[n][:rows]
+        cols += offsets
+        bins = self.bins(n)
+        counts = np.bincount(cols.ravel(), minlength=rows * bins)
+        cols -= offsets
+        with self._lock:
+            self.nodes += 1
+            self.cells += rows * q
+        return cols, counts.reshape(rows, bins)[:, :width].min(axis=1)
 
-    def expand(self, Y: list[int], sig: np.ndarray, k: int) -> None:
-        """Depth-first walk below a shattered node Y with index k."""
-        q, n = self.q, len(Y)
-        best = self.best
-        if best >= self.exit_at:
-            self.cut_short = True
-            return
-        if n + k <= best:
-            return
-        lo = Y[-1] + 1
-        hi = min(q - 1, q + n - best - 1)
-        if lo > hi:
-            return
-        ms = np.arange(lo, hi + 1, dtype=np.int64)
-        csig, mins = self.child_block(Y, sig, ms)
-        mins = mins.tolist()
+    def survivors(self, Y: list[int], sig: np.ndarray, cands: np.ndarray):
+        """Children of Y over ``cands`` that meet the count threshold."""
+        csig, mins = self.child_block(Y, sig, cands)
+        keep = mins >= self.threshold(len(Y))
+        return cands[keep], mins[keep], csig[keep]
+
+    def expand(self, Y: list[int], sig: np.ndarray, cands: np.ndarray) -> None:
+        """Depth-first walk below a shattered node Y over its candidates."""
+        ms, mins, csig = self.survivors(Y, sig, cands)
+        self.descend(Y, ms, mins, csig, range(len(ms)))
+
+    def descend(self, Y: list[int], ms: np.ndarray, mins: np.ndarray,
+                csig: np.ndarray, picks: range) -> None:
+        """Visit the surviving children Y + {ms[i]} for i in ``picks``;
+        each inherits the survivors after it as its candidates."""
+        n = len(Y)
         size = n + 1
-        for i, c in enumerate(mins):
-            best = self.best
-            if best >= self.exit_at:
-                self.cut_short = True
+        counts = mins.tolist()
+        for i in picks:
+            if self.hit_exit():
                 return
-            m = lo + i
-            if size + (q - 1 - m) <= best:
-                return  # bound is monotone in m: later siblings fail too
-            if c == 0:
-                continue
-            child = Y + [m]
+            best = self.best
+            c = counts[i]
+            if c < self.threshold(n):
+                continue  # best has grown since the block was counted
+            later = ms[i + 1:]
+            if size + later.shape[0] <= best:
+                return  # later siblings inherit fewer candidates still
+            child = Y + [int(ms[i])]
             if size > best:
                 self.record(size, tuple(child))
-            k_child = c.bit_length() - 1
-            if size + k_child > self.best and m + 1 < q:
-                self.expand(child, csig[i], k_child)
+            if later.shape[0] and c >= self.threshold(n):
+                self.expand(child, csig[i], later)
 
 
 def _search(T: ResidueTable, root: tuple[int, ...],
-            early_exit_at: int | None, jobs: int):
-    """Run the tree walk; returns (best, witness, cut_short)."""
+            early_exit_at: int | None, jobs: int) -> _TreeSearch:
+    """Run the tree walk from ``root``; the returned state holds the result."""
     state = _TreeSearch(T, early_exit_at)
     rep0 = shatter_report([root[0]], T)
     if rep0.shattered:
@@ -159,43 +195,32 @@ def _search(T: ResidueTable, root: tuple[int, ...],
     if len(root) == 2:
         rep = shatter_report(root, T)
         if not rep.shattered:
-            return state.best, state.witness, state.cut_short
+            return state
         state.record(2, root)
-        seed, k = list(root), rep.index
     else:
         if not rep0.shattered:
-            return state.best, state.witness, state.cut_short
-        seed, k = list(root), rep0.index
-    if state.hit_exit():
-        return state.best, state.witness, True
-    if jobs <= 1:
-        state.expand(seed, signatures(seed, T, state.doubled), k)
-        return state.best, state.witness, state.cut_short
-
-    # Split the root's children round-robin across threads; the shared
-    # best is a lower bound of the truth at all times, so every prune
-    # stays sound regardless of update timing.
-    n = len(seed)
+            return state
+        rep = rep0
+    seed = list(root)
+    if state.hit_exit() or len(seed) + rep.index <= state.best:
+        return state
     sig = signatures(seed, T, state.doubled)
-    ms__ = np.arange(seed[-1] + 1, state.q, dtype=np.int64)
+    cands = np.arange(seed[-1] + 1, state.q, dtype=np.int64)
+    if jobs <= 1:
+        state.expand(seed, sig, cands)
+        return state
+
+    # Split the root's surviving children round-robin across threads; the
+    # shared best is a lower bound of the truth at all times, so every
+    # prune stays sound regardless of update timing.
+    ms, mins, csig = state.survivors(seed, sig, cands)
 
     def worker(offset: int) -> None:
-        for m in ms__[offset::jobs]:
-            m = int(m)
-            if state.hit_exit():
-                return
-            if (n + 1) + (state.q - 1 - m) <= state.best:
-                return
-            csig, mins = state.child_block(seed, sig, np.array([m], dtype=np.int64))
-            c = int(mins[0])
-            if c == 0:
-                continue
-            state.record(n + 1, tuple(seed + [m]))
-            state.expand(seed + [m], csig[0], c.bit_length() - 1)
+        state.descend(seed, ms, mins, csig, range(offset, len(ms), jobs))
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         list(pool.map(worker, range(jobs)))
-    return state.best, state.witness, state.cut_short
+    return state
 
 
 def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
@@ -207,24 +232,34 @@ def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
     found; the result is then flagged as a lower bound (``exact=False``).
     ``check_canonical`` reruns the search from the translation-only root
     {0} (sound under every convention) and raises if the dilation-based
-    canonicalization ever disagrees.
+    canonicalization ever disagrees.  ``nodes`` and ``cells`` count the
+    child blocks evaluated and their candidate rows times q, over every
+    walk the call made.
     """
     require_prime(q)
     start = time.perf_counter()
     T = squares_table(make_field(q), conv)
     root = canonical_root(conv)
-    best, witness, cut = _search(T, root, early_exit_at, jobs)
+    state = _search(T, root, early_exit_at, jobs)
+    best, witness = state.best, state.witness
+    nodes, cells = state.nodes, state.cells
     if check_canonical:
-        ref_best, _, _ = _search(T, (0,), None, 1)
-        if not cut and ref_best != best:
+        ref = _search(T, (0,), None, 1)
+        nodes, cells = nodes + ref.nodes, cells + ref.cells
+        if not state.cut_short and ref.best != best:
             raise RuntimeError(
                 f"canonicalized search found {best} but translation-only "
-                f"search found {ref_best} at q={q} under {conv.value}")
+                f"search found {ref.best} at q={q} under {conv.value}")
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    assert best <= log2_floor(q)
-    assert not witness or shatter_report(witness, T).shattered
+    if best > log2_floor(q):
+        raise RuntimeError(f"search found size {best} above floor(log2 q) "
+                           f"at q={q} under {conv.value}")
+    if witness and not shatter_report(witness, T).shattered:
+        raise RuntimeError(f"witness {witness} is not shattered at q={q} "
+                           f"under {conv.value}")
     return VcResult(q=q, vcdim=best, alpha_q=best / log2(q), convention=conv,
-                    witness=witness, elapsed_ms=elapsed_ms, exact=not cut)
+                    witness=witness, elapsed_ms=elapsed_ms,
+                    exact=not state.cut_short, nodes=nodes, cells=cells)
 
 
 def testing_dimension(q: int, conv: ZeroConvention, cap: int) -> int:

@@ -148,3 +148,74 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("RESIDUEVC_OUT", str(tmp_path / "envout"))
     assert main(["ap", "--range", "5:7"]) == 0
     assert (tmp_path / "envout" / "ap" / "ap.csv").exists()
+
+
+@pytest.mark.parametrize("command, fragment", [("vcdim", "41,5,tr"),
+                                               ("ap", "41,4,5.35")])
+def test_resume_redoes_truncated_last_row(tmp_path, command, fragment):
+    out = tmp_path / command
+    csv_path = out / f"{command}.csv"
+    assert main([command, "--range", "5:37", "--out-dir", str(out)]) == 0
+    with csv_path.open("a", encoding="utf-8") as fh:
+        fh.write(fragment)  # a write cut off mid-row, no newline
+    assert main([command, "--range", "5:43", "--resume",
+                 "--out-dir", str(out)]) == 0
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    assert fragment not in lines
+    rows = read_csv(csv_path)
+    assert [int(r["q"]) for r in rows] == primes_in_range(5, 43)
+    assert all(None not in r and None not in r.values() for r in rows)
+    manifest = json.loads((out / "manifest.json").read_text())
+    redone = {i["q"] for i in manifest["items"] if i["status"] == "ok"}
+    assert redone == {41, 43}
+
+
+def test_resume_skips_malformed_rows(tmp_path):
+    out = tmp_path / "v"
+    csv_path = out / "vcdim.csv"
+    assert main(["vcdim", "--range", "5:13", "--out-dir", str(out)]) == 0
+    with csv_path.open("a", encoding="utf-8") as fh:
+        fh.write("17,3,maybe,0.7,0;1;3,zero-in,1.0\n")
+    assert main(["vcdim", "--range", "5:17", "--resume",
+                 "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [i["q"] for i in manifest["items"] if i["status"] == "ok"] == [17]
+
+
+def test_resume_rejects_foreign_header(tmp_path):
+    out = tmp_path / "v"
+    out.mkdir()
+    (out / "vcdim.csv").write_text("q,longest\n5,2\n", encoding="utf-8")
+    assert main(["vcdim", "--range", "5:7", "--resume",
+                 "--out-dir", str(out)]) == 2
+    assert (out / "vcdim.csv").read_text(encoding="utf-8") == "q,longest\n5,2\n"
+
+
+def test_vcdim_manifest_work_counters(tmp_path):
+    out = tmp_path / "v"
+    assert main(["vcdim", "--range", "5:31", "--out-dir", str(out)]) == 0
+    items = json.loads((out / "manifest.json").read_text())["items"]
+    assert items and all(i["nodes"] >= 0 and i["cells"] % i["q"] == 0
+                         for i in items)
+    assert set(read_csv(out / "vcdim.csv")[0]) == {
+        "q", "vcdim", "exact", "alpha_q", "witness", "convention",
+        "elapsed_ms"}
+
+
+def test_verify_skips_checks_over_budget(tmp_path, monkeypatch):
+    from residuevc import weil
+    monkeypatch.setattr(weil, "OP_BUDGET", 10_000)  # q^3 > budget from q = 23
+    out = tmp_path / "w"
+    assert main(["verify", "--q-max", "31", "--r", "2", "--samples", "50",
+                 "--out-dir", str(out)]) == 0
+    rows = read_csv(out / "verify.csv")
+    skipped = {int(r["q"]) for r in rows if r["status"] == "skipped"}
+    assert skipped == {23, 29, 31}
+    assert all(r["check"] == "weil" for r in rows if r["status"] == "skipped")
+    assert {(r["check"], int(r["q"])) for r in rows} == {
+        (c, q) for c in ("weil", "equidistribution", "shattering")
+        for q in primes_in_range(5, 31)}
+    items = json.loads((out / "manifest.json").read_text())["items"]
+    partial = {i["q"]: i for i in items if i["status"] == "partial"}
+    assert set(partial) == {23, 29, 31}
+    assert all("budget" in i["skipped"]["weil"] for i in partial.values())

@@ -1,5 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from residuevc.errors import NotPrime, TooSmall
 from residuevc.field import ZeroConvention, log2_floor, make_field, squares_table
@@ -9,7 +13,8 @@ from residuevc.search import (canonical_root, longest_shattered_ap,
                               vc_dimension, vc_sweep)
 from residuevc.shatter import is_shattered, pattern_counts, shattering_index
 
-from oracles import naive_all_shattered, naive_vc
+from oracles import (naive_all_shattered, naive_vc, oracle_counts,
+                     oracle_shattered)
 
 CONVS = list(ZeroConvention)
 
@@ -123,6 +128,49 @@ def test_shattering_index_bounds_supersets():
                     assert not is_shattered(sup, T)
 
 
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(q=st.sampled_from([29, 61, 101]), conv=st.sampled_from(CONVS),
+       data=st.data())
+def test_inherited_candidate_prune_is_sound(q, conv, data):
+    # For Y in a shattered Z, every Y + {z} with z in Z - Y keeps a
+    # minimum count of at least 2^(|Z| - |Y| - 1): the walk drops only
+    # children below 2^(best - |Y|), none of which lies under a set
+    # larger than best.
+    vec = member(q, conv)
+    Z = data.draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=5,
+                           unique=True), label="Z")
+    if not oracle_shattered(Z, vec, conv):
+        return
+    Y = data.draw(st.lists(st.sampled_from(Z), max_size=len(Z) - 1,
+                           unique=True), label="Y")
+    for z in set(Z) - set(Y):
+        low = oracle_counts(Y + [z], vec, conv).min()
+        assert low >= 1 << (len(Z) - len(Y) - 1), (Y, z, Z)
+
+
+def test_child_block_matches_oracle_two_levels():
+    # The STRICT sentinel overwrites a child's own columns; the grandchild
+    # block built on that signature must still count exactly.
+    rng = np.random.default_rng(7)
+    for q in [31, 61]:
+        for conv in CONVS:
+            T = squares_table(make_field(q), conv)
+            walk = search._TreeSearch(T, None)
+            Y = [0, 1]
+            ms = np.arange(2, q, dtype=np.int64)
+            csig, mins = walk.child_block(Y, search.signatures(Y, T), ms)
+            for m, c in zip(ms.tolist(), mins.tolist()):
+                assert c == oracle_counts(Y + [m], T.member, conv).min()
+            for i in rng.choice(len(ms) - 1, size=5, replace=False).tolist():
+                child = Y + [int(ms[i])]
+                later = ms[i + 1:]
+                _, gmins = walk.child_block(child, csig[i], later)
+                for m, c in zip(later.tolist(), gmins.tolist()):
+                    got = oracle_counts(child + [m], T.member, conv).min()
+                    assert c == got, (q, conv, child, m)
+
+
 def test_generation_bound_is_exact():
     # the largest descendant of Y adds every element above max(Y)
     q = 31
@@ -234,3 +282,76 @@ def test_sweep_parallel_matches_serial():
     serial = [(r.q, r.vcdim) for r in vc_sweep(5, 61)]
     parallel = [(r.q, r.vcdim) for r in vc_sweep(5, 61, jobs=3)]
     assert serial == parallel
+
+
+# ---------------------------------------------------------------------------
+# pinned results and work counters
+# ---------------------------------------------------------------------------
+
+# (vcdim, exact=True) per prime, recorded with the walk that expanded
+# every child m > max(Y) before candidates were inherited.
+PINNED = {
+    ZeroConvention.ZERO_IN: {
+        5: 2, 7: 2, 11: 3, 13: 3, 17: 3, 19: 3, 23: 4, 29: 4, 31: 4, 37: 5,
+        41: 4, 43: 5, 47: 5, 53: 5, 59: 5, 61: 5, 67: 5, 71: 5, 73: 5, 79: 5,
+        83: 5, 89: 5, 97: 6, 101: 5, 103: 6, 107: 6, 109: 6, 113: 6, 127: 6,
+        131: 6, 137: 6, 139: 6, 149: 6, 151: 7, 157: 6, 163: 6, 167: 6,
+        173: 6, 179: 6, 181: 6},
+    ZeroConvention.STRICT: {
+        5: 1, 7: 2, 11: 3, 13: 3, 17: 3, 19: 3, 23: 3, 29: 4, 31: 4, 37: 5,
+        41: 4, 43: 5, 47: 4, 53: 5, 59: 5, 61: 5, 67: 5, 71: 5, 73: 5, 79: 5,
+        83: 5, 89: 5, 97: 5, 101: 5, 103: 5, 107: 6, 109: 5, 113: 6, 127: 6,
+        131: 6},
+    ZeroConvention.ZERO_OUT: {
+        5: 2, 7: 2, 11: 3, 13: 3, 17: 3, 19: 3, 23: 4, 29: 4, 31: 4, 37: 5,
+        41: 4, 43: 5, 47: 5, 53: 5, 59: 5, 61: 5, 67: 5, 71: 5, 73: 5, 79: 5,
+        83: 5, 89: 5, 97: 6, 101: 5, 103: 6},
+}
+
+
+@pytest.mark.parametrize("conv", CONVS, ids=lambda c: c.value)
+def test_pinned_results(conv):
+    expect = PINNED[conv]
+    assert list(expect) == primes_in_range(5, max(expect))
+    got = {q: vc_dimension(q, conv) for q in expect}
+    assert {q: (r.vcdim, r.exact) for q, r in got.items()} == \
+        {q: (v, True) for q, v in expect.items()}
+
+
+def test_pinned_early_exit_and_threads():
+    # early exit stops at the first set of the target size
+    for q, want in {61: 4, 101: 5, 131: 6, 167: 6}.items():
+        r = vc_dimension(q, ZeroConvention.ZERO_IN,
+                         early_exit_at=log2_floor(q) - 1)
+        assert (r.vcdim, r.exact) == (want, False), q
+    # more threads than cores, switching often, share best and the counters
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for conv, qs in [(ZeroConvention.ZERO_IN, [97, 151, 181]),
+                         (ZeroConvention.STRICT, [47, 107, 131]),
+                         (ZeroConvention.ZERO_OUT, [5, 97, 103])]:
+            for q in qs:
+                r = vc_dimension(q, conv, jobs=4)
+                assert (r.vcdim, r.exact) == (PINNED[conv][q], True), (conv, q)
+                T = squares_table(make_field(q), conv)
+                assert oracle_shattered(r.witness, T.member, conv)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_work_counters_repeat():
+    for conv in CONVS:
+        a = vc_dimension(89, conv)
+        b = vc_dimension(89, conv)
+        assert (a.nodes, a.cells) == (b.nodes, b.cells)
+        assert a.nodes > 0 and a.cells % 89 == 0
+
+
+# Kernel cells of vc_dimension(167) with inherited candidates; the walk
+# that expanded every child m > max(Y) needed 70.4 M.
+CELLS_167 = 26_350_596
+
+
+def test_cells_gate_167():
+    assert vc_dimension(167).cells <= 1.1 * CELLS_167
