@@ -39,8 +39,17 @@ class RunManifest:
     outputs: list = field(default_factory=list)
 
     def save(self, out_dir: Path) -> Path:
+        """Write ``manifest.json`` atomically: a failed write leaves the
+        previous manifest in place."""
         path = out_dir / "manifest.json"
-        path.write_text(json.dumps(asdict(self), indent=2) + "\n", encoding="utf-8")
+        tmp = out_dir / ".manifest.json.tmp"
+        try:
+            with tmp.open("w", encoding="utf-8") as fh:
+                fh.write(json.dumps(asdict(self), indent=2) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return path
 
 
@@ -104,6 +113,17 @@ def _read_rows(path: Path, fields: dict) -> list[dict]:
     return rows
 
 
+def _checkpointed(path: Path, fields: dict, conv: ZeroConvention) -> set[int]:
+    """Primes already in a checkpoint CSV, which must hold only rows of
+    convention ``conv``; mixing conventions in one file is refused."""
+    rows = _read_rows(path, fields)
+    foreign = sorted({row["convention"].value for row in rows} - {conv.value})
+    if foreign:
+        raise ValueError(f"{path} holds rows of convention "
+                         f"{', '.join(foreign)}, not {conv.value}")
+    return {row["q"] for row in rows}
+
+
 class _Csv:
     """Append-mode CSV writer that flushes after every row.
 
@@ -160,7 +180,7 @@ def cmd_vcdim(args) -> int:
         manifest.items.append({"q": q, "status": "error", "detail": str(exc)})
 
     try:
-        done = ({row["q"] for row in _read_rows(csv_path, VCDIM_FIELDS)}
+        done = (_checkpointed(csv_path, VCDIM_FIELDS, conv)
                 if args.resume else set())
         for q in sorted(done):
             manifest.items.append({"q": q, "status": "checkpointed"})
@@ -211,7 +231,7 @@ def cmd_ap(args) -> int:
     csv_path = out / "ap.csv"
     sheet = _Csv(csv_path, AP_HEADER, args.resume)
     try:
-        done = ({row["q"] for row in _read_rows(csv_path, AP_FIELDS)}
+        done = (_checkpointed(csv_path, AP_FIELDS, conv)
                 if args.resume else set())
         for q in sorted(done):
             manifest.items.append({"q": q, "status": "checkpointed"})

@@ -21,10 +21,12 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import EmptyFold, ModulusMismatch, WidthOverflow
+from .errors import EmptyFold, ModulusMismatch, NTooLarge, WidthOverflow
 from .field import ResidueTable, ZeroConvention
 
 MAX_WIDTH = 63
+#: Pattern bins a tally may hold per allowed translate (see _require_bins).
+BIN_SLACK = 4
 
 
 @dataclass(frozen=True)
@@ -125,30 +127,44 @@ def signatures(Y: SubsetLike, T: ResidueTable,
     return sig
 
 
+def _allowed_translates(n: int, T: ResidueTable) -> int:
+    return T.q - n if T.convention is ZeroConvention.STRICT else T.q
+
+
+def _require_bins(n: int, T: ResidueTable) -> None:
+    """Refuse a tally whose 2^n bins outnumber the allowed translates more
+    than ``BIN_SLACK`` times.
+
+    Past 2^n > allowed translates some pattern is missing whatever Y is
+    (pigeonhole), so the answer is known without counting; the slack keeps
+    small overfull tallies and caps the bins at a few per translate.
+    """
+    if (1 << n) > BIN_SLACK * _allowed_translates(n, T):
+        raise NTooLarge(f"{1 << n} pattern bins for n = {n} at q = {T.q} "
+                        f"exceed {BIN_SLACK} per allowed translate")
+
+
 def pattern_counts(Y: SubsetLike, T: ResidueTable) -> PatternCounts:
     """Tally how many allowed translates realize each of the 2^n patterns.
 
     Under STRICT the translates x in Y are skipped; otherwise all q
-    translates contribute.
+    translates contribute.  Raises NTooLarge when 2^n exceeds the allowed
+    translates more than ``BIN_SLACK`` times.
     """
     sub = _coerce(Y, T)
     n = sub.n
+    _require_bins(n, T)
     sig = signatures(sub, T)
     width = 1 << n
     if T.convention is ZeroConvention.STRICT and n > 0:
         sig = sig.copy()
         sig[list(sub.elems)] = width  # sentinel bin, dropped below
         counts = np.bincount(sig, minlength=width + 1)[:width]
-        allowed = T.q - n
     else:
         counts = np.bincount(sig, minlength=width)
-        allowed = T.q
-    assert int(counts.sum()) == allowed, "pattern counts must cover every allowed translate"
+    if int(counts.sum()) != _allowed_translates(n, T):
+        raise RuntimeError("pattern counts must cover every allowed translate")
     return PatternCounts(n=n, counts=counts, convention=T.convention)
-
-
-def _allowed_translates(n: int, T: ResidueTable) -> int:
-    return T.q - n if T.convention is ZeroConvention.STRICT else T.q
 
 
 def shatter_report(Y: SubsetLike, T: ResidueTable) -> ShatterReport:
@@ -202,6 +218,8 @@ def batch_min_counts(subsets: np.ndarray, T: ResidueTable,
 
     Rows must be strictly increasing and share the table's modulus.  Work
     is chunked so no intermediate exceeds ``max_cells`` int64 cells.
+    Raises NTooLarge when 2^n exceeds the allowed translates more than
+    ``BIN_SLACK`` times.
     """
     subsets = np.asarray(subsets, dtype=np.int64)
     if subsets.ndim != 2:
@@ -209,6 +227,7 @@ def batch_min_counts(subsets: np.ndarray, T: ResidueTable,
     M, n = subsets.shape
     if n > MAX_WIDTH:
         raise WidthOverflow(f"subset size {n} exceeds {MAX_WIDTH}")
+    _require_bins(n, T)
     q = T.q
     if M == 0:
         return np.zeros(0, dtype=np.int64)

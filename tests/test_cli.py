@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from residuevc.cli import main
+import residuevc
+from residuevc.cli import RunManifest, main
 from residuevc.field import log2_floor
 from residuevc.primes import primes_in_range
 
@@ -189,6 +194,44 @@ def test_resume_rejects_foreign_header(tmp_path):
     assert main(["vcdim", "--range", "5:7", "--resume",
                  "--out-dir", str(out)]) == 2
     assert (out / "vcdim.csv").read_text(encoding="utf-8") == "q,longest\n5,2\n"
+
+
+@pytest.mark.parametrize("command", ["vcdim", "ap"])
+def test_resume_rejects_rows_of_another_convention(tmp_path, command):
+    out = tmp_path / command
+    csv_path = out / f"{command}.csv"
+    assert main([command, "--range", "5:13", "--out-dir", str(out)]) == 0
+    before = csv_path.read_bytes()
+    assert main([command, "--range", "5:17", "--convention", "strict",
+                 "--resume", "--out-dir", str(out)]) == 2
+    assert csv_path.read_bytes() == before
+
+
+def test_manifest_write_failure_keeps_previous(tmp_path):
+    out = tmp_path / "m"
+    out.mkdir()
+    previous = RunManifest(command="ap", parameters={}).save(out).read_text()
+    # A file-size limit below the new manifest's length makes its write
+    # fail part way, as a full disk would.
+    child = textwrap.dedent("""
+        import resource, sys
+        from pathlib import Path
+        from residuevc.cli import RunManifest
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        resource.setrlimit(resource.RLIMIT_FSIZE, (64, hard))
+        try:
+            RunManifest(command="vcdim", parameters={"pad": "x" * 4096}
+                        ).save(Path(sys.argv[1]))
+        except OSError:
+            sys.exit(3)
+    """)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(residuevc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", child, str(out)], env=env,
+                          timeout=60)
+    assert proc.returncode == 3
+    assert (out / "manifest.json").read_text() == previous
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 def test_vcdim_manifest_work_counters(tmp_path):

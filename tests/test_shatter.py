@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from residuevc.errors import EmptyFold, ModulusMismatch, WidthOverflow
+from residuevc import shatter
+from residuevc.errors import (EmptyFold, ModulusMismatch, NTooLarge,
+                              WidthOverflow)
 from residuevc.field import ZeroConvention, make_field, residue_table, squares_table
 from residuevc.primes import primes_in_range
 from residuevc.shatter import (Subset, batch_min_counts, fold_patterns,
@@ -88,6 +90,29 @@ def test_pigeonhole_forces_gap():
     P = pattern_counts([0, 1, 2, 3], table(7, ZeroConvention.ZERO_IN))
     assert (P.counts == 0).any()
     assert not is_shattered([0, 1, 2, 3], table(7))
+
+
+def test_tallies_refuse_bins_far_past_pigeonhole():
+    T = table(101)
+    # n = 30 would ask for 8 GB of bins; n = 20 (8 MB) shows the same
+    # refusal without risking that allocation if the guard is lost
+    with pytest.raises(NTooLarge):
+        pattern_counts(range(20), T)
+    with pytest.raises(NTooLarge):
+        batch_min_counts(np.arange(20)[None, :], T)
+    # 2^9 bins exceed 4 per translate; 2^8 still fit, with some count zero
+    with pytest.raises(NTooLarge):
+        pattern_counts(range(9), T)
+    assert (pattern_counts(range(8), T).counts == 0).any()
+    assert batch_min_counts(np.arange(8)[None, :], T)[0] == 0
+
+
+def test_counts_check_raises_outside_asserts(monkeypatch):
+    short = shatter.signatures
+    monkeypatch.setattr(shatter, "signatures",
+                        lambda sub, T: short(sub, T)[1:])
+    with pytest.raises(RuntimeError):
+        pattern_counts([0, 1], table(11))
 
 
 def test_counts_sum_is_allowed_translates():

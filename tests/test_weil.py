@@ -4,19 +4,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from residuevc.errors import Infeasible, LengthMismatch
 from residuevc.field import (ZeroConvention, character_table, make_field,
                              residue_table)
+from residuevc.primes import primes_in_range
 from residuevc.shatter import batch_min_counts
 from residuevc.weil import (CosetTarget, PolySpec, char_sum,
                             constructive_witnesses_ok, coset_probability,
                             fourier_probability, fuzzy_coset_probability,
                             verify_equidistribution,
                             verify_shattering_theorem, verify_weil,
-                            _all_quads_ok)
+                            _all_quads_ok, _orbit_representatives)
 
-from oracles import char_sum_direct
+from oracles import (char_sum_direct, legendre, member_vector,
+                     oracle_shattered)
 
 
 def setup_fc(q, r):
@@ -258,12 +262,58 @@ def test_constructive_equals_strict_for_r2():
 
 
 def test_quad_fast_path_matches_generic():
-    q = 131
-    F, C = setup_fc(q, 2)
-    T = residue_table(F, 2, 1, ZeroConvention.ZERO_OUT)
-    quads = np.array([[0, 1, u, v]
-                      for u in range(2, q - 1) for v in range(u + 1, q)],
-                     dtype=np.int64)
-    t = next(x for x in range(2, q) if int(C.exp_of[x]) != 0)
-    generic = constructive_witnesses_ok(F, C, t, quads)
-    assert _all_quads_ok(F, T) == bool(generic.all())
+    # every canonical quad through the generic kernel, against the orbit
+    # check; the answer is False at most primes below 101 and at 103
+    answers = set()
+    for q in primes_in_range(7, 251):
+        F, C = setup_fc(q, 2)
+        T = residue_table(F, 2, 1, ZeroConvention.ZERO_OUT)
+        quads = np.array([[0, 1, u, v]
+                          for u in range(2, q - 1) for v in range(u + 1, q)],
+                         dtype=np.int64)
+        t = next(x for x in range(2, q) if int(C.exp_of[x]) != 0)
+        generic = bool(constructive_witnesses_ok(F, C, t, quads).all())
+        assert _all_quads_ok(F, T) == generic, q
+        answers.add(generic)
+    assert answers == {False, True}
+
+
+def _affine_orbit_key(q, quad):
+    """Least sorted image of ``quad`` under every map x -> c x + e."""
+    return min(tuple(sorted((c * y + e) % q for y in quad))
+               for c in range(1, q) for e in range(q))
+
+
+@pytest.mark.parametrize("q", [7, 11, 13, 17, 29])
+def test_one_kept_quad_per_affine_orbit(q):
+    kept = [(int(u), int(v)) for us, vs in _orbit_representatives(make_field(q))
+            for u, v in zip(us, vs)]
+    assert all(2 <= u < v < q for u, v in kept)
+    assert len(set(kept)) == len(kept)
+    orbits = {_affine_orbit_key(q, (0, 1, u, v))
+              for u, v in itertools.combinations(range(2, q), 2)}
+    kept_orbits = [_affine_orbit_key(q, (0, 1, u, v)) for u, v in kept]
+    assert sorted(kept_orbits) == sorted(orbits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from([11, 13, 29, 37, 53, 61, 101, 103]), data=st.data())
+def test_strict_quad_verdict_is_affine_invariant(q, data):
+    quad = data.draw(st.lists(st.integers(0, q - 1), min_size=4, max_size=4,
+                              unique=True))
+    c = data.draw(st.integers(1, q - 1))
+    e = data.draw(st.integers(0, q - 1))
+    nu = next(x for x in range(2, q) if legendre(x, q) == -1)
+    member = member_vector(q, 2, 1, ZeroConvention.STRICT)
+    verdict = oracle_shattered(quad, member, ZeroConvention.STRICT)
+    # c and c * nu: one multiplier is a square, the other is not
+    for mult in (c, c * nu % q):
+        image = [(mult * y + e) % q for y in quad]
+        assert oracle_shattered(image, member,
+                                ZeroConvention.STRICT) == verdict
+
+
+def test_theorem_q1031_counts_every_canonical_quad():
+    rep = verify_shattering_theorem(make_field(1031), 2, 0.1)
+    assert (rep.n_star, rep.checked, rep.failures, rep.passed) == (
+        4, 528906, 0, True)
