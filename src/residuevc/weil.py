@@ -362,9 +362,9 @@ def _doubled_reversed(vec: np.ndarray) -> np.ndarray:
 QUAD_CHUNK = 1 << 15
 
 # The maps x -> (x - a) / (b - a) as positions in the quad (0, 1, u, v):
-# (a, b, then the two elements a and b leave).  The identity (0, 1) is
-# left out, and so is x -> 1 - x (1, 0), which ``_orbit_representatives``
-# applies by the range of pairs it generates.
+# (a, b, then the positions of the other two elements).  The identity
+# (0, 1) is left out, and so is x -> 1 - x (1, 0), which
+# ``_orbit_representatives`` applies by the range of pairs it generates.
 _QUAD_MAPS = tuple((a, b, *(k for k in range(4) if k not in (a, b)))
                    for a, b in itertools.permutations(range(4), 2)
                    if (a, b) not in ((0, 1), (1, 0)))
