@@ -359,7 +359,7 @@ def _doubled_reversed(vec: np.ndarray) -> np.ndarray:
 
 
 #: Pairs (u, v) the orbit filter of ``_all_quads_ok`` holds at a time.
-QUAD_CHUNK = 1 << 15
+QUAD_CHUNK = 1 << 14
 
 # The maps x -> (x - a) / (b - a) as positions in the quad (0, 1, u, v):
 # (a, b, then the positions of the other two elements).  The identity
