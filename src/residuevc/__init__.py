@@ -12,9 +12,10 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .errors import (EmptyFold, EvenPrime, Infeasible, IndexNotDividing,
-                     LengthMismatch, ModulusMismatch, NotPrime, NTooLarge,
-                     ResidueVCError, TooSmall, WidthOverflow)
+from .errors import (EmptyFold, EvenPrime, FieldTooLarge, Infeasible,
+                     IndexNotDividing, LengthMismatch, ModulusMismatch,
+                     NotPrime, NTooLarge, ResidueVCError, TooSmall,
+                     WidthOverflow)
 from .field import (CharacterTable, PrimeField, ResidueTable, ZeroConvention,
                     character_table, make_field, residue_table, squares_table)
 from .montecarlo import ProbPoint, estimate_p, interface_scan
@@ -29,7 +30,7 @@ from .weil import (CosetTarget, PolySpec, char_sum, coset_probability,
 
 __all__ = [
     "ApResult", "CharacterTable", "CosetTarget", "EmptyFold", "EvenPrime",
-    "Infeasible", "IndexNotDividing", "LengthMismatch", "ModulusMismatch",
+    "FieldTooLarge", "Infeasible", "IndexNotDividing", "LengthMismatch", "ModulusMismatch",
     "NotPrime", "NTooLarge", "PatternCounts", "PolySpec", "PrimeField",
     "ProbPoint", "ResidueTable", "ResidueVCError", "ShatterReport", "Subset",
     "TooSmall", "VcResult", "WidthOverflow", "ZeroConvention",

@@ -35,6 +35,8 @@ class RunManifest:
     tool_version: str = __version__
     started_at: str = ""
     finished_at: str = ""
+    #: "complete", or "interrupted" when a KeyboardInterrupt stopped the run.
+    status: str = "complete"
     items: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
 
@@ -55,6 +57,15 @@ class RunManifest:
 
 def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+
+
+def _save_interrupted(manifest: RunManifest, out: Path, csv_path: Path) -> None:
+    """Record the items finished before a KeyboardInterrupt; the CSV rows
+    written so far are complete, so ``--resume`` picks up from them."""
+    manifest.status = "interrupted"
+    manifest.outputs = [str(csv_path)]
+    manifest.finished_at = _now()
+    manifest.save(out)
 
 
 def _out_dir(args, command: str) -> Path:
@@ -193,6 +204,9 @@ def cmd_vcdim(args) -> int:
             manifest.items.append({"q": r.q, "status": "ok", "vcdim": r.vcdim,
                                    "exact": r.exact, "nodes": r.nodes,
                                    "cells": r.cells})
+    except KeyboardInterrupt:
+        _save_interrupted(manifest, out, csv_path)
+        raise
     finally:
         sheet.close()
     all_rows = sorted((row["q"], row["vcdim"])
@@ -248,6 +262,9 @@ def cmd_ap(args) -> int:
                        conv.value])
             manifest.items.append({"q": q, "status": "ok",
                                    "longest": r.longest})
+    except KeyboardInterrupt:
+        _save_interrupted(manifest, out, csv_path)
+        raise
     finally:
         sheet.close()
     pts = sorted((row["q"], row["longest"])

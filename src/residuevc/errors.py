@@ -13,6 +13,10 @@ class EvenPrime(ResidueVCError):
     """q = 2 was requested; residue subgroups of index r >= 2 need odd q."""
 
 
+class FieldTooLarge(ResidueVCError):
+    """The modulus is too large for the field's discrete-log table."""
+
+
 class TooSmall(ResidueVCError):
     """The modulus is below the minimum the operation supports."""
 

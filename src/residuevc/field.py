@@ -19,11 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvenPrime, IndexNotDividing, NotPrime
+from .errors import EvenPrime, FieldTooLarge, IndexNotDividing, NotPrime
 from .primes import is_prime, prime_factors
 
 #: Sentinel exponent stored at index 0 of a CharacterTable (chi(0) = 0).
 ZERO_EXP = -1
+#: Moduli from here on are refused by ``make_field``: the table would need
+#: 16 GiB, and products of two residues would overflow int64.
+MAX_MODULUS = 1 << 31
 
 
 class ZeroConvention(enum.Enum):
@@ -134,6 +137,9 @@ def make_field(q: int, root: int | None = None) -> PrimeField:
     """
     if q == 2:
         raise EvenPrime("q = 2 has no index-r subgroup with r >= 2")
+    if q >= MAX_MODULUS:
+        raise FieldTooLarge(f"q = {q} is at least 2^31: its discrete-log table "
+                            f"would need {8 * q / 2**30:.0f} GiB")
     if not is_prime(q):
         raise NotPrime(f"{q} is not prime")
     factors = prime_factors(q - 1)
@@ -144,11 +150,28 @@ def make_field(q: int, root: int | None = None) -> PrimeField:
             raise ValueError(f"{root} is not a primitive root modulo {q}")
         g = root
     dlog = np.full(q, -1, dtype=np.int64)
-    x = 1
-    for a in range(q - 1):
-        dlog[x] = a
-        x = x * g % q
+    dlog[_powers(q, g)] = np.arange(q - 1, dtype=np.int64)
     return PrimeField(q=q, g=g, dlog=dlog)
+
+
+def _powers(q: int, g: int) -> np.ndarray:
+    """g^0, ..., g^(q-2) mod q, by baby and giant steps.
+
+    With b = ceil(sqrt(q - 1)), g^(b j + i) is giant[j] * baby[i] mod q for
+    baby[i] = g^i (i < b) and giant[j] = g^(b j), so only about 2 sqrt(q)
+    products are taken in Python and the rest in one int64 outer product,
+    exact because both factors are below q < 2^31.
+    """
+    b = math.isqrt(q - 2) + 1
+    baby = [1] * b
+    for i in range(1, b):
+        baby[i] = baby[i - 1] * g % q
+    step = baby[-1] * g % q
+    giant = [1] * -(-(q - 1) // b)
+    for j in range(1, len(giant)):
+        giant[j] = giant[j - 1] * step % q
+    prod = np.array(giant, dtype=np.int64)[:, None] * np.array(baby, dtype=np.int64)
+    return (prod.ravel()[: q - 1] % q)
 
 
 def _check_index(F: PrimeField, r: int) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NTooLarge
 from .field import ZeroConvention, log2, make_field, squares_table
 from .primes import primes_in_range, require_prime
-from .shatter import MAX_WIDTH, ResidueTable, shatter_report
+from .shatter import MAX_WIDTH, ResidueTable, reflected_doubled, shatter_report
 
 DEFAULT_TRIALS = 1000
 
@@ -41,12 +41,21 @@ class ProbPoint:
 def sample_subset(rng: np.random.Generator, q: int, n: int) -> list[int]:
     """Uniform n-subset of {0, ..., q-1} by partial Fisher-Yates.
 
-    Only the displaced pool entries are stored, so memory is O(n).
+    The n swap indices j_i in [i, q) are drawn in one call, which gives the
+    same PCG64 stream as n scalar ``rng.integers(i, q)`` draws.
+    """
+    return _fisher_yates(q, rng.integers(np.arange(n), q).tolist())
+
+
+def _fisher_yates(q: int, js: list[int]) -> list[int]:
+    """Sorted first len(js) entries of range(q) after swapping entry i with
+    entry js[i], for i = 0, 1, ... in turn.
+
+    Only the displaced pool entries are stored, so memory is O(len(js)).
     """
     displaced: dict[int, int] = {}
     out = []
-    for i in range(n):
-        j = int(rng.integers(i, q))
+    for i, j in enumerate(js):
         vi = displaced.get(i, i)
         displaced[i] = displaced.get(j, j)
         displaced[j] = vi
@@ -73,11 +82,14 @@ def estimate_p(q: int, n: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
     if trials < 1:
         raise ValueError("trials must be positive")
     T = squares_table(make_field(q), conv) if table is None else table
+    doubled = reflected_doubled(T)
+    # Every trial's n swap indices in one call: the same PCG64 stream as
+    # ``sample_subset`` trial after trial.
     rng = np.random.default_rng(seed)
+    js = rng.integers(np.tile(np.arange(n), trials), q).reshape(trials, n)
     hits = 0
-    for _ in range(trials):
-        Y = sample_subset(rng, q, n)
-        if shatter_report(Y, T).shattered:
+    for row in js.tolist():
+        if shatter_report(_fisher_yates(q, row), T, doubled).shattered:
             hits += 1
     return ProbPoint(q=q, n=n, trials=trials, hits=hits, ratio=n / log2(q),
                      p_hat=hits / trials, seed=seed)

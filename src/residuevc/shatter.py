@@ -144,17 +144,19 @@ def _require_bins(n: int, T: ResidueTable) -> None:
                         f"exceed {BIN_SLACK} per allowed translate")
 
 
-def pattern_counts(Y: SubsetLike, T: ResidueTable) -> PatternCounts:
+def pattern_counts(Y: SubsetLike, T: ResidueTable,
+                   doubled: np.ndarray | None = None) -> PatternCounts:
     """Tally how many allowed translates realize each of the 2^n patterns.
 
     Under STRICT the translates x in Y are skipped; otherwise all q
     translates contribute.  Raises NTooLarge when 2^n exceeds the allowed
-    translates more than ``BIN_SLACK`` times.
+    translates more than ``BIN_SLACK`` times.  ``doubled``, if given, is
+    ``reflected_doubled(T)``, built once by a caller with many subsets.
     """
     sub = _coerce(Y, T)
     n = sub.n
     _require_bins(n, T)
-    sig = signatures(sub, T)
+    sig = signatures(sub, T, doubled)
     width = 1 << n
     if T.convention is ZeroConvention.STRICT and n > 0:
         sig = sig.copy()
@@ -167,13 +169,17 @@ def pattern_counts(Y: SubsetLike, T: ResidueTable) -> PatternCounts:
     return PatternCounts(n=n, counts=counts, convention=T.convention)
 
 
-def shatter_report(Y: SubsetLike, T: ResidueTable) -> ShatterReport:
-    """Shattering decision plus the extension-bounding index."""
+def shatter_report(Y: SubsetLike, T: ResidueTable,
+                   doubled: np.ndarray | None = None) -> ShatterReport:
+    """Shattering decision plus the extension-bounding index.
+
+    ``doubled`` is passed on to ``pattern_counts``.
+    """
     sub = _coerce(Y, T)
     if (1 << sub.n) > _allowed_translates(sub.n, T):
         # Pigeonhole: fewer translates than patterns, so some count is zero.
         return ShatterReport(shattered=False, index=-1, convention=T.convention)
-    m = int(pattern_counts(sub, T).counts.min())
+    m = int(pattern_counts(sub, T, doubled).counts.min())
     if m == 0:
         return ShatterReport(shattered=False, index=-1, convention=T.convention)
     return ShatterReport(shattered=True, index=m.bit_length() - 1,

@@ -407,6 +407,15 @@ def _orbit_representatives(F: PrimeField) -> Iterator[tuple[np.ndarray, np.ndarr
         yield u, v
 
 
+def _quad_tables(T) -> tuple[np.ndarray, np.ndarray]:
+    """The tables ``_quads_complete`` reads for the ZERO_OUT squares ``T``:
+    the doubled reflected membership and the signatures of {0, 1}."""
+    q = T.q
+    d = _doubled_reversed(T.member.astype(np.int16))
+    xs = np.arange(q, dtype=np.int64)
+    return d, d[q + xs] + (d[q + xs - 1] << 1)
+
+
 def _quads_complete(d: np.ndarray, base2: np.ndarray, u: int,
                     vs: np.ndarray) -> bool:
     """Every {0, 1, u, v}, v in ``vs``, realizes all 16 patterns among the
@@ -471,10 +480,7 @@ def _all_quads_ok(F: PrimeField, T) -> bool:
     528,906 at q = 1031), and ``_quads_complete`` checks the kept quads
     of each u.
     """
-    q = F.q
-    d = _doubled_reversed(T.member.astype(np.int16))
-    xs = np.arange(q, dtype=np.int64)
-    base2 = d[q + xs] + (d[q + xs - 1] << 1)
+    d, base2 = _quad_tables(T)
     for us, vs in _orbit_representatives(F):
         starts = np.flatnonzero(np.diff(us, prepend=-1))
         for u, group in zip(us[starts], np.split(vs, starts[1:])):
@@ -483,10 +489,13 @@ def _all_quads_ok(F: PrimeField, T) -> bool:
     return True
 
 
-def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float,
-                              conv: ZeroConvention = ZeroConvention.STRICT) -> TheoremReport:
+def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremReport:
     """Check that every subset of size <= floor((1/2 - eps) * log_r q) has
     constructive shattering witnesses.
+
+    The check always decides this constructive condition, which for r = 2
+    is STRICT shattering (0 a non-member, translates inside the subset
+    skipped); no zero convention applies to it.
 
     Canonicalization: subsets are translated to contain 0 (exact for the
     witness condition under any convention).  For r = 2 the witness

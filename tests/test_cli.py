@@ -262,3 +262,53 @@ def test_verify_skips_checks_over_budget(tmp_path, monkeypatch):
     partial = {i["q"]: i for i in items if i["status"] == "partial"}
     assert set(partial) == {23, 29, 31}
     assert all("budget" in i["skipped"]["weil"] for i in partial.values())
+
+
+def _interrupt_at(stop_q, monkeypatch):
+    """Make ``vc_sweep`` and ``longest_shattered_ap``, as the CLI calls
+    them, raise KeyboardInterrupt when they reach the prime ``stop_q``."""
+    from residuevc import cli
+    sweep, ap = cli.vc_sweep, cli.longest_shattered_ap
+
+    def interrupted_sweep(*args, **kwargs):
+        for r in sweep(*args, **kwargs):
+            if r.q == stop_q:
+                raise KeyboardInterrupt
+            yield r
+
+    def interrupted_ap(q, *args, **kwargs):
+        if q == stop_q:
+            raise KeyboardInterrupt
+        return ap(q, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "vc_sweep", interrupted_sweep)
+    monkeypatch.setattr(cli, "longest_shattered_ap", interrupted_ap)
+
+
+@pytest.mark.parametrize("command, key", [("vcdim", "vcdim"),
+                                          ("ap", "longest")])
+def test_interrupt_saves_manifest_and_resumes(tmp_path, monkeypatch,
+                                              command, key):
+    out = tmp_path / command
+    csv_path = out / f"{command}.csv"
+    with monkeypatch.context() as patch:
+        _interrupt_at(17, patch)
+        with pytest.raises(KeyboardInterrupt):
+            main([command, "--range", "5:31", "--out-dir", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "interrupted" and manifest["finished_at"]
+    assert [i["q"] for i in manifest["items"]] == [5, 7, 11, 13]
+    assert all(i["status"] == "ok" for i in manifest["items"])
+    assert manifest["outputs"] == [str(csv_path)]
+    assert [int(r["q"]) for r in read_csv(csv_path)] == [5, 7, 11, 13]
+
+    assert main([command, "--range", "5:31", "--resume",
+                 "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "complete"
+    assert [i["q"] for i in manifest["items"]
+            if i["status"] == "ok"] == primes_in_range(17, 31)
+    fresh = tmp_path / "fresh"
+    assert main([command, "--range", "5:31", "--out-dir", str(fresh)]) == 0
+    assert ([(r["q"], r[key]) for r in read_csv(csv_path)]
+            == [(r["q"], r[key]) for r in read_csv(fresh / f"{command}.csv")])

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from residuevc.errors import EvenPrime, IndexNotDividing, NotPrime
+from residuevc.errors import EvenPrime, FieldTooLarge, IndexNotDividing, NotPrime
 from residuevc.field import (ZERO_EXP, ZeroConvention, character_table,
                              coset_representatives, make_field, residue_table)
 from residuevc.primes import is_prime, primes_in_range
@@ -43,6 +45,45 @@ def test_dlog_table_inverts_powers():
         for a in range(q - 1):
             assert F.dlog[pow(F.g, a, q)] == a
         assert F.dlog[0] == -1
+
+
+def _dlog_matches_powers(F, exponents):
+    expected = np.array([pow(F.g, int(a), F.q) for a in exponents])
+    return np.array_equal(F.dlog[expected], exponents)
+
+
+def test_dlog_table_every_prime_below_2000():
+    for q in [3] + primes_in_range(5, 1999):
+        F = make_field(q)
+        assert F.dlog.dtype == np.int64 and F.dlog.shape == (q,)
+        assert F.dlog[0] == -1
+        assert _dlog_matches_powers(F, np.arange(q - 1))
+
+
+@pytest.mark.parametrize("q", [65537, 1_000_003])
+def test_dlog_table_sampled_exponents(q):
+    F = make_field(q)
+    rng = np.random.default_rng(q)
+    exponents = np.concatenate([np.arange(8), q - 2 - np.arange(8),
+                                rng.integers(0, q - 1, 2000)])
+    assert _dlog_matches_powers(F, exponents)
+    assert F.dlog[0] == -1
+    assert np.array_equal(np.sort(F.dlog[1:]), np.arange(q - 1))
+
+
+def test_field_too_large_refused_before_allocating():
+    q = 2_147_483_659  # the least prime above 2^31
+    assert is_prime(q)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FieldTooLarge):
+            make_field(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(FieldTooLarge):
+        make_field(1 << 31)
 
 
 def test_pinned_root_must_be_primitive():

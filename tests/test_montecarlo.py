@@ -61,6 +61,57 @@ def test_per_sample_oracle_replay():
     assert hits == est.hits
 
 
+def _scalar_fisher_yates(rng, q, n):
+    """Partial Fisher-Yates on an explicit pool, one scalar draw per step."""
+    pool = {}
+    for i in range(n):
+        j = int(rng.integers(i, q))
+        pool[i], pool[j] = pool.get(j, j), pool.get(i, i)
+    return sorted(pool.get(i, i) for i in range(n))
+
+
+@pytest.mark.parametrize("q", [5, 101, 65537, 2**31 - 1, 2**40 + 15])
+def test_sampler_matches_scalar_draws(q):
+    for seed in (0, 1, 42):
+        for n in (1, 2, 5, 8, 63):
+            if n > q:
+                continue
+            a = np.random.default_rng(seed)
+            b = np.random.default_rng(seed)
+            for _ in range(3):
+                assert sample_subset(a, q, n) == _scalar_fisher_yates(b, q, n)
+            # and the generators are left in the same state
+            assert a.integers(0, 2**62) == b.integers(0, 2**62)
+
+
+def test_estimate_replays_scalar_sampler():
+    # the batched draws of estimate_p give the subsets sample_subset gives
+    # trial after trial
+    for q, n, seed in [(37, 4, 1), (263, 6, 8)]:
+        for conv in ZeroConvention:
+            T = squares_table(make_field(q), conv)
+            rng = np.random.default_rng(seed)
+            hits = sum(oracle_shattered(sample_subset(rng, q, n), T.member,
+                                        conv) for _ in range(150))
+            assert estimate_p(q, n, trials=150, seed=seed, conv=conv).hits == hits
+
+
+# hits of estimate_p(q, n, trials=200, seed) under zero-in, zero-out and
+# strict, as computed by the one-draw-per-call sampler
+PINNED_HITS = {(13, 3, 6): (120, 119, 105), (37, 4, 1): (129, 148, 101),
+               (61, 5, 2): (10, 12, 4), (101, 5, 4): (136, 132, 125),
+               (1009, 8, 5): (5, 5, 5)}
+
+
+@pytest.mark.parametrize("q, n, seed", sorted(PINNED_HITS))
+def test_estimate_hits_pinned(q, n, seed):
+    convs = (ZeroConvention.ZERO_IN, ZeroConvention.ZERO_OUT,
+             ZeroConvention.STRICT)
+    got = tuple(estimate_p(q, n, trials=200, seed=seed, conv=c).hits
+                for c in convs)
+    assert got == PINNED_HITS[q, n, seed]
+
+
 def test_sampler_is_uniform_over_subsets():
     # every 2-subset of a 5-element pool equally likely
     rng = np.random.default_rng(7)

@@ -110,7 +110,7 @@ def test_tallies_refuse_bins_far_past_pigeonhole():
 def test_counts_check_raises_outside_asserts(monkeypatch):
     short = shatter.signatures
     monkeypatch.setattr(shatter, "signatures",
-                        lambda sub, T: short(sub, T)[1:])
+                        lambda sub, T, doubled=None: short(sub, T, doubled)[1:])
     with pytest.raises(RuntimeError):
         pattern_counts([0, 1], table(11))
 

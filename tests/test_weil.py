@@ -17,10 +17,11 @@ from residuevc.weil import (CosetTarget, PolySpec, char_sum,
                             fourier_probability, fuzzy_coset_probability,
                             verify_equidistribution,
                             verify_shattering_theorem, verify_weil,
-                            _all_quads_ok, _orbit_representatives)
+                            _all_quads_ok, _orbit_representatives,
+                            _quad_tables, _quads_complete)
 
 from oracles import (char_sum_direct, legendre, member_vector,
-                     oracle_shattered)
+                     oracle_counts, oracle_shattered)
 
 
 def setup_fc(q, r):
@@ -276,6 +277,39 @@ def test_quad_fast_path_matches_generic():
         assert _all_quads_ok(F, T) == generic, q
         answers.add(generic)
     assert answers == {False, True}
+
+
+@pytest.mark.parametrize("q", [23, 29, 31])
+def test_quad_verdict_matches_strict_oracle(q):
+    # one quad at a time, so each verdict is that of {0, 1, u, v} alone
+    d, base2 = _quad_tables(residue_table(make_field(q), 2, 1,
+                                          ZeroConvention.ZERO_OUT))
+    member = member_vector(q, 2, 1, ZeroConvention.STRICT)
+    for u, v in itertools.combinations(range(2, q), 2):
+        got = _quads_complete(d, base2, u, np.array([v], dtype=np.int64))
+        assert got == oracle_shattered([0, 1, u, v], member,
+                                       ZeroConvention.STRICT), (q, u, v)
+
+
+def test_quad_check_skips_translate_one():
+    # {0, 1, 2, 3} at q = 31 misses exactly one pattern among the
+    # translates outside it, the pattern of the translate x = 1
+    q = 31
+    member = member_vector(q, 2, 1, ZeroConvention.STRICT)
+    quad = [0, 1, 2, 3]
+    missing = np.flatnonzero(oracle_counts(quad, member,
+                                           ZeroConvention.STRICT) == 0)
+    at_one = sum(int(member[(y - 1) % q]) << i for i, y in enumerate(quad))
+    assert missing.tolist() == [at_one]
+    d, base2 = _quad_tables(residue_table(make_field(q), 2, 1,
+                                          ZeroConvention.ZERO_OUT))
+    assert not _quads_complete(d, base2, 2, np.array([3], dtype=np.int64))
+
+
+def test_theorem_check_takes_no_convention():
+    with pytest.raises(TypeError):
+        verify_shattering_theorem(make_field(101), 2, 0.1,
+                                  ZeroConvention.ZERO_IN)
 
 
 def _affine_orbit_key(q, quad):
