@@ -30,9 +30,10 @@ from .weil import (CosetTarget, PolySpec, char_sum, coset_probability,
 
 __all__ = [
     "ApResult", "CharacterTable", "CosetTarget", "EmptyFold", "EvenPrime",
-    "FieldTooLarge", "Infeasible", "IndexNotDividing", "LengthMismatch", "ModulusMismatch",
-    "NotPrime", "NTooLarge", "PatternCounts", "PolySpec", "PrimeField",
-    "ProbPoint", "ResidueTable", "ResidueVCError", "ShatterReport", "Subset",
+    "FieldTooLarge", "Infeasible", "IndexNotDividing", "LengthMismatch",
+    "ModulusMismatch", "NotPrime", "NTooLarge", "PatternCounts", "PolySpec",
+    "PrimeField", "ProbPoint", "ResidueTable", "ResidueVCError",
+    "ShatterReport", "Subset",
     "TooSmall", "VcResult", "WidthOverflow", "ZeroConvention",
     "char_sum", "character_table", "coset_probability", "estimate_p",
     "fold_patterns", "fourier_probability", "fuzzy_coset_probability",

@@ -170,8 +170,9 @@ def _powers(q: int, g: int) -> np.ndarray:
     giant = [1] * -(-(q - 1) // b)
     for j in range(1, len(giant)):
         giant[j] = giant[j - 1] * step % q
-    prod = np.array(giant, dtype=np.int64)[:, None] * np.array(baby, dtype=np.int64)
-    return (prod.ravel()[: q - 1] % q)
+    prod = np.outer(np.array(giant, dtype=np.int64),
+                    np.array(baby, dtype=np.int64))
+    return prod.ravel()[: q - 1] % q
 
 
 def _check_index(F: PrimeField, r: int) -> None:

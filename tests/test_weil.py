@@ -306,12 +306,6 @@ def test_quad_check_skips_translate_one():
     assert not _quads_complete(d, base2, 2, np.array([3], dtype=np.int64))
 
 
-def test_theorem_check_takes_no_convention():
-    with pytest.raises(TypeError):
-        verify_shattering_theorem(make_field(101), 2, 0.1,
-                                  ZeroConvention.ZERO_IN)
-
-
 def _affine_orbit_key(q, quad):
     """Least sorted image of ``quad`` under every map x -> c x + e."""
     return min(tuple(sorted((c * y + e) % q for y in quad))
