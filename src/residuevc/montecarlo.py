@@ -23,6 +23,9 @@ from .primes import primes_in_range, require_prime
 from .shatter import MAX_WIDTH, ResidueTable, reflected_doubled, shatter_report
 
 DEFAULT_TRIALS = 1000
+#: Swap indices ``estimate_p`` draws per ``rng.integers`` call; bounds its
+#: memory whatever the number of trials.
+DRAW_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -83,14 +86,17 @@ def estimate_p(q: int, n: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
         raise ValueError("trials must be positive")
     T = squares_table(make_field(q), conv) if table is None else table
     doubled = reflected_doubled(T)
-    # Every trial's n swap indices in one call: the same PCG64 stream as
-    # ``sample_subset`` trial after trial.
     rng = np.random.default_rng(seed)
-    js = rng.integers(np.tile(np.arange(n), trials), q).reshape(trials, n)
+    per_call = max(1, DRAW_CHUNK // n)
     hits = 0
-    for row in js.tolist():
-        if shatter_report(_fisher_yates(q, row), T, doubled).shattered:
-            hits += 1
+    for lo in range(0, trials, per_call):
+        m = min(per_call, trials - lo)
+        # The next m trials' swap indices in one call: the same PCG64
+        # stream as ``sample_subset`` trial after trial.
+        js = rng.integers(np.tile(np.arange(n), m), q).reshape(m, n)
+        for row in js.tolist():
+            if shatter_report(_fisher_yates(q, row), T, doubled).shattered:
+                hits += 1
     return ProbPoint(q=q, n=n, trials=trials, hits=hits, ratio=n / log2(q),
                      p_hat=hits / trials, seed=seed)
 

@@ -497,8 +497,8 @@ def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremR
     is STRICT shattering (0 a non-member, translates inside the subset
     skipped); no zero convention applies to it.
 
-    Canonicalization: subsets are translated to contain 0 (exact for the
-    witness condition under any convention).  For r = 2 the witness
+    Canonicalization: subsets are translated to contain 0 (exact, since
+    translation preserves the witness condition).  For r = 2 the witness
     condition is STRICT shattering of the squares, which every affine map
     x -> c x + e preserves: a square c keeps each pattern of a translate
     outside the subset, a non-square c complements it (no difference is

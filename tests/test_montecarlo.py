@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from residuevc import montecarlo
 from residuevc.errors import NotPrime
 from residuevc.field import ZeroConvention, make_field, squares_table
 from residuevc.montecarlo import (estimate_p, interface_scan, point_seed,
@@ -84,16 +85,19 @@ def test_sampler_matches_scalar_draws(q):
             assert a.integers(0, 2**62) == b.integers(0, 2**62)
 
 
-def test_estimate_replays_scalar_sampler():
+@pytest.mark.parametrize("chunk", [montecarlo.DRAW_CHUNK, 11])
+def test_estimate_replays_scalar_sampler(chunk, monkeypatch):
     # the batched draws of estimate_p give the subsets sample_subset gives
-    # trial after trial
+    # trial after trial, also across draw calls (chunk 11: 2 or 1 trials
+    # a call, the last call short)
+    monkeypatch.setattr(montecarlo, "DRAW_CHUNK", chunk)
     for q, n, seed in [(37, 4, 1), (263, 6, 8)]:
         for conv in ZeroConvention:
             T = squares_table(make_field(q), conv)
             rng = np.random.default_rng(seed)
             hits = sum(oracle_shattered(sample_subset(rng, q, n), T.member,
-                                        conv) for _ in range(150))
-            assert estimate_p(q, n, trials=150, seed=seed, conv=conv).hits == hits
+                                        conv) for _ in range(149))
+            assert estimate_p(q, n, trials=149, seed=seed, conv=conv).hits == hits
 
 
 # hits of estimate_p(q, n, trials=200, seed) under zero-in, zero-out and
