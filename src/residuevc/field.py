@@ -150,12 +150,13 @@ def make_field(q: int, root: int | None = None) -> PrimeField:
             raise ValueError(f"{root} is not a primitive root modulo {q}")
         g = root
     dlog = np.full(q, -1, dtype=np.int64)
-    dlog[_powers(q, g)] = np.arange(q - 1, dtype=np.int64)
+    dlog[power_table(q, g)] = np.arange(q - 1, dtype=np.int64)
     return PrimeField(q=q, g=g, dlog=dlog)
 
 
-def _powers(q: int, g: int) -> np.ndarray:
-    """g^0, ..., g^(q-2) mod q, by baby and giant steps.
+def power_table(q: int, g: int) -> np.ndarray:
+    """g^0, ..., g^(q-2) mod q for 2 < q < ``MAX_MODULUS``, by baby and
+    giant steps.
 
     With b = ceil(sqrt(q - 1)), g^(b j + i) is giant[j] * baby[i] mod q for
     baby[i] = g^i (i < b) and giant[j] = g^(b j), so only about 2 sqrt(q)

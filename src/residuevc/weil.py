@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import Infeasible, IndexNotDividing, LengthMismatch
 from .field import (ZERO_EXP, CharacterTable, PrimeField, ZeroConvention,
-                    character_table, log2_floor, residue_table)
+                    character_table, log2_floor, power_table, residue_table)
 from .montecarlo import sample_subset
 
 WEIL_TOL = 1e-6
@@ -385,9 +385,7 @@ def _orbit_representatives(F: PrimeField) -> Iterator[tuple[np.ndarray, np.ndarr
     """
     q = F.q
     logs = np.concatenate([F.dlog, F.dlog])
-    powers = np.empty(q - 1, dtype=np.int64)
-    powers[F.dlog[1:]] = np.arange(1, q, dtype=np.int64)
-    powers = np.concatenate([powers, powers])
+    powers = np.tile(power_table(q, F.g), 2)
     step = max(1, QUAD_CHUNK // q)
     u_end = (q + 1) // 2  # u < v and u + v <= q + 1
     for u_lo in range(2, u_end, step):
