@@ -39,21 +39,13 @@ def test_q2_rejected():
         make_field(2)
 
 
-def test_dlog_table_inverts_powers():
-    for q in SMALL_PRIMES:
-        F = make_field(q)
-        for a in range(q - 1):
-            assert F.dlog[pow(F.g, a, q)] == a
-        assert F.dlog[0] == -1
-
-
 def _dlog_matches_powers(F, exponents):
     expected = np.array([pow(F.g, int(a), F.q) for a in exponents])
     return np.array_equal(F.dlog[expected], exponents)
 
 
-def test_dlog_table_every_prime_below_2000():
-    for q in [3] + primes_in_range(5, 1999):
+def test_dlog_table_inverts_powers():
+    for q in primes_in_range(3, 1999):
         F = make_field(q)
         assert F.dlog.dtype == np.int64 and F.dlog.shape == (q,)
         assert F.dlog[0] == -1
