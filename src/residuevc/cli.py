@@ -90,6 +90,13 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _flag(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(f"bad flag {text!r}")
@@ -435,7 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--early-exit", action="store_true",
                    help="stop each prime once a set of size "
                         "floor(log2 q) - 1 is found (result is a lower bound)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="processes solving primes, at most one per prime "
+                        "and per usable CPU (default: 1)")
     p.add_argument("--resume", action="store_true",
                    help="keep existing CSV rows and compute only missing primes")
     add_common(p, ZeroConvention.ZERO_IN.value)

@@ -21,9 +21,10 @@ best the child is not expanded, and when the first fails its later
 siblings are skipped too.  Because best only grows, a threshold from an
 older best is only more permissive.
 
-Under STRICT, translates landing on the subset go to a sentinel bin
-beyond the 2^(|Y|+1) patterns, so excluding them costs one assignment per
-block.
+``shatter.ChildTally`` counts each node's block of children (under STRICT
+with sentinel bins for the translates landing on the subset), and
+``shatter.canonical_minima`` walks the canonical sets of
+``testing_dimension``.  ``vc_sweep`` spreads primes over processes.
 
 Canonicalization uses translation invariance (exact under every zero
 convention) plus dilation invariance where the convention supports it:
@@ -33,20 +34,19 @@ non-residue dilations are not exact, searches supersets of {0} only.
 
 from __future__ import annotations
 
-import itertools
-import threading
+import contextlib
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import (ResidueTable, ZeroConvention, log2, log2_floor,
                     make_field, squares_table)
 from .primes import primes_in_range, require_prime
-from .shatter import (batch_min_counts, fold_patterns, pattern_counts,
-                      reflected_doubled, shatter_report, signatures)
+from .shatter import (ChildTally, canonical_minima, fold_patterns,
+                      pattern_counts, shatter_report, signatures)
 
 
 @dataclass(frozen=True)
@@ -81,21 +81,11 @@ def canonical_root(conv: ZeroConvention) -> tuple[int, ...]:
 
 
 class _TreeSearch:
-    """Shared state for one prime's subset-tree walk (thread-safe)."""
+    """State of one prime's subset-tree walk."""
 
     def __init__(self, T: ResidueTable, early_exit_at: int | None):
-        self.T = T
         self.q = T.q
-        self.strict = T.convention is ZeroConvention.STRICT
-        self.doubled = reflected_doubled(T)
-        # windows[n][q - m] is the column of m shifted to bit n: a strided
-        # view, so gathering a block copies whole rows.  offsets[n] moves
-        # each row of a block at depth n to its own run of bins.
-        depths = range(log2_floor(self.q) + 1)
-        self.windows = [sliding_window_view(self.doubled << n, self.q)
-                        for n in depths]
-        self.offsets = [np.arange(self.q, dtype=np.int64)[:, None]
-                        * self.bins(n) for n in depths]
+        self.tally = ChildTally(T)
         # The walk only compares best against the target, so a sentinel
         # above any reachable size disables early exit cheaply.
         self.exit_at = early_exit_at if early_exit_at is not None else 1 << 62
@@ -104,13 +94,6 @@ class _TreeSearch:
         self.cut_short = False
         self.nodes = 0
         self.cells = 0
-        self._lock = threading.Lock()
-
-    def record(self, size: int, elems: tuple[int, ...]) -> None:
-        with self._lock:
-            if size > self.best:
-                self.best = size
-                self.witness = elems
 
     def hit_exit(self) -> bool:
         if self.best >= self.exit_at:
@@ -123,56 +106,26 @@ class _TreeSearch:
         recorded or to lie below a set larger than the best known."""
         return 1 << max(0, self.best - n)
 
-    def bins(self, n: int) -> int:
-        """Bins per row of a child block below an n-element node."""
-        return (2 << n) + int(self.strict)
-
-    def child_block(self, Y: list[int], sig: np.ndarray, ms: np.ndarray):
-        """Signatures and minimum pattern counts of Y + {m} for each m."""
-        q, n = self.q, len(Y)
-        rows = ms.shape[0]
-        cols = self.windows[n][q - ms]
-        cols += sig
-        width = 2 << n
-        if self.strict:
-            # Translates landing on the subset go to a sentinel bin that
-            # the minimum skips.  A descendant overwrites these columns
-            # with its own sentinel, so they need no restore.
-            cols[:, Y] = width
-            cols[np.arange(rows), ms] = width
-        offsets = self.offsets[n][:rows]
-        cols += offsets
-        bins = self.bins(n)
-        counts = np.bincount(cols.ravel(), minlength=rows * bins)
-        cols -= offsets
-        with self._lock:
-            self.nodes += 1
-            self.cells += rows * q
-        return cols, counts.reshape(rows, bins)[:, :width].min(axis=1)
-
-    def survivors(self, Y: list[int], sig: np.ndarray, cands: np.ndarray):
-        """Children of Y over ``cands`` that meet the count threshold."""
-        csig, mins = self.child_block(Y, sig, cands)
-        keep = mins >= self.threshold(len(Y))
-        return cands[keep], mins[keep], csig[keep]
-
-    def expand(self, Y: list[int], sig: np.ndarray, cands: np.ndarray) -> None:
-        """Depth-first walk below a shattered node Y over its candidates."""
-        ms, mins, csig = self.survivors(Y, sig, cands)
-        self.descend(Y, ms, mins, csig, range(len(ms)))
-
-    def descend(self, Y: list[int], ms: np.ndarray, mins: np.ndarray,
-                csig: np.ndarray, picks: range) -> None:
-        """Visit the surviving children Y + {ms[i]} for i in ``picks``;
-        each inherits the survivors after it as its candidates."""
+    def descend(self, Y: list[int], sig: np.ndarray, cands: np.ndarray) -> None:
+        """Depth-first walk below a shattered node Y: count its children
+        over ``cands``, keep those meeting the threshold, and visit each
+        Y + {m} with the survivors after m as its candidates."""
         n = len(Y)
+        kept = []
+        for ms, csig, counts in self.tally.children(Y, sig, cands):
+            mins = counts.min(axis=1)
+            keep = mins >= self.threshold(n)
+            kept.append((ms[keep], mins[keep], csig[keep]))
+        self.nodes += 1
+        self.cells += cands.shape[0] * self.q
+        ms, mins, csig = (kept[0] if len(kept) == 1
+                          else (np.concatenate(part) for part in zip(*kept)))
         size = n + 1
         counts = mins.tolist()
-        for i in picks:
+        for i, c in enumerate(counts):
             if self.hit_exit():
                 return
             best = self.best
-            c = counts[i]
             if c < self.threshold(n):
                 continue  # best has grown since the block was counted
             later = ms[i + 1:]
@@ -180,51 +133,29 @@ class _TreeSearch:
                 return  # later siblings inherit fewer candidates still
             child = Y + [int(ms[i])]
             if size > best:
-                self.record(size, tuple(child))
+                self.best, self.witness = size, tuple(child)
             if later.shape[0] and c >= self.threshold(n):
-                self.expand(child, csig[i], later)
+                self.descend(child, csig[i], later)
 
 
 def _search(T: ResidueTable, root: tuple[int, ...],
-            early_exit_at: int | None, jobs: int) -> _TreeSearch:
+            early_exit_at: int | None) -> _TreeSearch:
     """Run the tree walk from ``root``; the returned state holds the result."""
     state = _TreeSearch(T, early_exit_at)
-    rep0 = shatter_report([root[0]], T)
-    if rep0.shattered:
-        state.record(1, (root[0],))
-    if len(root) == 2:
-        rep = shatter_report(root, T)
+    for k in range(1, len(root) + 1):
+        rep = shatter_report(root[:k], T)
         if not rep.shattered:
-            return state
-        state.record(2, root)
-    else:
-        if not rep0.shattered:
-            return state
-        rep = rep0
-    seed = list(root)
-    if state.hit_exit() or len(seed) + rep.index <= state.best:
-        return state
-    sig = signatures(seed, T, state.doubled)
-    cands = np.arange(seed[-1] + 1, state.q, dtype=np.int64)
-    if jobs <= 1:
-        state.expand(seed, sig, cands)
-        return state
-
-    # Split the root's surviving children round-robin across threads; the
-    # shared best is a lower bound of the truth at all times, so every
-    # prune stays sound regardless of update timing.
-    ms, mins, csig = state.survivors(seed, sig, cands)
-
-    def worker(offset: int) -> None:
-        state.descend(seed, ms, mins, csig, range(offset, len(ms), jobs))
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        list(pool.map(worker, range(jobs)))
+            return state  # nor is any superset
+        state.best, state.witness = k, root[:k]
+    if not state.hit_exit() and len(root) + rep.index > state.best:
+        seed = list(root)
+        state.descend(seed, signatures(seed, T, state.tally.doubled),
+                      np.arange(root[-1] + 1, state.q, dtype=np.int64))
     return state
 
 
 def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
-                 early_exit_at: int | None = None, jobs: int = 1,
+                 early_exit_at: int | None = None,
                  check_canonical: bool = False) -> VcResult:
     """Exact VC dimension of the squares table of F_q under ``conv``.
 
@@ -240,11 +171,11 @@ def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
     start = time.perf_counter()
     T = squares_table(make_field(q), conv)
     root = canonical_root(conv)
-    state = _search(T, root, early_exit_at, jobs)
+    state = _search(T, root, early_exit_at)
     best, witness = state.best, state.witness
     nodes, cells = state.nodes, state.cells
     if check_canonical:
-        ref = _search(T, (0,), None, 1)
+        ref = _search(T, (0,), None)
         nodes, cells = nodes + ref.nodes, cells + ref.cells
         if not state.cut_short and ref.best != best:
             raise RuntimeError(
@@ -272,32 +203,14 @@ def testing_dimension(q: int, conv: ZeroConvention, cap: int) -> int:
     require_prime(q)
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    T = squares_table(make_field(q), conv)
+    tally = ChildTally(squares_table(make_field(q), conv))
+    strict = conv is ZeroConvention.STRICT
     for n in range(1, cap + 1):
-        if n > q or not _all_n_subsets_shattered(T, n):
+        # pigeonhole: fewer allowed translates than 2^n shatter no n-set
+        if (1 << n) > q - n * strict or not all(
+                mins.all() for mins in canonical_minima(tally, 1 + strict, n)):
             return n - 1
     return cap
-
-
-def _all_n_subsets_shattered(T: ResidueTable, n: int) -> bool:
-    q = T.q
-    allowed = q - n if T.convention is ZeroConvention.STRICT else q
-    if (1 << n) > allowed:
-        return False
-    if n == 1:
-        return bool(shatter_report([0], T).shattered)
-    if T.convention is ZeroConvention.STRICT:
-        prefix, rest = (0, 1), range(2, q)
-    else:
-        prefix, rest = (0,), range(1, q)
-    combos = itertools.combinations(rest, n - len(prefix))
-    while True:
-        block = list(itertools.islice(combos, 100_000))
-        if not block:
-            return True
-        arr = np.array([prefix + c for c in block], dtype=np.int64)
-        if not (batch_min_counts(arr, T) > 0).all():
-            return False
 
 
 def longest_shattered_ap(q: int,
@@ -332,6 +245,12 @@ def _sweep_worker(args) -> VcResult:
     return vc_dimension(q, conv, early_exit_at=target)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def vc_sweep(q_lo: int, q_hi: int,
              conv: ZeroConvention = ZeroConvention.ZERO_IN,
              early_exit: bool = False, jobs: int = 1,
@@ -339,24 +258,19 @@ def vc_sweep(q_lo: int, q_hi: int,
     """Yield a VcResult for each prime in [q_lo, q_hi], ascending.
 
     Primes in ``skip`` are omitted (checkpoint resume); per-prime failures
-    are reported through ``on_error(q, exc)`` and skipped.  With jobs > 1
-    the primes are solved in a process pool but still emitted in order.
+    are reported through ``on_error(q, exc)`` and skipped.  The primes are
+    solved in a pool of min(jobs, primes left, usable CPUs) processes, or
+    in this one when that is 1, and emitted in order.
     """
     qs = [q for q in primes_in_range(q_lo, q_hi) if q not in skip]
-    if jobs <= 1:
-        for q in qs:
+    args = [(q, conv.value, early_exit) for q in qs]
+    workers = min(jobs, len(qs), _usable_cpus())
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        futures = [pool.submit(_sweep_worker, a) for a in args] if pool else []
+        for i, q in enumerate(qs):
             try:
-                yield _sweep_worker((q, conv.value, early_exit))
+                yield futures[i].result() if pool else _sweep_worker(args[i])
             except Exception as exc:  # noqa: BLE001 - per-prime isolation
-                if on_error is not None:
-                    on_error(q, exc)
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        args = [(q, conv.value, early_exit) for q in qs]
-        futures = {q: pool.submit(_sweep_worker, a) for q, a in zip(qs, args)}
-        for q in qs:
-            try:
-                yield futures[q].result()
-            except Exception as exc:  # noqa: BLE001
                 if on_error is not None:
                     on_error(q, exc)

@@ -12,14 +12,26 @@ shattered: extending Y by one element can at most split every pattern
 class in two, so a minimum count of m allows at most floor(log2 m) more
 elements.  ``shattering_index`` returns that floor (or -1 when some count
 is zero), which the search module uses as a prune.
+
+Every tally of many subsets is one kernel, ``ChildTally``, which counts
+the patterns of Y + {m} for a vector of candidates m under an exclusion
+rule.  The exact search walks its tree with it; ``canonical_minima`` feeds
+it the canonical sets of ``testing_dimension`` and of the theorem check.
+Kept apart on purpose: ``signatures``/``pattern_counts`` tally one subset
+(the Monte Carlo oracle calls them on thousands of fresh subsets, where
+building the kernel's windows per call would cost more); the quad check's
+``weil._quads_complete`` retires rows once all 16 patterns are seen, a
+different algorithm; ``tests/oracles.py`` stays the independent check.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyFold, ModulusMismatch, NTooLarge, WidthOverflow
 from .field import ResidueTable, ZeroConvention
@@ -131,16 +143,16 @@ def _allowed_translates(n: int, T: ResidueTable) -> int:
     return T.q - n if T.convention is ZeroConvention.STRICT else T.q
 
 
-def _require_bins(n: int, T: ResidueTable) -> None:
-    """Refuse a tally whose 2^n bins outnumber the allowed translates more
-    than ``BIN_SLACK`` times.
+def _require_bins(n: int, allowed: int, q: int) -> None:
+    """Refuse a tally whose 2^n bins outnumber the ``allowed`` translates
+    more than ``BIN_SLACK`` times.
 
     Past 2^n > allowed translates some pattern is missing whatever Y is
     (pigeonhole), so the answer is known without counting; the slack keeps
     small overfull tallies and caps the bins at a few per translate.
     """
-    if (1 << n) > BIN_SLACK * _allowed_translates(n, T):
-        raise NTooLarge(f"{1 << n} pattern bins for n = {n} at q = {T.q} "
+    if (1 << n) > BIN_SLACK * allowed:
+        raise NTooLarge(f"{1 << n} pattern bins for n = {n} at q = {q} "
                         f"exceed {BIN_SLACK} per allowed translate")
 
 
@@ -155,7 +167,7 @@ def pattern_counts(Y: SubsetLike, T: ResidueTable,
     """
     sub = _coerce(Y, T)
     n = sub.n
-    _require_bins(n, T)
+    _require_bins(n, _allowed_translates(n, T), T.q)
     sig = signatures(sub, T, doubled)
     width = 1 << n
     if T.convention is ZeroConvention.STRICT and n > 0:
@@ -215,57 +227,82 @@ def fold_patterns(R: Union[PatternCounts, np.ndarray]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched oracle
+# Child blocks and the canonical-subset walker
 # ---------------------------------------------------------------------------
 
-def batch_min_counts(subsets: np.ndarray, T: ResidueTable,
-                     max_cells: int = 8_000_000) -> np.ndarray:
-    """Minimum pattern count for each row of an (M, n) matrix of subsets.
+#: Most cells (candidate rows x q) one child block holds.  A search block
+#: has fewer than q rows, so below q = 2048 it is never split.
+MAX_CELLS = 1 << 22
 
-    Rows must be strictly increasing and share the table's modulus.  Work
-    is chunked so no intermediate exceeds ``max_cells`` int64 cells.
-    Raises NTooLarge when 2^n exceeds the allowed translates more than
-    ``BIN_SLACK`` times.
+
+class ChildTally:
+    """Pattern counts of Y + {m} for a vector of candidates m.
+
+    ``forbidden`` is the exclusion rule: translate x is dropped for a
+    subset when y - x is in it for some element y.  None takes the
+    convention's rule, {0} under STRICT and nothing otherwise.
+    ``windows[n][q - m]`` is the column of m shifted to bit n, a strided
+    view, so a block gathers whole rows.  Its entries at the translates m
+    drops hold 2^(n+1), which lands the row's value in sentinel bins past
+    the 2^(n+1) patterns; the translates Y drops are set to 2^(n+1) once
+    a block.  ``offsets[n]`` gives each row its own run of bins.
     """
-    subsets = np.asarray(subsets, dtype=np.int64)
-    if subsets.ndim != 2:
-        raise ValueError("expected an (M, n) matrix of subsets")
-    M, n = subsets.shape
-    if n > MAX_WIDTH:
-        raise WidthOverflow(f"subset size {n} exceeds {MAX_WIDTH}")
-    _require_bins(n, T)
-    q = T.q
-    if M == 0:
-        return np.zeros(0, dtype=np.int64)
-    strict = T.convention is ZeroConvention.STRICT
-    width = 1 << n
-    bins = width + 1 if strict else width
-    d = reflected_doubled(T)
-    xs = np.arange(q, dtype=np.int64)
-    out = np.empty(M, dtype=np.int64)
-    chunk = max(1, max_cells // max(q, 1))
-    for lo in range(0, M, chunk):
-        block = subsets[lo : lo + chunk]
-        m = block.shape[0]
-        sig = np.zeros((m, q), dtype=np.int64)
-        for i in range(n):
-            # d[q + x - y] == member[(y - x) mod q], gathered per row
-            sig += d[q + xs[None, :] - block[:, i : i + 1]] << i
-        if strict and n > 0:
-            rows = np.arange(m)
-            for i in range(n):
-                sig[rows, block[:, i]] = width
-        offsets = (np.arange(m, dtype=np.int64) * bins)[:, None]
-        counts = np.bincount((sig + offsets).ravel(), minlength=m * bins)
-        counts = counts.reshape(m, bins)[:, :width]
-        out[lo : lo + chunk] = counts.min(axis=1)
-    return out
+
+    def __init__(self, T: ResidueTable, forbidden: Sequence[int] | None = None):
+        q = self.q = T.q
+        self.T = T
+        if forbidden is None:
+            forbidden = [0] if T.convention is ZeroConvention.STRICT else []
+        self.forbidden = np.asarray(forbidden, dtype=np.int64)
+        self.doubled = reflected_doubled(T)
+        dropped = np.isin(-np.arange(2 * q) % q, self.forbidden)
+        # to floor(log2 q) + 1, the deepest block the bins check lets by
+        depths = range(q.bit_length() + 1)
+        self.windows = [sliding_window_view(
+            np.where(dropped, 2 << n, self.doubled << n), q) for n in depths]
+        # a sentinel value plus a signature of Y stays below 3 * 2^n
+        self.bins = [(3 if self.forbidden.size else 2) << n for n in depths]
+        self.offsets = [np.arange(q, dtype=np.int64)[:, None] * bins
+                        for bins in self.bins]
+
+    def children(self, Y: Sequence[int], sig: np.ndarray, ms: np.ndarray
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield ``(ms, sigs, counts)`` for runs of at most ``MAX_CELLS``
+        cells, one ``bincount`` each: ``sigs[i]`` is the signature of
+        Y + {ms[i]}, ``counts[i]`` its pattern counts over the allowed
+        translates.  ``sig`` is the signature of Y, from ``signatures`` or
+        from an earlier block.  Raises NTooLarge when the patterns outnumber
+        a child's translates more than ``BIN_SLACK`` times (a rule that
+        forbids anything forbids 0).
+        """
+        q, n = self.q, len(Y)
+        _require_bins(n + 1, q - (n + 1) * (self.forbidden.size > 0), q)
+        width, bins = 2 << n, self.bins[n]
+        step = max(1, MAX_CELLS // q)
+        for lo in range(0, ms.shape[0], step):
+            block = ms[lo : lo + step]
+            rows = block.shape[0]
+            cols = self.windows[n][q - block]
+            cols += sig
+            if self.forbidden.size:
+                # negative differences index from the end, that is mod q
+                cols[:, np.array(Y, dtype=np.int64)[:, None] - self.forbidden] = width
+            offsets = self.offsets[n][:rows]
+            cols += offsets
+            counts = np.bincount(cols.ravel(), minlength=rows * bins)
+            cols -= offsets
+            yield block, cols, counts.reshape(rows, bins)[:, :width]
 
 
-def batch_is_shattered(subsets: np.ndarray, T: ResidueTable) -> np.ndarray:
-    """Vector of shattering decisions for an (M, n) matrix of subsets."""
-    subsets = np.asarray(subsets, dtype=np.int64)
-    n = subsets.shape[1] if subsets.ndim == 2 else 0
-    if (1 << n) > _allowed_translates(n, T):
-        return np.zeros(subsets.shape[0], dtype=bool)
-    return batch_min_counts(subsets, T) > 0
+def canonical_minima(tally: ChildTally, fixed: int, n: int) -> Iterator[np.ndarray]:
+    """Minimum pattern counts of the n-sets holding {0, ..., k - 1},
+    k = min(fixed, n), in lexicographic order, a block at a time: each
+    canonical (n-1)-set Y gives ``tally`` the candidates m > max(Y).
+    """
+    q, k = tally.q, min(fixed, n)
+    for c in itertools.combinations(range(k, q), max(n - 1 - k, 0)):
+        Y = tuple(range(k if n > k else k - 1)) + c
+        ms = np.arange(Y[-1] + 1 if Y else 0, q if n > k else k, dtype=np.int64)
+        sig = signatures(Y, tally.T, tally.doubled)
+        for _, _, counts in tally.children(Y, sig, ms):
+            yield counts.min(axis=1)

@@ -29,6 +29,8 @@ from .errors import Infeasible, IndexNotDividing, LengthMismatch
 from .field import (ZERO_EXP, CharacterTable, PrimeField, ZeroConvention,
                     character_table, log2_floor, power_table, residue_table)
 from .montecarlo import sample_subset
+from .shatter import (ChildTally, canonical_minima, reflected_doubled,
+                      signatures)
 
 WEIL_TOL = 1e-6
 OP_BUDGET = 10**9
@@ -318,44 +320,13 @@ def _first_non_power(F: PrimeField, C: CharacterTable) -> int:
     raise IndexNotDividing("no non-trivial coset exists")
 
 
-def constructive_witnesses_ok(F: PrimeField, C: CharacterTable, t: int,
-                              subsets: np.ndarray) -> np.ndarray:
-    """For each row Y, do all 2^n patterns have a witness translate x with
-    in-pattern y_j - x in G_r and out-of-pattern y_j - x in t * G_r?
-    """
-    subsets = np.asarray(subsets, dtype=np.int64)
-    M, n = subsets.shape
-    q = F.q
-    in_coset = (C.exp_of == 0).astype(np.int16)
-    union = in_coset | (C.exp_of == int(C.exp_of[t])).astype(np.int16)
-    d_in = _doubled_reversed(in_coset)
-    d_union = _doubled_reversed(union)
-    xs = np.arange(q, dtype=np.int64)
-    width = 1 << n
-    out = np.empty(M, dtype=bool)
-    chunk = max(1, 4_000_000 // max(q, 1))
-    for lo in range(0, M, chunk):
-        block = subsets[lo : lo + chunk]
-        m = block.shape[0]
-        sig = np.zeros((m, q), dtype=np.int16)
-        bad = np.zeros((m, q), dtype=bool)
-        for i in range(n):
-            idx = q + xs[None, :] - block[:, i : i + 1]
-            sig += d_in[idx] << i
-            bad |= d_union[idx] == 0
-        sig[bad] = width
-        offs = (np.arange(m, dtype=np.int64) * (width + 1))[:, None]
-        counts = np.bincount((sig.astype(np.int64) + offs).ravel(),
-                             minlength=m * (width + 1)).reshape(m, width + 1)
-        out[lo : lo + chunk] = (counts[:, :width] > 0).all(axis=1)
-    return out
-
-
-def _doubled_reversed(vec: np.ndarray) -> np.ndarray:
-    rev = np.empty_like(vec)
-    rev[0] = vec[0]
-    rev[1:] = vec[:0:-1]
-    return np.concatenate([rev, rev])
+def _witness_tally(F: PrimeField, C: CharacterTable, t: int) -> ChildTally:
+    """The kernel for the constructive witnesses: bit j is y_j - x in G_r;
+    x is dropped when some y_j - x is outside G_r and t * G_r, or 0."""
+    e = C.exp_of
+    forbidden = np.flatnonzero((e != 0) & (e != e[t]))
+    return ChildTally(residue_table(F, C.r, 1, ZeroConvention.ZERO_OUT),
+                      forbidden)
 
 
 #: Pairs (u, v) the orbit filter of ``_all_quads_ok`` holds at a time.
@@ -408,10 +379,8 @@ def _orbit_representatives(F: PrimeField) -> Iterator[tuple[np.ndarray, np.ndarr
 def _quad_tables(T) -> tuple[np.ndarray, np.ndarray]:
     """The tables ``_quads_complete`` reads for the ZERO_OUT squares ``T``:
     the doubled reflected membership and the signatures of {0, 1}."""
-    q = T.q
-    d = _doubled_reversed(T.member.astype(np.int16))
-    xs = np.arange(q, dtype=np.int64)
-    return d, d[q + xs] + (d[q + xs - 1] << 1)
+    d = reflected_doubled(T).astype(np.int16)
+    return d, signatures([0, 1], T, d).astype(np.int16)
 
 
 def _quads_complete(d: np.ndarray, base2: np.ndarray, u: int,
@@ -505,6 +474,9 @@ def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremR
     one quad {0, 1, u, v} per affine orbit, the one whose (u, v) is least
     among the orbit's quads that contain {0, 1}.  ``checked`` still counts
     every canonical subset the check decides, (q - 2)(q - 3)/2 quads.
+
+    Other sizes walk the canonical subsets with ``canonical_minima``,
+    after checking their number against ``OP_BUDGET // q``.
     """
     C = character_table(F, r)
     q = F.q
@@ -516,30 +488,18 @@ def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremR
     # Constructive witnesses are monotone under restriction, so checking
     # the top size n_star covers all smaller subsets.
     n = min(n_star, q)
-    if n == 1:
-        ok = constructive_witnesses_ok(F, C, t, np.array([[0]]))
-        checked, failures = 1, int(~ok[0])
-    elif r == 2 and n == 4:
+    if r == 2 and n == 4:
         T = residue_table(F, 2, 1, ZeroConvention.ZERO_OUT)
         good = _all_quads_ok(F, T)
         checked, failures = (q - 2) * (q - 3) // 2, 0 if good else 1
     else:
-        prefix = (0, 1) if r == 2 else (0,)
-        rest = range(len(prefix), q)
-        budget_rows = OP_BUDGET // max(q, 1)
-        combos = itertools.combinations(rest, n - len(prefix))
-        checked = failures = 0
-        while True:
-            block = list(itertools.islice(combos, 50_000))
-            if not block:
-                break
-            checked += len(block)
-            if checked > budget_rows:
-                raise Infeasible(f"canonical enumeration at q={q}, n*={n} "
-                                 f"exceeds the operation budget")
-            arr = np.array([prefix + c for c in block], dtype=np.int64)
-            ok = constructive_witnesses_ok(F, C, t, arr)
-            failures += int((~ok).sum())
+        k = min(2 if r == 2 else 1, n)  # the canonical sets hold 0, ..., k-1
+        checked = math.comb(q - k, n - k)
+        if checked > OP_BUDGET // q:
+            raise Infeasible(f"canonical enumeration at q={q}, n*={n} "
+                             f"exceeds the operation budget")
+        minima = canonical_minima(_witness_tally(F, C, t), k, n)
+        failures = sum(int((mins == 0).sum()) for mins in minima)
     return TheoremReport(q=q, r=r, epsilon=epsilon, n_star=n_star,
                          checked=checked, failures=failures,
                          passed=failures == 0)

@@ -62,6 +62,25 @@ def oracle_shattered(Y, member: np.ndarray, conv: ZeroConvention) -> bool:
     return bool((oracle_counts(Y, member, conv) > 0).all())
 
 
+def witnesses_complete(q: int, r: int, t: int, Y) -> bool:
+    """Constructive witnesses by enumeration: every pattern of Y has a
+    translate x with y - x among the rth powers for y in the pattern and
+    in the coset t * {x^r} for the other y."""
+    powers = powers_mod(q, r)
+    coset = {t * v % q for v in powers}
+    seen = set()
+    for x in range(q):
+        pattern = 0
+        for i, y in enumerate(Y):
+            if (y - x) % q in powers:
+                pattern |= 1 << i
+            elif (y - x) % q not in coset:
+                break
+        else:
+            seen.add(pattern)
+    return len(seen) == 1 << len(Y)
+
+
 def _batch_shattered(subsets: np.ndarray, member: np.ndarray,
                      conv: ZeroConvention) -> np.ndarray:
     """Vectorized batch variant built on plain modular gathers."""

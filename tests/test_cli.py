@@ -149,6 +149,33 @@ def test_bad_range_rejected():
         main(["vcdim", "--range", "oops"])
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_rejected(tmp_path, jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["vcdim", "--range", "5:7", "--jobs", jobs,
+              "--out-dir", str(tmp_path / "v")])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
+def test_jobs_caps_pool_at_primes_left(tmp_path, monkeypatch):
+    from residuevc import search
+    sizes = []
+
+    class NoPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            raise RuntimeError("no process is started in this test")
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 64)
+    with pytest.raises(RuntimeError):
+        main(["vcdim", "--range", "5:7", "--jobs", "5000",
+              "--out-dir", str(tmp_path / "v")])
+    assert sizes == [2]
+
+
 def test_out_dir_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("RESIDUEVC_OUT", str(tmp_path / "envout"))
     assert main(["ap", "--range", "5:7"]) == 0

@@ -1,4 +1,4 @@
-import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -11,7 +11,8 @@ from residuevc.primes import primes_in_range
 from residuevc import search
 from residuevc.search import (canonical_root, longest_shattered_ap,
                               vc_dimension, vc_sweep)
-from residuevc.shatter import is_shattered, pattern_counts, shattering_index
+from residuevc.shatter import (ChildTally, is_shattered, pattern_counts,
+                               shattering_index, signatures)
 
 from oracles import (naive_all_shattered, naive_vc, oracle_counts,
                      oracle_shattered)
@@ -95,16 +96,6 @@ def test_early_exit_flags_lower_bound():
         assert not r.exact
 
 
-def test_parallel_equals_sequential():
-    for q in [37, 61]:
-        for conv in CONVS:
-            seq = vc_dimension(q, conv, jobs=1)
-            par = vc_dimension(q, conv, jobs=4)
-            assert seq.vcdim == par.vcdim
-            T = squares_table(make_field(q), conv)
-            assert par.vcdim == 0 or is_shattered(list(par.witness), T)
-
-
 # ---------------------------------------------------------------------------
 # prune soundness
 # ---------------------------------------------------------------------------
@@ -156,19 +147,20 @@ def test_child_block_matches_oracle_two_levels():
     for q in [31, 61]:
         for conv in CONVS:
             T = squares_table(make_field(q), conv)
-            walk = search._TreeSearch(T, None)
+            tally = ChildTally(T)
             Y = [0, 1]
             ms = np.arange(2, q, dtype=np.int64)
-            csig, mins = walk.child_block(Y, search.signatures(Y, T), ms)
-            for m, c in zip(ms.tolist(), mins.tolist()):
-                assert c == oracle_counts(Y + [m], T.member, conv).min()
+            [(_, csig, counts)] = tally.children(Y, signatures(Y, T), ms)
+            for m, row in zip(ms.tolist(), counts):
+                assert np.array_equal(row,
+                                      oracle_counts(Y + [m], T.member, conv))
             for i in rng.choice(len(ms) - 1, size=5, replace=False).tolist():
                 child = Y + [int(ms[i])]
                 later = ms[i + 1:]
-                _, gmins = walk.child_block(child, csig[i], later)
-                for m, c in zip(later.tolist(), gmins.tolist()):
-                    got = oracle_counts(child + [m], T.member, conv).min()
-                    assert c == got, (q, conv, child, m)
+                [(_, _, gcounts)] = tally.children(child, csig[i], later)
+                for m, row in zip(later.tolist(), gcounts):
+                    want = oracle_counts(child + [m], T.member, conv)
+                    assert np.array_equal(row, want), (q, conv, child, m)
 
 
 def test_generation_bound_is_exact():
@@ -284,6 +276,47 @@ def test_sweep_parallel_matches_serial():
     assert serial == parallel
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
+    each task at submit, so no process starts."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("jobs, cpus, want", [
+    (5000, 64, [4]),  # no more workers than primes
+    (5000, 3, [3]),   # nor than usable CPUs
+    (2, 64, [2]),
+    (1, 64, []),      # serial: no pool at all
+    (5000, 1, []),
+])
+def test_sweep_bounds_pool_size(monkeypatch, jobs, cpus, want):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+    got = [(r.q, r.vcdim) for r in vc_sweep(5, 13, jobs=jobs)]
+    assert got == [(5, 2), (7, 2), (11, 3), (13, 3)]
+    assert RecordingPool.sizes == want
+    # one prime left after the resume skip runs serially whatever jobs is
+    assert [r.q for r in vc_sweep(5, 13, jobs=jobs,
+                                  skip=frozenset([5, 7, 11]))] == [13]
+    assert RecordingPool.sizes == want
+
+
 # ---------------------------------------------------------------------------
 # pinned results and work counters
 # ---------------------------------------------------------------------------
@@ -318,26 +351,35 @@ def test_pinned_results(conv):
         {q: (v, True) for q, v in expect.items()}
 
 
-def test_pinned_early_exit_and_threads():
+def test_pinned_early_exit():
     # early exit stops at the first set of the target size
     for q, want in {61: 4, 101: 5, 131: 6, 167: 6}.items():
         r = vc_dimension(q, ZeroConvention.ZERO_IN,
                          early_exit_at=log2_floor(q) - 1)
         assert (r.vcdim, r.exact) == (want, False), q
-    # more threads than cores, switching often, share best and the counters
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for conv, qs in [(ZeroConvention.ZERO_IN, [97, 151, 181]),
-                         (ZeroConvention.STRICT, [47, 107, 131]),
-                         (ZeroConvention.ZERO_OUT, [5, 97, 103])]:
-            for q in qs:
-                r = vc_dimension(q, conv, jobs=4)
-                assert (r.vcdim, r.exact) == (PINNED[conv][q], True), (conv, q)
-                T = squares_table(make_field(q), conv)
-                assert oracle_shattered(r.witness, T.member, conv)
-    finally:
-        sys.setswitchinterval(interval)
+
+
+# (nodes, cells) of vc_dimension, recorded with the walk that counted its
+# child blocks in the search module itself, so moving the kernel cannot
+# change the walk.
+PINNED_WORK = {
+    ZeroConvention.ZERO_IN: {97: (42, 175_958), 151: (10, 169_120),
+                             181: (20_868, 98_303_272)},
+    ZeroConvention.STRICT: {47: (102, 57_998), 107: (54, 173_554),
+                            131: (17, 175_278)},
+    ZeroConvention.ZERO_OUT: {5: (1, 20), 97: (17_206, 22_946_320),
+                              103: (115, 257_706)},
+}
+
+
+@pytest.mark.parametrize("conv", CONVS, ids=lambda c: c.value)
+def test_pinned_work_counters(conv):
+    for q, work in PINNED_WORK[conv].items():
+        r = vc_dimension(q, conv)
+        assert (r.vcdim, r.exact) == (PINNED[conv][q], True), q
+        assert (r.nodes, r.cells) == work, q
+        T = squares_table(make_field(q), conv)
+        assert oracle_shattered(r.witness, T.member, conv)
 
 
 def test_work_counters_repeat():

@@ -6,9 +6,9 @@ from residuevc.errors import (EmptyFold, ModulusMismatch, NTooLarge,
                               WidthOverflow)
 from residuevc.field import ZeroConvention, make_field, residue_table, squares_table
 from residuevc.primes import primes_in_range
-from residuevc.shatter import (Subset, batch_min_counts, fold_patterns,
+from residuevc.shatter import (ChildTally, Subset, fold_patterns,
                                is_shattered, membership_matrix, pattern_counts,
-                               shatter_report, shattering_index)
+                               shatter_report, shattering_index, signatures)
 
 from oracles import oracle_counts, oracle_shattered
 
@@ -92,6 +92,14 @@ def test_pigeonhole_forces_gap():
     assert not is_shattered([0, 1, 2, 3], table(7))
 
 
+def child_counts(T, n):
+    """Kernel counts of {0, ..., n - 1} as the one child of {0, ..., n - 2}."""
+    Y = list(range(n - 1))
+    blocks = ChildTally(T).children(Y, signatures(Y, T),
+                                    np.array([n - 1], dtype=np.int64))
+    return next(blocks)[2][0]
+
+
 def test_tallies_refuse_bins_far_past_pigeonhole():
     T = table(101)
     # n = 30 would ask for 8 GB of bins; n = 20 (8 MB) shows the same
@@ -99,12 +107,14 @@ def test_tallies_refuse_bins_far_past_pigeonhole():
     with pytest.raises(NTooLarge):
         pattern_counts(range(20), T)
     with pytest.raises(NTooLarge):
-        batch_min_counts(np.arange(20)[None, :], T)
+        child_counts(T, 20)
     # 2^9 bins exceed 4 per translate; 2^8 still fit, with some count zero
     with pytest.raises(NTooLarge):
         pattern_counts(range(9), T)
+    with pytest.raises(NTooLarge):
+        child_counts(T, 9)
     assert (pattern_counts(range(8), T).counts == 0).any()
-    assert batch_min_counts(np.arange(8)[None, :], T)[0] == 0
+    assert child_counts(T, 8).min() == 0
 
 
 def test_counts_check_raises_outside_asserts(monkeypatch):
@@ -321,20 +331,30 @@ def test_batch_matches_single():
     for q in [19, 43]:
         for conv in CONVS:
             T = table(q, conv)
-            subsets = np.array(
-                [sorted(rng.choice(q, size=3, replace=False).tolist())
-                 for _ in range(40)], dtype=np.int64)
-            mins = batch_min_counts(subsets, T)
-            for row, m in zip(subsets, mins):
-                assert int(pattern_counts(row.tolist(), T).counts.min()) == m
+            tally = ChildTally(T)
+            for _ in range(10):
+                Y = sorted(rng.choice(q - 1, size=2, replace=False).tolist())
+                ms = np.arange(Y[-1] + 1, q, dtype=np.int64)
+                [(got_ms, _, counts)] = tally.children(Y, signatures(Y, T), ms)
+                assert np.array_equal(got_ms, ms)
+                for m, row in zip(ms.tolist(), counts):
+                    assert np.array_equal(row, pattern_counts(Y + [m], T).counts)
 
 
-def test_batch_chunking_boundary():
+def test_batch_chunking_boundary(monkeypatch):
     T = table(11, ZeroConvention.STRICT)
-    subsets = np.array([[0, 1, k] for k in range(2, 11)], dtype=np.int64)
-    a = batch_min_counts(subsets, T, max_cells=11)  # forces 1-row chunks
-    b = batch_min_counts(subsets, T)
-    assert np.array_equal(a, b)
+    Y, ms = [0, 1], np.arange(2, 11, dtype=np.int64)
+
+    def blocks():
+        return list(ChildTally(T).children(Y, signatures(Y, T), ms))
+
+    whole = blocks()
+    monkeypatch.setattr(shatter, "MAX_CELLS", 11)  # forces 1-row blocks
+    split = blocks()
+    assert len(whole) == 1 and len(split) == len(ms)
+    for i, name in enumerate(("ms", "sigs", "counts")):
+        assert np.array_equal(whole[0][i],
+                              np.concatenate([b[i] for b in split])), name
 
 
 def test_oracle_consistency_random():

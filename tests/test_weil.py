@@ -7,21 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from residuevc import weil
 from residuevc.errors import Infeasible, LengthMismatch
 from residuevc.field import (ZeroConvention, character_table, make_field,
                              residue_table)
 from residuevc.primes import primes_in_range
-from residuevc.shatter import batch_min_counts
+from residuevc.shatter import ChildTally, canonical_minima
 from residuevc.weil import (CosetTarget, PolySpec, char_sum,
-                            constructive_witnesses_ok, coset_probability,
-                            fourier_probability, fuzzy_coset_probability,
+                            coset_probability, fourier_probability,
+                            fuzzy_coset_probability,
                             verify_equidistribution,
                             verify_shattering_theorem, verify_weil,
                             _all_quads_ok, _orbit_representatives,
-                            _quad_tables, _quads_complete)
+                            _quad_tables, _quads_complete, _witness_tally)
 
 from oracles import (char_sum_direct, legendre, member_vector,
-                     oracle_counts, oracle_shattered)
+                     oracle_counts, oracle_shattered, witnesses_complete)
 
 
 def setup_fc(q, r):
@@ -250,30 +251,59 @@ def test_theorem_q101_r4():
     assert rep.n_star == 1 and rep.passed
 
 
-def test_constructive_equals_strict_for_r2():
-    q = 61
-    F, C = setup_fc(q, 2)
-    T = residue_table(F, 2, 1, ZeroConvention.STRICT)
-    subsets = np.array([[0, 1, u, v]
-                        for u, v in itertools.combinations(range(2, 20), 2)],
-                       dtype=np.int64)
-    cons = constructive_witnesses_ok(F, C, 2 if C.exp_of[2] else 7, subsets)
-    strict = batch_min_counts(subsets, T) > 0
-    assert np.array_equal(cons, strict)
+def test_constructive_verdicts_match_witness_oracle():
+    # every canonical subset of sizes 1 to 3, one verdict each, and the
+    # report at n* = 3, against witnesses found by direct enumeration
+    verdicts = set()
+    for r, qs in [(2, [13, 17, 29, 37]), (3, [13, 19, 31, 37]),
+                  (4, [13, 17, 29, 37])]:
+        for q in qs:
+            F, C = setup_fc(q, r)
+            t = next(x for x in range(2, q) if pow(x, (q - 1) // r, q) != 1)
+            fixed = 2 if r == 2 else 1
+            for n in (1, 2, 3):
+                k = min(fixed, n)
+                want = [witnesses_complete(q, r, t, tuple(range(k)) + c)
+                        for c in itertools.combinations(range(k, q), n - k)]
+                got = np.concatenate(list(canonical_minima(
+                    _witness_tally(F, C, t), fixed, n))) > 0
+                assert got.tolist() == want, (q, r, n)
+                verdicts.update(want)
+            rep = verify_shattering_theorem(F, r, 0.5 - 3.5 / math.log(q, r))
+            assert (rep.n_star, rep.checked, rep.failures) == (
+                3, len(want), want.count(False)), (q, r)
+    assert verdicts == {False, True}
+
+
+def test_theorem_budget_is_checked_before_the_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kernel called on an over-budget check")
+
+    monkeypatch.setattr(ChildTally, "children", refuse)
+    with pytest.raises(Infeasible):
+        verify_shattering_theorem(make_field(3793), 3, 0.1)
+    # n* = 3 at q = 103, r = 3, eps = -0.3: C(102, 2) = 5151 subsets,
+    # refused exactly when they exceed OP_BUDGET // q
+    monkeypatch.setattr(weil, "OP_BUDGET", 5151 * 103 - 1)
+    with pytest.raises(Infeasible):
+        verify_shattering_theorem(make_field(103), 3, -0.3)
+    monkeypatch.undo()
+    monkeypatch.setattr(weil, "OP_BUDGET", 5151 * 103)
+    rep = verify_shattering_theorem(make_field(103), 3, -0.3)
+    assert (rep.n_star, rep.checked) == (3, 5151)
 
 
 def test_quad_fast_path_matches_generic():
-    # every canonical quad through the generic kernel, against the orbit
-    # check; the answer is False at most primes below 101 and at 103
+    # every canonical quad through the kernel under STRICT, against the
+    # orbit check; the answer is False at most primes below 101 and at 103
     answers = set()
     for q in primes_in_range(7, 251):
-        F, C = setup_fc(q, 2)
+        F = make_field(q)
         T = residue_table(F, 2, 1, ZeroConvention.ZERO_OUT)
-        quads = np.array([[0, 1, u, v]
-                          for u in range(2, q - 1) for v in range(u + 1, q)],
-                         dtype=np.int64)
-        t = next(x for x in range(2, q) if int(C.exp_of[x]) != 0)
-        generic = bool(constructive_witnesses_ok(F, C, t, quads).all())
+        strict = ChildTally(residue_table(F, 2, 1, ZeroConvention.STRICT))
+        # at q = 7 the 16 patterns outnumber the 3 translates
+        generic = 16 <= q - 4 and all(
+            mins.all() for mins in canonical_minima(strict, 2, 4))
         assert _all_quads_ok(F, T) == generic, q
         answers.add(generic)
     assert answers == {False, True}
