@@ -59,15 +59,6 @@ def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
 
-def _save_interrupted(manifest: RunManifest, out: Path, csv_path: Path) -> None:
-    """Record the items finished before a KeyboardInterrupt; the CSV rows
-    written so far are complete, so ``--resume`` picks up from them."""
-    manifest.status = "interrupted"
-    manifest.outputs = [str(csv_path)]
-    manifest.finished_at = _now()
-    manifest.save(out)
-
-
 def _out_dir(args, command: str) -> Path:
     base = args.out_dir or os.environ.get("RESIDUEVC_OUT") or "out"
     path = Path(base)
@@ -90,11 +81,20 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _positive_int(text: str) -> int:
+def _at_least(low: int, text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _at_least(1, text)
+
+
+def _index_list(text: str) -> list[int]:
+    """Comma-separated subgroup indices, each at least 2."""
+    return [_at_least(2, v) for v in text.split(",")]
 
 
 def _flag(text: str) -> bool:
@@ -170,6 +170,64 @@ class _Csv:
         self.fh.close()
 
 
+def _sweep(args, command: str, fields: dict, params: dict, results, row,
+           plot_key: str, curves: list, **svg) -> int:
+    """Run a checkpointed per-prime sweep over ``args.range``.
+
+    ``results(conv, skip, on_error)`` yields a result per prime not in
+    ``skip`` and reports a failed prime through ``on_error(q, exc)``;
+    ``row(r, conv)`` gives a result's CSV values and the fields of its
+    manifest item after q and status.  The rows go to <command>.csv, with
+    ``fields`` as header and checkpoint parsers; the figure plots column
+    ``plot_key`` of every row against q, with ``curves`` ((label, f)
+    pairs drawn over the primes of the range) and ``svg`` passed on to
+    ``scatter_svg``.
+    """
+    out = _out_dir(args, command)
+    conv = ZeroConvention.parse(args.convention)
+    q_lo, q_hi = args.range
+    manifest = RunManifest(
+        command=command,
+        parameters={"range": list(args.range), "convention": conv.value,
+                    **params, "resume": args.resume,
+                    "deterministic": "no RNG used by this command"},
+        started_at=_now())
+    csv_path = out / f"{command}.csv"
+    sheet = _Csv(csv_path, list(fields), args.resume)
+
+    def on_error(q, exc):
+        manifest.items.append({"q": q, "status": "error", "detail": str(exc)})
+
+    try:
+        done = _checkpointed(csv_path, fields, conv) if args.resume else set()
+        for q in sorted(done):
+            manifest.items.append({"q": q, "status": "checkpointed"})
+        for r in results(conv, frozenset(done), on_error):
+            values, item = row(r, conv)
+            sheet.row(values)
+            manifest.items.append({"q": r.q, "status": "ok", **item})
+    except KeyboardInterrupt:
+        # the rows written so far are complete, so --resume picks up
+        # from them
+        manifest.status = "interrupted"
+        manifest.outputs = [str(csv_path)]
+        manifest.finished_at = _now()
+        manifest.save(out)
+        raise
+    finally:
+        sheet.close()
+    points = sorted((r["q"], r[plot_key]) for r in _read_rows(csv_path, fields))
+    svg_path = out / f"{command}.svg"
+    curve_qs = primes_in_range(max(q_lo, 5), q_hi) or [5, 7]
+    scatter_svg(svg_path, points,
+                curves=[(label, [(q, f(q)) for q in curve_qs])
+                        for label, f in curves], **svg)
+    manifest.outputs = [str(csv_path), str(svg_path)]
+    manifest.finished_at = _now()
+    manifest.save(out)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # vcdim
 # ---------------------------------------------------------------------------
@@ -181,53 +239,22 @@ VCDIM_HEADER = list(VCDIM_FIELDS)
 
 
 def cmd_vcdim(args) -> int:
-    out = _out_dir(args, "vcdim")
-    conv = ZeroConvention.parse(args.convention)
-    q_lo, q_hi = args.range
-    manifest = RunManifest(
-        command="vcdim",
-        parameters={"range": list(args.range), "convention": conv.value,
-                    "early_exit": args.early_exit, "jobs": args.jobs,
-                    "resume": args.resume,
-                    "deterministic": "no RNG used by this command"},
-        started_at=_now())
-    csv_path = out / "vcdim.csv"
-    sheet = _Csv(csv_path, VCDIM_HEADER, args.resume)
+    def results(conv, skip, on_error):
+        return vc_sweep(*args.range, conv, early_exit=args.early_exit,
+                        jobs=args.jobs, skip=skip, on_error=on_error)
 
-    def on_error(q, exc):
-        manifest.items.append({"q": q, "status": "error", "detail": str(exc)})
+    def row(r, conv):
+        return ([r.q, r.vcdim, str(r.exact).lower(), f"{r.alpha_q:.6f}",
+                 ";".join(str(y) for y in r.witness), r.convention.value,
+                 f"{r.elapsed_ms:.1f}"],
+                {"vcdim": r.vcdim, "exact": r.exact, "nodes": r.nodes,
+                 "cells": r.cells})
 
-    try:
-        done = (_checkpointed(csv_path, VCDIM_FIELDS, conv)
-                if args.resume else set())
-        for q in sorted(done):
-            manifest.items.append({"q": q, "status": "checkpointed"})
-        for r in vc_sweep(q_lo, q_hi, conv, early_exit=args.early_exit,
-                          jobs=args.jobs, skip=frozenset(done),
-                          on_error=on_error):
-            sheet.row([r.q, r.vcdim, str(r.exact).lower(), f"{r.alpha_q:.6f}",
-                       ";".join(str(y) for y in r.witness), r.convention.value,
-                       f"{r.elapsed_ms:.1f}"])
-            manifest.items.append({"q": r.q, "status": "ok", "vcdim": r.vcdim,
-                                   "exact": r.exact, "nodes": r.nodes,
-                                   "cells": r.cells})
-    except KeyboardInterrupt:
-        _save_interrupted(manifest, out, csv_path)
-        raise
-    finally:
-        sheet.close()
-    all_rows = sorted((row["q"], row["vcdim"])
-                      for row in _read_rows(csv_path, VCDIM_FIELDS))
-    svg_path = out / "vcdim.svg"
-    curve_qs = primes_in_range(max(q_lo, 5), q_hi) or [5, 7]
-    scatter_svg(svg_path, all_rows,
-                curves=[("log2 q", [(q, log2(q)) for q in curve_qs])],
-                x_label="prime q", y_label="largest shattered size",
-                title=f"VC dimension, convention {conv.value}")
-    manifest.outputs = [str(csv_path), str(svg_path)]
-    manifest.finished_at = _now()
-    manifest.save(out)
-    return 0
+    return _sweep(args, "vcdim", VCDIM_FIELDS,
+                  {"early_exit": args.early_exit, "jobs": args.jobs},
+                  results, row, "vcdim", [("log2 q", log2)],
+                  x_label="prime q", y_label="largest shattered size",
+                  title=f"VC dimension, convention {args.convention}")
 
 
 # ---------------------------------------------------------------------------
@@ -240,54 +267,25 @@ AP_HEADER = list(AP_FIELDS)
 
 
 def cmd_ap(args) -> int:
-    out = _out_dir(args, "ap")
-    conv = ZeroConvention.parse(args.convention)
-    q_lo, q_hi = args.range
-    manifest = RunManifest(
-        command="ap",
-        parameters={"range": list(args.range), "convention": conv.value,
-                    "resume": args.resume,
-                    "deterministic": "no RNG used by this command"},
-        started_at=_now())
-    csv_path = out / "ap.csv"
-    sheet = _Csv(csv_path, AP_HEADER, args.resume)
-    try:
-        done = (_checkpointed(csv_path, AP_FIELDS, conv)
-                if args.resume else set())
-        for q in sorted(done):
-            manifest.items.append({"q": q, "status": "checkpointed"})
-        for q in primes_in_range(max(q_lo, 5), q_hi):
-            if q in done:
+    def results(conv, skip, on_error):
+        for q in primes_in_range(max(args.range[0], 5), args.range[1]):
+            if q in skip:
                 continue
             try:
-                r = longest_shattered_ap(q, conv)
+                yield longest_shattered_ap(q, conv)
             except Exception as exc:  # noqa: BLE001 - per-prime isolation
-                manifest.items.append({"q": q, "status": "error",
-                                       "detail": str(exc)})
-                continue
-            sheet.row([r.q, r.longest, f"{log2(q):.6f}", f"{r.ratio:.6f}",
-                       conv.value])
-            manifest.items.append({"q": q, "status": "ok",
-                                   "longest": r.longest})
-    except KeyboardInterrupt:
-        _save_interrupted(manifest, out, csv_path)
-        raise
-    finally:
-        sheet.close()
-    pts = sorted((row["q"], row["longest"])
-                 for row in _read_rows(csv_path, AP_FIELDS))
-    svg_path = out / "ap.svg"
-    curve_qs = primes_in_range(max(q_lo, 5), q_hi) or [5, 7]
-    scatter_svg(svg_path, pts,
-                curves=[("log2 q", [(q, log2(q)) for q in curve_qs]),
-                        ("log2 q / 2", [(q, log2(q) / 2) for q in curve_qs])],
-                x_label="prime q (log scale)",
-                y_label="longest shattered progression", log_x=True,
-                title=f"Shattered initial segments, convention {conv.value}")
-    manifest.outputs = [str(csv_path), str(svg_path)]
-    manifest.finished_at = _now()
-    manifest.save(out)
-    return 0
+                on_error(q, exc)
+
+    def row(r, conv):
+        return ([r.q, r.longest, f"{log2(r.q):.6f}", f"{r.ratio:.6f}",
+                 conv.value], {"longest": r.longest})
+
+    return _sweep(args, "ap", AP_FIELDS, {}, results, row, "longest",
+                  [("log2 q", log2), ("log2 q / 2", lambda q: log2(q) / 2)],
+                  x_label="prime q (log scale)",
+                  y_label="longest shattered progression", log_x=True,
+                  title=f"Shattered initial segments, convention "
+                        f"{args.convention}")
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +370,7 @@ VERIFY_CHECKS = [("weil", "(n-1)sqrt(q)", _weil_check),
 
 def cmd_verify(args) -> int:
     out = _out_dir(args, "verify")
-    r_set = [int(v) for v in args.r.split(",")]
+    r_set = args.r
     manifest = RunManifest(
         command="verify",
         parameters={"q_max": args.q_max, "r": r_set, "n_max": args.n_max,
@@ -476,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
                                       "suite",
                        epilog="verify.csv columns: " + ", ".join(VERIFY_HEADER))
     p.add_argument("--q-max", type=int, default=101)
-    p.add_argument("--r", default="2", help="comma-separated subgroup indices")
+    p.add_argument("--r", type=_index_list, default="2",
+                   help="comma-separated subgroup indices, each at least 2")
     p.add_argument("--n-max", type=int, default=2)
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--samples", type=int, default=500)

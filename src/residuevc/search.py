@@ -1,12 +1,48 @@
 """Exact VC-dimension search, testing dimension, and shattered-prefix length.
 
-The search walks the tree of subsets rooted at a canonical seed: a node Y
-has children Y + {m}, visited in increasing m.  Each node carries the
-candidates it inherited from its parent and counts one block of
-children over exactly those candidates (the root's candidates are every
-m > max(Y)).  With best the largest shattered size known, only children
+Where the searches start follows from a duality.  Let S be the nonzero
+squares and nu a non-square (the field's primitive root g is one).  Then
+nu (S + {0}) is the complement of S: translate nu x reads on nu Y under
+ZERO_OUT the complement of what translate x reads on Y under ZERO_IN.  So
+Y is ZERO_IN-shattered exactly when nu Y is ZERO_OUT-shattered, and, as
+1/nu is a non-square too, the other way round: ZERO_IN and ZERO_OUT are
+each other's dual convention.  STRICT, whose allowed translates never
+read y - x = 0, is its own dual.  Every convention is invariant under
+translations and under dilations by nonzero squares.
+
+Pair normalization: let Z be shattered with |Z| >= 2 and (a, z) a pair
+in it.  x -> (x - a)/(z - a) maps Z onto a superset of {0, 1}, shattered
+under the same convention when z - a is a square and under the dual one
+when it is not.  When q = 3 (mod 4), -1 is a non-square, so z - a or
+a - z is a square; under STRICT the dual is the same convention.
+Otherwise a Z whose differences are all non-squares maps onto a
+dual-shattered superset of {0, 1} whose differences are all nonzero
+squares (non-squares over a non-square).  So the VC dimension is the
+larger of two walks from {0, 1}:
+
+- walk A over the convention's own table;
+- walk B, only when q = 1 (mod 4) and the convention is not STRICT, over
+  the dual table and only through sets whose differences are all nonzero
+  squares: a node keeps the candidates m with m - y a nonzero square for
+  every y in it.  Walk B looks for sets larger than walk A's best and
+  maps its witness back by x -> g x.
+
+The first step of both walks, {0}, settles the singletons, which are all
+shattered or none.  ``testing_dimension`` uses the same map: from n = 2
+on, every n-set is shattered exactly when every n-set holding {0, 1} is,
+over the convention's table and, when q = 1 (mod 4) and the convention is
+not STRICT, over the dual table.  ``check_canonical`` reruns the search
+from {0}, with translations only.
+
+A walk visits the tree of supersets of its root ({0, 1}, or {0} for
+``check_canonical``): a node Y has children Y + {m}, visited in
+increasing m.  Each node carries the candidates it inherited from its
+parent and counts one block of children over exactly those candidates
+(the root's candidates are every m > max(Y), in walk B those passing its
+filter).  With best the largest shattered size known, only children
 whose minimum pattern count is at least 2^(best - |Y|) survive, and the
-child Y + {m} inherits the survivors after m.
+child Y + {m} inherits the survivors after m (in walk B, those at a
+nonzero square's distance from m).
 
 The prune is sound under every zero convention.  Let Z be shattered with
 Y <= W <= Z.  Each pattern of W extends to 2^(|Z| - |W|) patterns of Z,
@@ -15,21 +51,18 @@ translate allowed for Z is allowed for W too.  So W has minimum count at
 least 2^(|Z| - |W|), and for z in Z - Y the set Y + {z} has at least
 2^(|Z| - |Y| - 1).  A Z larger than best therefore draws every element
 after max(Y) from the survivors.  Below a child Y + {m} with minimum
-count c and s survivors after m, such a Z has at most |Y| + 1 + s and at
-most |Y| + 1 + floor(log2 c) elements; when either bound fails to beat
-best the child is not expanded, and when the first fails its later
-siblings are skipped too.  Because best only grows, a threshold from an
-older best is only more permissive.
+count c and s candidates inherited, such a Z has at most |Y| + 1 + s and
+at most |Y| + 1 + floor(log2 c) elements; when either bound fails to
+beat best the child is not expanded.  When |Y| + 1 plus the survivors
+after m fails to beat best, the later siblings are skipped too: their
+candidates are among those survivors, also in walk B, which is why the
+cut reads them before walk B's filter by m.  Because best only grows, a
+threshold from an older best is only more permissive.
 
 ``shatter.ChildTally`` counts each node's block of children (under STRICT
 with sentinel bins for the translates landing on the subset), and
 ``shatter.canonical_minima`` walks the canonical sets of
 ``testing_dimension``.  ``vc_sweep`` spreads primes over processes.
-
-Canonicalization uses translation invariance (exact under every zero
-convention) plus dilation invariance where the convention supports it:
-ZERO_IN and STRICT search supersets of {0, 1}; ZERO_OUT, whose
-non-residue dilations are not exact, searches supersets of {0} only.
 """
 
 from __future__ import annotations
@@ -42,8 +75,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (ResidueTable, ZeroConvention, log2, log2_floor,
-                    make_field, squares_table)
+from .field import (PrimeField, ResidueTable, ZeroConvention, log2,
+                    log2_floor, make_field, squares_table)
 from .primes import primes_in_range, require_prime
 from .shatter import (ChildTally, canonical_minima, fold_patterns,
                       pattern_counts, shatter_report, signatures)
@@ -73,19 +106,23 @@ class ApResult:
     ratio: float
 
 
-def canonical_root(conv: ZeroConvention) -> tuple[int, ...]:
-    """Seed of the search tree licensed by the convention's invariances."""
-    if conv is ZeroConvention.ZERO_OUT:
-        return (0,)
-    return (0, 1)
+def _walk_tables(F: PrimeField, conv: ZeroConvention) -> list[ResidueTable]:
+    """The convention's squares table, then the dual convention's when
+    q = 1 (mod 4) and the convention is not STRICT (module docstring)."""
+    tables = [squares_table(F, conv)]
+    if F.q % 4 == 1 and conv is not ZeroConvention.STRICT:
+        tables.append(squares_table(F, ZeroConvention.ZERO_OUT
+                                    if conv is ZeroConvention.ZERO_IN
+                                    else ZeroConvention.ZERO_IN))
+    return tables
 
 
 class _TreeSearch:
-    """State of one prime's subset-tree walk."""
+    """State of one prime's subset-tree walks: the best set found so far
+    and the work counters, shared by the walks ``walk`` runs."""
 
-    def __init__(self, T: ResidueTable, early_exit_at: int | None):
-        self.q = T.q
-        self.tally = ChildTally(T)
+    def __init__(self, q: int, early_exit_at: int | None):
+        self.q = q
         # The walk only compares best against the target, so a sentinel
         # above any reachable size disables early exit cheaply.
         self.exit_at = early_exit_at if early_exit_at is not None else 1 << 62
@@ -106,10 +143,44 @@ class _TreeSearch:
         recorded or to lie below a set larger than the best known."""
         return 1 << max(0, self.best - n)
 
+    def record(self, Y: list[int] | tuple[int, ...]) -> None:
+        """Keep the shattered set Y, larger than the best known, mapped by
+        the walk's scale."""
+        self.best = len(Y)
+        self.witness = tuple(sorted(self.scale * y % self.q for y in Y))
+
+    def walk(self, T: ResidueTable, root: tuple[int, ...],
+             scale: int = 1) -> None:
+        """Walk the supersets of ``root`` over ``T`` for sets larger than
+        the best known.  With ``scale`` 1 the sets found are recorded as
+        they are; otherwise ``scale`` is a non-square, ``T`` the dual
+        table, and this is walk B: only sets whose differences are all
+        nonzero squares are visited, and each is recorded times ``scale``.
+        """
+        self.tally = ChildTally(T)
+        self.scale = scale
+        # read at nonzero differences only, where either table is the squares
+        self.square = None if scale == 1 else T.member.astype(bool)
+        for k in range(1, len(root) + 1):
+            rep = shatter_report(root[:k], T)
+            if not rep.shattered:
+                return  # nor is any superset
+            if k > self.best:
+                self.record(root[:k])
+        cands = np.arange(root[-1] + 1, self.q, dtype=np.int64)
+        if self.square is not None:
+            for y in root:
+                cands = cands[self.square[cands - y]]
+        if (not self.hit_exit()
+                and len(root) + min(rep.index, cands.shape[0]) > self.best):
+            seed = list(root)
+            self.descend(seed, signatures(seed, T, self.tally.doubled), cands)
+
     def descend(self, Y: list[int], sig: np.ndarray, cands: np.ndarray) -> None:
         """Depth-first walk below a shattered node Y: count its children
         over ``cands``, keep those meeting the threshold, and visit each
-        Y + {m} with the survivors after m as its candidates."""
+        Y + {m} with the survivors after m as its candidates (in walk B
+        those at a square distance from m)."""
         n = len(Y)
         kept = []
         for ms, csig, counts in self.tally.children(Y, sig, cands):
@@ -131,27 +202,14 @@ class _TreeSearch:
             later = ms[i + 1:]
             if size + later.shape[0] <= best:
                 return  # later siblings inherit fewer candidates still
-            child = Y + [int(ms[i])]
+            m = int(ms[i])
+            child = Y + [m]
             if size > best:
-                self.best, self.witness = size, tuple(child)
-            if later.shape[0] and c >= self.threshold(n):
+                self.record(child)
+            if self.square is not None:
+                later = later[self.square[later - m]]
+            if size + later.shape[0] > self.best and c >= self.threshold(n):
                 self.descend(child, csig[i], later)
-
-
-def _search(T: ResidueTable, root: tuple[int, ...],
-            early_exit_at: int | None) -> _TreeSearch:
-    """Run the tree walk from ``root``; the returned state holds the result."""
-    state = _TreeSearch(T, early_exit_at)
-    for k in range(1, len(root) + 1):
-        rep = shatter_report(root[:k], T)
-        if not rep.shattered:
-            return state  # nor is any superset
-        state.best, state.witness = k, root[:k]
-    if not state.hit_exit() and len(root) + rep.index > state.best:
-        seed = list(root)
-        state.descend(seed, signatures(seed, T, state.tally.doubled),
-                      np.arange(root[-1] + 1, state.q, dtype=np.int64))
-    return state
 
 
 def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
@@ -159,23 +217,29 @@ def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
                  check_canonical: bool = False) -> VcResult:
     """Exact VC dimension of the squares table of F_q under ``conv``.
 
-    ``early_exit_at`` stops the walk once a shattered set of that size is
-    found; the result is then flagged as a lower bound (``exact=False``).
-    ``check_canonical`` reruns the search from the translation-only root
-    {0} (sound under every convention) and raises if the dilation-based
-    canonicalization ever disagrees.  ``nodes`` and ``cells`` count the
-    child blocks evaluated and their candidate rows times q, over every
-    walk the call made.
+    The larger of walk A and, when q = 1 (mod 4) and ``conv`` is not
+    STRICT, walk B, both from {0, 1} (see the module docstring for why
+    that is exact).  ``early_exit_at`` stops the walks once a shattered
+    set of that size is found; the result is then flagged as a lower
+    bound (``exact=False``).  ``check_canonical`` reruns the search from
+    the translation-only root {0} (sound under every convention) over the
+    convention's own table and raises if the two answers ever disagree.
+    ``nodes`` and ``cells`` count the child blocks evaluated and their
+    candidate rows times q, over every walk the call made.
     """
     require_prime(q)
     start = time.perf_counter()
-    T = squares_table(make_field(q), conv)
-    root = canonical_root(conv)
-    state = _search(T, root, early_exit_at)
+    F = make_field(q)
+    T, *dual = _walk_tables(F, conv)
+    state = _TreeSearch(q, early_exit_at)
+    state.walk(T, (0, 1))
+    if dual and not state.hit_exit():
+        state.walk(dual[0], (0, 1), scale=F.g)
     best, witness = state.best, state.witness
     nodes, cells = state.nodes, state.cells
     if check_canonical:
-        ref = _search(T, (0,), None)
+        ref = _TreeSearch(q, None)
+        ref.walk(T, (0,))
         nodes, cells = nodes + ref.nodes, cells + ref.cells
         if not state.cut_short and ref.best != best:
             raise RuntimeError(
@@ -196,19 +260,21 @@ def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
 def testing_dimension(q: int, conv: ZeroConvention, cap: int) -> int:
     """Largest n <= cap such that every subset of size <= n is shattered.
 
-    Pairs and larger sets are canonicalized to contain 0 by translation
-    (exact under every convention); STRICT additionally pins 1 as the
-    second element via its full affine invariance.
+    Checks the canonical sets holding {0, 1} (just {0} for n = 1) over
+    the convention's table and, when q = 1 (mod 4) and ``conv`` is not
+    STRICT, over the dual table: by the module docstring's pair map every
+    n-set is shattered exactly when all of those are.
     """
     require_prime(q)
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    tally = ChildTally(squares_table(make_field(q), conv))
+    tallies = [ChildTally(T) for T in _walk_tables(make_field(q), conv)]
     strict = conv is ZeroConvention.STRICT
     for n in range(1, cap + 1):
         # pigeonhole: fewer allowed translates than 2^n shatter no n-set
         if (1 << n) > q - n * strict or not all(
-                mins.all() for mins in canonical_minima(tally, 1 + strict, n)):
+                mins.all() for tally in tallies
+                for mins in canonical_minima(tally, 2, n)):
             return n - 1
     return cap
 

@@ -132,6 +132,16 @@ def test_verify_skips_non_dividing_r(tmp_path):
     assert {int(r["q"]) for r in rows} == {11}
 
 
+@pytest.mark.parametrize("r", ["0", "1", "2,1", "-2", "2,x"])
+def test_verify_rejects_index_below_two(tmp_path, r, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q-max", "31", "--r", r,
+              "--out-dir", str(tmp_path / "w")])
+    assert exc.value.code == 2
+    assert "--r" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
 def test_manifest_references_every_artifact(tmp_path):
     out = tmp_path / "m"
     assert main(["prob", "--n", "5:6", "--trials", "10", "--density", "3",

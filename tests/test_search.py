@@ -9,8 +9,7 @@ from residuevc.errors import NotPrime, TooSmall
 from residuevc.field import ZeroConvention, log2_floor, make_field, squares_table
 from residuevc.primes import primes_in_range
 from residuevc import search
-from residuevc.search import (canonical_root, longest_shattered_ap,
-                              vc_dimension, vc_sweep)
+from residuevc.search import longest_shattered_ap, vc_dimension, vc_sweep
 from residuevc.shatter import (ChildTally, is_shattered, pattern_counts,
                                shattering_index, signatures)
 
@@ -66,11 +65,28 @@ def test_matches_naive_small_primes():
             assert got == naive_vc(q, member(q, conv), conv), (q, conv)
 
 
-def test_zero_out_root_is_translation_only():
-    assert canonical_root(ZeroConvention.ZERO_OUT) == (0,)
-    assert canonical_root(ZeroConvention.ZERO_IN) == (0, 1)
-    # q = 5 zero-out is the case needing it: {0,2} shattered, {0,1} not
-    assert vc_dimension(5, ZeroConvention.ZERO_OUT).vcdim == 2
+def test_zero_out_q5_needs_walk_b():
+    # {0, 2} is shattered under zero-out and {0, 1} is not: only walk B,
+    # over the zero-in table, finds {0, 1} there and maps it by g = 2
+    r = vc_dimension(5, ZeroConvention.ZERO_OUT)
+    assert (r.vcdim, r.witness, r.exact) == (2, (0, 2), True)
+
+
+def test_zero_in_equals_zero_out():
+    # a non-square dilation maps zero-in-shattered sets onto
+    # zero-out-shattered ones and back
+    for q in primes_in_range(5, 139):
+        zin = vc_dimension(q, ZeroConvention.ZERO_IN)
+        zout = vc_dimension(q, ZeroConvention.ZERO_OUT)
+        assert zin.vcdim == zout.vcdim, q
+        assert oracle_shattered(zout.witness, member(q, ZeroConvention.ZERO_OUT),
+                                ZeroConvention.ZERO_OUT), q
+
+
+@pytest.mark.parametrize("conv", CONVS, ids=lambda c: c.value)
+def test_check_canonical_to_89(conv):
+    for q in primes_in_range(5, 89):
+        assert vc_dimension(q, conv, check_canonical=True).exact, q
 
 
 def test_strict_q5_is_one():
@@ -189,7 +205,8 @@ def test_testing_dimension_q5():
 
 
 def test_testing_dimension_matches_uncanonicalized_oracle():
-    for q in [29, 101]:
+    # 31 = 3 (mod 4) has no walk B; 29 and 101 = 1 (mod 4) need the dual
+    for q in [29, 31, 101]:
         for conv in CONVS:
             cap = 3
             got = search.testing_dimension(q, conv, cap=cap)
@@ -359,16 +376,18 @@ def test_pinned_early_exit():
         assert (r.vcdim, r.exact) == (want, False), q
 
 
-# (nodes, cells) of vc_dimension, recorded with the walk that counted its
-# child blocks in the search module itself, so moving the kernel cannot
-# change the walk.
+# (nodes, cells) of vc_dimension over every walk it makes.  The strict
+# and the zero-in 97 and 151 values were recorded with the walk that
+# counted its child blocks in the search module itself, so moving the
+# kernel cannot change the walk.  The others come from the walks from
+# {0, 1}; zero-in 181 and zero-out 5 and 97 include walk B.
 PINNED_WORK = {
     ZeroConvention.ZERO_IN: {97: (42, 175_958), 151: (10, 169_120),
-                             181: (20_868, 98_303_272)},
+                             181: (21_063, 98_524_997)},
     ZeroConvention.STRICT: {47: (102, 57_998), 107: (54, 173_554),
                             131: (17, 175_278)},
-    ZeroConvention.ZERO_OUT: {5: (1, 20), 97: (17_206, 22_946_320),
-                              103: (115, 257_706)},
+    ZeroConvention.ZERO_OUT: {5: (0, 0), 97: (4_192, 5_614_651),
+                              103: (114, 247_200)},
 }
 
 

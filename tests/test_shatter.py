@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from residuevc import shatter
 from residuevc.errors import (EmptyFold, ModulusMismatch, NTooLarge,
@@ -10,7 +12,7 @@ from residuevc.shatter import (ChildTally, Subset, fold_patterns,
                                is_shattered, membership_matrix, pattern_counts,
                                shatter_report, shattering_index, signatures)
 
-from oracles import oracle_counts, oracle_shattered
+from oracles import legendre, member_vector, oracle_counts, oracle_shattered
 
 CONVS = list(ZeroConvention)
 
@@ -273,8 +275,9 @@ def test_nonresidue_dilation_can_break_zero_out():
 
 
 def test_zero_in_dilation_survey():
-    # Measured, not asserted: non-residue dilation invariance is only
-    # proven under STRICT.  This scan reports where ZERO_IN breaks it.
+    # Measured, not asserted: a non-residue dilation maps ZERO_IN-shattered
+    # sets onto ZERO_OUT-shattered ones (test_nonsquare_dilation_duality),
+    # not onto ZERO_IN-shattered ones.  This scan reports where they differ.
     rng = np.random.default_rng(41)
     found = []
     for q in primes_in_range(5, 61):
@@ -303,6 +306,85 @@ def test_monotone_under_subsets():
                 for drop in range(len(Y)):
                     sub = Y[:drop] + Y[drop + 1:]
                     assert is_shattered(sub, T)
+
+
+SMALL_PRIMES = primes_in_range(5, 61)
+DUAL = {ZeroConvention.ZERO_IN: ZeroConvention.ZERO_OUT,
+        ZeroConvention.ZERO_OUT: ZeroConvention.ZERO_IN,
+        ZeroConvention.STRICT: ZeroConvention.STRICT}
+
+
+@st.composite
+def prime_and_subset(draw, max_size=4):
+    q = draw(st.sampled_from(SMALL_PRIMES))
+    Y = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=max_size,
+                      unique=True))
+    return q, sorted(Y)
+
+
+def scaled(Y, a, q):
+    return sorted(a * y % q for y in Y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(qY=prime_and_subset(), conv=st.sampled_from(CONVS), data=st.data())
+def test_nonsquare_dilation_duality(qY, conv, data):
+    # nu (S + {0}) is the complement of S for a non-square nu, so nu Y is
+    # shattered under the dual convention exactly when Y is shattered, and
+    # its pattern counts are those of Y permuted
+    q, Y = qY
+    nu = data.draw(st.sampled_from(
+        [make_field(q).g] + [a for a in range(2, q) if legendre(a, q) < 0]))
+    vec = member_vector(q, 2, 1, conv)
+    dual_vec = member_vector(q, 2, 1, DUAL[conv])
+    nuY = scaled(Y, nu, q)
+    assert oracle_shattered(Y, vec, conv) == \
+        oracle_shattered(nuY, dual_vec, DUAL[conv])
+    assert sorted(oracle_counts(Y, vec, conv)) == \
+        sorted(oracle_counts(nuY, dual_vec, DUAL[conv]))
+    assert is_shattered(Y, table(q, conv)) == \
+        is_shattered(nuY, table(q, DUAL[conv]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(qY=prime_and_subset(), conv=st.sampled_from(CONVS),
+       b=st.integers(0, 60))
+def test_translation_invariance_property(qY, conv, b):
+    q, Y = qY
+    T = table(q, conv)
+    assert is_shattered(sorted((y + b) % q for y in Y), T) == is_shattered(Y, T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qY=prime_and_subset(), conv=st.sampled_from(CONVS),
+       x=st.integers(1, 60))
+def test_square_dilation_invariance_property(qY, conv, x):
+    q, Y = qY
+    a = x * x % q
+    if a == 0:
+        return
+    T = table(q, conv)
+    assert is_shattered(scaled(Y, a, q), T) == is_shattered(Y, T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qY=prime_and_subset(), a=st.integers(1, 60))
+def test_full_dilation_invariance_strict_property(qY, a):
+    q, Y = qY
+    if a % q == 0:
+        return
+    T = table(q, ZeroConvention.STRICT)
+    assert is_shattered(scaled(Y, a, q), T) == is_shattered(Y, T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qY=prime_and_subset(max_size=5), conv=st.sampled_from(CONVS))
+def test_monotone_under_subsets_property(qY, conv):
+    q, Y = qY
+    T = table(q, conv)
+    if is_shattered(Y, T):
+        for drop in range(len(Y)):
+            assert is_shattered(Y[:drop] + Y[drop + 1:], T)
 
 
 def test_partitioned_accumulation_merges():
