@@ -1,20 +1,28 @@
 """Command-line frontend: sweeps, CSV/SVG artifacts, and JSON run manifests.
 
-Each command writes its CSV rows incrementally (checkpoint after every
-item, so interrupted sweeps resume with --resume), then a figure and a
-manifest.json recording parameters, timestamps, per-item status, and the
-artifact paths.  The default output directory is
-$RESIDUEVC_OUT/<command> or ./out/<command>.
+Every command runs inside one lifecycle, ``_run``: it owns the output
+directory ($RESIDUEVC_OUT/<command> or ./out/<command> by default) and
+the run's ``RunManifest``, which records parameters, timestamps, per-item
+status and the artifacts in the order the run creates them.  The manifest
+is saved as ``complete`` when the command returns, and as ``interrupted``
+(with the files written so far) when Ctrl-C stops it; any other error
+saves none and leaves the previous manifest in place.  Each command does
+the work that can fail on its arguments before it opens its first output,
+so a refused run leaves earlier outputs byte-identical.  CSV rows are
+written incrementally, a flush after each item, so an interrupted sweep
+resumes from its rows with --resume.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -110,24 +118,28 @@ def _int_list(text: str) -> list[int]:
 def _read_rows(path: Path, fields: dict) -> list[dict]:
     """Parsed rows of a checkpoint CSV written with header ``list(fields)``.
 
-    A row is trusted only when every header field is present and parses
-    with its converter; any other row is dropped, so its item is redone.
+    A row is trusted only when its line is complete, every header field is
+    present and parses with its converter; any other row is dropped, so
+    its item is redone.  So a partial last line, left by an interrupted
+    write, is ignored here and cut off by ``_Csv`` on resume.
     """
     if not path.exists():
         return []
-    rows = []
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is not None and reader.fieldnames != list(fields):
-            raise ValueError(f"{path} has columns {reader.fieldnames}, "
-                             f"expected {list(fields)}")
-        for raw in reader:
-            if None in raw or None in raw.values():
-                continue  # more or fewer fields than the header
-            try:
-                rows.append({k: parse(raw[k]) for k, parse in fields.items()})
-            except (TypeError, ValueError):
-                continue
+        text = fh.read()
+    reader = csv.DictReader(io.StringIO(text[:text.rfind("\n") + 1],
+                                        newline=""))
+    if reader.fieldnames is not None and reader.fieldnames != list(fields):
+        raise ValueError(f"{path} has columns {reader.fieldnames}, "
+                         f"expected {list(fields)}")
+    rows = []
+    for raw in reader:
+        if None in raw or None in raw.values():
+            continue  # more or fewer fields than the header
+        try:
+            rows.append({k: parse(raw[k]) for k, parse in fields.items()})
+        except (TypeError, ValueError):
+            continue
     return rows
 
 
@@ -143,14 +155,14 @@ def _checkpointed(path: Path, fields: dict, conv: ZeroConvention) -> set[int]:
 
 
 class _Csv:
-    """Append-mode CSV writer that flushes after every row.
+    """Append-mode CSV writer that flushes after every row; a context
+    manager that closes the file.
 
     On resume, a partial last line left by an interrupted write is cut
     off first, so every appended row starts on a fresh line.
     """
 
     def __init__(self, path: Path, header: list[str], resume: bool):
-        self.path = path
         if resume and path.exists():
             with path.open("r+b") as fh:
                 data = fh.read()
@@ -162,12 +174,39 @@ class _Csv:
             self.writer.writerow(header)
             self.fh.flush()
 
+    def __enter__(self) -> "_Csv":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+
     def row(self, values) -> None:
         self.writer.writerow(values)
         self.fh.flush()
 
-    def close(self) -> None:
-        self.fh.close()
+
+@contextmanager
+def _run(args, command: str, parameters: dict):
+    """Lifecycle of one command run; yields (output directory, manifest).
+
+    The body appends each artifact to ``manifest.outputs`` when it creates
+    it.  The manifest is saved with status ``complete`` when the body
+    returns, and with status ``interrupted`` when a KeyboardInterrupt
+    stops it, which is then re-raised.  Any other exception saves nothing,
+    so the previous run's manifest stays in place.
+    """
+    out = _out_dir(args, command)
+    manifest = RunManifest(command=command, parameters=parameters,
+                           started_at=_now())
+    try:
+        yield out, manifest
+    except KeyboardInterrupt:
+        manifest.status = "interrupted"
+        manifest.finished_at = _now()
+        manifest.save(out)
+        raise
+    manifest.finished_at = _now()
+    manifest.save(out)
 
 
 def _sweep(args, command: str, fields: dict, params: dict, results, row,
@@ -181,50 +220,38 @@ def _sweep(args, command: str, fields: dict, params: dict, results, row,
     ``fields`` as header and checkpoint parsers; the figure plots column
     ``plot_key`` of every row against q, with ``curves`` ((label, f)
     pairs drawn over the primes of the range) and ``svg`` passed on to
-    ``scatter_svg``.
+    ``scatter_svg``.  An interrupted sweep's rows are complete, so
+    --resume picks up from them.
     """
-    out = _out_dir(args, command)
     conv = ZeroConvention.parse(args.convention)
     q_lo, q_hi = args.range
-    manifest = RunManifest(
-        command=command,
-        parameters={"range": list(args.range), "convention": conv.value,
-                    **params, "resume": args.resume,
-                    "deterministic": "no RNG used by this command"},
-        started_at=_now())
-    csv_path = out / f"{command}.csv"
-    sheet = _Csv(csv_path, list(fields), args.resume)
-
-    def on_error(q, exc):
-        manifest.items.append({"q": q, "status": "error", "detail": str(exc)})
-
-    try:
+    parameters = {"range": list(args.range), "convention": conv.value,
+                  **params, "resume": args.resume,
+                  "deterministic": "no RNG used by this command"}
+    with _run(args, command, parameters) as (out, manifest):
+        csv_path = out / f"{command}.csv"
         done = _checkpointed(csv_path, fields, conv) if args.resume else set()
+        curve_qs = primes_in_range(max(q_lo, 5), q_hi) or [5, 7]
         for q in sorted(done):
             manifest.items.append({"q": q, "status": "checkpointed"})
-        for r in results(conv, frozenset(done), on_error):
-            values, item = row(r, conv)
-            sheet.row(values)
-            manifest.items.append({"q": r.q, "status": "ok", **item})
-    except KeyboardInterrupt:
-        # the rows written so far are complete, so --resume picks up
-        # from them
-        manifest.status = "interrupted"
-        manifest.outputs = [str(csv_path)]
-        manifest.finished_at = _now()
-        manifest.save(out)
-        raise
-    finally:
-        sheet.close()
-    points = sorted((r["q"], r[plot_key]) for r in _read_rows(csv_path, fields))
-    svg_path = out / f"{command}.svg"
-    curve_qs = primes_in_range(max(q_lo, 5), q_hi) or [5, 7]
-    scatter_svg(svg_path, points,
-                curves=[(label, [(q, f(q)) for q in curve_qs])
-                        for label, f in curves], **svg)
-    manifest.outputs = [str(csv_path), str(svg_path)]
-    manifest.finished_at = _now()
-    manifest.save(out)
+
+        def on_error(q, exc):
+            manifest.items.append({"q": q, "status": "error",
+                                   "detail": str(exc)})
+
+        with _Csv(csv_path, list(fields), args.resume) as sheet:
+            manifest.outputs.append(str(csv_path))
+            for r in results(conv, frozenset(done), on_error):
+                values, item = row(r, conv)
+                sheet.row(values)
+                manifest.items.append({"q": r.q, "status": "ok", **item})
+        points = sorted((r["q"], r[plot_key])
+                        for r in _read_rows(csv_path, fields))
+        svg_path = out / f"{command}.svg"
+        scatter_svg(svg_path, points,
+                    curves=[(label, [(q, f(q)) for q in curve_qs])
+                            for label, f in curves], **svg)
+        manifest.outputs.append(str(svg_path))
     return 0
 
 
@@ -235,7 +262,6 @@ def _sweep(args, command: str, fields: dict, params: dict, results, row,
 VCDIM_FIELDS = {"q": int, "vcdim": int, "exact": _flag, "alpha_q": float,
                 "witness": _int_list, "convention": ZeroConvention.parse,
                 "elapsed_ms": float}
-VCDIM_HEADER = list(VCDIM_FIELDS)
 
 
 def cmd_vcdim(args) -> int:
@@ -263,7 +289,6 @@ def cmd_vcdim(args) -> int:
 
 AP_FIELDS = {"q": int, "longest": int, "log2_q": float, "ratio": float,
              "convention": ZeroConvention.parse}
-AP_HEADER = list(AP_FIELDS)
 
 
 def cmd_ap(args) -> int:
@@ -297,40 +322,34 @@ PROB_HEADER = ["n", "q", "ratio", "trials", "hits", "p_hat", "seed",
 
 
 def cmd_prob(args) -> int:
-    out = _out_dir(args, "prob")
     conv = ZeroConvention.parse(args.convention)
     n_lo, n_hi = args.n
-    manifest = RunManifest(
-        command="prob",
-        parameters={"n": list(args.n), "trials": args.trials,
-                    "density": args.density, "seed": args.seed,
-                    "ratio_lo": args.ratio_lo, "ratio_hi": args.ratio_hi,
-                    "convention": conv.value,
-                    "rng": "numpy PCG64; per-point seeds derived from "
-                           "(seed, n, q)"},
-        started_at=_now())
-    for n in range(n_lo, n_hi + 1):
-        csv_path = out / f"prob_n{n}.csv"
-        sheet = _Csv(csv_path, PROB_HEADER, resume=False)
-        try:
+    parameters = {"n": list(args.n), "trials": args.trials,
+                  "density": args.density, "seed": args.seed,
+                  "ratio_lo": args.ratio_lo, "ratio_hi": args.ratio_hi,
+                  "convention": conv.value,
+                  "rng": "numpy PCG64; per-point seeds derived from "
+                         "(seed, n, q)"}
+    with _run(args, "prob", parameters) as (out, manifest):
+        for n in range(n_lo, n_hi + 1):
             points = interface_scan(n, args.ratio_lo, args.ratio_hi,
                                     density=args.density, trials=args.trials,
                                     seed=args.seed, conv=conv)
-            for p in points:
-                sheet.row([p.n, p.q, f"{p.ratio:.6f}", p.trials, p.hits,
-                           f"{p.p_hat:.6f}", p.seed, conv.value])
-                manifest.items.append({"n": p.n, "q": p.q, "status": "ok",
-                                       "p_hat": p.p_hat})
-        finally:
-            sheet.close()
-        svg_path = out / f"prob_n{n}.svg"
-        scatter_svg(svg_path, [(p.ratio, p.p_hat) for p in points],
-                    x_label="n / log2 q", y_label="estimated probability",
-                    x_range=(args.ratio_lo, args.ratio_hi), y_range=(0.0, 1.0),
-                    title=f"Shattering probability, n = {n}")
-        manifest.outputs += [str(csv_path), str(svg_path)]
-    manifest.finished_at = _now()
-    manifest.save(out)
+            csv_path = out / f"prob_n{n}.csv"
+            with _Csv(csv_path, PROB_HEADER, resume=False) as sheet:
+                manifest.outputs.append(str(csv_path))
+                for p in points:
+                    sheet.row([p.n, p.q, f"{p.ratio:.6f}", p.trials, p.hits,
+                               f"{p.p_hat:.6f}", p.seed, conv.value])
+                    manifest.items.append({"n": p.n, "q": p.q, "status": "ok",
+                                           "p_hat": p.p_hat})
+            svg_path = out / f"prob_n{n}.svg"
+            scatter_svg(svg_path, [(p.ratio, p.p_hat) for p in points],
+                        x_label="n / log2 q", y_label="estimated probability",
+                        x_range=(args.ratio_lo, args.ratio_hi),
+                        y_range=(0.0, 1.0),
+                        title=f"Shattering probability, n = {n}")
+            manifest.outputs.append(str(svg_path))
     return 0
 
 
@@ -369,46 +388,40 @@ VERIFY_CHECKS = [("weil", "(n-1)sqrt(q)", _weil_check),
 
 
 def cmd_verify(args) -> int:
-    out = _out_dir(args, "verify")
-    r_set = args.r
-    manifest = RunManifest(
-        command="verify",
-        parameters={"q_max": args.q_max, "r": r_set, "n_max": args.n_max,
-                    "epsilon": args.epsilon, "samples": args.samples,
-                    "seed": args.seed},
-        started_at=_now())
-    csv_path = out / "verify.csv"
-    sheet = _Csv(csv_path, VERIFY_HEADER, resume=False)
+    parameters = {"q_max": args.q_max, "r": args.r, "n_max": args.n_max,
+                  "epsilon": args.epsilon, "samples": args.samples,
+                  "seed": args.seed}
     total_violations = 0
-    try:
-        for q in primes_in_range(5, args.q_max):
-            F = make_field(q)
-            for r in r_set:
-                if (q - 1) % r != 0:
-                    manifest.items.append({"q": q, "r": r, "status": "skipped",
-                                           "detail": "r does not divide q-1"})
-                    continue
-                item = {"q": q, "r": r, "status": "ok"}
-                for check, bound_form, run in VERIFY_CHECKS:
-                    try:
-                        params, instances, violations, quantity = run(F, r, args)
-                    except Infeasible as exc:
-                        sheet.row([check, q, r, "", "", "", "", bound_form,
-                                   "skipped"])
-                        item["status"] = "partial"
-                        item.setdefault("skipped", {})[check] = str(exc)
+    with _run(args, "verify", parameters) as (out, manifest):
+        qs = primes_in_range(5, args.q_max)
+        csv_path = out / "verify.csv"
+        with _Csv(csv_path, VERIFY_HEADER, resume=False) as sheet:
+            manifest.outputs.append(str(csv_path))
+            for q in qs:
+                F = make_field(q)
+                for r in args.r:
+                    if (q - 1) % r != 0:
+                        manifest.items.append(
+                            {"q": q, "r": r, "status": "skipped",
+                             "detail": "r does not divide q-1"})
                         continue
-                    sheet.row([check, q, r, params, instances, violations,
-                               quantity, bound_form,
-                               "ok" if violations == 0 else "FAIL"])
-                    total_violations += violations
-                manifest.items.append(item)
-    finally:
-        sheet.close()
-    manifest.outputs = [str(csv_path)]
-    manifest.parameters["violations"] = total_violations
-    manifest.finished_at = _now()
-    manifest.save(out)
+                    item = {"q": q, "r": r, "status": "ok"}
+                    for check, bound_form, run in VERIFY_CHECKS:
+                        try:
+                            params, instances, violations, quantity = run(
+                                F, r, args)
+                        except Infeasible as exc:
+                            sheet.row([check, q, r, "", "", "", "", bound_form,
+                                       "skipped"])
+                            item["status"] = "partial"
+                            item.setdefault("skipped", {})[check] = str(exc)
+                            continue
+                        sheet.row([check, q, r, params, instances, violations,
+                                   quantity, bound_form,
+                                   "ok" if violations == 0 else "FAIL"])
+                        total_violations += violations
+                    manifest.items.append(item)
+        manifest.parameters["violations"] = total_violations
     print(f"verify: {total_violations} violation(s)")
     return 0 if total_violations == 0 else 1
 
@@ -434,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "or ./out/<cmd>)")
 
     p = sub.add_parser("vcdim", help="exact VC dimension per prime in a range",
-                       epilog="vcdim.csv columns: " + ", ".join(VCDIM_HEADER))
+                       epilog="vcdim.csv columns: " + ", ".join(VCDIM_FIELDS))
     p.add_argument("--range", type=_parse_range, required=True,
                    metavar="LO:HI")
     p.add_argument("--early-exit", action="store_true",
@@ -450,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ap", help="longest shattered arithmetic progression "
                                   "per prime",
-                       epilog="ap.csv columns: " + ", ".join(AP_HEADER))
+                       epilog="ap.csv columns: " + ", ".join(AP_FIELDS))
     p.add_argument("--range", type=_parse_range, required=True,
                    metavar="LO:HI")
     p.add_argument("--resume", action="store_true")

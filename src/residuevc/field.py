@@ -20,13 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvenPrime, FieldTooLarge, IndexNotDividing, NotPrime
-from .primes import is_prime, prime_factors
+from .primes import MAX_MODULUS, is_prime, prime_factors
 
 #: Sentinel exponent stored at index 0 of a CharacterTable (chi(0) = 0).
 ZERO_EXP = -1
-#: Moduli from here on are refused by ``make_field``: the table would need
-#: 16 GiB, and products of two residues would overflow int64.
-MAX_MODULUS = 1 << 31
 
 
 class ZeroConvention(enum.Enum):
@@ -85,11 +82,6 @@ class ResidueTable:
 
     def __post_init__(self):
         _freeze(self.member)
-
-    @property
-    def nonzero_count(self) -> int:
-        """Number of nonzero members; always (q - 1) / r."""
-        return (self.q - 1) // self.r
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NTooLarge
 from .field import ZeroConvention, log2, make_field, squares_table
 from .primes import primes_in_range, require_prime
-from .shatter import MAX_WIDTH, ResidueTable, reflected_doubled, shatter_report
+from .shatter import MAX_WIDTH, reflected_doubled, shatter_report
 
 DEFAULT_TRIALS = 1000
 #: Swap indices ``estimate_p`` draws per ``rng.integers`` call; bounds its
@@ -74,8 +74,7 @@ def point_seed(master_seed: int, n: int, q: int) -> int:
 
 
 def estimate_p(q: int, n: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
-               conv: ZeroConvention = ZeroConvention.ZERO_IN,
-               table: ResidueTable | None = None) -> ProbPoint:
+               conv: ZeroConvention = ZeroConvention.ZERO_IN) -> ProbPoint:
     """Estimate the probability that a uniform n-subset of F_q is shattered."""
     require_prime(q, minimum=3)
     if n > MAX_WIDTH:
@@ -84,7 +83,7 @@ def estimate_p(q: int, n: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
         raise ValueError(f"need 2 <= n <= q, got n={n}, q={q}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    T = squares_table(make_field(q), conv) if table is None else table
+    T = squares_table(make_field(q), conv)
     doubled = reflected_doubled(T)
     rng = np.random.default_rng(seed)
     per_call = max(1, DRAW_CHUNK // n)
@@ -122,6 +121,8 @@ def interface_scan(n: int, ratio_lo: float = 0.7, ratio_hi: float = 0.85,
     """
     if ratio_lo <= 0 or ratio_hi <= ratio_lo:
         raise ValueError("need 0 < ratio_lo < ratio_hi")
+    if trials < 1:
+        raise ValueError("trials must be positive")
     qs = scan_primes(n, ratio_lo, ratio_hi)
     if not qs or density <= 0:
         return []

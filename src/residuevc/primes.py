@@ -11,6 +11,10 @@ from .errors import NotPrime, TooSmall
 
 # Sufficient for every n < 3.3 * 10^24, which covers all 64-bit inputs.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: Moduli from here on are refused: ``make_field``'s discrete-log table
+#: would need 16 GiB, products of two residues would overflow int64, and
+#: ``primes_in_range``'s sieve would need 2 GiB.
+MAX_MODULUS = 1 << 31
 
 
 def is_prime(n: int) -> bool:
@@ -47,9 +51,16 @@ def require_prime(q: int, minimum: int = 5) -> None:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, by sieve of Eratosthenes."""
+    """All primes p with lo <= p <= hi, by sieve of Eratosthenes.
+
+    Raises ValueError for hi >= ``MAX_MODULUS`` before allocating the
+    hi + 1 byte sieve, since no such prime can carry a field.
+    """
     if hi < 2 or hi < lo:
         return []
+    if hi >= MAX_MODULUS:
+        raise ValueError(f"cannot list primes up to {hi}: moduli must stay "
+                         f"below 2^31")
     sieve = bytearray([1]) * (hi + 1)
     sieve[0:2] = b"\x00\x00"
     p = 2

@@ -130,7 +130,8 @@ def membership_matrix(Y: SubsetLike, T: ResidueTable) -> np.ndarray:
 
 def signatures(Y: SubsetLike, T: ResidueTable,
                doubled: np.ndarray | None = None) -> np.ndarray:
-    """Length-q vector of row signatures sum_i A[x, i] * 2^i."""
+    """Length-q vector of row signatures sum_i A[x, i] * 2^i, as a fresh
+    array that the caller may overwrite."""
     sub = _coerce(Y, T)
     d = reflected_doubled(T) if doubled is None else doubled
     sig = np.zeros(T.q, dtype=np.int64)
@@ -170,12 +171,9 @@ def pattern_counts(Y: SubsetLike, T: ResidueTable,
     _require_bins(n, _allowed_translates(n, T), T.q)
     sig = signatures(sub, T, doubled)
     width = 1 << n
-    if T.convention is ZeroConvention.STRICT and n > 0:
-        sig = sig.copy()
+    if T.convention is ZeroConvention.STRICT:
         sig[list(sub.elems)] = width  # sentinel bin, dropped below
-        counts = np.bincount(sig, minlength=width + 1)[:width]
-    else:
-        counts = np.bincount(sig, minlength=width)
+    counts = np.bincount(sig, minlength=width + 1)[:width]
     if int(counts.sum()) != _allowed_translates(n, T):
         raise RuntimeError("pattern counts must cover every allowed translate")
     return PatternCounts(n=n, counts=counts, convention=T.convention)

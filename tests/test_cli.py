@@ -192,8 +192,10 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "ap" / "ap.csv").exists()
 
 
-@pytest.mark.parametrize("command, fragment", [("vcdim", "41,5,tr"),
-                                               ("ap", "41,4,5.35")])
+@pytest.mark.parametrize("command, fragment", [
+    ("vcdim", "41,5,tr"), ("ap", "41,4,5.35"),
+    # every field parses, but the line ending was never written
+    ("ap", "41,3,5.357552,0.559957,zero-in")])
 def test_resume_redoes_truncated_last_row(tmp_path, command, fragment):
     out = tmp_path / command
     csv_path = out / f"{command}.csv"
@@ -238,10 +240,13 @@ def test_resume_rejects_rows_of_another_convention(tmp_path, command):
     out = tmp_path / command
     csv_path = out / f"{command}.csv"
     assert main([command, "--range", "5:13", "--out-dir", str(out)]) == 0
-    before = csv_path.read_bytes()
-    assert main([command, "--range", "5:17", "--convention", "strict",
-                 "--resume", "--out-dir", str(out)]) == 2
-    assert csv_path.read_bytes() == before
+    for tail in ("", "17,3"):  # "17,3": a partial last line, no newline
+        with csv_path.open("a", encoding="utf-8") as fh:
+            fh.write(tail)
+        before = csv_path.read_bytes()
+        assert main([command, "--range", "5:17", "--convention", "strict",
+                     "--resume", "--out-dir", str(out)]) == 2
+        assert csv_path.read_bytes() == before
 
 
 def test_manifest_write_failure_keeps_previous(tmp_path):
@@ -349,3 +354,112 @@ def test_interrupt_saves_manifest_and_resumes(tmp_path, monkeypatch,
     assert main([command, "--range", "5:31", "--out-dir", str(fresh)]) == 0
     assert ([(r["q"], r[key]) for r in read_csv(csv_path)]
             == [(r["q"], r[key]) for r in read_csv(fresh / f"{command}.csv")])
+
+
+def _snapshot(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def _age_manifest(out):
+    """Backdate the saved manifest's start, so a new run's start differs."""
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["started_at"] = "2000-01-01T00:00:00"
+    path.write_text(json.dumps(manifest))
+
+
+def test_prob_interrupt_over_previous_run(tmp_path, monkeypatch):
+    from residuevc import cli
+    out = tmp_path / "p"
+    argv = ["prob", "--n", "5:6", "--trials", "10", "--density", "3",
+            "--seed", "2", "--out-dir", str(out)]
+    assert main(argv) == 0
+    _age_manifest(out)
+    scan = cli.interface_scan
+
+    def interrupted_scan(n, *args, **kwargs):
+        if n == 6:
+            raise KeyboardInterrupt
+        return scan(n, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "interface_scan", interrupted_scan)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "interrupted"
+    assert manifest["started_at"] != "2000-01-01T00:00:00"
+    assert manifest["finished_at"]
+    assert manifest["outputs"] == [str(out / "prob_n5.csv"),
+                                   str(out / "prob_n5.svg")]
+    assert {i["n"] for i in manifest["items"]} <= {5}
+
+
+def test_verify_interrupt_over_previous_run(tmp_path, monkeypatch):
+    from residuevc import cli
+    out = tmp_path / "w"
+    argv = ["verify", "--q-max", "31", "--samples", "50", "--out-dir", str(out)]
+    assert main(argv) == 0
+    _age_manifest(out)
+    check = cli.verify_shattering_theorem
+
+    def interrupted_check(F, *args, **kwargs):
+        if F.q == 13:
+            raise KeyboardInterrupt
+        return check(F, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_shattering_theorem", interrupted_check)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "interrupted"
+    assert manifest["started_at"] != "2000-01-01T00:00:00"
+    assert manifest["finished_at"]
+    assert manifest["outputs"] == [str(out / "verify.csv")]
+    assert [i["q"] for i in manifest["items"]] == [5, 7, 11]
+
+
+@pytest.mark.parametrize("bad", [["--trials", "0"],
+                                 ["--trials", "0", "--density", "0"],
+                                 ["--ratio-lo", "0.9", "--ratio-hi", "0.8"],
+                                 ["--seed", "-1"]])
+def test_prob_misuse_leaves_previous_run(tmp_path, bad, capsys):
+    out = tmp_path / "p"
+    argv = ["prob", "--n", "6:6", "--trials", "10", "--density", "5",
+            "--seed", "2", "--out-dir", str(out)]
+    assert main(argv) == 0
+    assert read_csv(out / "prob_n6.csv")  # so --trials 0 reaches a point
+    before = _snapshot(out)
+    assert main(argv + bad) == 2
+    assert "residuevc:" in capsys.readouterr().err
+    assert _snapshot(out) == before
+
+
+@pytest.mark.parametrize("previous, refused", [
+    (["prob", "--n", "6:6", "--trials", "10", "--density", "5"],
+     ["prob", "--n", "23:23"]),
+    (["vcdim", "--range", "5:13"], ["vcdim", "--range", "5:2147483648"]),
+    (["ap", "--range", "5:13"], ["ap", "--range", "5:2147483648"]),
+    (["verify", "--q-max", "13"], ["verify", "--q-max", "2147483648"]),
+])
+def test_sieve_past_max_modulus_leaves_previous_run(tmp_path, previous,
+                                                    refused):
+    out = tmp_path / "o"
+    assert main(previous + ["--out-dir", str(out)]) == 0
+    before = _snapshot(out)
+    # A 1 GiB address-space cap turns a sieve of 2^31 bytes or more into a
+    # MemoryError, so the child cannot exhaust the machine's memory.
+    child = textwrap.dedent("""
+        import resource, sys
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+        from residuevc.cli import main
+        sys.exit(main(sys.argv[1:]))
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(residuevc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", child, *refused,
+                           "--out-dir", str(out)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "2^31" in proc.stderr
+    assert _snapshot(out) == before

@@ -1,8 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import residuevc
 from residuevc import montecarlo
 from residuevc.errors import NotPrime
 from residuevc.field import ZeroConvention, make_field, squares_table
@@ -194,3 +200,23 @@ def test_point_seed_distinct_per_point():
 def test_primes_in_range_basics():
     assert primes_in_range(14, 16) == []
     assert primes_in_range(5, 11) == [5, 7, 11]
+
+
+def test_primes_in_range_refuses_before_allocating():
+    # In a child capped at 1 GiB of address space, so that a sieve of
+    # 2^31 bytes fails with MemoryError instead of taking the memory.
+    child = textwrap.dedent("""
+        import resource, sys
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+        from residuevc.primes import primes_in_range
+        try:
+            primes_in_range(5, 1 << 31)
+        except ValueError:
+            sys.exit(3)
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(residuevc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
