@@ -24,12 +24,12 @@ from .search import (ApResult, VcResult, longest_shattered_ap,
 from .shatter import (PatternCounts, ShatterReport, Subset, fold_patterns,
                       is_shattered, membership_matrix, pattern_counts,
                       shatter_report, shattering_index)
-from .weil import (CosetTarget, PolySpec, char_sum, coset_probability,
-                   fourier_probability, fuzzy_coset_probability, verify_weil,
+from .weil import (PolySpec, char_sum, coset_probability, fourier_probability,
+                   fuzzy_coset_probability, verify_weil,
                    verify_equidistribution, verify_shattering_theorem)
 
 __all__ = [
-    "ApResult", "CharacterTable", "CosetTarget", "EmptyFold", "EvenPrime",
+    "ApResult", "CharacterTable", "EmptyFold", "EvenPrime",
     "FieldTooLarge", "Infeasible", "IndexNotDividing", "LengthMismatch",
     "ModulusMismatch", "NotPrime", "NTooLarge", "PatternCounts", "PolySpec",
     "PrimeField", "ProbPoint", "ResidueTable", "ResidueVCError",

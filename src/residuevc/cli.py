@@ -29,7 +29,7 @@ from pathlib import Path
 from . import __version__
 from .errors import Infeasible
 from .field import ZeroConvention, character_table, log2, make_field
-from .montecarlo import interface_scan
+from .montecarlo import interface_primes, interface_scan
 from .primes import primes_in_range
 from .search import longest_shattered_ap, vc_sweep
 from .svgplot import scatter_svg
@@ -211,15 +211,17 @@ def _run(args, command: str, parameters: dict):
 
 def _sweep(args, command: str, fields: dict, params: dict, results, row,
            plot_key: str, curves: list, **svg) -> int:
-    """Run a checkpointed per-prime sweep over ``args.range``.
+    """Run a checkpointed per-prime sweep over the primes of ``args.range``
+    from 5 on.
 
-    ``results(conv, skip, on_error)`` yields a result per prime not in
-    ``skip`` and reports a failed prime through ``on_error(q, exc)``;
+    ``results(conv, qs, skip, on_error)`` yields a result per prime of the
+    ascending list ``qs`` not in ``skip`` and reports a failed prime
+    through ``on_error(q, exc)``;
     ``row(r, conv)`` gives a result's CSV values and the fields of its
     manifest item after q and status.  The rows go to <command>.csv, with
     ``fields`` as header and checkpoint parsers; the figure plots column
     ``plot_key`` of every row against q, with ``curves`` ((label, f)
-    pairs drawn over the primes of the range) and ``svg`` passed on to
+    pairs drawn over ``qs``) and ``svg`` passed on to
     ``scatter_svg``.  An interrupted sweep's rows are complete, so
     --resume picks up from them.
     """
@@ -231,7 +233,7 @@ def _sweep(args, command: str, fields: dict, params: dict, results, row,
     with _run(args, command, parameters) as (out, manifest):
         csv_path = out / f"{command}.csv"
         done = _checkpointed(csv_path, fields, conv) if args.resume else set()
-        curve_qs = primes_in_range(max(q_lo, 5), q_hi) or [5, 7]
+        qs = primes_in_range(max(q_lo, 5), q_hi)
         for q in sorted(done):
             manifest.items.append({"q": q, "status": "checkpointed"})
 
@@ -241,7 +243,7 @@ def _sweep(args, command: str, fields: dict, params: dict, results, row,
 
         with _Csv(csv_path, list(fields), args.resume) as sheet:
             manifest.outputs.append(str(csv_path))
-            for r in results(conv, frozenset(done), on_error):
+            for r in results(conv, qs, frozenset(done), on_error):
                 values, item = row(r, conv)
                 sheet.row(values)
                 manifest.items.append({"q": r.q, "status": "ok", **item})
@@ -249,7 +251,7 @@ def _sweep(args, command: str, fields: dict, params: dict, results, row,
                         for r in _read_rows(csv_path, fields))
         svg_path = out / f"{command}.svg"
         scatter_svg(svg_path, points,
-                    curves=[(label, [(q, f(q)) for q in curve_qs])
+                    curves=[(label, [(q, f(q)) for q in qs or [5, 7]])
                             for label, f in curves], **svg)
         manifest.outputs.append(str(svg_path))
     return 0
@@ -265,9 +267,11 @@ VCDIM_FIELDS = {"q": int, "vcdim": int, "exact": _flag, "alpha_q": float,
 
 
 def cmd_vcdim(args) -> int:
-    def results(conv, skip, on_error):
-        return vc_sweep(*args.range, conv, early_exit=args.early_exit,
-                        jobs=args.jobs, skip=skip, on_error=on_error)
+    def results(conv, qs, skip, on_error):
+        if qs:  # vc_sweep solves the primes of [qs[0], qs[-1]], that is qs
+            yield from vc_sweep(qs[0], qs[-1], conv,
+                                early_exit=args.early_exit, jobs=args.jobs,
+                                skip=skip, on_error=on_error)
 
     def row(r, conv):
         return ([r.q, r.vcdim, str(r.exact).lower(), f"{r.alpha_q:.6f}",
@@ -292,8 +296,8 @@ AP_FIELDS = {"q": int, "longest": int, "log2_q": float, "ratio": float,
 
 
 def cmd_ap(args) -> int:
-    def results(conv, skip, on_error):
-        for q in primes_in_range(max(args.range[0], 5), args.range[1]):
+    def results(conv, qs, skip, on_error):
+        for q in qs:
             if q in skip:
                 continue
             try:
@@ -330,11 +334,15 @@ def cmd_prob(args) -> int:
                   "convention": conv.value,
                   "rng": "numpy PCG64; per-point seeds derived from "
                          "(seed, n, q)"}
+    scan = (args.ratio_lo, args.ratio_hi, args.density, args.trials,
+            args.seed)
     with _run(args, "prob", parameters) as (out, manifest):
+        # Listing every n's primes raises any argument error before the
+        # first output is opened; ``interface_scan`` lists them again.
         for n in range(n_lo, n_hi + 1):
-            points = interface_scan(n, args.ratio_lo, args.ratio_hi,
-                                    density=args.density, trials=args.trials,
-                                    seed=args.seed, conv=conv)
+            interface_primes(n, *scan)
+        for n in range(n_lo, n_hi + 1):
+            points = interface_scan(n, *scan, conv=conv)
             csv_path = out / f"prob_n{n}.csv"
             with _Csv(csv_path, PROB_HEADER, resume=False) as sheet:
                 manifest.outputs.append(str(csv_path))
@@ -461,8 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, ZeroConvention.ZERO_IN.value)
     p.set_defaults(func=cmd_vcdim)
 
-    p = sub.add_parser("ap", help="longest shattered arithmetic progression "
-                                  "per prime",
+    p = sub.add_parser("ap", help="longest shattered prefix {0, ..., n-1} "
+                                  "per prime; it stands for every arithmetic "
+                                  "progression under strict, and under the "
+                                  "other conventions when q = 3 (mod 4)",
                        epilog="ap.csv columns: " + ", ".join(AP_FIELDS))
     p.add_argument("--range", type=_parse_range, required=True,
                    metavar="LO:HI")

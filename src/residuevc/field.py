@@ -72,16 +72,28 @@ class PrimeField:
 
 @dataclass(frozen=True)
 class ResidueTable:
-    """Length-q membership vector of the coset ``coset_rep * G_r``."""
+    """Length-q membership vector of the coset ``coset_rep * G_r``.
+
+    ``doubled`` holds the translate columns: int64, length 2q, with
+    ``doubled[i] = member[-i mod q]``, so member[(y - x) mod q] over
+    x = 0..q-1 is the zero-copy slice [q-y : 2q-y] (``shatter.column``).
+    Both arrays are read-only.
+    """
 
     q: int
     r: int
     coset_rep: int
     member: np.ndarray = field(repr=False)
     convention: ZeroConvention
+    doubled: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _freeze(self.member)
+        member = self.member.astype(np.int64)
+        rev = np.empty_like(member)
+        rev[0] = member[0]
+        rev[1:] = member[:0:-1]
+        object.__setattr__(self, "doubled", _freeze(np.concatenate([rev, rev])))
 
 
 @dataclass(frozen=True)

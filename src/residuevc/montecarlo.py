@@ -2,9 +2,11 @@
 
 For a prime q and size n, ``estimate_p`` draws uniform n-subsets of F_q
 and reports the fraction shattered by translates of the squares table.
-``interface_scan`` fixes n and sweeps primes q with n/log2(q) inside a
-ratio window, thinning the prime list at random so each scan yields a
-target number of points.
+An interface scan fixes n and sweeps primes q with n/log2(q) inside a
+ratio window, in two parts: ``interface_primes`` lists the window's
+primes and thins them at random so each scan yields a target number of
+points, which is cheap and is where every argument error arises;
+``interface_scan`` estimates p at the primes it keeps.
 
 All randomness flows through numpy's PCG64 generator.  Per-point seeds
 are derived from (master seed, n, q), so any single point can be
@@ -20,7 +22,7 @@ import numpy as np
 from .errors import NTooLarge
 from .field import ZeroConvention, log2, make_field, squares_table
 from .primes import primes_in_range, require_prime
-from .shatter import MAX_WIDTH, reflected_doubled, shatter_report
+from .shatter import MAX_WIDTH, shatter_report
 
 DEFAULT_TRIALS = 1000
 #: Swap indices ``estimate_p`` draws per ``rng.integers`` call; bounds its
@@ -73,9 +75,8 @@ def point_seed(master_seed: int, n: int, q: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def estimate_p(q: int, n: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
-               conv: ZeroConvention = ZeroConvention.ZERO_IN) -> ProbPoint:
-    """Estimate the probability that a uniform n-subset of F_q is shattered."""
+def _require_point(q: int, n: int, trials: int) -> None:
+    """Refuse the arguments ``estimate_p`` cannot take."""
     require_prime(q, minimum=3)
     if n > MAX_WIDTH:
         raise NTooLarge(f"subset size {n} exceeds the {MAX_WIDTH}-bit pattern bound")
@@ -83,8 +84,13 @@ def estimate_p(q: int, n: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
         raise ValueError(f"need 2 <= n <= q, got n={n}, q={q}")
     if trials < 1:
         raise ValueError("trials must be positive")
+
+
+def estimate_p(q: int, n: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
+               conv: ZeroConvention = ZeroConvention.ZERO_IN) -> ProbPoint:
+    """Estimate the probability that a uniform n-subset of F_q is shattered."""
+    _require_point(q, n, trials)
     T = squares_table(make_field(q), conv)
-    doubled = reflected_doubled(T)
     rng = np.random.default_rng(seed)
     per_call = max(1, DRAW_CHUNK // n)
     hits = 0
@@ -94,7 +100,7 @@ def estimate_p(q: int, n: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
         # stream as ``sample_subset`` trial after trial.
         js = rng.integers(np.tile(np.arange(n), m), q).reshape(m, n)
         for row in js.tolist():
-            if shatter_report(_fisher_yates(q, row), T, doubled).shattered:
+            if shatter_report(_fisher_yates(q, row), T).shattered:
                 hits += 1
     return ProbPoint(q=q, n=n, trials=trials, hits=hits, ratio=n / log2(q),
                      p_hat=hits / trials, seed=seed)
@@ -109,15 +115,15 @@ def scan_primes(n: int, ratio_lo: float, ratio_hi: float) -> list[int]:
             if ratio_lo <= n / log2(q) <= ratio_hi]
 
 
-def interface_scan(n: int, ratio_lo: float = 0.7, ratio_hi: float = 0.85,
-                   density: float = 100, trials: int = DEFAULT_TRIALS,
-                   seed: int = 0,
-                   conv: ZeroConvention = ZeroConvention.ZERO_IN) -> list[ProbPoint]:
-    """Estimate p at randomly thinned primes across one ratio window.
+def interface_primes(n: int, ratio_lo: float = 0.7, ratio_hi: float = 0.85,
+                     density: float = 100, trials: int = DEFAULT_TRIALS,
+                     seed: int = 0) -> list[int]:
+    """The primes an interface scan estimates p at, randomly thinned.
 
     Each prime in the window is kept with probability density/#primes, so
-    the expected number of points is about ``density``.  Selection and
-    per-point estimation are both deterministic in ``seed``.
+    the expected number of points is about ``density``; the selection is
+    deterministic in ``seed``.  Raises on any argument ``interface_scan``
+    with the same arguments would refuse, before estimating anything.
     """
     if ratio_lo <= 0 or ratio_hi <= ratio_lo:
         raise ValueError("need 0 < ratio_lo < ratio_hi")
@@ -130,5 +136,17 @@ def interface_scan(n: int, ratio_lo: float = 0.7, ratio_hi: float = 0.85,
     thin_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
     kept = [q for q in qs if thin_rng.random() < keep_p]
+    for q in kept:
+        _require_point(q, n, trials)
+    return kept
+
+
+def interface_scan(n: int, ratio_lo: float = 0.7, ratio_hi: float = 0.85,
+                   density: float = 100, trials: int = DEFAULT_TRIALS,
+                   seed: int = 0,
+                   conv: ZeroConvention = ZeroConvention.ZERO_IN) -> list[ProbPoint]:
+    """Estimate p at the primes ``interface_primes`` keeps in one ratio
+    window, each point deterministic in ``seed``."""
     return [estimate_p(q, n, trials, seed=point_seed(seed, n, q), conv=conv)
-            for q in kept]
+            for q in interface_primes(n, ratio_lo, ratio_hi, density, trials,
+                                      seed)]

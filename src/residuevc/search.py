@@ -174,7 +174,7 @@ class _TreeSearch:
         if (not self.hit_exit()
                 and len(root) + min(rep.index, cands.shape[0]) > self.best):
             seed = list(root)
-            self.descend(seed, signatures(seed, T, self.tally.doubled), cands)
+            self.descend(seed, signatures(seed, T), cands)
 
     def descend(self, Y: list[int], sig: np.ndarray, cands: np.ndarray) -> None:
         """Depth-first walk below a shattered node Y: count its children
@@ -281,26 +281,36 @@ def testing_dimension(q: int, conv: ZeroConvention, cap: int) -> int:
 
 def longest_shattered_ap(q: int,
                          conv: ZeroConvention = ZeroConvention.ZERO_IN) -> ApResult:
-    """Largest n with {0, ..., n-1} shattered; covers every arithmetic
-    progression of that length via affine invariance.
+    """Largest n with the prefix {0, ..., n-1} shattered.
 
-    For ZERO_IN and ZERO_OUT a single pattern tally at the maximum width
-    floor(log2 q) is folded down until every pattern is realized: the OR
-    of the two halves is exactly the realized vector of the one-shorter
-    prefix.  Under STRICT the discarded translates differ per width, so
-    the fold is only a lower bound; each width is checked directly there.
+    The prefix stands for every arithmetic progression {a + i d} of
+    length n when a map x -> a + d x preserves shattering: under STRICT
+    always, and under ZERO_IN and ZERO_OUT when q = 3 (mod 4), where d or
+    -d is a square and reversing a progression turns d into -d.  When
+    q = 1 (mod 4) a progression whose difference is a non-square maps onto
+    the prefix under the dual convention, which this does not check
+    (ROADMAP item 1).
+
+    One pattern tally at the maximum width floor(log2 q) is folded down
+    until every pattern is realized.  Under ZERO_IN and ZERO_OUT every
+    width has all q translates, and the OR of the two halves is exactly
+    the realized vector of the one-shorter prefix.  Under STRICT the
+    prefix {0, ..., n-1} keeps the translates x >= n, so the fold gives
+    the patterns of {0, ..., n-2} over x >= n; the shorter prefix also
+    keeps x = n - 1, whose pattern (bit i is member[(i - (n-1)) mod q],
+    that is member[q - (n-1) + i], for i < n - 1) is marked realized
+    after the fold.  Each step is then exact under every convention.
     """
     require_prime(q)
     T = squares_table(make_field(q), conv)
     n = log2_floor(q)
-    if conv is ZeroConvention.STRICT:
-        while n > 0 and not shatter_report(range(n), T).shattered:
-            n -= 1
-    else:
-        vec = pattern_counts(range(n), T).counts > 0
-        while n > 0 and not vec.all():
-            vec = fold_patterns(vec)
-            n -= 1
+    vec = pattern_counts(range(n), T).counts > 0
+    while n > 0 and not vec.all():
+        vec = fold_patterns(vec)
+        n -= 1
+        if conv is ZeroConvention.STRICT:
+            # {0, ..., n-1} also keeps translate n; bit i is member[i - n]
+            vec[sum(int(b) << i for i, b in enumerate(T.member[q - n:]))] = True
     return ApResult(q=q, longest=n, ratio=n / log2(q))
 
 

@@ -22,6 +22,11 @@ Kept apart on purpose: ``signatures``/``pattern_counts`` tally one subset
 building the kernel's windows per call would cost more); the quad check's
 ``weil._quads_complete`` retires rows once all 16 patterns are seen, a
 different algorithm; ``tests/oracles.py`` stays the independent check.
+
+The table owns the translate columns every tally reads: ``ResidueTable``
+builds ``doubled``, its membership vector reflected and doubled, once.
+``column`` slices one column out of it; the rows of ``ChildTally``'s
+windows are the same slices, shifted to their bit.
 """
 
 from __future__ import annotations
@@ -97,22 +102,9 @@ def _coerce(Y: SubsetLike, T: ResidueTable) -> Subset:
     return sub
 
 
-def reflected_doubled(T: ResidueTable) -> np.ndarray:
-    """member[(y - x) mod q] for x = 0..q-1 is the slice [q-y : 2q-y] of this.
-
-    The returned array has length 2q with entry d[i] = member[-i mod q] for
-    i mod q; slicing it gives zero-copy translate columns.
-    """
-    member = T.member.astype(np.int64)
-    rev = np.empty_like(member)
-    rev[0] = member[0]
-    rev[1:] = member[:0:-1]
-    return np.concatenate([rev, rev])
-
-
-def column(doubled: np.ndarray, q: int, y: int) -> np.ndarray:
+def column(T: ResidueTable, y: int) -> np.ndarray:
     """View of member[(y - x) mod q] over x = 0..q-1."""
-    return doubled[q - y : 2 * q - y]
+    return T.doubled[T.q - y : 2 * T.q - y]
 
 
 def membership_matrix(Y: SubsetLike, T: ResidueTable) -> np.ndarray:
@@ -122,21 +114,18 @@ def membership_matrix(Y: SubsetLike, T: ResidueTable) -> np.ndarray:
     by y_i; row x is the restriction of S + x to Y.
     """
     sub = _coerce(Y, T)
-    d = reflected_doubled(T)
     if sub.n == 0:
         return np.zeros((T.q, 0), dtype=np.uint8)
-    return np.stack([column(d, T.q, y) for y in sub.elems], axis=1).astype(np.uint8)
+    return np.stack([column(T, y) for y in sub.elems], axis=1).astype(np.uint8)
 
 
-def signatures(Y: SubsetLike, T: ResidueTable,
-               doubled: np.ndarray | None = None) -> np.ndarray:
+def signatures(Y: SubsetLike, T: ResidueTable) -> np.ndarray:
     """Length-q vector of row signatures sum_i A[x, i] * 2^i, as a fresh
     array that the caller may overwrite."""
     sub = _coerce(Y, T)
-    d = reflected_doubled(T) if doubled is None else doubled
     sig = np.zeros(T.q, dtype=np.int64)
     for i, y in enumerate(sub.elems):
-        sig += column(d, T.q, y) << i
+        sig += column(T, y) << i
     return sig
 
 
@@ -157,19 +146,17 @@ def _require_bins(n: int, allowed: int, q: int) -> None:
                         f"exceed {BIN_SLACK} per allowed translate")
 
 
-def pattern_counts(Y: SubsetLike, T: ResidueTable,
-                   doubled: np.ndarray | None = None) -> PatternCounts:
+def pattern_counts(Y: SubsetLike, T: ResidueTable) -> PatternCounts:
     """Tally how many allowed translates realize each of the 2^n patterns.
 
     Under STRICT the translates x in Y are skipped; otherwise all q
     translates contribute.  Raises NTooLarge when 2^n exceeds the allowed
-    translates more than ``BIN_SLACK`` times.  ``doubled``, if given, is
-    ``reflected_doubled(T)``, built once by a caller with many subsets.
+    translates more than ``BIN_SLACK`` times.
     """
     sub = _coerce(Y, T)
     n = sub.n
     _require_bins(n, _allowed_translates(n, T), T.q)
-    sig = signatures(sub, T, doubled)
+    sig = signatures(sub, T)
     width = 1 << n
     if T.convention is ZeroConvention.STRICT:
         sig[list(sub.elems)] = width  # sentinel bin, dropped below
@@ -179,17 +166,13 @@ def pattern_counts(Y: SubsetLike, T: ResidueTable,
     return PatternCounts(n=n, counts=counts, convention=T.convention)
 
 
-def shatter_report(Y: SubsetLike, T: ResidueTable,
-                   doubled: np.ndarray | None = None) -> ShatterReport:
-    """Shattering decision plus the extension-bounding index.
-
-    ``doubled`` is passed on to ``pattern_counts``.
-    """
+def shatter_report(Y: SubsetLike, T: ResidueTable) -> ShatterReport:
+    """Shattering decision plus the extension-bounding index."""
     sub = _coerce(Y, T)
     if (1 << sub.n) > _allowed_translates(sub.n, T):
         # Pigeonhole: fewer translates than patterns, so some count is zero.
         return ShatterReport(shattered=False, index=-1, convention=T.convention)
-    m = int(pattern_counts(sub, T, doubled).counts.min())
+    m = int(pattern_counts(sub, T).counts.min())
     if m == 0:
         return ShatterReport(shattered=False, index=-1, convention=T.convention)
     return ShatterReport(shattered=True, index=m.bit_length() - 1,
@@ -252,12 +235,11 @@ class ChildTally:
         if forbidden is None:
             forbidden = [0] if T.convention is ZeroConvention.STRICT else []
         self.forbidden = np.asarray(forbidden, dtype=np.int64)
-        self.doubled = reflected_doubled(T)
         dropped = np.isin(-np.arange(2 * q) % q, self.forbidden)
         # to floor(log2 q) + 1, the deepest block the bins check lets by
         depths = range(q.bit_length() + 1)
         self.windows = [sliding_window_view(
-            np.where(dropped, 2 << n, self.doubled << n), q) for n in depths]
+            np.where(dropped, 2 << n, T.doubled << n), q) for n in depths]
         # a sentinel value plus a signature of Y stays below 3 * 2^n
         self.bins = [(3 if self.forbidden.size else 2) << n for n in depths]
         self.offsets = [np.arange(q, dtype=np.int64)[:, None] * bins
@@ -301,6 +283,6 @@ def canonical_minima(tally: ChildTally, fixed: int, n: int) -> Iterator[np.ndarr
     for c in itertools.combinations(range(k, q), max(n - 1 - k, 0)):
         Y = tuple(range(k if n > k else k - 1)) + c
         ms = np.arange(Y[-1] + 1 if Y else 0, q if n > k else k, dtype=np.int64)
-        sig = signatures(Y, tally.T, tally.doubled)
+        sig = signatures(Y, tally.T)
         for _, _, counts in tally.children(Y, sig, ms):
             yield counts.min(axis=1)

@@ -29,8 +29,7 @@ from .errors import Infeasible, IndexNotDividing, LengthMismatch
 from .field import (ZERO_EXP, CharacterTable, PrimeField, ZeroConvention,
                     character_table, log2_floor, power_table, residue_table)
 from .montecarlo import sample_subset
-from .shatter import (ChildTally, canonical_minima, reflected_doubled,
-                      signatures)
+from .shatter import ChildTally, canonical_minima, signatures
 
 WEIL_TOL = 1e-6
 OP_BUDGET = 10**9
@@ -58,17 +57,6 @@ class PolySpec:
     @property
     def distinct_roots(self) -> int:
         return sum(1 for k in self.powers if k >= 1)
-
-
-@dataclass(frozen=True)
-class CosetTarget:
-    """Per-element coset representatives (t_1, ..., t_n), all nonzero."""
-
-    targets: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(t == 0 for t in self.targets):
-            raise ValueError("coset targets must be nonzero")
 
 
 def char_sum(F: PrimeField, C: CharacterTable, spec: PolySpec) -> complex:
@@ -175,8 +163,20 @@ def verify_weil(F: PrimeField, C: CharacterTable, n_max: int,
                       max_abs_sum=max_abs, worst=worst)
 
 
+def _targets(F: PrimeField, Y: Sequence[int],
+             t: Sequence[int]) -> tuple[int, ...]:
+    """The coset targets (t_1, ..., t_n) of Y, one per element, each
+    nonzero in F_q."""
+    targets = tuple(t)
+    if len(targets) != len(Y):
+        raise LengthMismatch(f"|Y| = {len(Y)} but |t| = {len(targets)}")
+    if any(tj % F.q == 0 for tj in targets):
+        raise ValueError("coset targets must be nonzero")
+    return targets
+
+
 def coset_probability(F: PrimeField, C: CharacterTable,
-                      Y: Sequence[int], t: CosetTarget | Sequence[int],
+                      Y: Sequence[int], t: Sequence[int],
                       conv: ZeroConvention = ZeroConvention.ZERO_OUT) -> Fraction:
     """Exact fraction of x in F_q with y_j - x in t_j * G_r for every j.
 
@@ -184,16 +184,12 @@ def coset_probability(F: PrimeField, C: CharacterTable,
     every coset under ZERO_IN and as non-members otherwise.  The
     denominator is always q.
     """
-    targets = t.targets if isinstance(t, CosetTarget) else tuple(t)
-    if len(targets) != len(Y):
-        raise LengthMismatch(f"|Y| = {len(Y)} but |t| = {len(targets)}")
-    q, r = F.q, C.r
+    targets = _targets(F, Y, t)
+    q = F.q
     xs = np.arange(q, dtype=np.int64)
     ok = np.ones(q, dtype=bool)
     for y, tj in zip(Y, targets):
         te = int(C.exp_of[tj % q])
-        if te == ZERO_EXP:
-            raise ValueError("coset targets must be nonzero")
         e = C.exp_of[(y - xs) % q]
         cond = e == te
         if conv is ZeroConvention.ZERO_IN:
@@ -203,8 +199,7 @@ def coset_probability(F: PrimeField, C: CharacterTable,
 
 
 def fuzzy_coset_probability(F: PrimeField, C: CharacterTable,
-                            Y: Sequence[int],
-                            t: CosetTarget | Sequence[int]) -> Fraction:
+                            Y: Sequence[int], t: Sequence[int]) -> Fraction:
     """Coset probability with boundary translates weighted 1/r.
 
     A translate x = y_j contributes weight 1/r times the product of the
@@ -212,9 +207,7 @@ def fuzzy_coset_probability(F: PrimeField, C: CharacterTable,
     exact weighting under which the character expansion below is an
     identity.
     """
-    targets = t.targets if isinstance(t, CosetTarget) else tuple(t)
-    if len(targets) != len(Y):
-        raise LengthMismatch(f"|Y| = {len(Y)} but |t| = {len(targets)}")
+    targets = _targets(F, Y, t)
     q, r = F.q, C.r
     base = coset_probability(F, C, Y, targets, ZeroConvention.ZERO_OUT)
     extra = Fraction(0)
@@ -232,16 +225,13 @@ def fuzzy_coset_probability(F: PrimeField, C: CharacterTable,
 
 
 def fourier_probability(F: PrimeField, C: CharacterTable,
-                        Y: Sequence[int],
-                        t: CosetTarget | Sequence[int]) -> complex:
+                        Y: Sequence[int], t: Sequence[int]) -> complex:
     """Character-expansion form of the fuzzy coset probability.
 
     r^(-n) * (1 + sum over nonzero exponent vectors k of
     conj(chi)(prod t_j^k_j) * (1/q) * char_sum(f_k)).
     """
-    targets = t.targets if isinstance(t, CosetTarget) else tuple(t)
-    if len(targets) != len(Y):
-        raise LengthMismatch(f"|Y| = {len(Y)} but |t| = {len(targets)}")
+    targets = _targets(F, Y, t)
     q, r = F.q, C.r
     n = len(Y)
     phases = np.exp(2j * np.pi * np.arange(r) / r)
@@ -268,12 +258,12 @@ class EquiReport:
 
 
 def verify_equidistribution(F: PrimeField, r: int, n_max: int,
-                            samples: int = 500, seed: int = 0,
-                            conv: ZeroConvention = ZeroConvention.STRICT) -> EquiReport:
+                            samples: int = 500, seed: int = 0) -> EquiReport:
     """Sample (Y, t) pairs and check |P - r^(-n)| <= n/sqrt(q) + n/q.
 
-    Counts are integers (boundary translates resolved by ``conv``); the
-    n/q term absorbs their gap from the weight-1/r idealization.
+    Counts are integers (boundary translates are non-members, as under
+    STRICT); the n/q term absorbs their gap from the weight-1/r
+    idealization.
     """
     C = character_table(F, r)
     q = F.q
@@ -286,7 +276,7 @@ def verify_equidistribution(F: PrimeField, r: int, n_max: int,
         for _ in range(samples):
             Y = sample_subset(rng, q, n)
             t = [int(v) for v in rng.integers(1, q, size=n)]
-            p = coset_probability(F, C, Y, t, conv)
+            p = coset_probability(F, C, Y, t, ZeroConvention.STRICT)
             bound = n / math.sqrt(q) + n / q
             gap = abs(float(p) - r ** -n)
             instances += 1
@@ -378,9 +368,9 @@ def _orbit_representatives(F: PrimeField) -> Iterator[tuple[np.ndarray, np.ndarr
 
 def _quad_tables(T) -> tuple[np.ndarray, np.ndarray]:
     """The tables ``_quads_complete`` reads for the ZERO_OUT squares ``T``:
-    the doubled reflected membership and the signatures of {0, 1}."""
-    d = reflected_doubled(T).astype(np.int16)
-    return d, signatures([0, 1], T, d).astype(np.int16)
+    its translate columns ``T.doubled`` and the signatures of {0, 1}."""
+    return (T.doubled.astype(np.int16),
+            signatures([0, 1], T).astype(np.int16))
 
 
 def _quads_complete(d: np.ndarray, base2: np.ndarray, u: int,

@@ -77,6 +77,16 @@ def test_ap_rows(tmp_path):
     assert (out / "ap.svg").exists()
 
 
+def test_sweeps_share_primes_from_five(tmp_path):
+    items = {}
+    for command in ("vcdim", "ap"):
+        out = tmp_path / command
+        assert main([command, "--range", "2:13", "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        items[command] = [(i["q"], i["status"]) for i in manifest["items"]]
+    assert items["vcdim"] == items["ap"] == [(q, "ok") for q in [5, 7, 11, 13]]
+
+
 def test_prob_deterministic_and_empty(tmp_path):
     out1, out2 = tmp_path / "p1", tmp_path / "p2"
     args = ["prob", "--n", "5:5", "--trials", "30", "--density", "6",
@@ -421,7 +431,13 @@ def test_verify_interrupt_over_previous_run(tmp_path, monkeypatch):
 @pytest.mark.parametrize("bad", [["--trials", "0"],
                                  ["--trials", "0", "--density", "0"],
                                  ["--ratio-lo", "0.9", "--ratio-hi", "0.8"],
-                                 ["--seed", "-1"]])
+                                 ["--seed", "-1"],
+                                 # n = 1 is fine, n = 2's window reaches 2^40
+                                 ["--n", "1:2", "--ratio-lo", "0.05",
+                                  "--ratio-hi", "0.1", "--density", "0"],
+                                 # n = 5 has no prime, n = 6 keeps q = 5 < n
+                                 ["--n", "5:6", "--ratio-lo", "2.5",
+                                  "--ratio-hi", "3"]])
 def test_prob_misuse_leaves_previous_run(tmp_path, bad, capsys):
     out = tmp_path / "p"
     argv = ["prob", "--n", "6:6", "--trials", "10", "--density", "5",

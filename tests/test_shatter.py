@@ -37,6 +37,25 @@ def test_subset_rejects_duplicates_and_disorder():
 
 
 # ---------------------------------------------------------------------------
+# translate columns
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("conv", CONVS)
+def test_table_columns_are_translates(conv):
+    for q in [5, 13, 31]:
+        T = table(q, conv)
+        vec = member_vector(q, 2, 1, conv)
+        assert T.doubled.dtype == np.int64 and T.doubled.shape == (2 * q,)
+        with pytest.raises(ValueError):
+            T.doubled[0] = 1
+        xs = np.arange(q)
+        for y in range(q):
+            assert np.array_equal(T.doubled[q - y : 2 * q - y],
+                                  vec[(y - xs) % q])
+            assert np.array_equal(shatter.column(T, y), vec[(y - xs) % q])
+
+
+# ---------------------------------------------------------------------------
 # membership_matrix
 # ---------------------------------------------------------------------------
 
@@ -122,7 +141,7 @@ def test_tallies_refuse_bins_far_past_pigeonhole():
 def test_counts_check_raises_outside_asserts(monkeypatch):
     short = shatter.signatures
     monkeypatch.setattr(shatter, "signatures",
-                        lambda sub, T, doubled=None: short(sub, T, doubled)[1:])
+                        lambda sub, T: short(sub, T)[1:])
     with pytest.raises(RuntimeError):
         pattern_counts([0, 1], table(11))
 

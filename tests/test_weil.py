@@ -13,7 +13,7 @@ from residuevc.field import (ZeroConvention, character_table, make_field,
                              residue_table)
 from residuevc.primes import primes_in_range
 from residuevc.shatter import ChildTally, canonical_minima
-from residuevc.weil import (CosetTarget, PolySpec, char_sum,
+from residuevc.weil import (PolySpec, char_sum,
                             coset_probability, fourier_probability,
                             fuzzy_coset_probability,
                             verify_equidistribution,
@@ -184,8 +184,18 @@ def test_length_mismatch():
     F, C = setup_fc(13, 2)
     with pytest.raises(LengthMismatch):
         coset_probability(F, C, [0, 1], [1])
-    with pytest.raises(ValueError):
-        CosetTarget((0, 1))
+    with pytest.raises(LengthMismatch):
+        fourier_probability(F, C, [0, 1], [1])
+
+
+def test_zero_target_refused():
+    # 0 and 13 are the zero of F_13, which lies in no coset of G_2
+    F, C = setup_fc(13, 2)
+    for t in ([0, 1], [1, 13]):
+        for probability in (coset_probability, fuzzy_coset_probability,
+                            fourier_probability):
+            with pytest.raises(ValueError):
+                probability(F, C, [0, 1], t)
 
 
 # ---------------------------------------------------------------------------
