@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .errors import Infeasible
+from .errors import Infeasible, ResidueVCError
 from .field import ZeroConvention, character_table, log2, make_field
 from .montecarlo import interface_primes, interface_scan
 from .primes import primes_in_range
@@ -389,7 +389,8 @@ def _shattering_check(F, r: int, args):
 
 
 # (check, bound_form, run); run returns (params, instances, violations,
-# max_quantity) or raises Infeasible when over its operation budget.
+# max_quantity) or raises Infeasible when over its operation budget, which
+# only the shattering check has.
 VERIFY_CHECKS = [("weil", "(n-1)sqrt(q)", _weil_check),
                  ("equidistribution", "n/sqrt(q)+n/q", _equidistribution_check),
                  ("shattering", "all subsets shattered", _shattering_check)]
@@ -512,7 +513,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ResidueVCError) as exc:
         print(f"residuevc: {exc}", file=sys.stderr)
         return 2
 

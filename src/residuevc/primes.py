@@ -7,13 +7,16 @@ enough.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 from .errors import NotPrime, TooSmall
 
 # Sufficient for every n < 3.3 * 10^24, which covers all 64-bit inputs.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 #: Moduli from here on are refused: ``make_field``'s discrete-log table
-#: would need 16 GiB, products of two residues would overflow int64, and
-#: ``primes_in_range``'s sieve would need 2 GiB.
+#: would need 16 GiB and products of two residues would overflow int64, so
+#: ``primes_in_range`` lists no prime past them either.
 MAX_MODULUS = 1 << 31
 
 
@@ -51,25 +54,24 @@ def require_prime(q: int, minimum: int = 5) -> None:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, by sieve of Eratosthenes.
+    """All primes p with lo <= p <= hi, by a sieve of that window alone.
 
-    Raises ValueError for hi >= ``MAX_MODULUS`` before allocating the
-    hi + 1 byte sieve, since no such prime can carry a field.
+    The window's composites are struck out by the primes up to isqrt(hi),
+    which this function lists first.  Raises ValueError for
+    hi >= ``MAX_MODULUS`` before allocating anything, since no such prime
+    can carry a field.
     """
     if hi < 2 or hi < lo:
         return []
     if hi >= MAX_MODULUS:
         raise ValueError(f"cannot list primes up to {hi}: moduli must stay "
                          f"below 2^31")
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    p = 2
-    while p * p <= hi:
-        if sieve[p]:
-            start = p * p
-            sieve[start : hi + 1 : p] = b"\x00" * ((hi - start) // p + 1)
-        p += 1
-    return [i for i in range(max(lo, 2), hi + 1) if sieve[i]]
+    lo = max(lo, 2)
+    window = bytearray([1]) * (hi - lo + 1)
+    for p in primes_in_range(2, math.isqrt(hi)):
+        start = max(p * p, -(-lo // p) * p)  # first multiple to strike
+        window[start - lo :: p] = bytes(len(range(start, hi + 1, p)))
+    return list(itertools.compress(range(lo, hi + 1), window))
 
 
 def prime_factors(n: int) -> list[int]:

@@ -1,10 +1,13 @@
 """Numerical verification of the character-sum machinery at small scale.
 
-Three independent checks, all brute force:
+Three independent checks:
 
 - ``verify_weil``: complete character sums over root products stay within
   (n-1) * sqrt(q) whenever the polynomial has n distinct roots and is not
-  an rth power.
+  an rth power.  Each sum is computed in full by ``char_sum``.  The
+  exhaustive levels n = 1 and 2 take one sum per exponent vector, by the
+  translation and affine identities proved in the ``verify_weil``
+  docstring.
 - ``verify_equidistribution``: the fraction of translates x placing every
   y_j - x into a prescribed coset t_j * G_r is within n/sqrt(q) + n/q of
   r^(-n); the n/q slack absorbs the boundary elements y_j - x = 0 that
@@ -63,11 +66,15 @@ def char_sum(F: PrimeField, C: CharacterTable, spec: PolySpec) -> complex:
     """Sum of chi_r(f(x)) over all x, with chi_r(0) = 0.
 
     The sum is accumulated as a histogram of exponents mod r and turned
-    into a complex number once, so there is no per-term rounding.
+    into a complex number once, so there is no per-term rounding.  Raises
+    ValueError when two roots are equal mod q, since ``spec`` then does
+    not have the distinct roots it claims.
     """
     if C.q != F.q:
         raise IndexNotDividing("character table was built for another field")
     q, r = F.q, C.r
+    if len({y % q for y in spec.roots}) != len(spec.roots):
+        raise ValueError(f"roots must be distinct mod {q}")
     xs = np.arange(q, dtype=np.int64)
     total = np.zeros(q, dtype=np.int64)
     hit_root = np.zeros(q, dtype=bool)
@@ -94,70 +101,67 @@ class WeilReport:
     worst: tuple | None
 
 
-def _coset_value_matrix(F: PrimeField, C: CharacterTable, k: int) -> np.ndarray:
-    """Z[y, x] = chi_r^k(y - x); rows are translate columns of chi^k."""
-    vals = C.values(k)
-    idx = (np.arange(F.q)[:, None] - np.arange(F.q)[None, :]) % F.q
-    return vals[idx]
+def _weil_specs(q: int, r: int, n_max: int, samples: int,
+                seed: int) -> Iterator[tuple[PolySpec, int]]:
+    """The PolySpecs ``verify_weil`` sums, each with the number of
+    instances it stands for: one per exponent at level 1, for all q
+    roots; one per exponent pair at level 2, for all q(q-1)/2 root pairs;
+    then ``samples`` random specs at each level 3..n_max (at most q)."""
+    if n_max >= 1:
+        for k in range(1, r):
+            yield PolySpec((0,), (k,)), q
+    if n_max >= 2:
+        for k1 in range(1, r):
+            for k2 in range(1, r):
+                yield PolySpec((0, 1), (k1, k2)), q * (q - 1) // 2
+    rng = np.random.default_rng(seed)
+    for n in range(3, min(n_max, q) + 1):
+        for _ in range(samples):
+            Y = sample_subset(rng, q, n)
+            ks = tuple(int(v) for v in rng.integers(1, r, size=n))
+            yield PolySpec(tuple(Y), ks), 1
 
 
 def verify_weil(F: PrimeField, C: CharacterTable, n_max: int,
                 samples: int = 500, seed: int = 0) -> WeilReport:
     """Check |char_sum| <= (n-1)*sqrt(q) + tolerance over PolySpecs.
 
-    Levels n = 1 and n = 2 are enumerated in full (every subset of roots,
-    every exponent vector in [1, r-1]^n); levels 3..n_max are sampled.
-    Raises Infeasible when the exhaustive part would exceed the budget.
+    Levels n = 1 and n = 2 are exhaustive: every root subset and every
+    exponent vector in [1, r-1]^n is counted in ``instances``.  Levels
+    3..n_max are sampled.  Every level is summed by ``char_sum``, and the
+    exhaustive levels need one sum per exponent vector, by two identities
+    (all sums over x in F_q, with chi(0) = 0):
+
+    - Translation: x -> x + y shows sum_x chi^k(y - x) = sum_x chi^k(-x),
+      the sum for the root 0, for every y.
+    - Affine substitution: for roots y1 < y2 let d = y2 - y1 != 0.  As t
+      runs over F_q so does x = y1 - d*t, with y1 - x = d*t and
+      y2 - x = d*(1 + t).  Since chi(d) != 0 and chi is multiplicative,
+      sum_x chi^k1(y1 - x) chi^k2(y2 - x)
+      = chi^(k1+k2)(d) * sum_t chi^k1(t) chi^k2(1 + t),
+      and t -> -t turns the last sum into S(k1, k2), the sum for the
+      roots (0, 1).  So every pair sum has the modulus |S(k1, k2)|.
+
+    ``max_ratio`` is |sum| / ((n-1) sqrt(q)) at its largest over n >= 2,
+    and ``worst`` is the (roots, powers) reaching it; a level-2 maximum is
+    reported at the roots (0, 1).
     """
     q, r = F.q, C.r
-    if q * q * (r - 1) ** 2 * q > OP_BUDGET:
-        raise Infeasible(f"exhaustive pair enumeration at q={q}, r={r} "
-                         f"exceeds the {OP_BUDGET:.0e} operation budget")
     sqrt_q = math.sqrt(q)
     instances = violations = 0
     max_ratio = 0.0
     max_abs = 0.0
     worst = None
-
-    if n_max >= 1:
-        for k in range(1, r):
-            # sum_x chi^k(y - x) is the full-group sum of a nontrivial
-            # character whatever y is, so one column sum serves all q.
-            s = abs(complex(C.values(k).sum()))
-            instances += q
-            if s > WEIL_TOL:
-                violations += q
-            max_abs = max(max_abs, s)
-    if n_max >= 2:
-        mats = {k: _coset_value_matrix(F, C, k) for k in range(1, r)}
-        iu = np.triu_indices(q, k=1)
-        for k1 in range(1, r):
-            for k2 in range(1, r):
-                S = np.abs((mats[k1] @ mats[k2].T)[iu])
-                instances += S.size
-                violations += int((S > sqrt_q + WEIL_TOL).sum())
-                top = int(S.argmax())
-                max_abs = max(max_abs, float(S[top]))
-                if S[top] / sqrt_q > max_ratio:
-                    max_ratio = float(S[top]) / sqrt_q
-                    worst = ((int(iu[0][top]), int(iu[1][top])), (k1, k2))
-    if n_max >= 3:
-        rng = np.random.default_rng(seed)
-        for n in range(3, n_max + 1):
-            if n > q:
-                break
-            bound = (n - 1) * sqrt_q
-            for _ in range(samples):
-                Y = sample_subset(rng, q, n)
-                ks = tuple(int(v) for v in rng.integers(1, r, size=n))
-                s = abs(char_sum(F, C, PolySpec(tuple(Y), ks)))
-                instances += 1
-                if s > bound + WEIL_TOL:
-                    violations += 1
-                max_abs = max(max_abs, s)
-                if s / bound > max_ratio:
-                    max_ratio = s / bound
-                    worst = (tuple(Y), ks)
+    for spec, weight in _weil_specs(q, r, n_max, samples, seed):
+        s = abs(char_sum(F, C, spec))
+        bound = (spec.distinct_roots - 1) * sqrt_q
+        instances += weight
+        if s > bound + WEIL_TOL:
+            violations += weight
+        max_abs = max(max_abs, s)
+        if bound and s / bound > max_ratio:
+            max_ratio = s / bound
+            worst = (spec.roots, spec.powers)
     return WeilReport(q=q, r=r, n_max=n_max, instances=instances,
                       violations=violations, max_ratio=max_ratio,
                       max_abs_sum=max_abs, worst=worst)

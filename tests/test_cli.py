@@ -299,21 +299,24 @@ def test_vcdim_manifest_work_counters(tmp_path):
 
 def test_verify_skips_checks_over_budget(tmp_path, monkeypatch):
     from residuevc import weil
-    monkeypatch.setattr(weil, "OP_BUDGET", 10_000)  # q^3 > budget from q = 23
+    monkeypatch.setattr(weil, "OP_BUDGET", 22)  # OP_BUDGET // q = 0 from 23
     out = tmp_path / "w"
     assert main(["verify", "--q-max", "31", "--r", "2", "--samples", "50",
                  "--out-dir", str(out)]) == 0
     rows = read_csv(out / "verify.csv")
     skipped = {int(r["q"]) for r in rows if r["status"] == "skipped"}
     assert skipped == {23, 29, 31}
-    assert all(r["check"] == "weil" for r in rows if r["status"] == "skipped")
+    assert all(r["check"] == "shattering"
+               for r in rows if r["status"] == "skipped")
     assert {(r["check"], int(r["q"])) for r in rows} == {
         (c, q) for c in ("weil", "equidistribution", "shattering")
         for q in primes_in_range(5, 31)}
     items = json.loads((out / "manifest.json").read_text())["items"]
     partial = {i["q"]: i for i in items if i["status"] == "partial"}
     assert set(partial) == {23, 29, 31}
-    assert all("budget" in i["skipped"]["weil"] for i in partial.values())
+    assert all(set(i["skipped"]) == {"shattering"}
+               and "budget" in i["skipped"]["shattering"]
+               for i in partial.values())
 
 
 def _interrupt_at(stop_q, monkeypatch):
@@ -437,7 +440,10 @@ def test_verify_interrupt_over_previous_run(tmp_path, monkeypatch):
                                   "--ratio-hi", "0.1", "--density", "0"],
                                  # n = 5 has no prime, n = 6 keeps q = 5 < n
                                  ["--n", "5:6", "--ratio-lo", "2.5",
-                                  "--ratio-hi", "3"]])
+                                  "--ratio-hi", "3"],
+                                 # NTooLarge: 64 bits exceed the pattern bound
+                                 ["--n", "64:64", "--ratio-lo", "9",
+                                  "--ratio-hi", "10", "--density", "100"]])
 def test_prob_misuse_leaves_previous_run(tmp_path, bad, capsys):
     out = tmp_path / "p"
     argv = ["prob", "--n", "6:6", "--trials", "10", "--density", "5",

@@ -78,6 +78,27 @@ def test_field_too_large_refused_before_allocating():
         make_field(1 << 31)
 
 
+def test_primes_in_range_sieves_only_its_window():
+    def by_test(lo, hi):
+        return [n for n in range(max(lo, 0), hi + 1) if is_prime(n)]
+
+    for lo in range(-2, 30):
+        for hi in range(-2, 60):
+            assert primes_in_range(lo, hi) == by_test(lo, hi), (lo, hi)
+    for lo, hi in [(5, 20000), (680, 2753), (9973, 10009),
+                   ((1 << 31) - 200, (1 << 31) - 1)]:
+        assert primes_in_range(lo, hi) == by_test(lo, hi), (lo, hi)
+    lo, hi = 1 << 26, (1 << 26) + 200
+    tracemalloc.start()
+    try:
+        primes = primes_in_range(lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a sieve from 0 would take 64 MiB
+    assert primes == by_test(lo, hi) and len(primes) == 10
+
+
 def test_pinned_root_must_be_primitive():
     with pytest.raises(ValueError):
         make_field(7, root=2)  # 2 has order 3 mod 7

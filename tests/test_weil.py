@@ -75,6 +75,29 @@ def test_char_sum_matches_direct_oracle():
             assert got == pytest.approx(want, abs=1e-9)
 
 
+def test_char_sum_refuses_roots_equal_mod_q():
+    F, C = setup_fc(13, 2)
+    with pytest.raises(ValueError):
+        char_sum(F, C, PolySpec((0, 13), (1, 1)))
+    with pytest.raises(ValueError):
+        char_sum(F, C, PolySpec((2, 5, -8), (1, 0, 1)))
+    assert char_sum(F, C, PolySpec((0, 12), (1, 1))) == pytest.approx(-1)
+
+
+def test_pair_sums_have_the_modulus_of_roots_0_1():
+    # the affine substitution behind verify_weil's level 2, term by term
+    for q in primes_in_range(5, 31):
+        for r in (2, 3, 4):
+            if (q - 1) % r:
+                continue
+            F, C = setup_fc(q, r)
+            for ks in itertools.product(range(1, r), repeat=2):
+                want = abs(char_sum(F, C, PolySpec((0, 1), ks)))
+                for Y in itertools.combinations(range(q), 2):
+                    got = abs(char_sum_direct(q, r, F.g, Y, ks))
+                    assert got == pytest.approx(want, abs=1e-9), (q, r, Y, ks)
+
+
 def test_zero_power_factor_is_dropped():
     F, C = setup_fc(13, 3)
     a = char_sum(F, C, PolySpec((2, 5), (1, 0)))
@@ -102,10 +125,34 @@ def test_weil_single_roots_sum_to_zero():
     assert rep.instances == 31 * 2
 
 
-def test_weil_infeasible_guard():
-    F, C = setup_fc(2003, 2)
-    with pytest.raises(Infeasible):
-        verify_weil(F, C, 2)
+def test_weil_exhaustive_levels_match_brute_force():
+    # every root and every root pair summed term by term by the oracle
+    for q in (13, 29, 37):
+        for r in (2, 3, 4):
+            if (q - 1) % r:
+                continue
+            F, C = setup_fc(q, r)
+            instances = violations = 0
+            max_ratio = 0.0
+            for n in (1, 2):
+                bound = (n - 1) * math.sqrt(q)
+                for Y in itertools.combinations(range(q), n):
+                    for ks in itertools.product(range(1, r), repeat=n):
+                        s = abs(char_sum_direct(q, r, F.g, Y, ks))
+                        instances += 1
+                        violations += s > bound + weil.WEIL_TOL
+                        if bound:
+                            max_ratio = max(max_ratio, s / bound)
+            rep = verify_weil(F, C, 2)
+            assert (rep.instances, rep.violations) == (instances, violations)
+            assert rep.max_ratio == pytest.approx(max_ratio, abs=1e-9)
+
+
+def test_weil_pair_level_runs_at_large_q():
+    q = 2003
+    rep = verify_weil(*setup_fc(q, 2), 2)
+    assert rep.violations == 0
+    assert rep.instances == q + q * (q - 1) // 2
 
 
 def test_char_sum_invariant_when_character_coincides():
