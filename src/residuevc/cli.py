@@ -19,11 +19,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -31,7 +33,7 @@ from .errors import Infeasible, ResidueVCError
 from .field import ZeroConvention, character_table, log2, make_field
 from .montecarlo import interface_primes, interface_scan
 from .primes import primes_in_range
-from .search import longest_shattered_ap, vc_sweep
+from .search import longest_shattered_ap, sweep, vc_dimension
 from .svgplot import scatter_svg
 from .weil import verify_equidistribution, verify_shattering_theorem, verify_weil
 
@@ -98,6 +100,17 @@ def _at_least(low: int, text: str) -> int:
 
 def _positive_int(text: str) -> int:
     return _at_least(1, text)
+
+
+def _non_negative_int(text: str) -> int:
+    return _at_least(0, text)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, not {text}")
+    return value
 
 
 def _index_list(text: str) -> list[int]:
@@ -209,21 +222,21 @@ def _run(args, command: str, parameters: dict):
     manifest.save(out)
 
 
-def _sweep(args, command: str, fields: dict, params: dict, results, row,
-           plot_key: str, curves: list, **svg) -> int:
+def _sweep(args, command: str, fields: dict, params: dict, solve, jobs: int,
+           row, plot_key: str, curves: list, **svg) -> int:
     """Run a checkpointed per-prime sweep over the primes of ``args.range``
     from 5 on.
 
-    ``results(conv, qs, skip, on_error)`` yields a result per prime of the
-    ascending list ``qs`` not in ``skip`` and reports a failed prime
-    through ``on_error(q, exc)``;
-    ``row(r, conv)`` gives a result's CSV values and the fields of its
-    manifest item after q and status.  The rows go to <command>.csv, with
-    ``fields`` as header and checkpoint parsers; the figure plots column
-    ``plot_key`` of every row against q, with ``curves`` ((label, f)
-    pairs drawn over ``qs``) and ``svg`` passed on to
-    ``scatter_svg``.  An interrupted sweep's rows are complete, so
-    --resume picks up from them.
+    The primes not already checkpointed are mapped through
+    ``search.sweep`` with ``solve(q, conv)`` and ``jobs``: results come in
+    ascending order, and a failed prime becomes an ``error`` item of the
+    manifest.  ``row(r, conv)`` gives a result's CSV values and the fields
+    of its manifest item after q and status.  The rows go to
+    <command>.csv, with ``fields`` as header and checkpoint parsers; the
+    figure plots column ``plot_key`` of every row against q, with
+    ``curves`` ((label, f) pairs drawn over the range's primes) and
+    ``svg`` passed on to ``scatter_svg``.  An interrupted sweep's rows are
+    complete, so --resume picks up from them.
     """
     conv = ZeroConvention.parse(args.convention)
     q_lo, q_hi = args.range
@@ -243,7 +256,8 @@ def _sweep(args, command: str, fields: dict, params: dict, results, row,
 
         with _Csv(csv_path, list(fields), args.resume) as sheet:
             manifest.outputs.append(str(csv_path))
-            for r in results(conv, qs, frozenset(done), on_error):
+            for r in sweep(partial(solve, conv=conv),
+                           [q for q in qs if q not in done], jobs, on_error):
                 values, item = row(r, conv)
                 sheet.row(values)
                 manifest.items.append({"q": r.q, "status": "ok", **item})
@@ -267,12 +281,6 @@ VCDIM_FIELDS = {"q": int, "vcdim": int, "exact": _flag, "alpha_q": float,
 
 
 def cmd_vcdim(args) -> int:
-    def results(conv, qs, skip, on_error):
-        if qs:  # vc_sweep solves the primes of [qs[0], qs[-1]], that is qs
-            yield from vc_sweep(qs[0], qs[-1], conv,
-                                early_exit=args.early_exit, jobs=args.jobs,
-                                skip=skip, on_error=on_error)
-
     def row(r, conv):
         return ([r.q, r.vcdim, str(r.exact).lower(), f"{r.alpha_q:.6f}",
                  ";".join(str(y) for y in r.witness), r.convention.value,
@@ -282,7 +290,8 @@ def cmd_vcdim(args) -> int:
 
     return _sweep(args, "vcdim", VCDIM_FIELDS,
                   {"early_exit": args.early_exit, "jobs": args.jobs},
-                  results, row, "vcdim", [("log2 q", log2)],
+                  partial(vc_dimension, early_exit=args.early_exit),
+                  args.jobs, row, "vcdim", [("log2 q", log2)],
                   x_label="prime q", y_label="largest shattered size",
                   title=f"VC dimension, convention {args.convention}")
 
@@ -296,20 +305,12 @@ AP_FIELDS = {"q": int, "longest": int, "log2_q": float, "ratio": float,
 
 
 def cmd_ap(args) -> int:
-    def results(conv, qs, skip, on_error):
-        for q in qs:
-            if q in skip:
-                continue
-            try:
-                yield longest_shattered_ap(q, conv)
-            except Exception as exc:  # noqa: BLE001 - per-prime isolation
-                on_error(q, exc)
-
     def row(r, conv):
         return ([r.q, r.longest, f"{log2(r.q):.6f}", f"{r.ratio:.6f}",
                  conv.value], {"longest": r.longest})
 
-    return _sweep(args, "ap", AP_FIELDS, {}, results, row, "longest",
+    return _sweep(args, "ap", AP_FIELDS, {}, longest_shattered_ap, 1, row,
+                  "longest",
                   [("log2 q", log2), ("log2 q / 2", lambda q: log2(q) / 2)],
                   x_label="prime q (log scale)",
                   y_label="longest shattered progression", log_x=True,
@@ -486,11 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog="prob_n<k>.csv columns: " + ", ".join(PROB_HEADER))
     p.add_argument("--n", type=_parse_range, required=True, metavar="LO:HI")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--density", type=float, default=100,
+    p.add_argument("--density", type=_finite_float, default=100,
                    help="expected number of sampled primes per plot")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ratio-lo", type=float, default=0.7)
-    p.add_argument("--ratio-hi", type=float, default=0.85)
+    p.add_argument("--ratio-lo", type=_finite_float, default=0.7)
+    p.add_argument("--ratio-hi", type=_finite_float, default=0.85)
     add_common(p, ZeroConvention.ZERO_IN.value)
     p.set_defaults(func=cmd_prob)
 
@@ -501,9 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_index_list, default="2",
                    help="comma-separated subgroup indices, each at least 2")
     p.add_argument("--n-max", type=int, default=2)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=_finite_float, default=0.1)
     p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_verify)
     return parser

@@ -62,12 +62,15 @@ threshold from an older best is only more permissive.
 ``shatter.ChildTally`` counts each node's block of children (under STRICT
 with sentinel bins for the translates landing on the subset), and
 ``shatter.canonical_minima`` walks the canonical sets of
-``testing_dimension``.  ``vc_sweep`` spreads primes over processes.
+``testing_dimension``.  ``sweep`` maps a per-prime function over a list
+of primes, in order and optionally over processes, and ``vc_sweep`` maps
+``vc_dimension`` over the primes of a range with it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -121,11 +124,11 @@ class _TreeSearch:
     """State of one prime's subset-tree walks: the best set found so far
     and the work counters, shared by the walks ``walk`` runs."""
 
-    def __init__(self, q: int, early_exit_at: int | None):
+    def __init__(self, q: int, early_exit: bool):
         self.q = q
         # The walk only compares best against the target, so a sentinel
         # above any reachable size disables early exit cheaply.
-        self.exit_at = early_exit_at if early_exit_at is not None else 1 << 62
+        self.exit_at = log2_floor(q) - 1 if early_exit else 1 << 62
         self.best = 0
         self.witness: tuple[int, ...] = ()
         self.cut_short = False
@@ -213,17 +216,18 @@ class _TreeSearch:
 
 
 def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
-                 early_exit_at: int | None = None,
+                 early_exit: bool = False,
                  check_canonical: bool = False) -> VcResult:
     """Exact VC dimension of the squares table of F_q under ``conv``.
 
     The larger of walk A and, when q = 1 (mod 4) and ``conv`` is not
     STRICT, walk B, both from {0, 1} (see the module docstring for why
-    that is exact).  ``early_exit_at`` stops the walks once a shattered
-    set of that size is found; the result is then flagged as a lower
-    bound (``exact=False``).  ``check_canonical`` reruns the search from
-    the translation-only root {0} (sound under every convention) over the
-    convention's own table and raises if the two answers ever disagree.
+    that is exact).  ``early_exit`` stops the walks once a shattered set
+    of size floor(log2 q) - 1 is found; the result is then flagged as a
+    lower bound (``exact=False``).  ``check_canonical`` reruns the search
+    from the translation-only root {0} (sound under every convention)
+    over the convention's own table and raises if the two answers ever
+    disagree.
     ``nodes`` and ``cells`` count the child blocks evaluated and their
     candidate rows times q, over every walk the call made.
     """
@@ -231,14 +235,14 @@ def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
     start = time.perf_counter()
     F = make_field(q)
     T, *dual = _walk_tables(F, conv)
-    state = _TreeSearch(q, early_exit_at)
+    state = _TreeSearch(q, early_exit)
     state.walk(T, (0, 1))
     if dual and not state.hit_exit():
         state.walk(dual[0], (0, 1), scale=F.g)
     best, witness = state.best, state.witness
     nodes, cells = state.nodes, state.cells
     if check_canonical:
-        ref = _TreeSearch(q, None)
+        ref = _TreeSearch(q, False)
         ref.walk(T, (0,))
         nodes, cells = nodes + ref.nodes, cells + ref.cells
         if not state.cut_short and ref.best != best:
@@ -314,39 +318,38 @@ def longest_shattered_ap(q: int,
     return ApResult(q=q, longest=n, ratio=n / log2(q))
 
 
-def _sweep_worker(args) -> VcResult:
-    q, conv_name, early_exit = args
-    conv = ZeroConvention.parse(conv_name)
-    target = log2_floor(q) - 1 if early_exit else None
-    return vc_dimension(q, conv, early_exit_at=target)
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def vc_sweep(q_lo: int, q_hi: int,
-             conv: ZeroConvention = ZeroConvention.ZERO_IN,
-             early_exit: bool = False, jobs: int = 1,
-             skip: frozenset[int] = frozenset(), on_error=None):
-    """Yield a VcResult for each prime in [q_lo, q_hi], ascending.
+def sweep(solve, qs: list[int], jobs: int = 1, on_error=None):
+    """Yield ``solve(q)`` for each prime q of the list ``qs``, in its order.
 
-    Primes in ``skip`` are omitted (checkpoint resume); per-prime failures
-    are reported through ``on_error(q, exc)`` and skipped.  The primes are
-    solved in a pool of min(jobs, primes left, usable CPUs) processes, or
-    in this one when that is 1, and emitted in order.
+    A prime whose ``solve`` raises an Exception yields nothing and is
+    reported through ``on_error(q, exc)``.  The primes are solved in a
+    pool of min(jobs, len(qs), usable CPUs) processes, which needs a
+    ``solve`` that pickles, or in this one when that number is 1.
     """
-    qs = [q for q in primes_in_range(q_lo, q_hi) if q not in skip]
-    args = [(q, conv.value, early_exit) for q in qs]
     workers = min(jobs, len(qs), _usable_cpus())
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
-        futures = [pool.submit(_sweep_worker, a) for a in args] if pool else []
-        for i, q in enumerate(qs):
+        calls = ([pool.submit(solve, q).result for q in qs] if pool
+                 else [functools.partial(solve, q) for q in qs])
+        for q, call in zip(qs, calls):
             try:
-                yield futures[i].result() if pool else _sweep_worker(args[i])
+                yield call()
             except Exception as exc:  # noqa: BLE001 - per-prime isolation
                 if on_error is not None:
                     on_error(q, exc)
+
+
+def vc_sweep(q_lo: int, q_hi: int,
+             conv: ZeroConvention = ZeroConvention.ZERO_IN,
+             early_exit: bool = False, jobs: int = 1, on_error=None):
+    """Yield ``vc_dimension`` for each prime in [q_lo, q_hi], ascending,
+    through ``sweep``."""
+    yield from sweep(functools.partial(vc_dimension, conv=conv,
+                                       early_exit=early_exit),
+                     primes_in_range(q_lo, q_hi), jobs, on_error)

@@ -28,7 +28,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import Infeasible, IndexNotDividing, LengthMismatch
+from .errors import (Infeasible, IndexNotDividing, LengthMismatch,
+                     ModulusMismatch)
 from .field import (ZERO_EXP, CharacterTable, PrimeField, ZeroConvention,
                     character_table, log2_floor, power_table, residue_table)
 from .montecarlo import sample_subset
@@ -71,7 +72,7 @@ def char_sum(F: PrimeField, C: CharacterTable, spec: PolySpec) -> complex:
     not have the distinct roots it claims.
     """
     if C.q != F.q:
-        raise IndexNotDividing("character table was built for another field")
+        raise ModulusMismatch("character table was built for another field")
     q, r = F.q, C.r
     if len({y % q for y in spec.roots}) != len(spec.roots):
         raise ValueError(f"roots must be distinct mod {q}")
@@ -167,16 +168,39 @@ def verify_weil(F: PrimeField, C: CharacterTable, n_max: int,
                       max_abs_sum=max_abs, worst=worst)
 
 
-def _targets(F: PrimeField, Y: Sequence[int],
+def _targets(F: PrimeField, C: CharacterTable, Y: Sequence[int],
              t: Sequence[int]) -> tuple[int, ...]:
-    """The coset targets (t_1, ..., t_n) of Y, one per element, each
-    nonzero in F_q."""
-    targets = tuple(t)
-    if len(targets) != len(Y):
-        raise LengthMismatch(f"|Y| = {len(Y)} but |t| = {len(targets)}")
-    if any(tj % F.q == 0 for tj in targets):
+    """The exponents of the coset targets (t_1, ..., t_n) of Y, after
+    checking the input every coset probability shares: ``C`` is a table
+    of ``F``, there is one target per element, the elements of Y are
+    distinct mod q and every target is nonzero."""
+    q = F.q
+    if C.q != q:
+        raise ModulusMismatch("character table was built for another field")
+    if len(t) != len(Y):
+        raise LengthMismatch(f"|Y| = {len(Y)} but |t| = {len(t)}")
+    if len({y % q for y in Y}) != len(Y):
+        raise ValueError(f"elements of Y must be distinct mod {q}")
+    if any(tj % q == 0 for tj in t):
         raise ValueError("coset targets must be nonzero")
-    return targets
+    return tuple(int(C.exp_of[tj % q]) for tj in t)
+
+
+def _coset_counts(F: PrimeField, C: CharacterTable, Y: Sequence[int],
+                  t: Sequence[int]) -> tuple[int, int]:
+    """Numbers of translates x with y_j - x in t_j * G_r for every j:
+    ``inside`` those with no y_j - x = 0, ``boundary`` those with one
+    y_i - x = 0 and every other y_j - x in its coset.  As Y is distinct,
+    no translate hits two elements."""
+    exps = np.array(_targets(F, C, Y, t), dtype=np.int64)
+    q = F.q
+    ys = np.array([y % q for y in Y], dtype=np.int64)
+    e = C.exp_of[(ys[:, None] - np.arange(q, dtype=np.int64)) % q]
+    hit = e == exps[:, None]
+    zero = e == ZERO_EXP
+    inside = int(hit.all(axis=0).sum())
+    boundary = int(((hit | zero).all(axis=0) & zero.any(axis=0)).sum())
+    return inside, boundary
 
 
 def coset_probability(F: PrimeField, C: CharacterTable,
@@ -188,18 +212,10 @@ def coset_probability(F: PrimeField, C: CharacterTable,
     every coset under ZERO_IN and as non-members otherwise.  The
     denominator is always q.
     """
-    targets = _targets(F, Y, t)
-    q = F.q
-    xs = np.arange(q, dtype=np.int64)
-    ok = np.ones(q, dtype=bool)
-    for y, tj in zip(Y, targets):
-        te = int(C.exp_of[tj % q])
-        e = C.exp_of[(y - xs) % q]
-        cond = e == te
-        if conv is ZeroConvention.ZERO_IN:
-            cond |= e == ZERO_EXP
-        ok &= cond
-    return Fraction(int(ok.sum()), q)
+    inside, boundary = _coset_counts(F, C, Y, t)
+    if conv is ZeroConvention.ZERO_IN:
+        inside += boundary
+    return Fraction(inside, F.q)
 
 
 def fuzzy_coset_probability(F: PrimeField, C: CharacterTable,
@@ -211,21 +227,8 @@ def fuzzy_coset_probability(F: PrimeField, C: CharacterTable,
     exact weighting under which the character expansion below is an
     identity.
     """
-    targets = _targets(F, Y, t)
-    q, r = F.q, C.r
-    base = coset_probability(F, C, Y, targets, ZeroConvention.ZERO_OUT)
-    extra = Fraction(0)
-    for i, x in enumerate(Y):
-        weight = Fraction(1, r)
-        for j, (y, tj) in enumerate(zip(Y, targets)):
-            if j == i:
-                continue
-            e = int(C.exp_of[(y - x) % q])
-            if e != int(C.exp_of[tj % q]):
-                weight = Fraction(0)
-                break
-        extra += weight
-    return base + extra / q
+    inside, boundary = _coset_counts(F, C, Y, t)
+    return (inside + Fraction(boundary, C.r)) / F.q
 
 
 def fourier_probability(F: PrimeField, C: CharacterTable,
@@ -235,7 +238,7 @@ def fourier_probability(F: PrimeField, C: CharacterTable,
     r^(-n) * (1 + sum over nonzero exponent vectors k of
     conj(chi)(prod t_j^k_j) * (1/q) * char_sum(f_k)).
     """
-    targets = _targets(F, Y, t)
+    exps = _targets(F, C, Y, t)
     q, r = F.q, C.r
     n = len(Y)
     phases = np.exp(2j * np.pi * np.arange(r) / r)
@@ -243,7 +246,7 @@ def fourier_probability(F: PrimeField, C: CharacterTable,
     for ks in itertools.product(range(r), repeat=n):
         if not any(ks):
             continue
-        prod_exp = sum(k * int(C.exp_of[tj % q]) for k, tj in zip(ks, targets)) % r
+        prod_exp = sum(k * e for k, e in zip(ks, exps)) % r
         b = phases[prod_exp].conjugate()
         s = char_sum(F, C, PolySpec(tuple(Y), ks))
         total += b * s / q
@@ -470,8 +473,13 @@ def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremR
     every canonical subset the check decides, (q - 2)(q - 3)/2 quads.
 
     Other sizes walk the canonical subsets with ``canonical_minima``,
-    after checking their number against ``OP_BUDGET // q``.
+    after checking their number against ``OP_BUDGET // q``, unless
+    2^n > q - n: an n-set then has fewer allowed translates than the 2^n
+    witnesses it needs, so every one fails.  Raises ValueError for a
+    non-finite ``epsilon``.
     """
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, not {epsilon}")
     C = character_table(F, r)
     q = F.q
     n_star = int((0.5 - epsilon) * math.log(q, r))
@@ -492,8 +500,11 @@ def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremR
         if checked > OP_BUDGET // q:
             raise Infeasible(f"canonical enumeration at q={q}, n*={n} "
                              f"exceeds the operation budget")
-        minima = canonical_minima(_witness_tally(F, C, t), k, n)
-        failures = sum(int((mins == 0).sum()) for mins in minima)
+        if (1 << n) > q - n:  # pigeonhole, as in ``testing_dimension``
+            failures = checked
+        else:
+            minima = canonical_minima(_witness_tally(F, C, t), k, n)
+            failures = sum(int((mins == 0).sum()) for mins in minima)
     return TheoremReport(q=q, r=r, epsilon=epsilon, n_star=n_star,
                          checked=checked, failures=failures,
                          passed=failures == 0)

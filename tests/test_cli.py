@@ -320,10 +320,10 @@ def test_verify_skips_checks_over_budget(tmp_path, monkeypatch):
 
 
 def _interrupt_at(stop_q, monkeypatch):
-    """Make ``vc_sweep`` and ``longest_shattered_ap``, as the CLI calls
-    them, raise KeyboardInterrupt when they reach the prime ``stop_q``."""
+    """Make ``sweep``, as the CLI calls it, raise KeyboardInterrupt when it
+    reaches the prime ``stop_q``."""
     from residuevc import cli
-    sweep, ap = cli.vc_sweep, cli.longest_shattered_ap
+    sweep = cli.sweep
 
     def interrupted_sweep(*args, **kwargs):
         for r in sweep(*args, **kwargs):
@@ -331,13 +331,7 @@ def _interrupt_at(stop_q, monkeypatch):
                 raise KeyboardInterrupt
             yield r
 
-    def interrupted_ap(q, *args, **kwargs):
-        if q == stop_q:
-            raise KeyboardInterrupt
-        return ap(q, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "vc_sweep", interrupted_sweep)
-    monkeypatch.setattr(cli, "longest_shattered_ap", interrupted_ap)
+    monkeypatch.setattr(cli, "sweep", interrupted_sweep)
 
 
 @pytest.mark.parametrize("command, key", [("vcdim", "vcdim"),
@@ -454,6 +448,41 @@ def test_prob_misuse_leaves_previous_run(tmp_path, bad, capsys):
     assert main(argv + bad) == 2
     assert "residuevc:" in capsys.readouterr().err
     assert _snapshot(out) == before
+
+
+_PREVIOUS = {"verify": ["verify", "--q-max", "40", "--samples", "50"],
+             "prob": ["prob", "--n", "6:6", "--trials", "5", "--density", "3"]}
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("verify", "--seed=-1"), ("verify", "--epsilon=nan"),
+    ("verify", "--epsilon=inf"), ("verify", "--epsilon=-inf"),
+    ("prob", "--density=inf"), ("prob", "--density=nan"),
+    ("prob", "--ratio-lo=nan"), ("prob", "--ratio-hi=inf")])
+def test_non_finite_or_negative_argument_rejected(tmp_path, command, bad,
+                                                  capsys):
+    out = tmp_path / "o"
+    argv = _PREVIOUS[command] + ["--out-dir", str(out)]
+    assert main(argv) == 0
+    before = _snapshot(out)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [bad])
+    assert exc.value.code == 2
+    assert bad.partition("=")[0] in capsys.readouterr().err
+    assert _snapshot(out) == before
+
+
+def test_verify_past_pigeonhole_reports_failures(tmp_path):
+    # from q = 11 on, eps = -1 asks for n* with 2^n* > q - n*
+    out = tmp_path / "w"
+    assert main(["verify", "--q-max", "40", "--epsilon=-1", "--samples", "50",
+                 "--out-dir", str(out)]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "complete"
+    failed = [r for r in read_csv(out / "verify.csv") if r["status"] == "FAIL"]
+    assert {r["check"] for r in failed} == {"shattering"}
+    assert "11" in {r["q"] for r in failed}
 
 
 @pytest.mark.parametrize("previous, refused", [

@@ -95,15 +95,14 @@ def test_strict_q5_is_one():
 
 
 def test_early_exit_finds_near_max_at_257():
-    r = vc_dimension(257, ZeroConvention.ZERO_IN,
-                     early_exit_at=log2_floor(257) - 1)
+    r = vc_dimension(257, ZeroConvention.ZERO_IN, early_exit=True)
     assert len(r.witness) >= 7
 
 
 def test_early_exit_flags_lower_bound():
     q = 61
     target = log2_floor(q) - 1
-    r = vc_dimension(q, ZeroConvention.ZERO_IN, early_exit_at=target)
+    r = vc_dimension(q, ZeroConvention.ZERO_IN, early_exit=True)
     assert r.vcdim >= target
     full = vc_dimension(q, ZeroConvention.ZERO_IN)
     assert full.exact
@@ -272,12 +271,22 @@ def test_sweep_empty_range():
     assert list(vc_sweep(14, 16)) == []
 
 
-def test_sweep_order_and_resume_skip():
+def test_sweep_order():
     res = list(vc_sweep(5, 31, ZeroConvention.ZERO_IN))
     assert [r.q for r in res] == primes_in_range(5, 31)
-    partial = list(vc_sweep(5, 31, ZeroConvention.ZERO_IN,
-                            skip=frozenset([5, 11, 31])))
-    assert [r.q for r in partial] == [7, 13, 17, 19, 23, 29]
+
+
+def test_sweep_maps_list_order_and_reports_errors():
+    def solve(q):
+        if q == 9:
+            raise ValueError("not prime")
+        return q * q
+
+    seen = []
+    res = list(search.sweep(solve, [13, 5, 9, 7],
+                            on_error=lambda q, e: seen.append((q, str(e)))))
+    assert res == [169, 25, 49]
+    assert seen == [(9, "not prime")]
 
 
 def test_sweep_records_errors():
@@ -328,9 +337,8 @@ def test_sweep_bounds_pool_size(monkeypatch, jobs, cpus, want):
     got = [(r.q, r.vcdim) for r in vc_sweep(5, 13, jobs=jobs)]
     assert got == [(5, 2), (7, 2), (11, 3), (13, 3)]
     assert RecordingPool.sizes == want
-    # one prime left after the resume skip runs serially whatever jobs is
-    assert [r.q for r in vc_sweep(5, 13, jobs=jobs,
-                                  skip=frozenset([5, 7, 11]))] == [13]
+    # one prime runs serially whatever jobs is
+    assert [r.q for r in vc_sweep(13, 13, jobs=jobs)] == [13]
     assert RecordingPool.sizes == want
 
 
@@ -371,8 +379,7 @@ def test_pinned_results(conv):
 def test_pinned_early_exit():
     # early exit stops at the first set of the target size
     for q, want in {61: 4, 101: 5, 131: 6, 167: 6}.items():
-        r = vc_dimension(q, ZeroConvention.ZERO_IN,
-                         early_exit_at=log2_floor(q) - 1)
+        r = vc_dimension(q, ZeroConvention.ZERO_IN, early_exit=True)
         assert (r.vcdim, r.exact) == (want, False), q
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from residuevc import weil
-from residuevc.errors import Infeasible, LengthMismatch
+from residuevc.errors import Infeasible, LengthMismatch, ModulusMismatch
 from residuevc.field import (ZeroConvention, character_table, make_field,
                              residue_table)
 from residuevc.primes import primes_in_range
@@ -73,6 +73,12 @@ def test_char_sum_matches_direct_oracle():
             got = char_sum(F, C, PolySpec(roots, powers))
             want = char_sum_direct(q, r, F.g, roots, powers)
             assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_char_sum_refuses_a_foreign_table():
+    F = make_field(13)
+    with pytest.raises(ModulusMismatch):
+        char_sum(F, character_table(make_field(101), 2), PolySpec((0,), (1,)))
 
 
 def test_char_sum_refuses_roots_equal_mod_q():
@@ -227,20 +233,32 @@ def test_target_sum_covers_nonroot_translates():
     assert total == Fraction(13 - 2, 13)
 
 
+PROBABILITIES = (coset_probability, fuzzy_coset_probability,
+                 fourier_probability)
+
+
 def test_length_mismatch():
     F, C = setup_fc(13, 2)
-    with pytest.raises(LengthMismatch):
-        coset_probability(F, C, [0, 1], [1])
-    with pytest.raises(LengthMismatch):
-        fourier_probability(F, C, [0, 1], [1])
+    for probability in PROBABILITIES:
+        with pytest.raises(LengthMismatch):
+            probability(F, C, [0, 1], [1])
+
+
+@pytest.mark.parametrize("probability", PROBABILITIES,
+                         ids=lambda f: f.__name__)
+def test_foreign_table_and_repeated_element_refused(probability):
+    F, C = setup_fc(13, 2)
+    with pytest.raises(ModulusMismatch):
+        probability(F, character_table(make_field(101), 2), [3], [1])
+    with pytest.raises(ValueError):  # 13 is 0 in F_13
+        probability(F, C, [0, 13], [1, 1])
 
 
 def test_zero_target_refused():
     # 0 and 13 are the zero of F_13, which lies in no coset of G_2
     F, C = setup_fc(13, 2)
     for t in ([0, 1], [1, 13]):
-        for probability in (coset_probability, fuzzy_coset_probability,
-                            fourier_probability):
+        for probability in PROBABILITIES:
             with pytest.raises(ValueError):
                 probability(F, C, [0, 1], t)
 
@@ -348,6 +366,26 @@ def test_theorem_budget_is_checked_before_the_walk(monkeypatch):
     monkeypatch.setattr(weil, "OP_BUDGET", 5151 * 103)
     rep = verify_shattering_theorem(make_field(103), 3, -0.3)
     assert (rep.n_star, rep.checked) == (3, 5151)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+def test_theorem_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError):
+        verify_shattering_theorem(make_field(101), 2, epsilon)
+
+
+def test_theorem_past_pigeonhole_fails_every_subset():
+    # 2^n > q - n: no n-set has 2^n allowed translates for its witnesses
+    rep = verify_shattering_theorem(make_field(5), 2, -2)
+    assert (rep.n_star, rep.checked, rep.failures) == (5, 1, 1)
+    assert not rep.passed
+    # n* = 4 at q = 13, r = 3: 16 > 9, where the kernel still counts
+    F, C = setup_fc(13, 3)
+    rep = verify_shattering_theorem(F, 3, -1.5)
+    assert (rep.n_star, rep.checked, rep.failures) == (4, 220, 220)
+    t = weil._first_non_power(F, C)
+    minima = list(canonical_minima(_witness_tally(F, C, t), 1, 4))
+    assert not any(mins.any() for mins in minima)
 
 
 def test_quad_fast_path_matches_generic():
