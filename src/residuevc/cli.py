@@ -286,7 +286,7 @@ def cmd_vcdim(args) -> int:
                  ";".join(str(y) for y in r.witness), r.convention.value,
                  f"{r.elapsed_ms:.1f}"],
                 {"vcdim": r.vcdim, "exact": r.exact, "nodes": r.nodes,
-                 "cells": r.cells})
+                 "cells": r.cells, "nodes_by_depth": r.nodes_by_depth})
 
     return _sweep(args, "vcdim", VCDIM_FIELDS,
                   {"early_exit": args.early_exit, "jobs": args.jobs},
@@ -501,9 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-max", type=int, default=101)
     p.add_argument("--r", type=_index_list, default="2",
                    help="comma-separated subgroup indices, each at least 2")
-    p.add_argument("--n-max", type=int, default=2)
+    p.add_argument("--n-max", type=_positive_int, default=2)
     p.add_argument("--epsilon", type=_finite_float, default=0.1)
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--samples", type=_non_negative_int, default=500)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_verify)

@@ -31,18 +31,16 @@ The first step of both walks, {0}, settles the singletons, which are all
 shattered or none.  ``testing_dimension`` uses the same map: from n = 2
 on, every n-set is shattered exactly when every n-set holding {0, 1} is,
 over the convention's table and, when q = 1 (mod 4) and the convention is
-not STRICT, over the dual table.  ``check_canonical`` reruns the search
-from {0}, with translations only.
+not STRICT, over the dual table.
 
-A walk visits the tree of supersets of its root ({0, 1}, or {0} for
-``check_canonical``): a node Y has children Y + {m}, visited in
-increasing m.  Each node carries the candidates it inherited from its
-parent and counts one block of children over exactly those candidates
-(the root's candidates are every m > max(Y), in walk B those passing its
-filter).  With best the largest shattered size known, only children
-whose minimum pattern count is at least 2^(best - |Y|) survive, and the
-child Y + {m} inherits the survivors after m (in walk B, those at a
-nonzero square's distance from m).
+A walk visits the tree of supersets of {0, 1}: a node Y has children
+Y + {m}, visited in increasing m.  Each node carries the candidates it
+inherited from its parent and counts one block of children over exactly
+those candidates (the root's candidates are every m > 1, in walk B those
+passing its filter).  With best the largest shattered size known, only
+children whose minimum pattern count is at least 2^(best - |Y|) survive,
+and the child Y + {m} inherits the survivors after m (in walk B, those
+at a nonzero square's distance from m).
 
 The prune is sound under every zero convention.  Let Z be shattered with
 Y <= W <= Z.  Each pattern of W extends to 2^(|Z| - |W|) patterns of Z,
@@ -59,6 +57,43 @@ candidates are among those survivors, also in walk B, which is why the
 cut reads them before walk B's filter by m.  Because best only grows, a
 threshold from an older best is only more permissive.
 
+Each walk is orderly (McKay's canonical augmentation): it expands one
+set per orbit.  A pair (a, z) of a set is valid for a walk when its map
+x -> (x - a)/(z - a) keeps the walk's shattering: in walk A under
+ZERO_IN and ZERO_OUT when z - a is a nonzero square, under STRICT
+always, and in walk B always, since all its differences are squares.
+The valid pair maps are the maps of the walk's group G that send a set
+onto one holding {0, 1}; G is the affine maps x -> s x + t, with s a
+nonzero square except under STRICT, which every affine map keeps.  A set
+Z holding {0, 1} is canonical when no valid pair maps it onto a
+lexicographically smaller sorted tuple.  A walk descends only into
+canonical children, but still records a child larger than best, and
+a child's candidates are the survivors after it, canonical or not.
+
+1. The pair images depend only on the orbit.  For psi in G, the pair
+   (psi a, psi z) of psi Z is valid exactly when (a, z) is, since psi
+   multiplies differences by s, and its map sends psi x to
+   (x - a)/(z - a).  So the pair images of Z are the members of its
+   orbit that hold {0, 1}, Z among them by the pair (0, 1).  Taking the
+   least is idempotent, and each orbit has exactly one canonical member,
+   shattered when the orbit's sets are.
+2. Heredity: if Z is canonical, so is Z' = Z - {max Z}.  The pairs of Z'
+   are pairs of Z.  If A < B (sorted, of one length), then
+   A + {x} < B + {y} for any x and any y > max B: B + {y} only appends
+   y, and inserting x into A keeps it below B at the first place where
+   they differ or earlier.  So a pair mapping Z' below itself maps Z
+   below itself, and every canonical set is reached from {0, 1} through
+   a chain of canonical nodes.
+3. The prune and the cut reason only about which survivors a larger Z
+   draws from, not about which nodes are expanded.  A set the walk looks
+   for that is larger than best has a canonical image the walk looks for
+   too (1.), whose prefixes are canonical (2.) and each drawn from its
+   parent's survivors, so the orderly walk still reaches it.
+
+``canonical`` decides a node's survivors, as far as the sibling cut can
+reach, in one pass: survivors times k(k - 1) pairs times k - 2 elements,
+dividing through the discrete-log table.
+
 ``shatter.ChildTally`` counts each node's block of children (under STRICT
 with sentinel bins for the translates landing on the subset), and
 ``shatter.canonical_minima`` walks the canonical sets of
@@ -71,6 +106,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -79,7 +115,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import (PrimeField, ResidueTable, ZeroConvention, log2,
-                    log2_floor, make_field, squares_table)
+                    log2_floor, make_field, power_table, squares_table)
 from .primes import primes_in_range, require_prime
 from .shatter import (ChildTally, canonical_minima, fold_patterns,
                       pattern_counts, shatter_report, signatures)
@@ -98,6 +134,7 @@ class VcResult:
     exact: bool
     nodes: int
     cells: int
+    nodes_by_depth: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -120,19 +157,38 @@ def _walk_tables(F: PrimeField, conv: ZeroConvention) -> list[ResidueTable]:
     return tables
 
 
+@functools.cache
+def _pair_maps(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the ordered pairs (a, z) of a k-set, the element indices of a,
+    of z and of the other k - 2 elements in order, one row per pair; and
+    the weights 2^(k - 3), ..., 1 that rank a vector of signs by its
+    first nonzero entry."""
+    rows = [(a, z, *(t for t in range(k) if t not in (a, z)))
+            for a, z in itertools.permutations(range(k), 2)]
+    maps = (np.array(rows, dtype=np.int64),
+            1 << np.arange(k - 3, -1, -1, dtype=np.int64))
+    for arr in maps:
+        arr.setflags(write=False)  # shared by every caller
+    return maps
+
+
 class _TreeSearch:
     """State of one prime's subset-tree walks: the best set found so far
     and the work counters, shared by the walks ``walk`` runs."""
 
-    def __init__(self, q: int, early_exit: bool):
-        self.q = q
+    def __init__(self, F: PrimeField, conv: ZeroConvention, early_exit: bool):
+        q = self.q = F.q
         # The walk only compares best against the target, so a sentinel
         # above any reachable size disables early exit cheaply.
         self.exit_at = log2_floor(q) - 1 if early_exit else 1 << 62
+        self.all_pairs = conv is ZeroConvention.STRICT
+        self.dlog = F.dlog
+        self.powers = power_table(q, F.g)
         self.best = 0
         self.witness: tuple[int, ...] = ()
         self.cut_short = False
-        self.nodes = 0
+        # a shattered node has at most floor(log2 q) elements
+        self.nodes_by_depth = [0] * q.bit_length()
         self.cells = 0
 
     def hit_exit(self) -> bool:
@@ -152,50 +208,76 @@ class _TreeSearch:
         self.best = len(Y)
         self.witness = tuple(sorted(self.scale * y % self.q for y in Y))
 
-    def walk(self, T: ResidueTable, root: tuple[int, ...],
-             scale: int = 1) -> None:
-        """Walk the supersets of ``root`` over ``T`` for sets larger than
-        the best known.  With ``scale`` 1 the sets found are recorded as
-        they are; otherwise ``scale`` is a non-square, ``T`` the dual
-        table, and this is walk B: only sets whose differences are all
-        nonzero squares are visited, and each is recorded times ``scale``.
+    def canonical(self, Y: list[int], ms: np.ndarray) -> np.ndarray:
+        """Whether each child Y + {m}, m in ``ms``, is canonical: no valid
+        pair (a, z) of it maps it by x -> (x - a)/(z - a) onto a smaller
+        sorted tuple (module docstring).  Y starts with 0, 1, so every
+        image does too and only the images of the other k - 2 elements
+        are compared, for all children and pairs at once."""
+        k = len(Y) + 1
+        rows, weights = _pair_maps(k)
+        Z = np.empty((ms.shape[0], k), dtype=np.int64)
+        Z[:, :-1] = Y
+        Z[:, -1] = ms
+        pairs = Z[:, rows]
+        # negative differences index from the end, that is mod q and mod
+        # q - 1: logs[..., 0] is dlog(z - a), the rest dlog(x - a)
+        logs = self.dlog[pairs[..., 1:] - pairs[..., :1]]
+        img = self.powers[logs[..., 1:] - logs[..., :1]]
+        img.sort(axis=2)
+        smaller = np.sign(img - Z[:, None, 2:]) @ weights < 0
+        if not self.all_pairs:
+            smaller &= logs[..., 0] % 2 == 0  # z - a is a square
+        return ~smaller.any(axis=1)
+
+    def walk(self, T: ResidueTable, scale: int = 1) -> None:
+        """Walk the canonical supersets of {0, 1} over ``T`` for sets
+        larger than the best known.  With ``scale`` 1 the sets found are
+        recorded as they are; otherwise ``scale`` is a non-square, ``T``
+        the dual table, and this is walk B: only sets whose differences
+        are all nonzero squares are visited, and each is recorded times
+        ``scale``.
         """
         self.tally = ChildTally(T)
         self.scale = scale
         # read at nonzero differences only, where either table is the squares
         self.square = None if scale == 1 else T.member.astype(bool)
-        for k in range(1, len(root) + 1):
-            rep = shatter_report(root[:k], T)
+        for Y in ((0,), (0, 1)):
+            rep = shatter_report(Y, T)
             if not rep.shattered:
                 return  # nor is any superset
-            if k > self.best:
-                self.record(root[:k])
-        cands = np.arange(root[-1] + 1, self.q, dtype=np.int64)
+            if len(Y) > self.best:
+                self.record(Y)
+        cands = np.arange(2, self.q, dtype=np.int64)
         if self.square is not None:
-            for y in root:
-                cands = cands[self.square[cands - y]]
+            cands = cands[self.square[cands] & self.square[cands - 1]]
         if (not self.hit_exit()
-                and len(root) + min(rep.index, cands.shape[0]) > self.best):
-            seed = list(root)
-            self.descend(seed, signatures(seed, T), cands)
+                and 2 + min(rep.index, cands.shape[0]) > self.best):
+            self.descend([0, 1], signatures([0, 1], T), cands)
 
     def descend(self, Y: list[int], sig: np.ndarray, cands: np.ndarray) -> None:
-        """Depth-first walk below a shattered node Y: count its children
-        over ``cands``, keep those meeting the threshold, and visit each
-        Y + {m} with the survivors after m as its candidates (in walk B
-        those at a square distance from m)."""
+        """Depth-first walk below a canonical shattered node Y: count its
+        children over ``cands``, keep those meeting the threshold, record
+        any larger than the best, and visit each canonical Y + {m} with the
+        survivors after m as its candidates (in walk B those at a square
+        distance from m)."""
         n = len(Y)
         kept = []
         for ms, csig, counts in self.tally.children(Y, sig, cands):
             mins = counts.min(axis=1)
             keep = mins >= self.threshold(n)
             kept.append((ms[keep], mins[keep], csig[keep]))
-        self.nodes += 1
+        self.nodes_by_depth[n] += 1
         self.cells += cands.shape[0] * self.q
         ms, mins, csig = (kept[0] if len(kept) == 1
                           else (np.concatenate(part) for part in zip(*kept)))
         size = n + 1
         counts = mins.tolist()
+        # the sibling cut below stops before this prefix ends
+        reach = ms[:max(0, ms.shape[0] + size - 1 - self.best)]
+        if not reach.shape[0]:
+            return  # not even the first child passes the cut
+        canon = self.canonical(Y, reach).tolist()
         for i, c in enumerate(counts):
             if self.hit_exit():
                 return
@@ -209,6 +291,8 @@ class _TreeSearch:
             child = Y + [m]
             if size > best:
                 self.record(child)
+            if not canon[i]:
+                continue  # its orbit's canonical member is walked instead
             if self.square is not None:
                 later = later[self.square[later - m]]
             if size + later.shape[0] > self.best and c >= self.threshold(n):
@@ -216,39 +300,27 @@ class _TreeSearch:
 
 
 def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
-                 early_exit: bool = False,
-                 check_canonical: bool = False) -> VcResult:
+                 early_exit: bool = False) -> VcResult:
     """Exact VC dimension of the squares table of F_q under ``conv``.
 
     The larger of walk A and, when q = 1 (mod 4) and ``conv`` is not
     STRICT, walk B, both from {0, 1} (see the module docstring for why
     that is exact).  ``early_exit`` stops the walks once a shattered set
     of size floor(log2 q) - 1 is found; the result is then flagged as a
-    lower bound (``exact=False``).  ``check_canonical`` reruns the search
-    from the translation-only root {0} (sound under every convention)
-    over the convention's own table and raises if the two answers ever
-    disagree.
+    lower bound (``exact=False``).
     ``nodes`` and ``cells`` count the child blocks evaluated and their
-    candidate rows times q, over every walk the call made.
+    candidate rows times q, over every walk the call made;
+    ``nodes_by_depth[d]`` counts the blocks of d-element nodes.
     """
     require_prime(q)
     start = time.perf_counter()
     F = make_field(q)
     T, *dual = _walk_tables(F, conv)
-    state = _TreeSearch(q, early_exit)
-    state.walk(T, (0, 1))
+    state = _TreeSearch(F, conv, early_exit)
+    state.walk(T)
     if dual and not state.hit_exit():
-        state.walk(dual[0], (0, 1), scale=F.g)
+        state.walk(dual[0], scale=F.g)
     best, witness = state.best, state.witness
-    nodes, cells = state.nodes, state.cells
-    if check_canonical:
-        ref = _TreeSearch(q, False)
-        ref.walk(T, (0,))
-        nodes, cells = nodes + ref.nodes, cells + ref.cells
-        if not state.cut_short and ref.best != best:
-            raise RuntimeError(
-                f"canonicalized search found {best} but translation-only "
-                f"search found {ref.best} at q={q} under {conv.value}")
     elapsed_ms = (time.perf_counter() - start) * 1e3
     if best > log2_floor(q):
         raise RuntimeError(f"search found size {best} above floor(log2 q) "
@@ -256,9 +328,13 @@ def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
     if witness and not shatter_report(witness, T).shattered:
         raise RuntimeError(f"witness {witness} is not shattered at q={q} "
                            f"under {conv.value}")
+    depths = state.nodes_by_depth
+    while depths and not depths[-1]:
+        depths.pop()
     return VcResult(q=q, vcdim=best, alpha_q=best / log2(q), convention=conv,
                     witness=witness, elapsed_ms=elapsed_ms,
-                    exact=not state.cut_short, nodes=nodes, cells=cells)
+                    exact=not state.cut_short, nodes=sum(depths),
+                    cells=state.cells, nodes_by_depth=tuple(depths))
 
 
 def testing_dimension(q: int, conv: ZeroConvention, cap: int) -> int:

@@ -160,3 +160,55 @@ def char_sum_direct(q: int, r: int, g: int, roots, powers) -> complex:
             val *= omega ** ((dlog[f] * k) % r)
         total += val
     return total
+
+
+def bitset_vc(q: int, member: np.ndarray, conv: ZeroConvention) -> int:
+    """Largest shattered size by a translation-only walk from {0}.
+
+    A set's allowed translates are split into its 2^n pattern classes,
+    each a Python-int bitset over x; adding m splits every class by the
+    translates x with m - x a member (and, under STRICT, drops x = m).  A
+    child is kept only when every class keeps at least 2^(best - n)
+    translates, the bound every subset of a shattered set above best
+    obeys, and inherits the kept children after it.  No pair
+    normalization, duality or numpy is involved.
+    """
+    strict = conv is ZeroConvention.STRICT
+    full = (1 << q) - 1
+    hit, miss = [], []
+    for m in range(q):
+        row = sum(1 << x for x in range(q) if member[(m - x) % q])
+        keep = full & ~(1 << m) if strict else full
+        hit.append(row & keep)
+        miss.append(~row & keep)
+    best = 0
+
+    def grow(classes, n, cands):
+        nonlocal best
+        need = 1 << max(0, best - n)
+        kids = []
+        for m in cands:
+            parts = []
+            for c in classes:
+                a, b = c & miss[m], c & hit[m]
+                if a.bit_count() < need or b.bit_count() < need:
+                    break
+                parts += (a, b)
+            else:
+                parts.sort(key=int.bit_count)  # small classes fail soonest
+                kids.append((m, parts, parts[0].bit_count()))
+        if kids:
+            best = max(best, n + 1)
+        for i, (m, parts, low) in enumerate(kids):
+            need = 1 << max(0, best - n)
+            later = [k for k, _, c in kids[i + 1:] if c >= need]
+            if n + 1 + len(later) <= best:
+                break
+            if low >= need:
+                grow(parts, n + 1, later)
+
+    # every shattered set translates onto one whose least element is 0
+    if miss[0] and hit[0]:
+        best = 1
+        grow([miss[0], hit[0]], 1, range(1, q))
+    return best

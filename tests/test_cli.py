@@ -290,8 +290,8 @@ def test_vcdim_manifest_work_counters(tmp_path):
     out = tmp_path / "v"
     assert main(["vcdim", "--range", "5:31", "--out-dir", str(out)]) == 0
     items = json.loads((out / "manifest.json").read_text())["items"]
-    assert items and all(i["nodes"] >= 0 and i["cells"] % i["q"] == 0
-                         for i in items)
+    assert items and all(i["nodes"] == sum(i["nodes_by_depth"]) >= 0
+                         and i["cells"] % i["q"] == 0 for i in items)
     assert set(read_csv(out / "vcdim.csv")[0]) == {
         "q", "vcdim", "exact", "alpha_q", "witness", "convention",
         "elapsed_ms"}
@@ -457,6 +457,9 @@ _PREVIOUS = {"verify": ["verify", "--q-max", "40", "--samples", "50"],
 @pytest.mark.parametrize("command, bad", [
     ("verify", "--seed=-1"), ("verify", "--epsilon=nan"),
     ("verify", "--epsilon=inf"), ("verify", "--epsilon=-inf"),
+    # a check over no size or a negative number of samples checks nothing
+    ("verify", "--n-max=0"), ("verify", "--n-max=-1"),
+    ("verify", "--samples=-5"),
     ("prob", "--density=inf"), ("prob", "--density=nan"),
     ("prob", "--ratio-lo=nan"), ("prob", "--ratio-hi=inf")])
 def test_non_finite_or_negative_argument_rejected(tmp_path, command, bad,

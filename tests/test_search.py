@@ -1,3 +1,4 @@
+import itertools
 from concurrent.futures import Future
 
 import numpy as np
@@ -13,8 +14,8 @@ from residuevc.search import longest_shattered_ap, vc_dimension, vc_sweep
 from residuevc.shatter import (ChildTally, is_shattered, pattern_counts,
                                shattering_index, signatures)
 
-from oracles import (naive_all_shattered, naive_vc, oracle_counts,
-                     oracle_shattered)
+from oracles import (bitset_vc, legendre, member_vector, naive_all_shattered,
+                     naive_vc, oracle_counts, oracle_shattered)
 
 CONVS = list(ZeroConvention)
 
@@ -61,7 +62,7 @@ def test_upper_bound_and_witness():
 def test_matches_naive_small_primes():
     for q in primes_in_range(5, 31):
         for conv in CONVS:
-            got = vc_dimension(q, conv, check_canonical=True).vcdim
+            got = vc_dimension(q, conv).vcdim
             assert got == naive_vc(q, member(q, conv), conv), (q, conv)
 
 
@@ -83,10 +84,14 @@ def test_zero_in_equals_zero_out():
                                 ZeroConvention.ZERO_OUT), q
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("conv", CONVS, ids=lambda c: c.value)
-def test_check_canonical_to_89(conv):
-    for q in primes_in_range(5, 89):
-        assert vc_dimension(q, conv, check_canonical=True).exact, q
+def test_matches_bitset_oracle_to_127(conv):
+    # a second exact path: translations only, from {0}, on Python ints
+    for q in primes_in_range(5, 127):
+        r = vc_dimension(q, conv)
+        assert r.exact, q
+        assert r.vcdim == bitset_vc(q, member_vector(q, 2, 1, conv), conv), q
 
 
 def test_strict_q5_is_one():
@@ -176,6 +181,43 @@ def test_child_block_matches_oracle_two_levels():
                 for m, row in zip(later.tolist(), gcounts):
                     want = oracle_counts(child + [m], T.member, conv)
                     assert np.array_equal(row, want), (q, conv, child, m)
+
+
+def _pair_images(Z, q, all_pairs):
+    """Sorted images of Z, which holds 0 and 1, under x -> (x - a)/(z - a)
+    for its ordered pairs (a, z) with z - a a square (any pair when
+    ``all_pairs``), by direct modular arithmetic."""
+    return {tuple(sorted((x - a) * pow(z - a, -1, q) % q for x in Z))
+            for a, z in itertools.permutations(Z, 2)
+            if all_pairs or legendre(z - a, q) == 1}
+
+
+@pytest.mark.parametrize("q", [13, 17, 19, 29])
+@pytest.mark.parametrize("conv", CONVS, ids=lambda c: c.value)
+def test_orderly_walk_lemma(q, conv):
+    # Over every k-set holding {0, 1}, k <= 5 (walk B: only those with
+    # square differences), the walk's canonical test keeps exactly the
+    # least member of each orbit, and a canonical set minus its largest
+    # element is canonical, so the walk reaches every canonical set.
+    state = search._TreeSearch(make_field(q), conv, early_exit=False)
+    strict = conv is ZeroConvention.STRICT
+    for square_only in [False] + [True] * (q % 4 == 1 and not strict):
+        canon = {(0, 1): True}
+        for k in range(3, 6):
+            for Y in [Z for Z in canon if len(Z) == k - 1]:
+                ms = [m for m in range(Y[-1] + 1, q) if not square_only
+                      or all(legendre(m - y, q) == 1 for y in Y)]
+                got = state.canonical(list(Y), np.array(ms, dtype=np.int64))
+                canon.update({Y + (m,): bool(c) for m, c in zip(ms, got)})
+        orbits = {}
+        for Z in canon:
+            images = _pair_images(Z, q, strict or square_only)
+            assert canon[Z] == (Z == min(images)), Z
+            orbits.setdefault(frozenset(images), []).append(Z)
+            if canon[Z] and len(Z) > 2:
+                assert canon[Z[:-1]], Z
+        for members in orbits.values():
+            assert sum(canon[Z] for Z in members) == 1, members
 
 
 def test_generation_bound_is_exact():
@@ -383,18 +425,16 @@ def test_pinned_early_exit():
         assert (r.vcdim, r.exact) == (want, False), q
 
 
-# (nodes, cells) of vc_dimension over every walk it makes.  The strict
-# and the zero-in 97 and 151 values were recorded with the walk that
-# counted its child blocks in the search module itself, so moving the
-# kernel cannot change the walk.  The others come from the walks from
-# {0, 1}; zero-in 181 and zero-out 5 and 97 include walk B.
+# (nodes, cells) of vc_dimension over every walk it makes, recorded with
+# the orderly walk, which expands one set per orbit; zero-in 181 and
+# zero-out 5 and 97 include walk B.
 PINNED_WORK = {
-    ZeroConvention.ZERO_IN: {97: (42, 175_958), 151: (10, 169_120),
-                             181: (21_063, 98_524_997)},
-    ZeroConvention.STRICT: {47: (102, 57_998), 107: (54, 173_554),
-                            131: (17, 175_278)},
-    ZeroConvention.ZERO_OUT: {5: (0, 0), 97: (4_192, 5_614_651),
-                              103: (114, 247_200)},
+    ZeroConvention.ZERO_IN: {97: (27, 142_978), 151: (10, 169_120),
+                             181: (3_379, 26_387_809)},
+    ZeroConvention.STRICT: {47: (16, 21_526), 107: (47, 162_854),
+                            131: (6, 94_189)},
+    ZeroConvention.ZERO_OUT: {5: (0, 0), 97: (656, 1_522_997),
+                              103: (112, 246_170)},
 }
 
 
@@ -412,13 +452,13 @@ def test_work_counters_repeat():
     for conv in CONVS:
         a = vc_dimension(89, conv)
         b = vc_dimension(89, conv)
-        assert (a.nodes, a.cells) == (b.nodes, b.cells)
-        assert a.nodes > 0 and a.cells % 89 == 0
+        assert (a.nodes, a.cells, a.nodes_by_depth) == \
+            (b.nodes, b.cells, b.nodes_by_depth)
+        assert a.nodes == sum(a.nodes_by_depth) > 0 and a.cells % 89 == 0
 
 
-# Kernel cells of vc_dimension(167) with inherited candidates; the walk
-# that expanded every child m > max(Y) needed 70.4 M.
-CELLS_167 = 26_350_596
+# Kernel cells of vc_dimension(167), expanding one set per orbit.
+CELLS_167 = 7_456_383
 
 
 def test_cells_gate_167():
