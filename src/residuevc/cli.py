@@ -3,7 +3,9 @@
 Every command runs inside one lifecycle, ``_run``: it owns the output
 directory ($RESIDUEVC_OUT/<command> or ./out/<command> by default) and
 the run's ``RunManifest``, which records parameters, timestamps, per-item
-status and the artifacts in the order the run creates them.  The manifest
+status, the artifacts in the order the run creates them, the environment
+(Python, numpy, CPUs) and, at each save, the CPU time and peak memory of
+the process and of its ``--jobs`` workers.  The manifest
 is saved as ``complete`` when the command returns, and as ``interrupted``
 (with the files written so far) when Ctrl-C stops it; any other error
 saves none and leaves the previous manifest in place.  Each command does
@@ -33,9 +35,31 @@ from .errors import Infeasible, ResidueVCError
 from .field import ZeroConvention, character_table, log2, make_field
 from .montecarlo import interface_primes, interface_scan
 from .primes import primes_in_range
-from .search import longest_shattered_ap, sweep, vc_dimension
+from .search import _usable_cpus, longest_shattered_ap, sweep, vc_dimension
 from .svgplot import scatter_svg
 from .weil import verify_equidistribution, verify_shattering_theorem, verify_weil
+
+
+def _environment() -> dict:
+    """Python and numpy versions, and the CPUs there are and may be used."""
+    import numpy
+    return {"python": sys.version.split()[0], "numpy": numpy.__version__,
+            "cpu_count": os.cpu_count(), "usable_cpus": _usable_cpus()}
+
+
+def _resources() -> dict:
+    """CPU seconds and peak resident memory so far, of this process and
+    of its finished child processes (the ``--jobs`` workers)."""
+    import resource
+    # ru_maxrss counts bytes on macOS and KiB elsewhere
+    rss_unit = 1 if sys.platform == "darwin" else 1024
+    use = {}
+    for who, flag in (("self", resource.RUSAGE_SELF),
+                      ("children", resource.RUSAGE_CHILDREN)):
+        r = resource.getrusage(flag)
+        use[who] = {"cpu_s": round(r.ru_utime + r.ru_stime, 3),
+                    "peak_rss_mb": round(r.ru_maxrss * rss_unit / 2**20, 1)}
+    return use
 
 
 @dataclass
@@ -49,10 +73,14 @@ class RunManifest:
     status: str = "complete"
     items: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
+    environment: dict = field(default_factory=_environment)
+    #: ``_resources()`` as of the last save.
+    resources: dict = field(default_factory=dict)
 
     def save(self, out_dir: Path) -> Path:
         """Write ``manifest.json`` atomically: a failed write leaves the
         previous manifest in place."""
+        self.resources = _resources()
         path = out_dir / "manifest.json"
         tmp = out_dir / ".manifest.json.tmp"
         try:
@@ -503,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subgroup indices, each at least 2")
     p.add_argument("--n-max", type=_positive_int, default=2)
     p.add_argument("--epsilon", type=_finite_float, default=0.1)
-    p.add_argument("--samples", type=_non_negative_int, default=500)
+    p.add_argument("--samples", type=_positive_int, default=500)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_verify)

@@ -13,20 +13,22 @@ class in two, so a minimum count of m allows at most floor(log2 m) more
 elements.  ``shattering_index`` returns that floor (or -1 when some count
 is zero), which the search module uses as a prune.
 
-Every tally of many subsets is one kernel, ``ChildTally``, which counts
-the patterns of Y + {m} for a vector of candidates m under an exclusion
-rule.  The exact search walks its tree with it; ``canonical_minima`` feeds
-it the canonical sets of ``testing_dimension`` and of the theorem check.
-Kept apart on purpose: ``signatures``/``pattern_counts`` tally one subset
-(the Monte Carlo oracle calls them on thousands of fresh subsets, where
-building the kernel's windows per call would cost more); the quad check's
+Two kernels tally many subsets, each with one ``bincount`` a block.
+``row_counts`` tallies unrelated subsets, the rows of an array, such as
+the trials of a Monte Carlo point; ``signatures`` and ``pattern_counts``
+are its one-row case, so one sentinel rule and one sum check, ``_tally``,
+serve every such tally.  ``ChildTally`` tallies related ones, Y + {m}
+for a vector of candidates m under an exclusion rule, reusing the
+signature of Y: the exact search walks its tree with it, and
+``canonical_minima`` feeds it the canonical sets of ``testing_dimension``
+and of the theorem check.  Apart from both, the quad check's
 ``weil._quads_complete`` retires rows once all 16 patterns are seen, a
-different algorithm; ``tests/oracles.py`` stays the independent check.
+different algorithm, and ``tests/oracles.py`` stays the independent check.
 
 The table owns the translate columns every tally reads: ``ResidueTable``
 builds ``doubled``, its membership vector reflected and doubled, once.
-``column`` slices one column out of it; the rows of ``ChildTally``'s
-windows are the same slices, shifted to their bit.
+``column`` slices one column out of it; the rows of the strided windows
+``row_counts`` and ``ChildTally`` gather are the same slices.
 """
 
 from __future__ import annotations
@@ -36,12 +38,16 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import EmptyFold, ModulusMismatch, NTooLarge, WidthOverflow
 from .field import ResidueTable, ZeroConvention
 
 MAX_WIDTH = 63
+#: Most cells (rows x q) one tally holds, in ``row_counts`` and in
+#: ``ChildTally``.  A search block has fewer than q rows, so below
+#: q = 2048 it is never split.
+MAX_CELLS = 1 << 22
 #: Pattern bins a tally may hold per allowed translate (see _require_bins).
 BIN_SLACK = 4
 
@@ -121,11 +127,36 @@ def membership_matrix(Y: SubsetLike, T: ResidueTable) -> np.ndarray:
 
 def signatures(Y: SubsetLike, T: ResidueTable) -> np.ndarray:
     """Length-q vector of row signatures sum_i A[x, i] * 2^i, as a fresh
-    array that the caller may overwrite."""
+    array that the caller may overwrite: the one-row case of
+    ``_signatures``."""
     sub = _coerce(Y, T)
-    sig = np.zeros(T.q, dtype=np.int64)
-    for i, y in enumerate(sub.elems):
-        sig += column(T, y) << i
+    return _signatures(np.array([sub.elems], dtype=np.int64), T)[0]
+
+
+def _signatures(rows: np.ndarray, T: ResidueTable) -> np.ndarray:
+    """(m, q) signatures of the m subsets in the rows of ``rows``.
+
+    The column of y is the slice [q - y, 2q - y) of ``T.doubled``, shifted
+    to its bit; m > 1 rows gather it in one index, as row q - y of a
+    strided view over the table shifted to each bit.  The integer type
+    holds m runs of 2^n + 1 bins, the most ``_tally`` adds.
+    """
+    m, n = rows.shape
+    q = T.q
+    fits = m * ((1 << n) + 1) < 1 << 31
+    doubled = T.doubled.astype(np.int32 if fits else np.int64)
+    if m == 1:
+        columns = (doubled[q - y : 2 * q - y] << i
+                   for i, y in enumerate(rows[0].tolist()))
+    else:
+        shifted = doubled << np.arange(n, dtype=doubled.dtype)[:, None]
+        step, item = shifted.strides
+        windows = as_strided(shifted, (n, q + 1, q), (step, item, item),
+                             writeable=False)
+        columns = (windows[i][q - ys] for i, ys in enumerate(rows.T))
+    sig = np.zeros((m, q), dtype=doubled.dtype)
+    for col in columns:
+        sig += col
     return sig
 
 
@@ -154,16 +185,59 @@ def pattern_counts(Y: SubsetLike, T: ResidueTable) -> PatternCounts:
     translates more than ``BIN_SLACK`` times.
     """
     sub = _coerce(Y, T)
-    n = sub.n
-    _require_bins(n, _allowed_translates(n, T), T.q)
-    sig = signatures(sub, T)
+    _require_bins(sub.n, _allowed_translates(sub.n, T), T.q)
+    rows = np.array([sub.elems], dtype=np.int64)
+    counts = _tally(signatures(sub, T)[None], rows, T)[0]
+    return PatternCounts(n=sub.n, counts=counts, convention=T.convention)
+
+
+def _tally(sig: np.ndarray, rows: np.ndarray, T: ResidueTable) -> np.ndarray:
+    """Pattern counts of each subset in ``rows`` over its allowed
+    translates, from its signatures ``sig`` (overwritten), in one
+    ``bincount``.
+
+    Row i gets its own run of 2^n + 1 bins; under STRICT its translates
+    x in the subset go to the run's last bin, the sentinel, dropped here.
+    Raises RuntimeError when a row's counts miss an allowed translate.
+    """
+    m, n = rows.shape
     width = 1 << n
+    bins = width + 1
     if T.convention is ZeroConvention.STRICT:
-        sig[list(sub.elems)] = width  # sentinel bin, dropped below
-    counts = np.bincount(sig, minlength=width + 1)[:width]
-    if int(counts.sum()) != _allowed_translates(n, T):
+        sig[np.arange(m)[:, None], rows] = width
+    sig += np.arange(0, m * bins, bins, dtype=sig.dtype)[:, None]
+    counts = np.bincount(sig.ravel(), minlength=m * bins)
+    counts = counts.reshape(m, bins)[:, :width]
+    if (counts.sum(axis=1) != _allowed_translates(n, T)).any():
         raise RuntimeError("pattern counts must cover every allowed translate")
-    return PatternCounts(n=n, counts=counts, convention=T.convention)
+    return counts
+
+
+def row_counts(rows: np.ndarray, T: ResidueTable) -> Iterator[np.ndarray]:
+    """Pattern counts of the subsets in the rows of the (m, n) integer
+    array ``rows``, each sorted and in [0, q), over their allowed
+    translates.
+
+    Yields a (k, 2^n) count array for each run of k consecutive rows,
+    in order, one ``bincount`` each; k x q is at most ``MAX_CELLS`` unless
+    k is 1.  Every row is checked as ``Subset`` checks one, and NTooLarge
+    is raised as by ``pattern_counts``, before any tally is allocated.
+    """
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.dtype.kind not in "iu":
+        raise ValueError("subsets must be the rows of a 2-d integer array")
+    m, n = rows.shape
+    if n > MAX_WIDTH:
+        raise WidthOverflow(f"subset size {n} exceeds {MAX_WIDTH}")
+    if n and ((rows[:, 0] < 0).any() or (rows[:, -1] >= T.q).any()):
+        raise ValueError(f"element outside field of size {T.q}")
+    if (np.diff(rows, axis=1) <= 0).any():
+        raise ValueError("subset elements must be strictly increasing")
+    _require_bins(n, _allowed_translates(n, T), T.q)
+    step = max(1, MAX_CELLS // T.q)
+    for lo in range(0, m, step):
+        block = rows[lo : lo + step]
+        yield _tally(_signatures(block, T), block, T)
 
 
 def shatter_report(Y: SubsetLike, T: ResidueTable) -> ShatterReport:
@@ -210,10 +284,6 @@ def fold_patterns(R: Union[PatternCounts, np.ndarray]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Child blocks and the canonical-subset walker
 # ---------------------------------------------------------------------------
-
-#: Most cells (candidate rows x q) one child block holds.  A search block
-#: has fewer than q rows, so below q = 2048 it is never split.
-MAX_CELLS = 1 << 22
 
 
 class ChildTally:

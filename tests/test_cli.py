@@ -6,6 +6,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import residuevc
@@ -259,6 +260,26 @@ def test_resume_rejects_rows_of_another_convention(tmp_path, command):
         assert csv_path.read_bytes() == before
 
 
+def test_vcdim_manifest_records_environment_and_resources(tmp_path):
+    out = tmp_path / "v"
+    assert main(["vcdim", "--range", "5:40", "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    env = manifest["environment"]
+    assert env["python"] == "%d.%d.%d" % sys.version_info[:3]
+    assert env["numpy"] == np.__version__
+    assert isinstance(env["cpu_count"], int)
+    assert isinstance(env["usable_cpus"], int)
+    assert 1 <= env["usable_cpus"] <= env["cpu_count"]
+    use = manifest["resources"]
+    assert set(use) == {"self", "children"}
+    for who in use.values():
+        assert set(who) == {"cpu_s", "peak_rss_mb"}
+        assert all(isinstance(v, (int, float)) and v >= 0
+                   for v in who.values())
+    # this process has run the search and holds numpy
+    assert use["self"]["cpu_s"] > 0 and use["self"]["peak_rss_mb"] > 10
+
+
 def test_manifest_write_failure_keeps_previous(tmp_path):
     out = tmp_path / "m"
     out.mkdir()
@@ -457,9 +478,9 @@ _PREVIOUS = {"verify": ["verify", "--q-max", "40", "--samples", "50"],
 @pytest.mark.parametrize("command, bad", [
     ("verify", "--seed=-1"), ("verify", "--epsilon=nan"),
     ("verify", "--epsilon=inf"), ("verify", "--epsilon=-inf"),
-    # a check over no size or a negative number of samples checks nothing
+    # a check over no size or no samples checks nothing
     ("verify", "--n-max=0"), ("verify", "--n-max=-1"),
-    ("verify", "--samples=-5"),
+    ("verify", "--samples=-5"), ("verify", "--samples=0"),
     ("prob", "--density=inf"), ("prob", "--density=nan"),
     ("prob", "--ratio-lo=nan"), ("prob", "--ratio-hi=inf")])
 def test_non_finite_or_negative_argument_rejected(tmp_path, command, bad,

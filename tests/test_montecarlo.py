@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import residuevc
-from residuevc import montecarlo
+from residuevc import montecarlo, shatter
 from residuevc.errors import NotPrime
 from residuevc.field import ZeroConvention, make_field, squares_table
 from residuevc.montecarlo import (estimate_p, interface_scan, point_seed,
@@ -51,8 +51,36 @@ def test_deterministic_given_seed():
     a = estimate_p(101, 4, trials=300, seed=42)
     b = estimate_p(101, 4, trials=300, seed=42)
     assert (a.hits, a.p_hat) == (b.hits, b.p_hat)
-    c = estimate_p(101, 4, trials=300, seed=43)
-    assert a.hits != c.hits or True  # different seed may collide; no assert
+
+    def draws(seed):
+        rng = np.random.default_rng(seed)
+        return [sample_subset(rng, 101, 4) for _ in range(300)]
+
+    assert draws(42) == draws(42)
+    assert draws(42) != draws(43)
+
+
+def test_strict_pigeonhole_tallies_nothing(monkeypatch):
+    # q = 67, n = 6: 2^6 = 64 patterns, 61 translates under STRICT but 67
+    # under ZERO_IN, which must still be tallied
+    tallied = []
+    real = montecarlo.row_counts
+
+    def spy(rows, T):
+        tallied.append(T.convention)
+        return real(rows, T)
+
+    monkeypatch.setattr(montecarlo, "row_counts", spy)
+    assert estimate_p(67, 6, trials=100, seed=3,
+                      conv=ZeroConvention.STRICT).hits == 0
+    assert tallied == []
+    est = estimate_p(67, 6, trials=100, seed=3, conv=ZeroConvention.ZERO_IN)
+    assert tallied == [ZeroConvention.ZERO_IN]
+    T = squares_table(make_field(67), ZeroConvention.ZERO_IN)
+    rng = np.random.default_rng(3)
+    assert est.hits == sum(oracle_shattered(sample_subset(rng, 67, 6),
+                                            T.member, ZeroConvention.ZERO_IN)
+                           for _ in range(100))
 
 
 def test_per_sample_oracle_replay():
@@ -91,12 +119,24 @@ def test_sampler_matches_scalar_draws(q):
             assert a.integers(0, 2**62) == b.integers(0, 2**62)
 
 
-@pytest.mark.parametrize("chunk", [montecarlo.DRAW_CHUNK, 11])
-def test_estimate_replays_scalar_sampler(chunk, monkeypatch):
+@pytest.mark.parametrize("module, cap, value", [
+    (montecarlo, "DRAW_CHUNK", montecarlo.DRAW_CHUNK),
+    (montecarlo, "DRAW_CHUNK", 11),
+    (shatter, "MAX_CELLS", 1000)], ids=["16384", "11", "cells-1000"])
+def test_estimate_replays_scalar_sampler(module, cap, value, monkeypatch):
     # the batched draws of estimate_p give the subsets sample_subset gives
     # trial after trial, also across draw calls (chunk 11: 2 or 1 trials
-    # a call, the last call short)
-    monkeypatch.setattr(montecarlo, "DRAW_CHUNK", chunk)
+    # a call, the last call short) and across tallies (1000 cells: 27 or
+    # 3 rows a tally), and no tally holds more than the cells allowed
+    monkeypatch.setattr(module, cap, value)
+    shapes = []
+    real = shatter._tally
+
+    def spy(sig, rows, T):
+        shapes.append(sig.shape)
+        return real(sig, rows, T)
+
+    monkeypatch.setattr(shatter, "_tally", spy)
     for q, n, seed in [(37, 4, 1), (263, 6, 8)]:
         for conv in ZeroConvention:
             T = squares_table(make_field(q), conv)
@@ -104,6 +144,9 @@ def test_estimate_replays_scalar_sampler(chunk, monkeypatch):
             hits = sum(oracle_shattered(sample_subset(rng, q, n), T.member,
                                         conv) for _ in range(149))
             assert estimate_p(q, n, trials=149, seed=seed, conv=conv).hits == hits
+    assert all(m * q <= max(q, shatter.MAX_CELLS) for m, q in shapes)
+    if cap == "MAX_CELLS":
+        assert len(shapes) == 3 * (6 + 50)  # ceil(149/27) + ceil(149/3)
 
 
 # hits of estimate_p(q, n, trials=200, seed) under zero-in, zero-out and

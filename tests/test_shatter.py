@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from residuevc import shatter
@@ -10,7 +10,8 @@ from residuevc.field import ZeroConvention, make_field, residue_table, squares_t
 from residuevc.primes import primes_in_range
 from residuevc.shatter import (ChildTally, Subset, fold_patterns,
                                is_shattered, membership_matrix, pattern_counts,
-                               shatter_report, shattering_index, signatures)
+                               row_counts, shatter_report, shattering_index,
+                               signatures)
 
 from oracles import legendre, member_vector, oracle_counts, oracle_shattered
 
@@ -121,6 +122,11 @@ def child_counts(T, n):
     return next(blocks)[2][0]
 
 
+def prefix_rows(n, m=3):
+    """m copies of {0, ..., n - 1} as the rows of an array."""
+    return np.tile(np.arange(n), (m, 1))
+
+
 def test_tallies_refuse_bins_far_past_pigeonhole():
     T = table(101)
     # n = 30 would ask for 8 GB of bins; n = 20 (8 MB) shows the same
@@ -129,13 +135,19 @@ def test_tallies_refuse_bins_far_past_pigeonhole():
         pattern_counts(range(20), T)
     with pytest.raises(NTooLarge):
         child_counts(T, 20)
+    with pytest.raises(NTooLarge):
+        next(row_counts(prefix_rows(20), T))
     # 2^9 bins exceed 4 per translate; 2^8 still fit, with some count zero
     with pytest.raises(NTooLarge):
         pattern_counts(range(9), T)
     with pytest.raises(NTooLarge):
         child_counts(T, 9)
+    with pytest.raises(NTooLarge):
+        next(row_counts(prefix_rows(9), T))
     assert (pattern_counts(range(8), T).counts == 0).any()
     assert child_counts(T, 8).min() == 0
+    [counts] = row_counts(prefix_rows(8), T)
+    assert (counts.min(axis=1) == 0).all()
 
 
 def test_counts_check_raises_outside_asserts(monkeypatch):
@@ -144,6 +156,41 @@ def test_counts_check_raises_outside_asserts(monkeypatch):
                         lambda sub, T: short(sub, T)[1:])
     with pytest.raises(RuntimeError):
         pattern_counts([0, 1], table(11))
+
+
+def test_signatures_hold_wide_subsets():
+    # past 31 elements a signature needs 64 bits
+    T = table(101)
+    Y = list(range(0, 80, 2))
+    expect = [sum(int(b) << i for i, b in enumerate(row))
+              for row in membership_matrix(Y, T)]
+    assert signatures(Y, T).tolist() == expect
+
+
+def test_row_counts_check_raises_on_a_short_row(monkeypatch):
+    real = shatter._signatures
+
+    def lossy(rows, T):
+        sig = real(rows, T)
+        sig[1, 0] = 1 << rows.shape[1]  # the middle row's sentinel bin
+        return sig
+
+    monkeypatch.setattr(shatter, "_signatures", lossy)
+    with pytest.raises(RuntimeError):
+        list(row_counts(np.array([[0, 1], [2, 5], [3, 4]]), table(11)))
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([[0, 1], [2, 11]], ValueError),      # outside the field
+    ([[0, 1], [-1, 2]], ValueError),
+    ([[0, 1], [3, 2]], ValueError),       # not increasing
+    ([[0, 1], [2, 2]], ValueError),       # repeated
+    ([0, 1, 2], ValueError),              # not a 2-d array
+    ([[0.0, 1.0]], ValueError),           # not integers
+    (np.arange(64)[None], WidthOverflow)])
+def test_row_counts_checks_every_row(rows, error):
+    with pytest.raises(error):
+        next(row_counts(np.array(rows), table(11)))
 
 
 def test_counts_sum_is_allowed_translates():
@@ -456,6 +503,43 @@ def test_batch_chunking_boundary(monkeypatch):
     for i, name in enumerate(("ms", "sigs", "counts")):
         assert np.array_equal(whole[0][i],
                               np.concatenate([b[i] for b in split])), name
+
+
+def test_row_counts_blocks_stay_under_the_cell_cap(monkeypatch):
+    T = table(11, ZeroConvention.STRICT)
+    rows = np.array([[0, 1, 5], [2, 3, 4], [1, 5, 9], [0, 5, 10], [3, 7, 8]])
+    whole = list(row_counts(rows, T))
+    monkeypatch.setattr(shatter, "MAX_CELLS", 25)  # 2 rows of 11 cells
+    split = list(row_counts(rows, T))
+    assert len(whole) == 1 and [len(b) for b in split] == [2, 2, 1]
+    assert np.array_equal(whole[0], np.concatenate(split))
+
+
+@st.composite
+def prime_and_rows(draw):
+    """A prime, q = 1 or 3 (mod 4), and 1-6 subsets of one size drawn from
+    a small pool, so rows share elements and may repeat."""
+    q = draw(st.sampled_from(SMALL_PRIMES))
+    n = draw(st.integers(0, 4))
+    pool = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n + 2,
+                         unique=True))
+    rows = draw(st.lists(st.permutations(pool).map(lambda p: sorted(p[:n])),
+                         min_size=1, max_size=6))
+    return q, np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qrows=prime_and_rows(), conv=st.sampled_from(CONVS))
+def test_row_counts_match_oracle_row_by_row(qrows, conv):
+    q, rows = qrows
+    T = table(q, conv)
+    # 16 bins are over 4 per allowed translate under STRICT at q = 5, 7
+    assume(conv is not ZeroConvention.STRICT or q > 7 or rows.shape[1] < 4)
+    [counts] = row_counts(rows, T)
+    assert counts.shape == (rows.shape[0], 1 << rows.shape[1])
+    for row, got in zip(rows.tolist(), counts):
+        assert np.array_equal(got, oracle_counts(row, T.member, conv))
+        assert np.array_equal(got, pattern_counts(row, T).counts)
 
 
 def test_oracle_consistency_random():
