@@ -316,6 +316,15 @@ def cmd_vcdim(args) -> int:
                 {"vcdim": r.vcdim, "exact": r.exact, "nodes": r.nodes,
                  "cells": r.cells, "nodes_by_depth": r.nodes_by_depth})
 
+    if args.resume and not args.early_exit:
+        # an exact sweep must not keep an early-exit run's lower bounds
+        path = _out_dir(args, "vcdim") / "vcdim.csv"
+        inexact = [str(r["q"]) for r in _read_rows(path, VCDIM_FIELDS)
+                   if not r["exact"]]
+        if inexact:
+            raise ValueError(f"{path} holds early-exit lower bounds "
+                             f"(exact=false) for q = {', '.join(inexact)}; "
+                             f"add --early-exit or drop --resume")
     return _sweep(args, "vcdim", VCDIM_FIELDS,
                   {"early_exit": args.early_exit, "jobs": args.jobs},
                   partial(vc_dimension, early_exit=args.early_exit),

@@ -60,14 +60,17 @@ class PrimeField:
 
     ``dlog[x]`` is the index a in {0, ..., q-2} with g^a = x (mod q) for
     x != 0; ``dlog[0]`` holds -1 and must never be read as a logarithm.
+    ``powers[a]`` is g^a mod q for 0 <= a <= q - 2, the inverse table.
     """
 
     q: int
     g: int
     dlog: np.ndarray = field(repr=False)
+    powers: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         _freeze(self.dlog)
+        _freeze(self.powers)
 
 
 @dataclass(frozen=True)
@@ -153,9 +156,10 @@ def make_field(q: int, root: int | None = None) -> PrimeField:
         if not 1 < root < q or any(pow(root, (q - 1) // p, q) == 1 for p in factors):
             raise ValueError(f"{root} is not a primitive root modulo {q}")
         g = root
+    powers = power_table(q, g)
     dlog = np.full(q, -1, dtype=np.int64)
-    dlog[power_table(q, g)] = np.arange(q - 1, dtype=np.int64)
-    return PrimeField(q=q, g=g, dlog=dlog)
+    dlog[powers] = np.arange(q - 1, dtype=np.int64)
+    return PrimeField(q=q, g=g, dlog=dlog, powers=powers)
 
 
 def power_table(q: int, g: int) -> np.ndarray:

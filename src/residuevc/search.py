@@ -17,45 +17,52 @@ when it is not.  When q = 3 (mod 4), -1 is a non-square, so z - a or
 a - z is a square; under STRICT the dual is the same convention.
 Otherwise a Z whose differences are all non-squares maps onto a
 dual-shattered superset of {0, 1} whose differences are all nonzero
-squares (non-squares over a non-square).  So the VC dimension is the
-larger of two walks from {0, 1}:
+squares (non-squares over a non-square).  So every shattered set of two
+or more elements has an image of the same size that one of two walks
+from {0, 1} looks for:
 
 - walk A over the convention's own table;
 - walk B, only when q = 1 (mod 4) and the convention is not STRICT, over
   the dual table and only through sets whose differences are all nonzero
   squares: a node keeps the candidates m with m - y a nonzero square for
-  every y in it.  Walk B looks for sets larger than walk A's best and
-  maps its witness back by x -> g x.
+  every y in it.  Walk B maps the sets it finds back by x -> g x.
 
-The first step of both walks, {0}, settles the singletons, which are all
-shattered or none.  ``testing_dimension`` uses the same map: from n = 2
-on, every n-set is shattered exactly when every n-set holding {0, 1} is,
-over the convention's table and, when q = 1 (mod 4) and the convention is
-not STRICT, over the dual table.
+Each search is one fixed-size question, ``_TreeSearch.find``: does the
+walk reach a shattered set of exactly s elements?  ``vc_dimension`` asks
+it for s from floor(log2 q) (no more than log2 q elements fit the q
+translates) down to 3, of walk A and then walk B, and the first size
+found is the answer: every larger size was refuted.  Early exit starts
+one size lower; refuting that size refutes every larger one too, as a
+shattered set's subsets are shattered.  The roots settle sizes 1 and 2:
+the singletons are all shattered or none, so {0} decides size 1, and a
+pair is shattered exactly when {0, 1} is over walk A's or walk B's
+table.  ``testing_dimension`` uses the same map: from n = 2 on, every
+n-set is shattered exactly when every n-set holding {0, 1} is, over the
+convention's table and, when q = 1 (mod 4) and the convention is not
+STRICT, over the dual table.
 
 A walk visits the tree of supersets of {0, 1}: a node Y has children
 Y + {m}, visited in increasing m.  Each node carries the candidates it
 inherited from its parent and counts one block of children over exactly
 those candidates (the root's candidates are every m > 1, in walk B those
-passing its filter).  With best the largest shattered size known, only
-children whose minimum pattern count is at least 2^(best - |Y|) survive,
-and the child Y + {m} inherits the survivors after m (in walk B, those
-at a nonzero square's distance from m).
+passing its filter).  Looking for size s, only children whose minimum
+pattern count is at least 2^(s - |Y| - 1) survive, and the child Y + {m}
+inherits the survivors after m (in walk B, those at a nonzero square's
+distance from m).  When |Y| = s - 1 the threshold is 1, and any survivor
+is a shattered s-set.
 
 The prune is sound under every zero convention.  Let Z be shattered with
 Y <= W <= Z.  Each pattern of W extends to 2^(|Z| - |W|) patterns of Z,
 each realized by its own allowed translate of Z; under STRICT every
 translate allowed for Z is allowed for W too.  So W has minimum count at
 least 2^(|Z| - |W|), and for z in Z - Y the set Y + {z} has at least
-2^(|Z| - |Y| - 1).  A Z larger than best therefore draws every element
-after max(Y) from the survivors.  Below a child Y + {m} with minimum
-count c and s candidates inherited, such a Z has at most |Y| + 1 + s and
-at most |Y| + 1 + floor(log2 c) elements; when either bound fails to
-beat best the child is not expanded.  When |Y| + 1 plus the survivors
-after m fails to beat best, the later siblings are skipped too: their
-candidates are among those survivors, also in walk B, which is why the
-cut reads them before walk B's filter by m.  Because best only grows, a
-threshold from an older best is only more permissive.
+2^(|Z| - |Y| - 1).  An s-set Z holding Y therefore draws every element
+after max(Y) from the survivors, and no child Y + {m} that inherits
+fewer than s - |Y| - 1 candidates lies below one.  The threshold is fixed
+for the whole search, so with k survivors only the first k + |Y| + 1 - s
+can have enough after them, and the later siblings are skipped at once:
+their candidates are among those survivors, also in walk B, which is why
+the cut reads them before walk B's filter by m.
 
 Each walk is orderly (McKay's canonical augmentation): it expands one
 set per orbit.  A pair (a, z) of a set is valid for a walk when its map
@@ -67,8 +74,9 @@ onto one holding {0, 1}; G is the affine maps x -> s x + t, with s a
 nonzero square except under STRICT, which every affine map keeps.  A set
 Z holding {0, 1} is canonical when no valid pair maps it onto a
 lexicographically smaller sorted tuple.  A walk descends only into
-canonical children, but still records a child larger than best, and
-a child's candidates are the survivors after it, canonical or not.
+canonical children, but takes any survivor of the last level as the
+answer, and a child's candidates are the survivors after it, canonical
+or not.
 
 1. The pair images depend only on the orbit.  For psi in G, the pair
    (psi a, psi z) of psi Z is valid exactly when (a, z) is, since psi
@@ -84,9 +92,9 @@ a child's candidates are the survivors after it, canonical or not.
    they differ or earlier.  So a pair mapping Z' below itself maps Z
    below itself, and every canonical set is reached from {0, 1} through
    a chain of canonical nodes.
-3. The prune and the cut reason only about which survivors a larger Z
-   draws from, not about which nodes are expanded.  A set the walk looks
-   for that is larger than best has a canonical image the walk looks for
+3. The prune and the cut reason only about which survivors an s-set
+   draws from, not about which nodes are expanded.  A set of the target
+   size that the walk looks for has a canonical image the walk looks for
    too (1.), whose prefixes are canonical (2.) and each drawn from its
    parent's survivors, so the orderly walk still reaches it.
 
@@ -115,7 +123,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import (PrimeField, ResidueTable, ZeroConvention, log2,
-                    log2_floor, make_field, power_table, squares_table)
+                    log2_floor, make_field, squares_table)
 from .primes import primes_in_range, require_prime
 from .shatter import (ChildTally, canonical_minima, fold_patterns,
                       pattern_counts, shatter_report, signatures)
@@ -172,41 +180,44 @@ def _pair_maps(k: int) -> tuple[np.ndarray, np.ndarray]:
     return maps
 
 
-class _TreeSearch:
-    """State of one prime's subset-tree walks: the best set found so far
-    and the work counters, shared by the walks ``walk`` runs."""
+@dataclass(frozen=True)
+class _Walk:
+    """The fixed state of one walk from {0, 1} (module docstring): the
+    tally over its table, the scale its sets are mapped back by (1 in
+    walk A, a non-square in walk B), walk B's square filter (None in walk
+    A), and the signature and candidates of the root {0, 1}."""
 
-    def __init__(self, F: PrimeField, conv: ZeroConvention, early_exit: bool):
-        q = self.q = F.q
-        # The walk only compares best against the target, so a sentinel
-        # above any reachable size disables early exit cheaply.
-        self.exit_at = log2_floor(q) - 1 if early_exit else 1 << 62
+    tally: ChildTally
+    scale: int
+    square: np.ndarray | None
+    sig: np.ndarray
+    cands: np.ndarray
+
+    @classmethod
+    def over(cls, T: ResidueTable, scale: int) -> "_Walk":
+        # read at nonzero differences only, where either table is the squares
+        square = None if scale == 1 else T.member.astype(bool)
+        cands = np.arange(2, T.q, dtype=np.int64)
+        if square is not None:
+            cands = cands[square[cands] & square[cands - 1]]
+        return cls(ChildTally(T), scale, square, signatures([0, 1], T), cands)
+
+    def witness(self, Y: list[int] | tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sorted(self.scale * y % self.tally.q for y in Y))
+
+
+class _TreeSearch:
+    """The canonical test and the work counters shared by one prime's
+    searches, each for a shattered set of a fixed size over one walk."""
+
+    def __init__(self, F: PrimeField, conv: ZeroConvention):
+        self.q = F.q
         self.all_pairs = conv is ZeroConvention.STRICT
         self.dlog = F.dlog
-        self.powers = power_table(q, F.g)
-        self.best = 0
-        self.witness: tuple[int, ...] = ()
-        self.cut_short = False
+        self.powers = F.powers
         # a shattered node has at most floor(log2 q) elements
-        self.nodes_by_depth = [0] * q.bit_length()
+        self.nodes_by_depth = [0] * self.q.bit_length()
         self.cells = 0
-
-    def hit_exit(self) -> bool:
-        if self.best >= self.exit_at:
-            self.cut_short = True
-            return True
-        return False
-
-    def threshold(self, n: int) -> int:
-        """Least minimum count a child of an n-element node needs to be
-        recorded or to lie below a set larger than the best known."""
-        return 1 << max(0, self.best - n)
-
-    def record(self, Y: list[int] | tuple[int, ...]) -> None:
-        """Keep the shattered set Y, larger than the best known, mapped by
-        the walk's scale."""
-        self.best = len(Y)
-        self.witness = tuple(sorted(self.scale * y % self.q for y in Y))
 
     def canonical(self, Y: list[int], ms: np.ndarray) -> np.ndarray:
         """Whether each child Y + {m}, m in ``ms``, is canonical: no valid
@@ -230,101 +241,86 @@ class _TreeSearch:
             smaller &= logs[..., 0] % 2 == 0  # z - a is a square
         return ~smaller.any(axis=1)
 
-    def walk(self, T: ResidueTable, scale: int = 1) -> None:
-        """Walk the canonical supersets of {0, 1} over ``T`` for sets
-        larger than the best known.  With ``scale`` 1 the sets found are
-        recorded as they are; otherwise ``scale`` is a non-square, ``T``
-        the dual table, and this is walk B: only sets whose differences
-        are all nonzero squares are visited, and each is recorded times
-        ``scale``.
-        """
-        self.tally = ChildTally(T)
-        self.scale = scale
-        # read at nonzero differences only, where either table is the squares
-        self.square = None if scale == 1 else T.member.astype(bool)
-        for Y in ((0,), (0, 1)):
-            rep = shatter_report(Y, T)
-            if not rep.shattered:
-                return  # nor is any superset
-            if len(Y) > self.best:
-                self.record(Y)
-        cands = np.arange(2, self.q, dtype=np.int64)
-        if self.square is not None:
-            cands = cands[self.square[cands] & self.square[cands - 1]]
-        if (not self.hit_exit()
-                and 2 + min(rep.index, cands.shape[0]) > self.best):
-            self.descend([0, 1], signatures([0, 1], T), cands)
+    def find(self, walk: _Walk, size: int) -> tuple[int, ...] | None:
+        """A shattered set of exactly ``size`` >= 3 elements that ``walk``
+        looks for, mapped by its scale, or None when it has none."""
+        return self.descend(walk, [0, 1], walk.sig, walk.cands, size)
 
-    def descend(self, Y: list[int], sig: np.ndarray, cands: np.ndarray) -> None:
-        """Depth-first walk below a canonical shattered node Y: count its
-        children over ``cands``, keep those meeting the threshold, record
-        any larger than the best, and visit each canonical Y + {m} with the
-        survivors after m as its candidates (in walk B those at a square
-        distance from m)."""
+    def descend(self, walk: _Walk, Y: list[int], sig: np.ndarray,
+                cands: np.ndarray, size: int) -> tuple[int, ...] | None:
+        """Depth-first search below a canonical shattered node Y for a
+        ``size``-element superset: count Y's children over ``cands``, keep
+        those whose minimum count reaches 2^(size - |Y| - 1), and visit
+        each canonical Y + {m} with the survivors after m as its
+        candidates (in walk B those at a square distance from m).  Returns
+        the first set found, mapped by the walk's scale, or None."""
         n = len(Y)
+        need = 1 << (size - n - 1)
         kept = []
-        for ms, csig, counts in self.tally.children(Y, sig, cands):
-            mins = counts.min(axis=1)
-            keep = mins >= self.threshold(n)
-            kept.append((ms[keep], mins[keep], csig[keep]))
+        for ms, csig, counts in walk.tally.children(Y, sig, cands):
+            keep = counts.min(axis=1) >= need
+            kept.append((ms[keep], csig[keep]))
         self.nodes_by_depth[n] += 1
         self.cells += cands.shape[0] * self.q
-        ms, mins, csig = (kept[0] if len(kept) == 1
-                          else (np.concatenate(part) for part in zip(*kept)))
-        size = n + 1
-        counts = mins.tolist()
-        # the sibling cut below stops before this prefix ends
-        reach = ms[:max(0, ms.shape[0] + size - 1 - self.best)]
+        ms, csig = (kept[0] if len(kept) == 1
+                    else (np.concatenate(part) for part in zip(*kept)))
+        if n + 1 == size:
+            return walk.witness(Y + [int(ms[0])]) if ms.shape[0] else None
+        # a child after this prefix has too few later survivors to grow from
+        reach = ms[:ms.shape[0] + n + 1 - size]
         if not reach.shape[0]:
-            return  # not even the first child passes the cut
-        canon = self.canonical(Y, reach).tolist()
-        for i, c in enumerate(counts):
-            if self.hit_exit():
-                return
-            best = self.best
-            if c < self.threshold(n):
-                continue  # best has grown since the block was counted
-            later = ms[i + 1:]
-            if size + later.shape[0] <= best:
-                return  # later siblings inherit fewer candidates still
+            return None
+        for i in np.flatnonzero(self.canonical(Y, reach)).tolist():
             m = int(ms[i])
-            child = Y + [m]
-            if size > best:
-                self.record(child)
-            if not canon[i]:
-                continue  # its orbit's canonical member is walked instead
-            if self.square is not None:
-                later = later[self.square[later - m]]
-            if size + later.shape[0] > self.best and c >= self.threshold(n):
-                self.descend(child, csig[i], later)
+            later = ms[i + 1:]
+            if walk.square is not None:
+                later = later[walk.square[later - m]]
+            if n + 1 + later.shape[0] >= size:
+                found = self.descend(walk, Y + [m], csig[i], later, size)
+                if found:
+                    return found
+        return None
 
 
 def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
                  early_exit: bool = False) -> VcResult:
     """Exact VC dimension of the squares table of F_q under ``conv``.
 
-    The larger of walk A and, when q = 1 (mod 4) and ``conv`` is not
-    STRICT, walk B, both from {0, 1} (see the module docstring for why
-    that is exact).  ``early_exit`` stops the walks once a shattered set
-    of size floor(log2 q) - 1 is found; the result is then flagged as a
-    lower bound (``exact=False``).
+    The roots settle sizes 1 and 2: {0} over the convention's table, then
+    {0, 1} over walk A's table and, when q = 1 (mod 4) and ``conv`` is not
+    STRICT, walk B's.  When a pair is shattered, each size from
+    floor(log2 q) down to 3 is looked for by walk A and then walk B, and
+    the first size either finds is the answer (see the module docstring
+    for why that is exact).  ``early_exit`` starts one size lower, at
+    floor(log2 q) - 1 but not below 2; the result is then exact
+    (``exact=True``) only when it is below that start, and otherwise a
+    lower bound.
     ``nodes`` and ``cells`` count the child blocks evaluated and their
-    candidate rows times q, over every walk the call made;
+    candidate rows times q, over every size and walk the call tried;
     ``nodes_by_depth[d]`` counts the blocks of d-element nodes.
     """
     require_prime(q)
     start = time.perf_counter()
     F = make_field(q)
-    T, *dual = _walk_tables(F, conv)
-    state = _TreeSearch(F, conv, early_exit)
-    state.walk(T)
-    if dual and not state.hit_exit():
-        state.walk(dual[0], scale=F.g)
-    best, witness = state.best, state.witness
+    tables = _walk_tables(F, conv)
+    T = tables[0]
+    state = _TreeSearch(F, conv)
+    walks = [_Walk.over(U, scale) for U, scale in zip(tables, (1, F.g))
+             if shatter_report((0, 1), U).shattered]
+    cap = max(log2_floor(q) - early_exit, 2)
+    if walks:
+        best, witness = 2, walks[0].witness((0, 1))
+        for size in range(cap, 2, -1):
+            found = next(filter(None, (state.find(w, size) for w in walks)),
+                         None)
+            if found:
+                best, witness = size, found
+                break
+    elif shatter_report((0,), T).shattered:
+        best, witness = 1, (0,)
+    else:
+        best, witness = 0, ()
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    if best > log2_floor(q):
-        raise RuntimeError(f"search found size {best} above floor(log2 q) "
-                           f"at q={q} under {conv.value}")
     if witness and not shatter_report(witness, T).shattered:
         raise RuntimeError(f"witness {witness} is not shattered at q={q} "
                            f"under {conv.value}")
@@ -333,7 +329,7 @@ def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
         depths.pop()
     return VcResult(q=q, vcdim=best, alpha_q=best / log2(q), convention=conv,
                     witness=witness, elapsed_ms=elapsed_ms,
-                    exact=not state.cut_short, nodes=sum(depths),
+                    exact=not early_exit or best < cap, nodes=sum(depths),
                     cells=state.cells, nodes_by_depth=tuple(depths))
 
 

@@ -260,6 +260,37 @@ def test_resume_rejects_rows_of_another_convention(tmp_path, command):
         assert csv_path.read_bytes() == before
 
 
+def test_exact_resume_rejects_early_exit_rows(tmp_path, capsys):
+    # an exact sweep must not keep an early-exit run's lower bounds
+    # (q = 11 reads 2 there, its exact value is 3)
+    out = tmp_path / "vcdim"
+    csv_path = out / "vcdim.csv"
+    assert main(["vcdim", "--range", "5:23", "--early-exit",
+                 "--out-dir", str(out)]) == 0
+    manifest = (out / "manifest.json").read_bytes()
+    for tail in ("", "29,3"):  # "29,3": a partial last line, no newline
+        with csv_path.open("a", encoding="utf-8") as fh:
+            fh.write(tail)
+        before = csv_path.read_bytes()
+        capsys.readouterr()
+        assert main(["vcdim", "--range", "5:31", "--resume",
+                     "--out-dir", str(out)]) == 2
+        assert "q = 5, 7, 11, 13, 17, 19, 23;" in capsys.readouterr().err
+        assert csv_path.read_bytes() == before
+        assert (out / "manifest.json").read_bytes() == manifest
+
+
+def test_early_exit_resume_keeps_exact_rows(tmp_path):
+    out = tmp_path / "vcdim"
+    assert main(["vcdim", "--range", "5:13", "--out-dir", str(out)]) == 0
+    first = read_csv(out / "vcdim.csv")
+    assert main(["vcdim", "--range", "5:31", "--resume", "--early-exit",
+                 "--out-dir", str(out)]) == 0
+    rows = read_csv(out / "vcdim.csv")
+    assert rows[: len(first)] == first
+    assert [int(r["q"]) for r in rows] == primes_in_range(5, 31)
+
+
 def test_vcdim_manifest_records_environment_and_resources(tmp_path):
     out = tmp_path / "v"
     assert main(["vcdim", "--range", "5:40", "--out-dir", str(out)]) == 0

@@ -41,7 +41,8 @@ def test_q2_rejected():
 
 def _dlog_matches_powers(F, exponents):
     expected = np.array([pow(F.g, int(a), F.q) for a in exponents])
-    return np.array_equal(F.dlog[expected], exponents)
+    return (np.array_equal(F.dlog[expected], exponents)
+            and np.array_equal(F.powers[exponents], expected))
 
 
 def test_dlog_table_inverts_powers():
@@ -109,6 +110,8 @@ def test_tables_immutable():
     F = make_field(11)
     with pytest.raises(ValueError):
         F.dlog[0] = 5
+    with pytest.raises(ValueError):
+        F.powers[0] = 5
     T = residue_table(F, 2, 1, ZeroConvention.ZERO_OUT)
     with pytest.raises(ValueError):
         T.member[0] = 1

@@ -105,15 +105,39 @@ def test_early_exit_finds_near_max_at_257():
 
 
 def test_early_exit_flags_lower_bound():
-    q = 61
-    target = log2_floor(q) - 1
-    r = vc_dimension(q, ZeroConvention.ZERO_IN, early_exit=True)
-    assert r.vcdim >= target
-    full = vc_dimension(q, ZeroConvention.ZERO_IN)
-    assert full.exact
-    assert r.vcdim <= full.vcdim
-    if r.vcdim < full.vcdim:
-        assert not r.exact
+    # early exit looks for sizes from c = max(floor(log2 q) - 1, 2) down:
+    # it returns min(vcdim, c), exact exactly when that is below c
+    for q, conv in itertools.product(primes_in_range(5, 127), CONVS):
+        c = max(log2_floor(q) - 1, 2)
+        full = vc_dimension(q, conv)
+        r = vc_dimension(q, conv, early_exit=True)
+        assert full.exact, (q, conv)
+        assert (r.vcdim, r.exact) == (min(full.vcdim, c), full.vcdim < c), \
+            (q, conv)
+        assert len(r.witness) == r.vcdim, (q, conv)
+        assert oracle_shattered(r.witness, member(q, conv), conv), (q, conv)
+
+
+@pytest.mark.parametrize("conv", CONVS, ids=lambda c: c.value)
+def test_find_matches_oracle_at_every_size(conv):
+    # one fixed-size question per walk, at every size and not only at
+    # the maximum: some walk from {0, 1} finds a set of exactly that
+    # size when the independent oracle says one is shattered
+    for q in primes_in_range(5, 89):
+        F = make_field(q)
+        vec = member_vector(q, 2, 1, conv)
+        vc = bitset_vc(q, vec, conv)
+        state = search._TreeSearch(F, conv)
+        walks = [search._Walk.over(T, scale) for T, scale
+                 in zip(search._walk_tables(F, conv), (1, F.g))
+                 if is_shattered([0, 1], T)]
+        for size in range(3, log2_floor(q) + 1):
+            found = [w for w in (state.find(walk, size) for walk in walks)
+                     if w is not None]
+            assert bool(found) == (size <= vc), (q, size)
+            for w in found:
+                assert len(set(w)) == len(w) == size, (q, size, w)
+                assert oracle_shattered(w, vec, conv), (q, size, w)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +169,9 @@ def test_shattering_index_bounds_supersets():
        data=st.data())
 def test_inherited_candidate_prune_is_sound(q, conv, data):
     # For Y in a shattered Z, every Y + {z} with z in Z - Y keeps a
-    # minimum count of at least 2^(|Z| - |Y| - 1): the walk drops only
-    # children below 2^(best - |Y|), none of which lies under a set
-    # larger than best.
+    # minimum count of at least 2^(|Z| - |Y| - 1): looking for size s,
+    # the walk drops only children below 2^(s - |Y| - 1), none of which
+    # lies under a shattered s-set.
     vec = member(q, conv)
     Z = data.draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=5,
                            unique=True), label="Z")
@@ -199,7 +223,7 @@ def test_orderly_walk_lemma(q, conv):
     # square differences), the walk's canonical test keeps exactly the
     # least member of each orbit, and a canonical set minus its largest
     # element is canonical, so the walk reaches every canonical set.
-    state = search._TreeSearch(make_field(q), conv, early_exit=False)
+    state = search._TreeSearch(make_field(q), conv)
     strict = conv is ZeroConvention.STRICT
     for square_only in [False] + [True] * (q % 4 == 1 and not strict):
         canon = {(0, 1): True}
@@ -425,16 +449,17 @@ def test_pinned_early_exit():
         assert (r.vcdim, r.exact) == (want, False), q
 
 
-# (nodes, cells) of vc_dimension over every walk it makes, recorded with
-# the orderly walk, which expands one set per orbit; zero-in 181 and
-# zero-out 5 and 97 include walk B.
+# (nodes, cells) of vc_dimension over every size and walk it tries,
+# recorded with the orderly fixed-size search from floor(log2 q) down,
+# which expands one set per orbit; zero-in 181 and zero-out 97 include
+# walk B, and zero-out 5 is settled by the roots.
 PINNED_WORK = {
-    ZeroConvention.ZERO_IN: {97: (27, 142_978), 151: (10, 169_120),
-                             181: (3_379, 26_387_809)},
-    ZeroConvention.STRICT: {47: (16, 21_526), 107: (47, 162_854),
-                            131: (6, 94_189)},
-    ZeroConvention.ZERO_OUT: {5: (0, 0), 97: (656, 1_522_997),
-                              103: (112, 246_170)},
+    ZeroConvention.ZERO_IN: {97: (26, 63_632), 151: (8, 57_380),
+                             181: (3_381, 25_898_928)},
+    ZeroConvention.STRICT: {47: (18, 22_372), 107: (47, 101_436),
+                            131: (8, 81_220)},
+    ZeroConvention.ZERO_OUT: {5: (0, 0), 97: (655, 1_492_345),
+                              103: (111, 204_249)},
 }
 
 
@@ -457,8 +482,9 @@ def test_work_counters_repeat():
         assert a.nodes == sum(a.nodes_by_depth) > 0 and a.cells % 89 == 0
 
 
-# Kernel cells of vc_dimension(167), expanding one set per orbit.
-CELLS_167 = 7_456_383
+# Kernel cells of vc_dimension(167), expanding one set per orbit and
+# looking for sizes 7, then 6.
+CELLS_167 = 6_967_908
 
 
 def test_cells_gate_167():
