@@ -329,6 +329,9 @@ def _witness_tally(F: PrimeField, C: CharacterTable, t: int) -> ChildTally:
 #: Pairs (u, v) the orbit filter of ``_all_quads_ok`` holds at a time.
 QUAD_CHUNK = 1 << 14
 
+#: Translates ``_quads_complete`` scans per block before retiring rows.
+QUAD_BLOCK = 64
+
 # The maps x -> (x - a) / (b - a) as positions in the quad (0, 1, u, v):
 # (a, b, then the positions of the other two elements).  The identity
 # (0, 1) is left out, and so is x -> 1 - x (1, 0), which
@@ -344,20 +347,38 @@ def _orbit_representatives(F: PrimeField) -> Iterator[tuple[np.ndarray, np.ndarr
     lexicographically least among the sorted images of the quad under its
     12 maps x -> (x - a) / (b - a).
 
-    x -> 1 - x sends (u, v) to (q + 1 - v, q + 1 - u), so only pairs with
-    u + v <= q + 1 are generated.  A chunk is a run of consecutive u with
-    at most about ``QUAD_CHUNK`` pairs, compacted after each other map.
-    The maps divide through the discrete-log table: ``logs[i]`` is
-    dlog(i mod q) for 0 <= i < 2q and ``powers[k]`` is g^(k mod (q - 1))
-    for 0 <= k < 2(q - 1), so (c - a) / (b - a) is one gather from each.
+    Pairs are generated only for u whose triple {0, 1, u} is canonical in
+    the same sense: dropping v, the largest element of a canonical quad,
+    leaves a canonical triple (heredity, point 2 of the ``search``
+    docstring).  The triple's maps send u to 1 - u, 1/u, 1 - 1/u,
+    1/(1 - u) and u/(u - 1), so u is kept when it is at most each of them
+    as an integer in [0, q).  (Directly: under the quad's maps with
+    (a, b) = (0, u), (u, 0), (1, u) and (u, 1), one of the two other
+    images is that value, so a larger u loses for every v.)  Equality
+    must pass, as at u = 2 = 2/(2 - 1), and the full filter then decides
+    by v.  1 - u is covered by the range of pairs: x -> 1 - x sends
+    (u, v) to (q + 1 - v, q + 1 - u), so only pairs with u + v <= q + 1
+    are generated.  This keeps 172 of 514 u at q = 1031; over the primes
+    1024-1049, 540,968 of 1,073,344 pairs enter the filter of the 10
+    other maps.
+
+    A chunk is a run of consecutive kept u with at most about
+    ``QUAD_CHUNK`` pairs, compacted after each map.  The maps divide
+    through the discrete-log table: ``logs[i]`` is dlog(i mod q) for
+    0 <= i < 2q and ``powers[k]`` is g^(k mod (q - 1)) for
+    0 <= k < 2(q - 1), so (c - a) / (b - a) is one gather from each.
     """
     q = F.q
     logs = np.concatenate([F.dlog, F.dlog])
     powers = np.tile(F.powers, 2)
     step = max(1, QUAD_CHUNK // q)
-    u_end = (q + 1) // 2  # u < v and u + v <= q + 1
-    for u_lo in range(2, u_end, step):
-        us = np.arange(u_lo, min(u_lo + step, u_end), dtype=np.int64)
+    kept = np.arange(2, (q + 1) // 2, dtype=np.int64)  # u < v, u + v <= q + 1
+    inv_u = powers[(q - 1) - logs[kept]]
+    inv_1u = powers[(q - 1) - logs[1 - kept + q]]  # 1 / (1 - u)
+    kept = kept[(kept <= inv_u) & (kept <= (1 - inv_u) % q)
+                & (kept <= inv_1u) & (kept <= (1 - inv_1u) % q)]
+    for i in range(0, kept.shape[0], step):
+        us = kept[i:i + step]
         runs = q + 1 - 2 * us
         u = np.repeat(us, runs)
         v = (np.arange(u.shape[0], dtype=np.int64)
@@ -386,9 +407,14 @@ def _quads_complete(d: np.ndarray, base2: np.ndarray, u: int,
     translates outside it.
 
     The signature classes of {0, 1, u} are extended by the v bit.
-    Translates are scanned in blocks and rows retire as soon as their 16
-    patterns are complete, which almost always happens within the first
-    block.
+    Translates are scanned in blocks of ``QUAD_BLOCK`` and a row retires
+    after the first block in which its 16 patterns are complete.  A random
+    quad sees all 16 after about 16 H_16 = 54 translates, so a first block
+    of 64 retires most rows and a longer one mostly scans translates whose
+    patterns are already seen: over the primes 1024-1049, 77,916 of the
+    179,238 kept quads enter a second block of 64 and 90 a fourth, and the
+    kernel tallies 16,734,912 cells (rows times block width), against
+    34,430,976 with blocks of 192.
     """
     q = base2.shape[0]
     xs = np.arange(q, dtype=np.int64)
@@ -396,11 +422,10 @@ def _quads_complete(d: np.ndarray, base2: np.ndarray, u: int,
     sig3[0] = sig3[1] = sig3[u] = 16  # excluded translates
     full = np.uint32((1 << 16) - 1)
     one = np.uint32(1)
-    block = 192
     flags = np.zeros(vs.shape[0], dtype=np.uint32)
     active = np.arange(vs.shape[0])
-    for lo in range(0, q, block):
-        hi = min(q, lo + block)
+    for lo in range(0, q, QUAD_BLOCK):
+        hi = min(q, lo + QUAD_BLOCK)
         va = vs[active]
         sig4 = d[q + xs[None, lo:hi] - va[:, None]] << 3
         sig4 += sig3[None, lo:hi]
@@ -441,8 +466,12 @@ def _all_quads_ok(F: PrimeField, T) -> bool:
       kept exactly when (u, v) is lexicographically least in it.
 
     ``_orbit_representatives`` keeps about one quad in 12 (44,204 of
-    528,906 at q = 1031), and ``_quads_complete`` checks the kept quads
-    of each u.
+    528,906 at q = 1031).  It extends only the u whose triple {0, 1, u}
+    is itself canonical, since a canonical quad drops its largest element
+    to a canonical triple (heredity, point 2 of the ``search``
+    docstring), so about half the pairs u < v, u + v <= q + 1 enter its
+    filter (133,606 of 264,710 at q = 1031).  ``_quads_complete`` checks
+    the kept quads of each u.
     """
     d, base2 = _quad_tables(T)
     for us, vs in _orbit_representatives(F):
@@ -470,7 +499,10 @@ def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremR
     pins the element 1 as well, and at n* = 4 ``_all_quads_ok`` checks
     one quad {0, 1, u, v} per affine orbit, the one whose (u, v) is least
     among the orbit's quads that contain {0, 1}.  ``checked`` still counts
-    every canonical subset the check decides, (q - 2)(q - 3)/2 quads.
+    every canonical subset the check decides, (q - 2)(q - 3)/2 quads, but
+    the quad check stops at the first failing orbit, so there
+    ``failures`` is 0 or 1: whether some quad fails, not how many.  At
+    every other size ``failures`` counts the failing canonical subsets.
 
     Other sizes walk the canonical subsets with ``canonical_minima``,
     after checking their number against ``OP_BUDGET // q``, unless

@@ -94,6 +94,16 @@ def test_matches_bitset_oracle_to_127(conv):
         assert r.vcdim == bitset_vc(q, member_vector(q, 2, 1, conv), conv), q
 
 
+@pytest.mark.parametrize("conv", CONVS, ids=lambda c: c.value)
+def test_matches_bitset_oracle_past_127(conv):
+    # the primes in 131-199 where the oracle takes under a second; 151
+    # and 191 reach 7, where a sibling cut one child too short shows
+    for q in (131, 137, 139, 149, 151, 191):
+        r = vc_dimension(q, conv)
+        assert r.exact, q
+        assert r.vcdim == bitset_vc(q, member_vector(q, 2, 1, conv), conv), q
+
+
 def test_strict_q5_is_one():
     r = vc_dimension(5, ZeroConvention.STRICT)
     assert r.vcdim == 1

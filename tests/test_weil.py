@@ -404,16 +404,44 @@ def test_quad_fast_path_matches_generic():
     assert answers == {False, True}
 
 
-@pytest.mark.parametrize("q", [23, 29, 31])
+def _pattern_at(member, quad, x):
+    q = member.shape[0]
+    return sum(int(member[(y - x) % q]) << i for i, y in enumerate(quad))
+
+
+@pytest.mark.parametrize("q", [23, 29, 31, 73, 103])
 def test_quad_verdict_matches_strict_oracle(q):
-    # one quad at a time, so each verdict is that of {0, 1, u, v} alone
+    # one quad at a time, so each verdict is that of {0, 1, u, v} alone;
+    # at 73 and 103, past one block of translates, both verdicts occur
+    block = weil.QUAD_BLOCK
     d, base2 = _quad_tables(residue_table(make_field(q), 2, 1,
                                           ZeroConvention.ZERO_OUT))
     member = member_vector(q, 2, 1, ZeroConvention.STRICT)
+    verdicts = {}
+    v_sentinel = completes_late = False
     for u, v in itertools.combinations(range(2, q), 2):
+        quad = (0, 1, u, v)
+        missing = np.flatnonzero(oracle_counts(
+            quad, member, ZeroConvention.STRICT) == 0).tolist()
+        verdicts[u, v] = not missing
         got = _quads_complete(d, base2, u, np.array([v], dtype=np.int64))
-        assert got == oracle_shattered([0, 1, u, v], member,
-                                       ZeroConvention.STRICT), (q, u, v)
+        assert got == verdicts[u, v], (q, u, v)
+        # a failing quad whose one missing pattern is read at x = v only
+        v_sentinel |= v >= block and missing == [_pattern_at(member, quad, v)]
+        # a shattered quad whose 16 patterns need translates past the first
+        # block
+        if not missing and not completes_late:
+            completes_late = len({_pattern_at(member, quad, x)
+                                  for x in range(block) if x not in quad}) < 16
+    if q > block:
+        assert set(verdicts.values()) == {False, True}
+    if q == 73:
+        assert v_sentinel and completes_late
+    # every v of one u in one call, so rows retire at different blocks
+    for u in range(2, q - 1):
+        vs = np.arange(u + 1, q, dtype=np.int64)
+        assert _quads_complete(d, base2, u, vs) == all(
+            verdicts[u, int(v)] for v in vs), (q, u)
 
 
 def test_quad_check_skips_translate_one():
@@ -424,11 +452,36 @@ def test_quad_check_skips_translate_one():
     quad = [0, 1, 2, 3]
     missing = np.flatnonzero(oracle_counts(quad, member,
                                            ZeroConvention.STRICT) == 0)
-    at_one = sum(int(member[(y - 1) % q]) << i for i, y in enumerate(quad))
+    at_one = _pattern_at(member, quad, 1)
     assert missing.tolist() == [at_one]
     d, base2 = _quad_tables(residue_table(make_field(q), 2, 1,
                                           ZeroConvention.ZERO_OUT))
     assert not _quads_complete(d, base2, 2, np.array([3], dtype=np.int64))
+
+
+def _canonical(q, Z):
+    """No map x -> (x - a) / (b - a) over the ordered pairs (a, b) of the
+    sorted tuple Z (holding 0 and 1) gives a smaller sorted image."""
+    return all(tuple(sorted((x - a) * pow(b - a, -1, q) % q for x in Z)) >= Z
+               for a, b in itertools.permutations(Z, 2))
+
+
+def test_orbit_filter_matches_brute_force_to_113():
+    # the kept quads are exactly the canonical ones, in (u, v) order, and
+    # each kept u is a canonical triple, which the prefilter relies on
+    for q in primes_in_range(7, 113):
+        kept = [(int(u), int(v))
+                for us, vs in _orbit_representatives(make_field(q))
+                for u, v in zip(us, vs)]
+        brute = [(u, v) for u, v in itertools.combinations(range(2, q), 2)
+                 if _canonical(q, (0, 1, u, v))]
+        assert kept == brute, q
+        assert all(_canonical(q, (0, 1, u)) for u, _ in kept), q
+
+
+def test_orbit_filter_count_at_1031():
+    assert sum(us.shape[0] for us, _ in
+               _orbit_representatives(make_field(1031))) == 44204
 
 
 def _affine_orbit_key(q, quad):
