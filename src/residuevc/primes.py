@@ -12,7 +12,8 @@ import math
 
 from .errors import NotPrime, TooSmall
 
-# Sufficient for every n < 3.3 * 10^24, which covers all 64-bit inputs.
+# Sufficient for every n < 3.3 * 10^24, which covers all 64-bit inputs;
+# also the trial divisors that ``is_prime`` tries first.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 #: Moduli from here on are refused: ``make_field``'s discrete-log table
 #: would need 16 GiB and products of two residues would overflow int64, so
@@ -24,7 +25,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for 64-bit integers."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1

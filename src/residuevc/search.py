@@ -100,11 +100,13 @@ or not.
 
 ``canonical`` decides a node's survivors, as far as the sibling cut can
 reach, in one pass: survivors times k(k - 1) pairs times k - 2 elements,
-dividing through the discrete-log table.
+dividing through the discrete-log table.  ``quad_representatives``
+takes the same rule one map at a time, over the quads {0, 1, u, v} and
+the full affine group, for the theorem check ``weil._all_quads_ok``.
 
 ``shatter.ChildTally`` counts each node's block of children (under STRICT
 with sentinel bins for the translates landing on the subset), and
-``shatter.canonical_minima`` walks the canonical sets of
+``shatter.rooted_minima`` walks every set holding {0, 1} for
 ``testing_dimension``.  ``sweep`` maps a per-prime function over a list
 of primes, in order and optionally over processes, and ``vc_sweep`` maps
 ``vc_dimension`` over the primes of a range with it.
@@ -119,14 +121,15 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .field import (PrimeField, ResidueTable, ZeroConvention, log2,
                     log2_floor, make_field, squares_table)
 from .primes import primes_in_range, require_prime
-from .shatter import (ChildTally, canonical_minima, fold_patterns,
-                      pattern_counts, shatter_report, signatures)
+from .shatter import (ChildTally, fold_patterns, pattern_counts,
+                      rooted_minima, shatter_report, signatures)
 
 
 @dataclass(frozen=True)
@@ -180,6 +183,76 @@ def _pair_maps(k: int) -> tuple[np.ndarray, np.ndarray]:
     return maps
 
 
+def canonical(F: PrimeField, Y: list[int], ms: np.ndarray,
+              all_pairs: bool) -> np.ndarray:
+    """Whether each Y + {m}, m in ``ms``, is canonical: no valid pair
+    (a, z) of it maps it by x -> (x - a)/(z - a) onto a smaller sorted
+    tuple (module docstring).  A pair is valid when z - a is a nonzero
+    square, or always when ``all_pairs``.  Y starts with 0, 1, so every
+    image does too and only the images of the other k - 2 elements are
+    compared, for all of ``ms`` and all pairs at once."""
+    k = len(Y) + 1
+    rows, weights = _pair_maps(k)
+    Z = np.empty((ms.shape[0], k), dtype=np.int64)
+    Z[:, :-1] = Y
+    Z[:, -1] = ms
+    pairs = Z[:, rows]
+    # negative differences index from the end, that is mod q and mod
+    # q - 1: logs[..., 0] is dlog(z - a), the rest dlog(x - a)
+    logs = F.dlog[pairs[..., 1:] - pairs[..., :1]]
+    img = F.powers[logs[..., 1:] - logs[..., :1]]
+    img.sort(axis=2)
+    smaller = np.sign(img - Z[:, None, 2:]) @ weights < 0
+    if not all_pairs:
+        smaller &= logs[..., 0] % 2 == 0  # z - a is a square
+    return ~smaller.any(axis=1)
+
+
+#: Pairs (u, v) the filter of ``quad_representatives`` holds at a time.
+QUAD_CHUNK = 1 << 14
+
+
+def quad_representatives(F: PrimeField) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield, chunk by chunk in (u, v) order, the pairs 2 <= u < v < q
+    whose quad {0, 1, u, v} is ``canonical`` with ``all_pairs``: one quad
+    per orbit of the affine group x -> c x + e, c != 0 (points 1 and 2
+    of the module docstring), for ``weil._all_quads_ok``.
+
+    The rule is ``canonical``'s, taken map by map for speed.  u runs over
+    the canonical triples {0, 1, u}, since a canonical quad drops v to
+    one (point 2).  The pair (1, 0) maps x -> 1 - x, which sends (u, v)
+    to (q + 1 - v, q + 1 - u), so only the pairs with u + v <= q + 1 are
+    generated, and the pair (0, 1) is the identity.  The other 10 rows
+    of ``_pair_maps(4)`` filter the pairs one map at a time, compacting
+    after each; a pair passes a map when it is at most the map's sorted
+    image, ties included.  A chunk is a run of consecutive u with at
+    most about ``QUAD_CHUNK`` pairs.  Over the primes 1024-1049, 540,968
+    pairs enter the filter and 179,238 are kept (44,204 at q = 1031).
+    """
+    q = F.q
+    us = np.arange(2, q, dtype=np.int64)
+    us = us[canonical(F, [0, 1], us, all_pairs=True)]
+    rows, _ = _pair_maps(4)
+    maps = rows[rows[:, :2].max(axis=1) > 1].tolist()  # not (0, 1), (1, 0)
+    step = max(1, QUAD_CHUNK // q)
+    for i in range(0, us.shape[0], step):
+        chunk = us[i:i + step]
+        runs = q + 1 - 2 * chunk  # v = u + 1, ..., q + 1 - u
+        u = np.repeat(chunk, runs)
+        v = (np.arange(u.shape[0], dtype=np.int64)
+             - np.repeat(np.cumsum(runs) - runs, runs) + u + 1)
+        for a, b, c, e in maps:
+            quad = (0, 1, u, v)
+            # negative differences index from the end, as in ``canonical``
+            shift = F.dlog[quad[b] - quad[a]]
+            x = F.powers[F.dlog[quad[c] - quad[a]] - shift]
+            y = F.powers[F.dlog[quad[e] - quad[a]] - shift]
+            lo = np.minimum(x, y)
+            keep = (u < lo) | ((u == lo) & (v <= np.maximum(x, y)))
+            u, v = u[keep], v[keep]
+        yield u, v
+
+
 @dataclass(frozen=True)
 class _Walk:
     """The fixed state of one walk from {0, 1} (module docstring): the
@@ -207,39 +280,17 @@ class _Walk:
 
 
 class _TreeSearch:
-    """The canonical test and the work counters shared by one prime's
-    searches, each for a shattered set of a fixed size over one walk."""
+    """The field, the pair rule of ``canonical`` and the work counters
+    shared by one prime's searches, each for a shattered set of a fixed
+    size over one walk."""
 
     def __init__(self, F: PrimeField, conv: ZeroConvention):
+        self.F = F
         self.q = F.q
         self.all_pairs = conv is ZeroConvention.STRICT
-        self.dlog = F.dlog
-        self.powers = F.powers
         # a shattered node has at most floor(log2 q) elements
         self.nodes_by_depth = [0] * self.q.bit_length()
         self.cells = 0
-
-    def canonical(self, Y: list[int], ms: np.ndarray) -> np.ndarray:
-        """Whether each child Y + {m}, m in ``ms``, is canonical: no valid
-        pair (a, z) of it maps it by x -> (x - a)/(z - a) onto a smaller
-        sorted tuple (module docstring).  Y starts with 0, 1, so every
-        image does too and only the images of the other k - 2 elements
-        are compared, for all children and pairs at once."""
-        k = len(Y) + 1
-        rows, weights = _pair_maps(k)
-        Z = np.empty((ms.shape[0], k), dtype=np.int64)
-        Z[:, :-1] = Y
-        Z[:, -1] = ms
-        pairs = Z[:, rows]
-        # negative differences index from the end, that is mod q and mod
-        # q - 1: logs[..., 0] is dlog(z - a), the rest dlog(x - a)
-        logs = self.dlog[pairs[..., 1:] - pairs[..., :1]]
-        img = self.powers[logs[..., 1:] - logs[..., :1]]
-        img.sort(axis=2)
-        smaller = np.sign(img - Z[:, None, 2:]) @ weights < 0
-        if not self.all_pairs:
-            smaller &= logs[..., 0] % 2 == 0  # z - a is a square
-        return ~smaller.any(axis=1)
 
     def find(self, walk: _Walk, size: int) -> tuple[int, ...] | None:
         """A shattered set of exactly ``size`` >= 3 elements that ``walk``
@@ -270,7 +321,8 @@ class _TreeSearch:
         reach = ms[:ms.shape[0] + n + 1 - size]
         if not reach.shape[0]:
             return None
-        for i in np.flatnonzero(self.canonical(Y, reach)).tolist():
+        for i in np.flatnonzero(canonical(self.F, Y, reach,
+                                          self.all_pairs)).tolist():
             m = int(ms[i])
             later = ms[i + 1:]
             if walk.square is not None:
@@ -336,7 +388,7 @@ def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
 def testing_dimension(q: int, conv: ZeroConvention, cap: int) -> int:
     """Largest n <= cap such that every subset of size <= n is shattered.
 
-    Checks the canonical sets holding {0, 1} (just {0} for n = 1) over
+    Checks every n-set holding {0, 1} (just {0} for n = 1) over
     the convention's table and, when q = 1 (mod 4) and ``conv`` is not
     STRICT, over the dual table: by the module docstring's pair map every
     n-set is shattered exactly when all of those are.
@@ -350,7 +402,7 @@ def testing_dimension(q: int, conv: ZeroConvention, cap: int) -> int:
         # pigeonhole: fewer allowed translates than 2^n shatter no n-set
         if (1 << n) > q - n * strict or not all(
                 mins.all() for tally in tallies
-                for mins in canonical_minima(tally, 2, n)):
+                for mins in rooted_minima(tally, 2, n)):
             return n - 1
     return cap
 

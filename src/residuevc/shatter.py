@@ -11,7 +11,9 @@ The minimum pattern count also bounds how far Y can grow and stay
 shattered: extending Y by one element can at most split every pattern
 class in two, so a minimum count of m allows at most floor(log2 m) more
 elements.  ``shattering_index`` returns that floor (or -1 when some count
-is zero), which the search module uses as a prune.
+is zero).  The exact search prunes by the same bound, read the other way
+round: a node must reach a fixed threshold 2^(s - |Y| - 1) to grow to s
+elements (``search`` docstring).
 
 Two kernels tally many subsets, each with one ``bincount`` a block.
 ``row_counts`` tallies unrelated subsets, the rows of an array, such as
@@ -20,10 +22,11 @@ are its one-row case, so one sentinel rule and one sum check, ``_tally``,
 serve every such tally.  ``ChildTally`` tallies related ones, Y + {m}
 for a vector of candidates m under an exclusion rule, reusing the
 signature of Y: the exact search walks its tree with it, and
-``canonical_minima`` feeds it the canonical sets of ``testing_dimension``
-and of the theorem check.  Apart from both, the quad check's
-``weil._quads_complete`` retires rows once all 16 patterns are seen, a
-different algorithm, and ``tests/oracles.py`` stays the independent check.
+``rooted_minima`` feeds it the rooted sets, those holding {0, ..., k - 1},
+of ``testing_dimension`` and of the theorem check.  Apart from both, the
+quad check's ``weil._quads_complete`` retires rows once all 16 patterns
+are seen, a different algorithm, and ``tests/oracles.py`` stays the
+independent check.
 
 The table owns the translate columns every tally reads: ``ResidueTable``
 builds ``doubled``, its membership vector reflected and doubled, once.
@@ -282,7 +285,7 @@ def fold_patterns(R: Union[PatternCounts, np.ndarray]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Child blocks and the canonical-subset walker
+# Child blocks and the rooted-subset walker
 # ---------------------------------------------------------------------------
 
 
@@ -344,10 +347,10 @@ class ChildTally:
             yield block, cols, counts.reshape(rows, bins)[:, :width]
 
 
-def canonical_minima(tally: ChildTally, fixed: int, n: int) -> Iterator[np.ndarray]:
+def rooted_minima(tally: ChildTally, fixed: int, n: int) -> Iterator[np.ndarray]:
     """Minimum pattern counts of the n-sets holding {0, ..., k - 1},
     k = min(fixed, n), in lexicographic order, a block at a time: each
-    canonical (n-1)-set Y gives ``tally`` the candidates m > max(Y).
+    (n-1)-set Y holding them gives ``tally`` the candidates m > max(Y).
     """
     q, k = tally.q, min(fixed, n)
     for c in itertools.combinations(range(k, q), max(n - 1 - k, 0)):

@@ -9,13 +9,16 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+_WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 56, 16, 28, 44
+#: About how many ticks a linear axis gets.
+_TICK_TARGET = 6
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / target
+    raw = (hi - lo) / _TICK_TARGET
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 2.5, 5, 10):
         step = mult * mag
@@ -48,7 +51,6 @@ def _fmt(v: float) -> str:
 
 def scatter_svg(path, points, *, curves=(), x_label: str = "", y_label: str = "",
                 title: str = "", log_x: bool = False,
-                width: int = 720, height: int = 480,
                 x_range: tuple[float, float] | None = None,
                 y_range: tuple[float, float] | None = None) -> None:
     """Write a scatter plot; ``curves`` are (label, [(x, y), ...]) polylines."""
@@ -65,8 +67,8 @@ def scatter_svg(path, points, *, curves=(), x_label: str = "", y_label: str = ""
     if not y_range:
         pad = 0.04 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def tx(x: float) -> float:
         if log_x:
@@ -81,13 +83,13 @@ def scatter_svg(path, points, *, curves=(), x_label: str = "", y_label: str = ""
     parts = [
         f'<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#444" stroke-width="1"/>',
     ]
     if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
+        parts.append(f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="13">{title}</text>')
     x_ticks = _log_ticks(x_lo, x_hi) if log_x else _ticks(x_lo, x_hi)
     for t in x_ticks:
@@ -104,7 +106,7 @@ def scatter_svg(path, points, *, curves=(), x_label: str = "", y_label: str = ""
         parts.append(f'<text x="{_MARGIN_L - 7}" y="{py + 3:.1f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="10">{_fmt(t)}</text>')
     if x_label:
-        parts.append(f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 8}" '
+        parts.append(f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 8}" '
                      f'text-anchor="middle" font-family="sans-serif" '
                      f'font-size="12">{x_label}</text>')
     if y_label:

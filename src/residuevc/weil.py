@@ -33,7 +33,8 @@ from .errors import (Infeasible, IndexNotDividing, LengthMismatch,
 from .field import (ZERO_EXP, CharacterTable, PrimeField, ZeroConvention,
                     character_table, log2_floor, residue_table)
 from .montecarlo import sample_subset
-from .shatter import ChildTally, canonical_minima, signatures
+from .search import quad_representatives
+from .shatter import ChildTally, rooted_minima, signatures
 
 WEIL_TOL = 1e-6
 OP_BUDGET = 10**9
@@ -326,73 +327,8 @@ def _witness_tally(F: PrimeField, C: CharacterTable, t: int) -> ChildTally:
                       forbidden)
 
 
-#: Pairs (u, v) the orbit filter of ``_all_quads_ok`` holds at a time.
-QUAD_CHUNK = 1 << 14
-
 #: Translates ``_quads_complete`` scans per block before retiring rows.
 QUAD_BLOCK = 64
-
-# The maps x -> (x - a) / (b - a) as positions in the quad (0, 1, u, v):
-# (a, b, then the positions of the other two elements).  The identity
-# (0, 1) is left out, and so is x -> 1 - x (1, 0), which
-# ``_orbit_representatives`` applies by the range of pairs it generates.
-_QUAD_MAPS = tuple((a, b, *(k for k in range(4) if k not in (a, b)))
-                   for a, b in itertools.permutations(range(4), 2)
-                   if (a, b) not in ((0, 1), (1, 0)))
-
-
-def _orbit_representatives(F: PrimeField) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield, chunk by chunk in (u, v) order, the pairs 2 <= u < v < q whose
-    quad {0, 1, u, v} represents its affine orbit: (u, v) is
-    lexicographically least among the sorted images of the quad under its
-    12 maps x -> (x - a) / (b - a).
-
-    Pairs are generated only for u whose triple {0, 1, u} is canonical in
-    the same sense: dropping v, the largest element of a canonical quad,
-    leaves a canonical triple (heredity, point 2 of the ``search``
-    docstring).  The triple's maps send u to 1 - u, 1/u, 1 - 1/u,
-    1/(1 - u) and u/(u - 1), so u is kept when it is at most each of them
-    as an integer in [0, q).  (Directly: under the quad's maps with
-    (a, b) = (0, u), (u, 0), (1, u) and (u, 1), one of the two other
-    images is that value, so a larger u loses for every v.)  Equality
-    must pass, as at u = 2 = 2/(2 - 1), and the full filter then decides
-    by v.  1 - u is covered by the range of pairs: x -> 1 - x sends
-    (u, v) to (q + 1 - v, q + 1 - u), so only pairs with u + v <= q + 1
-    are generated.  This keeps 172 of 514 u at q = 1031; over the primes
-    1024-1049, 540,968 of 1,073,344 pairs enter the filter of the 10
-    other maps.
-
-    A chunk is a run of consecutive kept u with at most about
-    ``QUAD_CHUNK`` pairs, compacted after each map.  The maps divide
-    through the discrete-log table: ``logs[i]`` is dlog(i mod q) for
-    0 <= i < 2q and ``powers[k]`` is g^(k mod (q - 1)) for
-    0 <= k < 2(q - 1), so (c - a) / (b - a) is one gather from each.
-    """
-    q = F.q
-    logs = np.concatenate([F.dlog, F.dlog])
-    powers = np.tile(F.powers, 2)
-    step = max(1, QUAD_CHUNK // q)
-    kept = np.arange(2, (q + 1) // 2, dtype=np.int64)  # u < v, u + v <= q + 1
-    inv_u = powers[(q - 1) - logs[kept]]
-    inv_1u = powers[(q - 1) - logs[1 - kept + q]]  # 1 / (1 - u)
-    kept = kept[(kept <= inv_u) & (kept <= (1 - inv_u) % q)
-                & (kept <= inv_1u) & (kept <= (1 - inv_1u) % q)]
-    for i in range(0, kept.shape[0], step):
-        us = kept[i:i + step]
-        runs = q + 1 - 2 * us
-        u = np.repeat(us, runs)
-        v = (np.arange(u.shape[0], dtype=np.int64)
-             - np.repeat(np.cumsum(runs) - runs, runs) + u + 1)
-        for a, b, c, e in _QUAD_MAPS:
-            quad = (0, 1, u, v)
-            shift = logs[quad[b] - quad[a] + q] - (q - 1)
-            x = powers[logs[quad[c] - quad[a] + q] - shift]
-            y = powers[logs[quad[e] - quad[a] + q] - shift]
-            lo = np.minimum(x, y)
-            keep = (u < lo) | ((u == lo) & (v <= np.maximum(x, y)))
-            u, v = u[keep], v[keep]
-        yield u, v
-
 
 def _quad_tables(T) -> tuple[np.ndarray, np.ndarray]:
     """The tables ``_quads_complete`` reads for the ZERO_OUT squares ``T``:
@@ -442,39 +378,22 @@ def _quads_complete(d: np.ndarray, base2: np.ndarray, u: int,
 
 
 def _all_quads_ok(F: PrimeField, T) -> bool:
-    """All canonical {0, 1, u, v} pass the constructive check (r = 2).
+    """All quads {0, 1, u, v} pass the constructive check (r = 2).
 
     ``T`` is the ZERO_OUT squares table.  For r = 2 the constructive
     witness condition is exactly STRICT shattering of the squares S: every
     one of the 16 patterns Y & (S + x) appears among the translates x
-    outside Y.  Only one quad per orbit of the affine group
-    x -> c x + e (c != 0) is checked, which is exact:
-
-    - The verdict is affine invariant.  For phi(x) = c x + e and x not in
-      Y, phi(y) - phi(x) = c (y - x) with y - x != 0, so phi(y) lies in
-      S + phi(x) exactly when y lies in S + x (c a square) or exactly
-      when it does not (c a non-square).  As x runs over the translates
-      outside Y, phi(x) runs over those outside phi(Y), so the patterns
-      of phi(Y) are those of Y, each kept or each complemented; either
-      way the full set of 16 maps onto itself.
-    - One representative per orbit.  The images of a quad Q that contain
-      {0, 1} are exactly its images under the 12 maps
-      x -> (x - a) / (b - a), (a, b) an ordered pair of elements of Q: a
-      map sending Q onto a set holding 0 and 1 sends some a to 0 and
-      some b to 1, and is then that map.  So this set of images depends
-      only on the orbit, every orbit has one, and {0, 1, u, v} (u < v) is
-      kept exactly when (u, v) is lexicographically least in it.
-
-    ``_orbit_representatives`` keeps about one quad in 12 (44,204 of
-    528,906 at q = 1031).  It extends only the u whose triple {0, 1, u}
-    is itself canonical, since a canonical quad drops its largest element
-    to a canonical triple (heredity, point 2 of the ``search``
-    docstring), so about half the pairs u < v, u + v <= q + 1 enter its
-    filter (133,606 of 264,710 at q = 1031).  ``_quads_complete`` checks
-    the kept quads of each u.
+    outside Y.  Every affine map x -> c x + e (c != 0) keeps it: for x not
+    in Y the differences y - x are nonzero and scale by c, so the patterns
+    of the image are those of Y, each kept (c a square) or each
+    complemented, and the full set of 16 maps onto itself.  So one quad
+    per affine orbit decides every quad, and by points 1 and 2 of the
+    ``search`` docstring ``search.quad_representatives`` yields exactly
+    one per orbit, about one quad in 12 (44,204 of 528,906 at q = 1031).
+    ``_quads_complete`` checks the kept quads of each u.
     """
     d, base2 = _quad_tables(T)
-    for us, vs in _orbit_representatives(F):
+    for us, vs in quad_representatives(F):
         starts = np.flatnonzero(np.diff(us, prepend=-1))
         for u, group in zip(us[starts], np.split(vs, starts[1:])):
             if not _quads_complete(d, base2, int(u), group):
@@ -490,22 +409,18 @@ def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremR
     is STRICT shattering (0 a non-member, translates inside the subset
     skipped); no zero convention applies to it.
 
-    Canonicalization: subsets are translated to contain 0 (exact, since
-    translation preserves the witness condition).  For r = 2 the witness
-    condition is STRICT shattering of the squares, which every affine map
-    x -> c x + e preserves: a square c keeps each pattern of a translate
-    outside the subset, a non-square c complements it (no difference is
-    zero there), so the set of all 16 patterns maps onto itself.  That
-    pins the element 1 as well, and at n* = 4 ``_all_quads_ok`` checks
-    one quad {0, 1, u, v} per affine orbit, the one whose (u, v) is least
-    among the orbit's quads that contain {0, 1}.  ``checked`` still counts
-    every canonical subset the check decides, (q - 2)(q - 3)/2 quads, but
-    the quad check stops at the first failing orbit, so there
+    Rooting: every subset is translated onto one holding 0, and for r = 2
+    mapped onto one holding {0, 1}, as the witness condition is kept by
+    translations and, for r = 2, by every affine map (``_all_quads_ok``).
+    So the check decides the rooted n-sets, those holding {0, ..., k - 1}
+    with k = 2 for r = 2 and k = 1 otherwise, and ``checked`` counts
+    them, C(q - k, n - k).  At r = 2 and n* = 4 ``_all_quads_ok`` checks
+    one quad per affine orbit and stops at the first failing one, so there
     ``failures`` is 0 or 1: whether some quad fails, not how many.  At
-    every other size ``failures`` counts the failing canonical subsets.
+    every other size ``failures`` counts the failing rooted subsets.
 
-    Other sizes walk the canonical subsets with ``canonical_minima``,
-    after checking their number against ``OP_BUDGET // q``, unless
+    Other sizes walk the rooted subsets with ``rooted_minima``, after
+    checking their number against ``OP_BUDGET // q``, unless
     2^n > q - n: an n-set then has fewer allowed translates than the 2^n
     witnesses it needs, so every one fails.  Raises ValueError for a
     non-finite ``epsilon``.
@@ -522,21 +437,19 @@ def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremR
     # Constructive witnesses are monotone under restriction, so checking
     # the top size n_star covers all smaller subsets.
     n = min(n_star, q)
+    k = min(2 if r == 2 else 1, n)  # the rooted sets hold 0, ..., k-1
+    checked = math.comb(q - k, n - k)
     if r == 2 and n == 4:
         T = residue_table(F, 2, 1, ZeroConvention.ZERO_OUT)
-        good = _all_quads_ok(F, T)
-        checked, failures = (q - 2) * (q - 3) // 2, 0 if good else 1
+        failures = 0 if _all_quads_ok(F, T) else 1
+    elif checked > OP_BUDGET // q:
+        raise Infeasible(f"enumerating the rooted subsets at q={q}, n*={n} "
+                         f"exceeds the operation budget")
+    elif (1 << n) > q - n:  # pigeonhole, as in ``testing_dimension``
+        failures = checked
     else:
-        k = min(2 if r == 2 else 1, n)  # the canonical sets hold 0, ..., k-1
-        checked = math.comb(q - k, n - k)
-        if checked > OP_BUDGET // q:
-            raise Infeasible(f"canonical enumeration at q={q}, n*={n} "
-                             f"exceeds the operation budget")
-        if (1 << n) > q - n:  # pigeonhole, as in ``testing_dimension``
-            failures = checked
-        else:
-            minima = canonical_minima(_witness_tally(F, C, t), k, n)
-            failures = sum(int((mins == 0).sum()) for mins in minima)
+        minima = rooted_minima(_witness_tally(F, C, t), k, n)
+        failures = sum(int((mins == 0).sum()) for mins in minima)
     return TheoremReport(q=q, r=r, epsilon=epsilon, n_star=n_star,
                          checked=checked, failures=failures,
                          passed=failures == 0)

@@ -233,7 +233,7 @@ def test_orderly_walk_lemma(q, conv):
     # square differences), the walk's canonical test keeps exactly the
     # least member of each orbit, and a canonical set minus its largest
     # element is canonical, so the walk reaches every canonical set.
-    state = search._TreeSearch(make_field(q), conv)
+    F = make_field(q)
     strict = conv is ZeroConvention.STRICT
     for square_only in [False] + [True] * (q % 4 == 1 and not strict):
         canon = {(0, 1): True}
@@ -241,7 +241,8 @@ def test_orderly_walk_lemma(q, conv):
             for Y in [Z for Z in canon if len(Z) == k - 1]:
                 ms = [m for m in range(Y[-1] + 1, q) if not square_only
                       or all(legendre(m - y, q) == 1 for y in Y)]
-                got = state.canonical(list(Y), np.array(ms, dtype=np.int64))
+                got = search.canonical(F, list(Y),
+                                       np.array(ms, dtype=np.int64), strict)
                 canon.update({Y + (m,): bool(c) for m, c in zip(ms, got)})
         orbits = {}
         for Z in canon:

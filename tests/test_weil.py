@@ -12,14 +12,15 @@ from residuevc.errors import Infeasible, LengthMismatch, ModulusMismatch
 from residuevc.field import (ZeroConvention, character_table, make_field,
                              residue_table)
 from residuevc.primes import primes_in_range
-from residuevc.shatter import ChildTally, canonical_minima
+from residuevc.search import quad_representatives
+from residuevc.shatter import ChildTally, rooted_minima
 from residuevc.weil import (PolySpec, char_sum,
                             coset_probability, fourier_probability,
                             fuzzy_coset_probability,
                             verify_equidistribution,
                             verify_shattering_theorem, verify_weil,
-                            _all_quads_ok, _orbit_representatives,
-                            _quad_tables, _quads_complete, _witness_tally)
+                            _all_quads_ok, _quad_tables, _quads_complete,
+                            _witness_tally)
 
 from oracles import (char_sum_direct, legendre, member_vector,
                      oracle_counts, oracle_shattered, witnesses_complete)
@@ -340,7 +341,7 @@ def test_constructive_verdicts_match_witness_oracle():
                 k = min(fixed, n)
                 want = [witnesses_complete(q, r, t, tuple(range(k)) + c)
                         for c in itertools.combinations(range(k, q), n - k)]
-                got = np.concatenate(list(canonical_minima(
+                got = np.concatenate(list(rooted_minima(
                     _witness_tally(F, C, t), fixed, n))) > 0
                 assert got.tolist() == want, (q, r, n)
                 verdicts.update(want)
@@ -384,7 +385,7 @@ def test_theorem_past_pigeonhole_fails_every_subset():
     rep = verify_shattering_theorem(F, 3, -1.5)
     assert (rep.n_star, rep.checked, rep.failures) == (4, 220, 220)
     t = weil._first_non_power(F, C)
-    minima = list(canonical_minima(_witness_tally(F, C, t), 1, 4))
+    minima = list(rooted_minima(_witness_tally(F, C, t), 1, 4))
     assert not any(mins.any() for mins in minima)
 
 
@@ -398,7 +399,7 @@ def test_quad_fast_path_matches_generic():
         strict = ChildTally(residue_table(F, 2, 1, ZeroConvention.STRICT))
         # at q = 7 the 16 patterns outnumber the 3 translates
         generic = 16 <= q - 4 and all(
-            mins.all() for mins in canonical_minima(strict, 2, 4))
+            mins.all() for mins in rooted_minima(strict, 2, 4))
         assert _all_quads_ok(F, T) == generic, q
         answers.add(generic)
     assert answers == {False, True}
@@ -468,10 +469,10 @@ def _canonical(q, Z):
 
 def test_orbit_filter_matches_brute_force_to_113():
     # the kept quads are exactly the canonical ones, in (u, v) order, and
-    # each kept u is a canonical triple, which the prefilter relies on
+    # each kept u is a canonical triple, which the triple level relies on
     for q in primes_in_range(7, 113):
         kept = [(int(u), int(v))
-                for us, vs in _orbit_representatives(make_field(q))
+                for us, vs in quad_representatives(make_field(q))
                 for u, v in zip(us, vs)]
         brute = [(u, v) for u, v in itertools.combinations(range(2, q), 2)
                  if _canonical(q, (0, 1, u, v))]
@@ -479,9 +480,14 @@ def test_orbit_filter_matches_brute_force_to_113():
         assert all(_canonical(q, (0, 1, u)) for u, _ in kept), q
 
 
-def test_orbit_filter_count_at_1031():
+# quads kept at the primes of the theorem-quads benchmark workload
+KEPT_QUADS = {1031: 44204, 1033: 44377, 1039: 44894, 1049: 45763}
+
+
+@pytest.mark.parametrize("q", KEPT_QUADS)
+def test_orbit_filter_count(q):
     assert sum(us.shape[0] for us, _ in
-               _orbit_representatives(make_field(1031))) == 44204
+               quad_representatives(make_field(q))) == KEPT_QUADS[q]
 
 
 def _affine_orbit_key(q, quad):
@@ -490,9 +496,9 @@ def _affine_orbit_key(q, quad):
                for c in range(1, q) for e in range(q))
 
 
-@pytest.mark.parametrize("q", [7, 11, 13, 17, 29])
+@pytest.mark.parametrize("q", [7, 11, 13, 17, 19, 23, 29])
 def test_one_kept_quad_per_affine_orbit(q):
-    kept = [(int(u), int(v)) for us, vs in _orbit_representatives(make_field(q))
+    kept = [(int(u), int(v)) for us, vs in quad_representatives(make_field(q))
             for u, v in zip(us, vs)]
     assert all(2 <= u < v < q for u, v in kept)
     assert len(set(kept)) == len(kept)
