@@ -262,7 +262,7 @@ def _sweep(args, command: str, fields: dict, params: dict, solve, jobs: int,
     of its manifest item after q and status.  The rows go to
     <command>.csv, with ``fields`` as header and checkpoint parsers; the
     figure plots column ``plot_key`` of every row against q, with
-    ``curves`` ((label, f) pairs drawn over the range's primes) and
+    ``curves`` (functions f drawn over the range's primes) and
     ``svg`` passed on to ``scatter_svg``.  An interrupted sweep's rows are
     complete, so --resume picks up from them.
     """
@@ -293,8 +293,8 @@ def _sweep(args, command: str, fields: dict, params: dict, solve, jobs: int,
                         for r in _read_rows(csv_path, fields))
         svg_path = out / f"{command}.svg"
         scatter_svg(svg_path, points,
-                    curves=[(label, [(q, f(q)) for q in qs or [5, 7]])
-                            for label, f in curves], **svg)
+                    curves=[[(q, f(q)) for q in qs or [5, 7]]
+                            for f in curves], **svg)
         manifest.outputs.append(str(svg_path))
     return 0
 
@@ -328,7 +328,7 @@ def cmd_vcdim(args) -> int:
     return _sweep(args, "vcdim", VCDIM_FIELDS,
                   {"early_exit": args.early_exit, "jobs": args.jobs},
                   partial(vc_dimension, early_exit=args.early_exit),
-                  args.jobs, row, "vcdim", [("log2 q", log2)],
+                  args.jobs, row, "vcdim", [log2],
                   x_label="prime q", y_label="largest shattered size",
                   title=f"VC dimension, convention {args.convention}")
 
@@ -347,8 +347,7 @@ def cmd_ap(args) -> int:
                  conv.value], {"longest": r.longest})
 
     return _sweep(args, "ap", AP_FIELDS, {}, longest_shattered_ap, 1, row,
-                  "longest",
-                  [("log2 q", log2), ("log2 q / 2", lambda q: log2(q) / 2)],
+                  "longest", [log2, lambda q: log2(q) / 2],
                   x_label="prime q (log scale)",
                   y_label="longest shattered progression", log_x=True,
                   title=f"Shattered initial segments, convention "

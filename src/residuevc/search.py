@@ -27,13 +27,14 @@ from {0, 1} looks for:
   squares: a node keeps the candidates m with m - y a nonzero square for
   every y in it.  Walk B maps the sets it finds back by x -> g x.
 
-Each search is one fixed-size question, ``_TreeSearch.find``: does the
+Each search is one fixed-size question, ``_Walk.find``: does the
 walk reach a shattered set of exactly s elements?  ``vc_dimension`` asks
 it for s from floor(log2 q) (no more than log2 q elements fit the q
 translates) down to 3, of walk A and then walk B, and the first size
 found is the answer: every larger size was refuted.  Early exit starts
 one size lower; refuting that size refutes every larger one too, as a
-shattered set's subsets are shattered.  The roots settle sizes 1 and 2:
+shattered set's subsets are shattered.  Each walk counts its own blocks,
+and ``vc_dimension`` adds them up.  The roots settle sizes 1 and 2:
 the singletons are all shattered or none, so {0} decides size 1, and a
 pair is shattered exactly when {0, 1} is over walk A's or walk B's
 table.  ``testing_dimension`` uses the same map: from n = 2 on, every
@@ -157,17 +158,6 @@ class ApResult:
     ratio: float
 
 
-def _walk_tables(F: PrimeField, conv: ZeroConvention) -> list[ResidueTable]:
-    """The convention's squares table, then the dual convention's when
-    q = 1 (mod 4) and the convention is not STRICT (module docstring)."""
-    tables = [squares_table(F, conv)]
-    if F.q % 4 == 1 and conv is not ZeroConvention.STRICT:
-        tables.append(squares_table(F, ZeroConvention.ZERO_OUT
-                                    if conv is ZeroConvention.ZERO_IN
-                                    else ZeroConvention.ZERO_IN))
-    return tables
-
-
 @functools.cache
 def _pair_maps(k: int) -> tuple[np.ndarray, np.ndarray]:
     """For the ordered pairs (a, z) of a k-set, the element indices of a,
@@ -253,52 +243,39 @@ def quad_representatives(F: PrimeField) -> Iterator[tuple[np.ndarray, np.ndarray
         yield u, v
 
 
-@dataclass(frozen=True)
 class _Walk:
-    """The fixed state of one walk from {0, 1} (module docstring): the
-    tally over its table, the scale its sets are mapped back by (1 in
-    walk A, a non-square in walk B), walk B's square filter (None in walk
-    A), and the signature and candidates of the root {0, 1}."""
+    """One walk from {0, 1} (module docstring), searching itself: the
+    field, the pair rule of ``canonical``, the tally over its table, the
+    scale its sets are mapped back by (1 in walk A, a non-square in walk
+    B), walk B's square filter (None in walk A), the signature and
+    candidates of the root, and the walk's own work counters."""
 
-    tally: ChildTally
-    scale: int
-    square: np.ndarray | None
-    sig: np.ndarray
-    cands: np.ndarray
-
-    @classmethod
-    def over(cls, T: ResidueTable, scale: int) -> "_Walk":
-        # read at nonzero differences only, where either table is the squares
-        square = None if scale == 1 else T.member.astype(bool)
-        cands = np.arange(2, T.q, dtype=np.int64)
-        if square is not None:
-            cands = cands[square[cands] & square[cands - 1]]
-        return cls(ChildTally(T), scale, square, signatures([0, 1], T), cands)
-
-    def witness(self, Y: list[int] | tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sorted(self.scale * y % self.tally.q for y in Y))
-
-
-class _TreeSearch:
-    """The field, the pair rule of ``canonical`` and the work counters
-    shared by one prime's searches, each for a shattered set of a fixed
-    size over one walk."""
-
-    def __init__(self, F: PrimeField, conv: ZeroConvention):
+    def __init__(self, F: PrimeField, T: ResidueTable, scale: int):
         self.F = F
-        self.q = F.q
-        self.all_pairs = conv is ZeroConvention.STRICT
+        self.all_pairs = T.convention is ZeroConvention.STRICT
+        self.tally = ChildTally(T)
+        self.scale = scale
+        # read at nonzero differences only, where either table is the squares
+        self.square = None if scale == 1 else T.member.astype(bool)
+        self.sig = signatures([0, 1], T)
+        cands = np.arange(2, F.q, dtype=np.int64)
+        if self.square is not None:
+            cands = cands[self.square[cands] & self.square[cands - 1]]
+        self.cands = cands
         # a shattered node has at most floor(log2 q) elements
-        self.nodes_by_depth = [0] * self.q.bit_length()
+        self.nodes_by_depth = [0] * F.q.bit_length()
         self.cells = 0
 
-    def find(self, walk: _Walk, size: int) -> tuple[int, ...] | None:
-        """A shattered set of exactly ``size`` >= 3 elements that ``walk``
-        looks for, mapped by its scale, or None when it has none."""
-        return self.descend(walk, [0, 1], walk.sig, walk.cands, size)
+    def witness(self, Y: list[int] | tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sorted(self.scale * y % self.F.q for y in Y))
 
-    def descend(self, walk: _Walk, Y: list[int], sig: np.ndarray,
-                cands: np.ndarray, size: int) -> tuple[int, ...] | None:
+    def find(self, size: int) -> tuple[int, ...] | None:
+        """A shattered set of exactly ``size`` >= 3 elements that the walk
+        looks for, mapped by its scale, or None when it has none."""
+        return self.descend([0, 1], self.sig, self.cands, size)
+
+    def descend(self, Y: list[int], sig: np.ndarray, cands: np.ndarray,
+                size: int) -> tuple[int, ...] | None:
         """Depth-first search below a canonical shattered node Y for a
         ``size``-element superset: count Y's children over ``cands``, keep
         those whose minimum count reaches 2^(size - |Y| - 1), and visit
@@ -308,15 +285,15 @@ class _TreeSearch:
         n = len(Y)
         need = 1 << (size - n - 1)
         kept = []
-        for ms, csig, counts in walk.tally.children(Y, sig, cands):
+        for ms, csig, counts in self.tally.children(Y, sig, cands):
             keep = counts.min(axis=1) >= need
             kept.append((ms[keep], csig[keep]))
         self.nodes_by_depth[n] += 1
-        self.cells += cands.shape[0] * self.q
+        self.cells += cands.shape[0] * self.F.q
         ms, csig = (kept[0] if len(kept) == 1
                     else (np.concatenate(part) for part in zip(*kept)))
         if n + 1 == size:
-            return walk.witness(Y + [int(ms[0])]) if ms.shape[0] else None
+            return self.witness(Y + [int(ms[0])]) if ms.shape[0] else None
         # a child after this prefix has too few later survivors to grow from
         reach = ms[:ms.shape[0] + n + 1 - size]
         if not reach.shape[0]:
@@ -325,13 +302,25 @@ class _TreeSearch:
                                           self.all_pairs)).tolist():
             m = int(ms[i])
             later = ms[i + 1:]
-            if walk.square is not None:
-                later = later[walk.square[later - m]]
+            if self.square is not None:
+                later = later[self.square[later - m]]
             if n + 1 + later.shape[0] >= size:
-                found = self.descend(walk, Y + [m], csig[i], later, size)
+                found = self.descend(Y + [m], csig[i], later, size)
                 if found:
                     return found
         return None
+
+
+def _walks(F: PrimeField, conv: ZeroConvention) -> list[_Walk]:
+    """Walk A over the convention's squares table, then, when q = 1 (mod 4)
+    and the convention is not STRICT, walk B over the dual table, mapped
+    back by g (module docstring)."""
+    walks = [_Walk(F, squares_table(F, conv), 1)]
+    if F.q % 4 == 1 and conv is not ZeroConvention.STRICT:
+        dual = (ZeroConvention.ZERO_OUT if conv is ZeroConvention.ZERO_IN
+                else ZeroConvention.ZERO_IN)
+        walks.append(_Walk(F, squares_table(F, dual), F.g))
+    return walks
 
 
 def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
@@ -354,17 +343,14 @@ def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
     require_prime(q)
     start = time.perf_counter()
     F = make_field(q)
-    tables = _walk_tables(F, conv)
-    T = tables[0]
-    state = _TreeSearch(F, conv)
-    walks = [_Walk.over(U, scale) for U, scale in zip(tables, (1, F.g))
-             if shatter_report((0, 1), U).shattered]
+    walks = _walks(F, conv)
+    T = walks[0].tally.T
+    walks = [w for w in walks if shatter_report((0, 1), w.tally.T).shattered]
     cap = max(log2_floor(q) - early_exit, 2)
     if walks:
         best, witness = 2, walks[0].witness((0, 1))
         for size in range(cap, 2, -1):
-            found = next(filter(None, (state.find(w, size) for w in walks)),
-                         None)
+            found = next(filter(None, (w.find(size) for w in walks)), None)
             if found:
                 best, witness = size, found
                 break
@@ -376,13 +362,14 @@ def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
     if witness and not shatter_report(witness, T).shattered:
         raise RuntimeError(f"witness {witness} is not shattered at q={q} "
                            f"under {conv.value}")
-    depths = state.nodes_by_depth
+    depths = [sum(d) for d in zip(*(w.nodes_by_depth for w in walks))]
     while depths and not depths[-1]:
         depths.pop()
     return VcResult(q=q, vcdim=best, alpha_q=best / log2(q), convention=conv,
                     witness=witness, elapsed_ms=elapsed_ms,
                     exact=not early_exit or best < cap, nodes=sum(depths),
-                    cells=state.cells, nodes_by_depth=tuple(depths))
+                    cells=sum(w.cells for w in walks),
+                    nodes_by_depth=tuple(depths))
 
 
 def testing_dimension(q: int, conv: ZeroConvention, cap: int) -> int:
@@ -396,13 +383,14 @@ def testing_dimension(q: int, conv: ZeroConvention, cap: int) -> int:
     require_prime(q)
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    tallies = [ChildTally(T) for T in _walk_tables(make_field(q), conv)]
-    strict = conv is ZeroConvention.STRICT
+    tallies = [w.tally for w in _walks(make_field(q), conv)]
     for n in range(1, cap + 1):
-        # pigeonhole: fewer allowed translates than 2^n shatter no n-set
-        if (1 << n) > q - n * strict or not all(
-                mins.all() for tally in tallies
-                for mins in rooted_minima(tally, 2, n)):
+        # level n is reached only when every (n - 1)-set is shattered, so
+        # 2^(n - 1) <= q - (n - 1) [STRICT]: that keeps level n's bins
+        # within BIN_SLACK, and past the pigeonhole bound its first rooted
+        # block already misses a pattern
+        if not all(mins.all() for tally in tallies
+                   for mins in rooted_minima(tally, 2, n)):
             return n - 1
     return cap
 

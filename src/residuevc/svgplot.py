@@ -53,9 +53,9 @@ def scatter_svg(path, points, *, curves=(), x_label: str = "", y_label: str = ""
                 title: str = "", log_x: bool = False,
                 x_range: tuple[float, float] | None = None,
                 y_range: tuple[float, float] | None = None) -> None:
-    """Write a scatter plot; ``curves`` are (label, [(x, y), ...]) polylines."""
-    xs = [p[0] for p in points] + [p[0] for _, c in curves for p in c]
-    ys = [p[1] for p in points] + [p[1] for _, c in curves for p in c]
+    """Write a scatter plot; ``curves`` are [(x, y), ...] polylines."""
+    xs = [p[0] for p in points] + [p[0] for c in curves for p in c]
+    ys = [p[1] for p in points] + [p[1] for c in curves for p in c]
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_hi = x_range if x_range else (min(xs), max(xs))
@@ -114,7 +114,7 @@ def scatter_svg(path, points, *, curves=(), x_label: str = "", y_label: str = ""
         parts.append(f'<text x="14" y="{cy:.1f}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="12" '
                      f'transform="rotate(-90 14 {cy:.1f})">{y_label}</text>')
-    for _label, curve in curves:
+    for curve in curves:
         pts = " ".join(f"{tx(x):.2f},{ty(y):.2f}" for x, y in curve
                        if x_lo <= x <= x_hi)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="#d62728" '

@@ -445,7 +445,9 @@ def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremR
     elif checked > OP_BUDGET // q:
         raise Infeasible(f"enumerating the rooted subsets at q={q}, n*={n} "
                          f"exceeds the operation budget")
-    elif (1 << n) > q - n:  # pigeonhole, as in ``testing_dimension``
+    elif (1 << n) > q - n:
+        # pigeonhole: every subset fails, and the count needs them all,
+        # where ``_require_bins`` would refuse sizes far past the bound
         failures = checked
     else:
         minima = rooted_minima(_witness_tally(F, C, t), k, n)

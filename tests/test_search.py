@@ -137,12 +137,10 @@ def test_find_matches_oracle_at_every_size(conv):
         F = make_field(q)
         vec = member_vector(q, 2, 1, conv)
         vc = bitset_vc(q, vec, conv)
-        state = search._TreeSearch(F, conv)
-        walks = [search._Walk.over(T, scale) for T, scale
-                 in zip(search._walk_tables(F, conv), (1, F.g))
-                 if is_shattered([0, 1], T)]
+        walks = [walk for walk in search._walks(F, conv)
+                 if is_shattered([0, 1], walk.tally.T)]
         for size in range(3, log2_floor(q) + 1):
-            found = [w for w in (state.find(walk, size) for walk in walks)
+            found = [w for w in (walk.find(size) for walk in walks)
                      if w is not None]
             assert bool(found) == (size <= vc), (q, size)
             for w in found:
@@ -281,18 +279,19 @@ def test_testing_dimension_q5():
 
 
 def test_testing_dimension_matches_uncanonicalized_oracle():
-    # 31 = 3 (mod 4) has no walk B; 29 and 101 = 1 (mod 4) need the dual
-    for q in [29, 31, 101]:
-        for conv in CONVS:
-            cap = 3
-            got = search.testing_dimension(q, conv, cap=cap)
-            vec = member(q, conv)
-            expect = 0
-            for n in range(1, cap + 1):
-                if not naive_all_shattered(q, n, vec, conv):
-                    break
-                expect = n
-            assert got == expect, (q, conv)
+    # 31 = 3 (mod 4) has no walk B; 29 and 101 = 1 (mod 4) need the dual.
+    # The small primes take a cap past the pigeonhole bound: the rooted
+    # tallies must reach the first failing level n without refusing its
+    # bins (NTooLarge) and answer n - 1
+    cases = ([(q, 3) for q in [29, 31, 101]]
+             + [(q, log2_floor(q) + 2) for q in [5, 7, 11, 13, 17]])
+    for (q, cap), conv in itertools.product(cases, CONVS):
+        got = search.testing_dimension(q, conv, cap=cap)
+        vec = member(q, conv)
+        n = next((n for n in range(1, cap + 1)
+                  if not naive_all_shattered(q, n, vec, conv)), cap + 1)
+        assert got == n - 1, (q, conv)
+        assert cap == 3 or n <= log2_floor(q) + 1, (q, conv)
 
 
 def test_testing_dimension_respects_cap():
