@@ -1,19 +1,23 @@
 """Prime-field arithmetic, residue-set tables, and multiplicative characters.
 
-A ``PrimeField`` carries an odd prime modulus q, a primitive root g, and the
-full discrete-log table base g.  From it one builds:
+A ``PrimeField`` carries an odd prime modulus q and a primitive root g; its
+power and discrete-log tables base g are built on first read, so a caller
+that only needs residue tables never pays for them.  From it one builds:
 
 - ``ResidueTable``: the 0/1 membership vector of a multiplicative coset
-  t * G_r, where G_r is the index-r subgroup of rth powers in F_q^x.  The
-  element 0 is neither in nor out of such a coset on its own; a
-  ``ZeroConvention`` decides how it is treated.
+  t * G_r, where G_r is the index-r subgroup of rth powers in F_q^x, built
+  as the image of x -> t x^r without logarithms.  The element 0 is neither
+  in nor out of such a coset on its own; a ``ZeroConvention`` decides how
+  it is treated.
 - ``CharacterTable``: an order-r multiplicative character chi_r stored as an
-  exponent table (chi_r(x) = exp(2*pi*i*exp_of[x]/r)), with chi_r(0) = 0.
+  exponent table (chi_r(x) = exp(2*pi*i*exp_of[x]/r)), with chi_r(0) = 0;
+  it reads the discrete-log table.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -56,21 +60,27 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """An odd prime modulus with a primitive root and discrete-log table.
+    """An odd prime modulus with a primitive root, and its log tables.
 
     ``dlog[x]`` is the index a in {0, ..., q-2} with g^a = x (mod q) for
     x != 0; ``dlog[0]`` holds -1 and must never be read as a logarithm.
     ``powers[a]`` is g^a mod q for 0 <= a <= q - 2, the inverse table.
+    Both are read-only int64 arrays, each built the first time it is read
+    and kept on the instance from then on.
     """
 
     q: int
     g: int
-    dlog: np.ndarray = field(repr=False)
-    powers: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        _freeze(self.dlog)
-        _freeze(self.powers)
+    @functools.cached_property
+    def powers(self) -> np.ndarray:
+        return _freeze(power_table(self.q, self.g))
+
+    @functools.cached_property
+    def dlog(self) -> np.ndarray:
+        dlog = np.full(self.q, -1, dtype=np.int64)
+        dlog[self.powers] = np.arange(self.q - 1, dtype=np.int64)
+        return _freeze(dlog)
 
 
 @dataclass(frozen=True)
@@ -141,6 +151,7 @@ def make_field(q: int, root: int | None = None) -> PrimeField:
 
     The primitive root is the smallest one unless ``root`` pins a specific
     (validated) choice, which downstream character tables then inherit.
+    No table is built here (``PrimeField``).
     """
     if q == 2:
         raise EvenPrime("q = 2 has no index-r subgroup with r >= 2")
@@ -156,10 +167,7 @@ def make_field(q: int, root: int | None = None) -> PrimeField:
         if not 1 < root < q or any(pow(root, (q - 1) // p, q) == 1 for p in factors):
             raise ValueError(f"{root} is not a primitive root modulo {q}")
         g = root
-    powers = power_table(q, g)
-    dlog = np.full(q, -1, dtype=np.int64)
-    dlog[powers] = np.arange(q - 1, dtype=np.int64)
-    return PrimeField(q=q, g=g, dlog=dlog, powers=powers)
+    return PrimeField(q=q, g=g)
 
 
 def power_table(q: int, g: int) -> np.ndarray:
@@ -193,15 +201,26 @@ def residue_table(F: PrimeField, r: int, t: int = 1,
                   conv: ZeroConvention = ZeroConvention.ZERO_IN) -> ResidueTable:
     """Membership table of the coset t * G_r, with 0 handled per ``conv``.
 
-    x != 0 lies in t * G_r exactly when dlog(x) = dlog(t) (mod r).
+    t * G_r is the image of x -> t x^r over F_q^x, taken by square and
+    multiply on an int64 range; every product stays below q^2 < 2^62.
+    For r = 2 the range stops at (q - 1) / 2, as (-x)^2 = x^2, and t = 1
+    skips the last product.  No power or discrete-log table is read.
     """
     _check_index(F, r)
-    t %= F.q
+    q = F.q
+    t %= q
     if t == 0:
         raise ValueError("coset representative t must be nonzero")
-    member = np.zeros(F.q, dtype=np.uint8)
-    target = int(F.dlog[t]) % r
-    member[1:] = (F.dlog[1:] % r == target)
+    x = np.arange(1, (q + 1) // 2 if r == 2 else q, dtype=np.int64)
+    image = x
+    for bit in bin(r)[3:]:  # the bits of r below its leading one
+        image = image * image % q
+        if bit == "1":
+            image = image * x % q
+    if t != 1:
+        image = image * t % q
+    member = np.zeros(q, dtype=np.uint8)
+    member[image] = 1
     if conv is ZeroConvention.ZERO_IN:
         member[0] = 1
     return ResidueTable(q=F.q, r=r, coset_rep=t, member=member, convention=conv)

@@ -15,6 +15,10 @@ from .errors import NotPrime, TooSmall
 # Sufficient for every n < 3.3 * 10^24, which covers all 64-bit inputs;
 # also the trial divisors that ``is_prime`` tries first.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: The first four witnesses are sufficient below this bound (Jaeschke
+#: 1993), which lies above every modulus the package accepts; the bound
+#: itself, 151 * 751 * 28351, is a strong pseudoprime to all four.
+_SMALL_MR_BOUND = 3_215_031_751
 #: Moduli from here on are refused: ``make_field``'s discrete-log table
 #: would need 16 GiB and products of two residues would overflow int64, so
 #: ``primes_in_range`` lists no prime past them either.
@@ -22,7 +26,8 @@ MAX_MODULUS = 1 << 31
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit integers."""
+    """Deterministic Miller-Rabin for 64-bit integers: witnesses 2, 3, 5
+    and 7 below ``_SMALL_MR_BOUND``, all of ``_MR_WITNESSES`` above."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -33,7 +38,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:4] if n < _SMALL_MR_BOUND else _MR_WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

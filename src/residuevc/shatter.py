@@ -131,7 +131,7 @@ def membership_matrix(Y: SubsetLike, T: ResidueTable) -> np.ndarray:
 def signatures(Y: SubsetLike, T: ResidueTable) -> np.ndarray:
     """Length-q vector of row signatures sum_i A[x, i] * 2^i, as a fresh
     array that the caller may overwrite: the one-row case of
-    ``_signatures``."""
+    ``_signatures``, so uint16 below 16 elements and int64 from 16 on."""
     sub = _coerce(Y, T)
     return _signatures(np.array([sub.elems], dtype=np.int64), T)[0]
 
@@ -141,13 +141,14 @@ def _signatures(rows: np.ndarray, T: ResidueTable) -> np.ndarray:
 
     The column of y is the slice [q - y, 2q - y) of ``T.doubled``, shifted
     to its bit; m > 1 rows gather it in one index, as row q - y of a
-    strided view over the table shifted to each bit.  The integer type
-    holds m runs of 2^n + 1 bins, the most ``_tally`` adds.
+    strided view over the table shifted to each bit.  Below n = 16 the
+    columns are gathered and summed as uint16, which holds both the
+    largest signature, 2^n - 1, and STRICT's sentinel, 2^n; from n = 16
+    on they are int64.  ``_tally`` widens them once, to index its bins.
     """
     m, n = rows.shape
     q = T.q
-    fits = m * ((1 << n) + 1) < 1 << 31
-    doubled = T.doubled.astype(np.int32 if fits else np.int64)
+    doubled = T.doubled.astype(np.uint16) if n < 16 else T.doubled
     if m == 1:
         columns = (doubled[q - y : 2 * q - y] << i
                    for i, y in enumerate(rows[0].tolist()))
@@ -196,20 +197,24 @@ def pattern_counts(Y: SubsetLike, T: ResidueTable) -> PatternCounts:
 
 def _tally(sig: np.ndarray, rows: np.ndarray, T: ResidueTable) -> np.ndarray:
     """Pattern counts of each subset in ``rows`` over its allowed
-    translates, from its signatures ``sig`` (overwritten), in one
-    ``bincount``.
+    translates, from its signatures ``sig`` (overwritten under STRICT),
+    in one ``bincount``.
 
     Row i gets its own run of 2^n + 1 bins; under STRICT its translates
     x in the subset go to the run's last bin, the sentinel, dropped here.
-    Raises RuntimeError when a row's counts miss an allowed translate.
+    The signatures, 16-bit below n = 16 (``_signatures``), are widened to
+    ``intp`` once, as each row's bin offset is added: the copy
+    ``bincount`` would make of them anyway.  Raises RuntimeError when a
+    row's counts miss an allowed translate.
     """
     m, n = rows.shape
     width = 1 << n
     bins = width + 1
     if T.convention is ZeroConvention.STRICT:
         sig[np.arange(m)[:, None], rows] = width
-    sig += np.arange(0, m * bins, bins, dtype=sig.dtype)[:, None]
-    counts = np.bincount(sig.ravel(), minlength=m * bins)
+    offsets = np.arange(0, m * bins, bins, dtype=np.intp)[:, None]
+    counts = np.bincount(np.add(sig, offsets, dtype=np.intp).ravel(),
+                         minlength=m * bins)
     counts = counts.reshape(m, bins)[:, :width]
     if (counts.sum(axis=1) != _allowed_translates(n, T)).any():
         raise RuntimeError("pattern counts must cover every allowed translate")

@@ -6,6 +6,7 @@ library's signature machinery, so a bug in the package cannot hide
 behind itself.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -26,8 +27,9 @@ def squares_mod(q: int) -> set[int]:
     return {x * x % q for x in range(1, q)}
 
 
-def powers_mod(q: int, r: int) -> set[int]:
-    return {pow(x, r, q) for x in range(1, q)}
+@functools.cache
+def powers_mod(q: int, r: int) -> frozenset[int]:
+    return frozenset(pow(x, r, q) for x in range(1, q))
 
 
 def member_vector(q: int, r: int, t: int, conv: ZeroConvention) -> np.ndarray:

@@ -5,8 +5,11 @@ import pytest
 
 from residuevc.errors import EvenPrime, FieldTooLarge, IndexNotDividing, NotPrime
 from residuevc.field import (ZERO_EXP, ZeroConvention, character_table,
-                             coset_representatives, make_field, residue_table)
+                             coset_representatives, make_field, residue_table,
+                             squares_table)
+from residuevc.montecarlo import estimate_p
 from residuevc.primes import is_prime, primes_in_range
+from residuevc.search import longest_shattered_ap
 
 from oracles import legendre, member_vector, powers_mod
 
@@ -154,16 +157,54 @@ def test_member_counts_and_zero_flag():
 
 
 def test_tables_match_enumeration_oracle():
-    for q in [13, 31, 61]:
+    for q in primes_in_range(5, 400):
         F = make_field(q)
-        for r in (2, 3, 5):
-            if (q - 1) % r:
-                continue
-            for t in (1, 2, q - 1):
-                T = residue_table(F, r, t, ZeroConvention.ZERO_OUT)
-                assert np.array_equal(
-                    T.member.astype(np.int64),
-                    member_vector(q, r, t, ZeroConvention.ZERO_OUT))
+        for r in [r for r in range(2, q) if (q - 1) % r == 0]:
+            for t in coset_representatives(F, r) + [q - 1]:
+                for conv in ZeroConvention:
+                    T = residue_table(F, r, t, conv)
+                    assert np.array_equal(T.member.astype(np.int64),
+                                          member_vector(q, r, t, conv)), (q, r, t)
+
+
+def test_residue_tables_build_no_log_tables(monkeypatch):
+    from residuevc import montecarlo, search
+    built = []
+
+    def recording(q):
+        built.append(make_field(q))
+        return built[-1]
+
+    monkeypatch.setattr(search, "make_field", recording)
+    monkeypatch.setattr(montecarlo, "make_field", recording)
+    for q in (101, 1009):
+        for conv in ZeroConvention:
+            F = make_field(q)
+            squares_table(F, conv)
+            residue_table(F, 2, F.g, conv)
+            built.append(F)
+            longest_shattered_ap(q, conv)
+            estimate_p(q, 6, trials=20, seed=1, conv=conv)
+    assert len(built) == 18
+    for F in built:
+        assert "dlog" not in vars(F) and "powers" not in vars(F)
+
+
+def test_log_tables_read_after_residue_tables():
+    for q in (5, 101, 1009, 65537):
+        F = make_field(q)
+        T = squares_table(F, ZeroConvention.STRICT)
+        assert "dlog" not in vars(F)
+        assert F.dlog.dtype == np.int64 and F.dlog.shape == (q,)
+        assert F.dlog[0] == -1
+        assert F.dlog is F.dlog and F.powers is F.powers
+        assert _dlog_matches_powers(F, np.arange(q - 1))
+        assert np.array_equal(np.sort(F.dlog[1:]), np.arange(q - 1))
+        assert np.array_equal(T.member[1:], F.dlog[1:] % 2 == 0)
+        with pytest.raises(ValueError):
+            F.dlog[1] = 0
+        with pytest.raises(ValueError):
+            F.powers[1] = 0
 
 
 def test_cosets_partition_units():
@@ -276,3 +317,15 @@ def test_miller_rabin_agrees_with_trial_division():
     for n in [2**31 - 1, 10**12 + 39, 10**12 + 61]:
         assert is_prime(n)
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+
+
+def test_miller_rabin_agrees_with_a_sieve():
+    # below 3,215,031,751 only the witnesses 2, 3, 5 and 7 are tried
+    limit = 10**6
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, 1001):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    assert [n for n in range(limit) if is_prime(n)] == np.flatnonzero(sieve).tolist()
+    assert not is_prime(25_326_001)  # 2251 * 11251, strong psp to 2, 3, 5

@@ -167,6 +167,25 @@ def test_signatures_hold_wide_subsets():
     assert signatures(Y, T).tolist() == expect
 
 
+@pytest.mark.parametrize("n", [15, 16])
+@pytest.mark.parametrize("conv", CONVS)
+def test_tallies_match_oracle_across_the_16_bit_switch(conv, n):
+    # below 16 elements signatures are 16-bit, STRICT's sentinel 2^15
+    # included; from 16 on they are int64.  At q = 16411 the bins check
+    # lets n = 16 through under every convention.
+    q = 16411
+    T = table(q, conv)
+    rng = np.random.default_rng(n)
+    rows = np.array([np.arange(n), np.arange(q - n, q),
+                     np.sort(rng.choice(q, size=n, replace=False))])
+    assert signatures(rows[0], T).dtype == (np.uint16 if n < 16 else np.int64)
+    [counts] = row_counts(rows, T)
+    for row, got in zip(rows.tolist(), counts):
+        want = oracle_counts(row, T.member, conv)
+        assert np.array_equal(got, want)
+        assert np.array_equal(pattern_counts(row, T).counts, want)
+
+
 def test_row_counts_check_raises_on_a_short_row(monkeypatch):
     real = shatter._signatures
 
