@@ -26,7 +26,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -79,13 +79,16 @@ class RunManifest:
 
     def save(self, out_dir: Path) -> Path:
         """Write ``manifest.json`` atomically: a failed write leaves the
-        previous manifest in place."""
+        previous manifest in place.  The fields hold only JSON values, so
+        a shallow dict of them dumps as ``asdict`` would, without its deep
+        copy of every item."""
         self.resources = _resources()
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
         path = out_dir / "manifest.json"
         tmp = out_dir / ".manifest.json.tmp"
         try:
             with tmp.open("w", encoding="utf-8") as fh:
-                fh.write(json.dumps(asdict(self), indent=2) + "\n")
+                fh.write(json.dumps(data, indent=2) + "\n")
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)

@@ -87,10 +87,11 @@ class PrimeField:
 class ResidueTable:
     """Length-q membership vector of the coset ``coset_rep * G_r``.
 
-    ``doubled`` holds the translate columns: int64, length 2q, with
+    ``doubled`` holds the translate columns: uint8, length 2q, with
     ``doubled[i] = member[-i mod q]``, so member[(y - x) mod q] over
     x = 0..q-1 is the zero-copy slice [q-y : 2q-y] (``shatter.column``).
-    Both arrays are read-only.
+    Each reader widens it once to the dtype its sums need.  Both arrays
+    are read-only.
     """
 
     q: int
@@ -101,12 +102,9 @@ class ResidueTable:
     doubled: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _freeze(self.member)
-        member = self.member.astype(np.int64)
-        rev = np.empty_like(member)
-        rev[0] = member[0]
-        rev[1:] = member[:0:-1]
-        object.__setattr__(self, "doubled", _freeze(np.concatenate([rev, rev])))
+        member = _freeze(self.member)
+        doubled = np.concatenate([member[:1], member[:0:-1]] * 2)
+        object.__setattr__(self, "doubled", _freeze(doubled))
 
 
 @dataclass(frozen=True)

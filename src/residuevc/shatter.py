@@ -125,7 +125,7 @@ def membership_matrix(Y: SubsetLike, T: ResidueTable) -> np.ndarray:
     sub = _coerce(Y, T)
     if sub.n == 0:
         return np.zeros((T.q, 0), dtype=np.uint8)
-    return np.stack([column(T, y) for y in sub.elems], axis=1).astype(np.uint8)
+    return np.stack([column(T, y) for y in sub.elems], axis=1)
 
 
 def signatures(Y: SubsetLike, T: ResidueTable) -> np.ndarray:
@@ -141,14 +141,15 @@ def _signatures(rows: np.ndarray, T: ResidueTable) -> np.ndarray:
 
     The column of y is the slice [q - y, 2q - y) of ``T.doubled``, shifted
     to its bit; m > 1 rows gather it in one index, as row q - y of a
-    strided view over the table shifted to each bit.  Below n = 16 the
-    columns are gathered and summed as uint16, which holds both the
-    largest signature, 2^n - 1, and STRICT's sentinel, 2^n; from n = 16
-    on they are int64.  ``_tally`` widens them once, to index its bins.
+    strided view over the table shifted to each bit.  The uint8 table is
+    widened once: below n = 16 the columns are gathered and summed as
+    uint16, which holds both the largest signature, 2^n - 1, and STRICT's
+    sentinel, 2^n; from n = 16 on they are int64.  ``_tally`` widens the
+    signatures once more, to index its bins.
     """
     m, n = rows.shape
     q = T.q
-    doubled = T.doubled.astype(np.uint16) if n < 16 else T.doubled
+    doubled = T.doubled.astype(np.uint16 if n < 16 else np.int64)
     if m == 1:
         columns = (doubled[q - y : 2 * q - y] << i
                    for i, y in enumerate(rows[0].tolist()))
@@ -304,7 +305,11 @@ class ChildTally:
     view, so a block gathers whole rows.  Its entries at the translates m
     drops hold 2^(n+1), which lands the row's value in sentinel bins past
     the 2^(n+1) patterns; the translates Y drops are set to 2^(n+1) once
-    a block.  ``offsets[n]`` gives each row its own run of bins.
+    a block.  A row's values stay below ``bins[n]`` <= 3 * 2^n, so the
+    windows, and the child signatures gathered from them, are uint16
+    while 3 * 2^n < 2^16 (n <= 14) and int64 from there on.
+    ``offsets[n]`` gives each row its own run of bins; adding it widens a
+    block to ``intp`` once, for ``bincount``.
     """
 
     def __init__(self, T: ResidueTable, forbidden: Sequence[int] | None = None):
@@ -317,7 +322,9 @@ class ChildTally:
         # to floor(log2 q) + 1, the deepest block the bins check lets by
         depths = range(q.bit_length() + 1)
         self.windows = [sliding_window_view(
-            np.where(dropped, 2 << n, T.doubled << n), q) for n in depths]
+            np.where(dropped, 2 << n, T.doubled.astype(
+                np.uint16 if 3 << n < 1 << 16 else np.int64) << n), q)
+            for n in depths]
         # a sentinel value plus a signature of Y stays below 3 * 2^n
         self.bins = [(3 if self.forbidden.size else 2) << n for n in depths]
         self.offsets = [np.arange(q, dtype=np.int64)[:, None] * bins
@@ -329,9 +336,10 @@ class ChildTally:
         cells, one ``bincount`` each: ``sigs[i]`` is the signature of
         Y + {ms[i]}, ``counts[i]`` its pattern counts over the allowed
         translates.  ``sig`` is the signature of Y, from ``signatures`` or
-        from an earlier block.  Raises NTooLarge when the patterns outnumber
-        a child's translates more than ``BIN_SLACK`` times (a rule that
-        forbids anything forbids 0).
+        from an earlier block, in either case uint16 while |Y| <= 14.
+        Raises NTooLarge when the patterns outnumber a child's translates
+        more than ``BIN_SLACK`` times (a rule that forbids anything
+        forbids 0).
         """
         q, n = self.q, len(Y)
         _require_bins(n + 1, q - (n + 1) * (self.forbidden.size > 0), q)
@@ -345,10 +353,8 @@ class ChildTally:
             if self.forbidden.size:
                 # negative differences index from the end, that is mod q
                 cols[:, np.array(Y, dtype=np.int64)[:, None] - self.forbidden] = width
-            offsets = self.offsets[n][:rows]
-            cols += offsets
-            counts = np.bincount(cols.ravel(), minlength=rows * bins)
-            cols -= offsets
+            binned = np.add(cols, self.offsets[n][:rows], dtype=np.intp)
+            counts = np.bincount(binned.ravel(), minlength=rows * bins)
             yield block, cols, counts.reshape(rows, bins)[:, :width]
 
 

@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (Infeasible, IndexNotDividing, LengthMismatch,
                      ModulusMismatch)
@@ -331,49 +332,63 @@ def _witness_tally(F: PrimeField, C: CharacterTable, t: int) -> ChildTally:
 QUAD_BLOCK = 64
 
 def _quad_tables(T) -> tuple[np.ndarray, np.ndarray]:
-    """The tables ``_quads_complete`` reads for the ZERO_OUT squares ``T``:
-    its translate columns ``T.doubled`` and the signatures of {0, 1}."""
-    return (T.doubled.astype(np.int16),
-            signatures([0, 1], T).astype(np.int16))
+    """The tables ``_quads_complete`` reads for the ZERO_OUT squares ``T``,
+    in its scan order k = x - c mod q, c = q // 2.
+
+    The first is a window table: a ``sliding_window_view`` of width
+    ``QUAD_BLOCK`` over member[-i mod q] << 3 as int16, for i up to
+    2q + c + ``QUAD_BLOCK``, so that row q + c - v + lo holds v's bits at
+    the block of scan steps [lo, lo + ``QUAD_BLOCK``) for every v and
+    every q, also q < ``QUAD_BLOCK``.  The second is the signatures of
+    {0, 1} in scan order.
+    """
+    q = T.q
+    c = q // 2
+    col = T.doubled[:q].astype(np.int16) << 3
+    window = sliding_window_view(np.resize(col, 2 * q + c + QUAD_BLOCK),
+                                 QUAD_BLOCK)
+    return window, np.roll(signatures([0, 1], T).astype(np.int16), -c)
 
 
-def _quads_complete(d: np.ndarray, base2: np.ndarray, u: int,
+def _quads_complete(window: np.ndarray, sig2: np.ndarray, u: int,
                     vs: np.ndarray) -> bool:
     """Every {0, 1, u, v}, v in ``vs``, realizes all 16 patterns among the
     translates outside it.
 
-    The signature classes of {0, 1, u} are extended by the v bit.
-    Translates are scanned in blocks of ``QUAD_BLOCK`` and a row retires
-    after the first block in which its 16 patterns are complete.  A random
-    quad sees all 16 after about 16 H_16 = 54 translates, so a first block
-    of 64 retires most rows and a longer one mostly scans translates whose
-    patterns are already seen: over the primes 1024-1049, 77,916 of the
-    179,238 kept quads enter a second block of 64 and 90 a fourth, and the
-    kernel tallies 16,734,912 cells (rows times block width), against
-    34,430,976 with blocks of 192.
+    The signature classes of {0, 1, u} are extended by the v bit, read
+    from the window table of ``_quad_tables``.  Translates are scanned
+    from x = c = q // 2 on, wrapping around (x = c + k mod q), in blocks
+    of ``QUAD_BLOCK``, and a row retires after the first block in which
+    its 16 patterns are complete.  A random quad sees all 16 after about
+    16 H_16 = 54 translates, so a first block of 64 retires most rows.
+    The scan starts at q // 2 because the small translates are no random
+    sample: the bits of 0 and 1 read the character at -x and 1 - x, which
+    multiplicativity ties to its values at small primes.  Over the primes
+    1024-1049 the kernel keeps 179,238 quads and tallies 13,688,128 cells
+    (rows times block width) in 1,425 blocks, with 34,377 rows entering a
+    second block; scanning from x = 0 took 16,734,912 cells, 1,700 blocks
+    and 77,916 rows.  The window table makes a block one row gather of
+    pre-shifted int16, with no per-cell index arithmetic.
     """
-    q = base2.shape[0]
-    xs = np.arange(q, dtype=np.int64)
-    sig3 = base2 + (d[q + xs - u] << 2)
-    sig3[0] = sig3[1] = sig3[u] = 16  # excluded translates
+    q = sig2.shape[0]
+    c = q // 2
+    sig3 = sig2 + (window[q + c - u : 2 * q + c - u, 0] >> 1)
+    sig3[[-c % q, (1 - c) % q, (u - c) % q]] = 16  # excluded translates
+    own = (vs - c) % q  # the scan step of v's own translate
     full = np.uint32((1 << 16) - 1)
     one = np.uint32(1)
     flags = np.zeros(vs.shape[0], dtype=np.uint32)
-    active = np.arange(vs.shape[0])
     for lo in range(0, q, QUAD_BLOCK):
-        hi = min(q, lo + QUAD_BLOCK)
-        va = vs[active]
-        sig4 = d[q + xs[None, lo:hi] - va[:, None]] << 3
-        sig4 += sig3[None, lo:hi]
-        inblk = (va >= lo) & (va < hi)
-        rows = np.nonzero(inblk)[0]
-        sig4[rows, va[inblk] - lo] = 16
-        flags[active] |= np.bitwise_or.reduce(
-            one << sig4.astype(np.uint32), axis=1)
-        keep = (flags[active] & full) != full
-        active = active[keep]
-        if active.size == 0:
+        width = min(QUAD_BLOCK, q - lo)
+        sig4 = window[q + c + lo - vs][:, :width]
+        sig4 += sig3[lo : lo + width]
+        rows = np.flatnonzero((own >= lo) & (own < lo + width))
+        sig4[rows, own[rows] - lo] = 16
+        flags |= np.bitwise_or.reduce(one << sig4.astype(np.uint32), axis=1)
+        keep = (flags & full) != full
+        if not keep.any():
             return True
+        vs, own, flags = vs[keep], own[keep], flags[keep]
     return False
 
 
@@ -392,11 +407,11 @@ def _all_quads_ok(F: PrimeField, T) -> bool:
     one per orbit, about one quad in 12 (44,204 of 528,906 at q = 1031).
     ``_quads_complete`` checks the kept quads of each u.
     """
-    d, base2 = _quad_tables(T)
+    window, sig2 = _quad_tables(T)
     for us, vs in quad_representatives(F):
         starts = np.flatnonzero(np.diff(us, prepend=-1))
         for u, group in zip(us[starts], np.split(vs, starts[1:])):
-            if not _quads_complete(d, base2, int(u), group):
+            if not _quads_complete(window, sig2, int(u), group):
                 return False
     return True
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -309,6 +310,18 @@ def test_vcdim_manifest_records_environment_and_resources(tmp_path):
                    for v in who.values())
     # this process has run the search and holds numpy
     assert use["self"]["cpu_s"] > 0 and use["self"]["peak_rss_mb"] > 10
+
+
+def test_manifest_save_writes_what_asdict_would(tmp_path):
+    m = RunManifest(command="vcdim", parameters={"range": [5, 31],
+                                                 "convention": "zero-in"},
+                    started_at="2024-01-01T00:00:00")
+    m.items += [{"q": 29, "status": "done", "vcdim": 3, "witness": (0, 1, 3),
+                 "nodes_by_depth": [0, 0, 1, 2]},
+                {"q": 31, "status": "error", "error": "stopped"}]
+    m.outputs.append({"path": "vcdim.csv", "kind": "csv"})
+    text = m.save(tmp_path).read_text(encoding="utf-8")
+    assert text == json.dumps(dataclasses.asdict(m), indent=2) + "\n"
 
 
 def test_manifest_write_failure_keeps_previous(tmp_path):

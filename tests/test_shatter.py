@@ -46,7 +46,7 @@ def test_table_columns_are_translates(conv):
     for q in [5, 13, 31]:
         T = table(q, conv)
         vec = member_vector(q, 2, 1, conv)
-        assert T.doubled.dtype == np.int64 and T.doubled.shape == (2 * q,)
+        assert T.doubled.dtype == np.uint8 and T.doubled.shape == (2 * q,)
         with pytest.raises(ValueError):
             T.doubled[0] = 1
         xs = np.arange(q)
@@ -506,6 +506,27 @@ def test_batch_matches_single():
                 assert np.array_equal(got_ms, ms)
                 for m, row in zip(ms.tolist(), counts):
                     assert np.array_equal(row, pattern_counts(Y + [m], T).counts)
+
+
+@pytest.mark.parametrize("conv", CONVS)
+def test_child_tally_across_its_16_bit_switch(conv):
+    # blocks of 14-element nodes are summed in uint16 and those of
+    # 15-element nodes in int64; 16411 is the least prime whose translates
+    # let a 16-element child through the bins check
+    q = 16411
+    T = table(q, conv)
+    member = member_vector(q, 2, 1, conv)
+    tally = ChildTally(T)
+    Y = list(range(14))
+    sig = signatures(Y, T)
+    for dtype, ms in [(np.uint16, [100, 5000]), (np.int64, [6000, 16400])]:
+        [(_, sigs, counts)] = tally.children(Y, sig,
+                                             np.array(ms, dtype=np.int64))
+        assert sigs.dtype == dtype
+        for m, row in zip(ms, counts):
+            assert np.array_equal(row, oracle_counts(Y + [m], member, conv))
+        # the first child's signature is the next node's
+        Y, sig = Y + [ms[0]], sigs[0]
 
 
 def test_batch_chunking_boundary(monkeypatch):

@@ -87,14 +87,45 @@ def test_bench_pairs_summary_gives_medians_wins_and_failures():
               bp.parse_run(canned_run(c, 2 * c, s, failed)))
              for p, c, s, failed in [(0.6, 0.45, 1.5, 0), (0.58, 0.6, 1.6, 0),
                                      (0.62, 0.44, 1.7, 3)]]
+    assert bp.pair_line(1, *pairs[0]) == (
+        "pair 1 (parent first): wall_s 0.6 -> 0.45, "
+        "raw_wall_s 1.2 -> 0.9, slowdown 1.5 / 1.5")
+    assert bp.pair_line(2, *pairs[1]).startswith(
+        "pair 2 (change first): wall_s 0.58 -> 0.6,")
     lines = bp.summarize(pairs)
-    assert lines[0] == ("pair 1 (parent first): wall_s 0.6 -> 0.45, "
-                        "raw_wall_s 1.2 -> 0.9, slowdown 1.5 / 1.5")
-    assert lines[1].startswith("pair 2 (change first): wall_s 0.58 -> 0.6,")
-    assert "median wall_s: 0.6 -> 0.45 (-25.0%)" in lines
-    assert "median raw_wall_s: 1.2 -> 0.9 (-25.0%)" in lines
-    assert "median slowdown: 1.6 -> 1.6 (+0.0%)" in lines
-    assert "median peak_rss_mb: 43 -> 43 (+0.0%)" in lines
-    assert "change wins 2 of 3 pairs on wall_s" in lines
+    assert [line.split(":")[0] for line in lines[:-1]] == list(bp.KEYS)
+    assert lines[0].startswith("wall_s: parent 0.58 / 0.6 / 0.62, "
+                               "change 0.44 / 0.45 / 0.6 (-25.0%); "
+                               "change wins 2 of 3;")
+    assert lines[3].startswith("peak_rss_mb: parent 43 / 43 / 43, "
+                               "change 43 / 43 / 43 (+0.0%); "
+                               "change wins 0 of 3;")
     assert lines[-1] == "failed items: pair 3 change: 3/300 items"
     assert bp.summarize(pairs[:2])[-1] == "failed items: none"
+
+
+def wall_pairs(bp, parent, change):
+    return [(bp.parse_run(canned_run(p, p, 1.0)),
+             bp.parse_run(canned_run(c, c, 1.0)))
+            for p, c in zip(parent, change)]
+
+
+def test_bench_pairs_gain_rules():
+    bp = load_bench_pairs()
+    parent = list(range(10, 20))  # quartiles 11.75, 14.5, 17.25
+    # 9 of 10 wins, and a median gap of 6 over a spread of 5.5
+    change = [20] + [p - 7 for p in parent[1:]]
+    assert bp.metric_line("wall_s", wall_pairs(bp, parent, change)) == (
+        "wall_s: parent 11.75 / 14.5 / 17.25, change 5.75 / 8.5 / 11.25 "
+        "(-41.4%); change wins 9 of 10; median gap 6 vs parent spread 5.5; "
+        "gain rules hold")
+    # a median gap of 7 over the spread, but 8 of 10 wins
+    lost = [20, 21] + [p - 9 for p in parent[2:]]
+    assert bp.metric_line("wall_s", wall_pairs(bp, parent, lost)).endswith(
+        "change wins 8 of 10; median gap 7 vs parent spread 5.5; "
+        "gain rules fail")
+    # 10 of 10 wins, but a median gap of 5 within the spread
+    near = [p - 5 for p in parent]
+    assert bp.metric_line("wall_s", wall_pairs(bp, parent, near)).endswith(
+        "change wins 10 of 10; median gap 5 vs parent spread 5.5; "
+        "gain rules fail")

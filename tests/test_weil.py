@@ -410,38 +410,63 @@ def _pattern_at(member, quad, x):
     return sum(int(member[(y - x) % q]) << i for i, y in enumerate(quad))
 
 
-@pytest.mark.parametrize("q", [23, 29, 31, 73, 103])
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19, 61])
+def test_quad_window_rows_are_translate_columns(q):
+    # row q + c - v + lo of the window table holds v's bit, shifted to bit
+    # 3, at the translates x = c + lo + j (mod q) of a block, for every v
+    # and block, also at primes below one block
+    window, sig2 = _quad_tables(residue_table(make_field(q), 2, 1,
+                                              ZeroConvention.ZERO_OUT))
+    member = member_vector(q, 2, 1, ZeroConvention.ZERO_OUT)
+    c = q // 2
+    xs = (c + np.arange(q)) % q
+    assert np.array_equal(sig2, member[-xs % q] + 2 * member[(1 - xs) % q])
+    for v in range(q):
+        for lo in range(0, q, weil.QUAD_BLOCK):
+            width = min(weil.QUAD_BLOCK, q - lo)
+            got = window[q + c - v + lo][:width]
+            assert np.array_equal(got, member[(v - xs[lo:lo + width]) % q] << 3)
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19, 23, 29, 31, 73, 103])
 def test_quad_verdict_matches_strict_oracle(q):
     # one quad at a time, so each verdict is that of {0, 1, u, v} alone;
-    # at 73 and 103, past one block of translates, both verdicts occur
+    # at 73 and 103, past one block of translates, both verdicts occur,
+    # and below one block the table still covers every translate
     block = weil.QUAD_BLOCK
-    d, base2 = _quad_tables(residue_table(make_field(q), 2, 1,
-                                          ZeroConvention.ZERO_OUT))
+    window, sig2 = _quad_tables(residue_table(make_field(q), 2, 1,
+                                              ZeroConvention.ZERO_OUT))
     member = member_vector(q, 2, 1, ZeroConvention.STRICT)
+    c = q // 2  # the kernel scans x = c + k (mod q) for k = 0, 1, ...
     verdicts = {}
-    v_sentinel = completes_late = False
+    v_steps, completes_late = [], False
     for u, v in itertools.combinations(range(2, q), 2):
         quad = (0, 1, u, v)
         missing = np.flatnonzero(oracle_counts(
             quad, member, ZeroConvention.STRICT) == 0).tolist()
         verdicts[u, v] = not missing
-        got = _quads_complete(d, base2, u, np.array([v], dtype=np.int64))
+        got = _quads_complete(window, sig2, u, np.array([v], dtype=np.int64))
         assert got == verdicts[u, v], (q, u, v)
-        # a failing quad whose one missing pattern is read at x = v only
-        v_sentinel |= v >= block and missing == [_pattern_at(member, quad, v)]
+        # the scan steps of v in failing quads whose one missing pattern is
+        # read at x = v only
+        if missing == [_pattern_at(member, quad, v)]:
+            v_steps.append((v - c) % q)
         # a shattered quad whose 16 patterns need translates past the first
         # block
         if not missing and not completes_late:
+            first = {(c + k) % q for k in range(block)} - set(quad)
             completes_late = len({_pattern_at(member, quad, x)
-                                  for x in range(block) if x not in quad}) < 16
+                                  for x in first}) < 16
     if q > block:
         assert set(verdicts.values()) == {False, True}
-    if q == 73:
-        assert v_sentinel and completes_late
+    if q in (73, 103):
+        assert v_steps and completes_late
+    if q == 103:  # v = 48 with u = 47, excluded in the second block
+        assert max(v_steps) >= block
     # every v of one u in one call, so rows retire at different blocks
     for u in range(2, q - 1):
         vs = np.arange(u + 1, q, dtype=np.int64)
-        assert _quads_complete(d, base2, u, vs) == all(
+        assert _quads_complete(window, sig2, u, vs) == all(
             verdicts[u, int(v)] for v in vs), (q, u)
 
 
@@ -455,9 +480,9 @@ def test_quad_check_skips_translate_one():
                                            ZeroConvention.STRICT) == 0)
     at_one = _pattern_at(member, quad, 1)
     assert missing.tolist() == [at_one]
-    d, base2 = _quad_tables(residue_table(make_field(q), 2, 1,
-                                          ZeroConvention.ZERO_OUT))
-    assert not _quads_complete(d, base2, 2, np.array([3], dtype=np.int64))
+    window, sig2 = _quad_tables(residue_table(make_field(q), 2, 1,
+                                              ZeroConvention.ZERO_OUT))
+    assert not _quads_complete(window, sig2, 2, np.array([3], dtype=np.int64))
 
 
 def _canonical(q, Z):

@@ -8,10 +8,14 @@ first in odd pairs and the change first in even ones, so that neither
 side always meets the machine in the same state.  Of each run's output
 only the summary line and the last line, the JSON result, are read.
 
-Prints each pair; then, per side, the medians of ``wall_s``, ``setup_s``,
-``cpu_s``, ``peak_rss_mb``, ``raw_wall_s`` and ``slowdown``; the number
-of pairs whose change run has the lower ``wall_s``; and the failed items
-of every run.  Uses only the standard library.
+Prints each pair; then, for each of ``wall_s``, ``setup_s``, ``cpu_s``,
+``peak_rss_mb``, ``raw_wall_s`` and ``slowdown`` (all lower is better),
+the quartiles of each side, the number of pairs whose change run is
+lower, and whether the change passes both rules of a claimed gain: it
+is lower in at least 9 of 10 pairs, and its median is below the
+parent's by more than the parent's quartile spread (Q3 - Q1).  Last come
+the failed items of every run.  Defaults to 10 pairs, the number the
+first rule is stated for.  Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -24,9 +28,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-#: Metrics whose medians are printed, in order.
+#: Metrics whose quartiles are printed, in order; lower is better.
 KEYS = ("wall_s", "setup_s", "cpu_s", "peak_rss_mb", "raw_wall_s",
         "slowdown")
+#: Share of the pairs a claimed gain must win: 9 of 10.
+WIN_SHARE = 0.9
 
 
 def parse_run(stdout: str) -> dict[str, float]:
@@ -54,17 +60,27 @@ def pair_line(i: int, p: dict, c: dict) -> str:
             f"{c['slowdown']:.4g}")
 
 
+def metric_line(key: str, pairs: list[tuple[dict, dict]]) -> str:
+    """One metric: each side's Q1, median and Q3 (``statistics.quantiles``,
+    exclusive method), the change's wins and the two rules of a claimed
+    gain."""
+    before = statistics.quantiles([p[key] for p, _ in pairs], n=4)
+    after = statistics.quantiles([c[key] for _, c in pairs], n=4)
+    change = f" ({after[1] / before[1] - 1:+.1%})" if before[1] else ""
+    wins = sum(c[key] < p[key] for p, c in pairs)
+    gap, spread = before[1] - after[1], before[2] - before[0]
+    holds = wins >= WIN_SHARE * len(pairs) and gap > spread
+    return (f"{key}: parent {' / '.join(f'{v:.4g}' for v in before)}, "
+            f"change {' / '.join(f'{v:.4g}' for v in after)}{change}; "
+            f"change wins {wins} of {len(pairs)}; median gap {gap:.4g} vs "
+            f"parent spread {spread:.4g}; gain rules "
+            f"{'hold' if holds else 'fail'}")
+
+
 def summarize(pairs: list[tuple[dict, dict]]) -> list[str]:
-    """Report lines for (parent, change) runs, pair by pair and then
-    their medians, wins and failed items."""
-    out = [pair_line(i, p, c) for i, (p, c) in enumerate(pairs, 1)]
-    for key in KEYS:
-        before = statistics.median(p[key] for p, _ in pairs)
-        after = statistics.median(c[key] for _, c in pairs)
-        change = f" ({after / before - 1:+.1%})" if before else ""
-        out.append(f"median {key}: {before:.4g} -> {after:.4g}{change}")
-    wins = sum(c["wall_s"] < p["wall_s"] for p, c in pairs)
-    out.append(f"change wins {wins} of {len(pairs)} pairs on wall_s")
+    """Report lines for (parent, change) runs, printed after their pair
+    lines: one line per metric (``metric_line``), then the failed items."""
+    out = [metric_line(key, pairs) for key in KEYS]
     failed = [f"pair {i} {side}: {run['failed']}/{run['attempted']} items"
               for i, pair in enumerate(pairs, 1)
               for side, run in zip(("parent", "change"), pair)
@@ -86,8 +102,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, to have quartiles")
     pairs = []
     for i in range(1, args.pairs + 1):
         sides = (args.parent, args.change)
