@@ -120,7 +120,6 @@ import functools
 import itertools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -129,7 +128,7 @@ import numpy as np
 from .field import (PrimeField, ResidueTable, ZeroConvention, log2,
                     log2_floor, make_field, squares_table)
 from .primes import primes_in_range, require_prime
-from .shatter import (ChildTally, fold_patterns, pattern_counts,
+from .shatter import (ChildTally, fold_patterns, prefix_counts,
                       rooted_minima, shatter_report, signatures)
 
 
@@ -407,10 +406,11 @@ def longest_shattered_ap(q: int,
     the prefix under the dual convention, which this does not check
     (ROADMAP item 1).
 
-    One pattern tally at the maximum width floor(log2 q) is folded down
-    until every pattern is realized.  Under ZERO_IN and ZERO_OUT every
-    width has all q translates, and the OR of the two halves is exactly
-    the realized vector of the one-shorter prefix.  Under STRICT the
+    One pattern tally at the maximum width floor(log2 q),
+    ``prefix_counts``, is folded down until every pattern is realized.
+    Under ZERO_IN and ZERO_OUT every width has all q translates, and the
+    OR of the two halves is exactly the realized vector of the
+    one-shorter prefix.  Under STRICT the
     prefix {0, ..., n-1} keeps the translates x >= n, so the fold gives
     the patterns of {0, ..., n-2} over x >= n; the shorter prefix also
     keeps x = n - 1, whose pattern (bit i is member[(i - (n-1)) mod q],
@@ -420,7 +420,7 @@ def longest_shattered_ap(q: int,
     require_prime(q)
     T = squares_table(make_field(q), conv)
     n = log2_floor(q)
-    vec = pattern_counts(range(n), T).counts > 0
+    vec = prefix_counts(n, T) > 0
     while n > 0 and not vec.all():
         vec = fold_patterns(vec)
         n -= 1
@@ -445,6 +445,9 @@ def sweep(solve, qs: list[int], jobs: int = 1, on_error=None):
     ``solve`` that pickles, or in this one when that number is 1.
     """
     workers = min(jobs, len(qs), _usable_cpus())
+    # imported here: a serial sweep, and ``import residuevc``, need no
+    # multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
         calls = ([pool.submit(solve, q).result for q in qs] if pool

@@ -19,9 +19,11 @@ Two kernels tally many subsets, each with one ``bincount`` a block.
 ``row_counts`` tallies unrelated subsets, the rows of an array, such as
 the trials of a Monte Carlo point; ``signatures`` and ``pattern_counts``
 are its one-row case, so one sentinel rule and one sum check, ``_tally``,
-serve every such tally.  ``ChildTally`` tallies related ones, Y + {m}
-for a vector of candidates m under an exclusion rule, reusing the
-signature of Y: the exact search walks its tree with it, and
+serve every such tally.  ``prefix_counts`` is the same tally of the
+prefix {0, ..., n - 1}, whose signatures it builds by doubling the
+window width, for the progressions.  ``ChildTally`` tallies related
+ones, Y + {m} for a vector of candidates m under an exclusion rule,
+reusing the signature of Y: the exact search walks its tree with it, and
 ``rooted_minima`` feeds it the rooted sets, those holding {0, ..., k - 1},
 of ``testing_dimension`` and of the theorem check.  Apart from both, the
 quad check's ``weil._quads_complete`` retires rows once all 16 patterns
@@ -165,8 +167,9 @@ def _signatures(rows: np.ndarray, T: ResidueTable) -> np.ndarray:
     return sig
 
 
-def _allowed_translates(n: int, T: ResidueTable) -> int:
-    return T.q - n if T.convention is ZeroConvention.STRICT else T.q
+def _allowed_translates(n: int, q: int, conv: ZeroConvention) -> int:
+    """Translates a tally of an n-subset of F_q counts under ``conv``."""
+    return q - n if conv is ZeroConvention.STRICT else q
 
 
 def _require_bins(n: int, allowed: int, q: int) -> None:
@@ -190,10 +193,37 @@ def pattern_counts(Y: SubsetLike, T: ResidueTable) -> PatternCounts:
     translates more than ``BIN_SLACK`` times.
     """
     sub = _coerce(Y, T)
-    _require_bins(sub.n, _allowed_translates(sub.n, T), T.q)
+    _require_bins(sub.n, _allowed_translates(sub.n, T.q, T.convention), T.q)
     rows = np.array([sub.elems], dtype=np.int64)
     counts = _tally(signatures(sub, T)[None], rows, T)[0]
     return PatternCounts(n=sub.n, counts=counts, convention=T.convention)
+
+
+def prefix_counts(n: int, T: ResidueTable) -> np.ndarray:
+    """``pattern_counts(range(n), T).counts``, from signatures built by
+    doubling the window width.
+
+    With D = ``T.doubled``, the signature of {0, ..., a - 1} at translate
+    x is w_a[q + x], where w_a[k] = sum_{i < a} D[k - i] << i.  Widths
+    grow as w_2a[k] = w_a[k] + (w_a[k - a] << a), and a set bit a of n
+    joins w_a to the width b built so far as w_(a+b)[k] =
+    w_b[k] + (w_a[k - b] << b): about log2 n + popcount(n) whole-array
+    passes, where ``_signatures`` makes n.  Each w_a is kept as its
+    values at k < 2q from k = a - 1 on, and the signature as those at
+    q <= k < 2q.  Same widths, refusal and tally as ``pattern_counts``.
+    """
+    q = T.q
+    _require_bins(n, _allowed_translates(n, q, T.convention), q)
+    w = T.doubled.astype(np.uint16 if n < 16 else np.int64)
+    sig, b, a = np.zeros(q, dtype=w.dtype), 0, 1
+    while a <= n:
+        if n & a:
+            sig += w[w.size - b - q : w.size - b] << b
+            b += a
+        if 2 * a <= n:
+            w = w[a:] + (w[:-a] << a)
+        a *= 2
+    return _tally(sig[None], np.arange(n)[None], T)[0]
 
 
 def _tally(sig: np.ndarray, rows: np.ndarray, T: ResidueTable) -> np.ndarray:
@@ -217,7 +247,8 @@ def _tally(sig: np.ndarray, rows: np.ndarray, T: ResidueTable) -> np.ndarray:
     counts = np.bincount(np.add(sig, offsets, dtype=np.intp).ravel(),
                          minlength=m * bins)
     counts = counts.reshape(m, bins)[:, :width]
-    if (counts.sum(axis=1) != _allowed_translates(n, T)).any():
+    allowed = _allowed_translates(n, T.q, T.convention)
+    if (counts.sum(axis=1) != allowed).any():
         raise RuntimeError("pattern counts must cover every allowed translate")
     return counts
 
@@ -242,7 +273,7 @@ def row_counts(rows: np.ndarray, T: ResidueTable) -> Iterator[np.ndarray]:
         raise ValueError(f"element outside field of size {T.q}")
     if (np.diff(rows, axis=1) <= 0).any():
         raise ValueError("subset elements must be strictly increasing")
-    _require_bins(n, _allowed_translates(n, T), T.q)
+    _require_bins(n, _allowed_translates(n, T.q, T.convention), T.q)
     step = max(1, MAX_CELLS // T.q)
     for lo in range(0, m, step):
         block = rows[lo : lo + step]
@@ -252,7 +283,7 @@ def row_counts(rows: np.ndarray, T: ResidueTable) -> Iterator[np.ndarray]:
 def shatter_report(Y: SubsetLike, T: ResidueTable) -> ShatterReport:
     """Shattering decision plus the extension-bounding index."""
     sub = _coerce(Y, T)
-    if (1 << sub.n) > _allowed_translates(sub.n, T):
+    if (1 << sub.n) > _allowed_translates(sub.n, T.q, T.convention):
         # Pigeonhole: fewer translates than patterns, so some count is zero.
         return ShatterReport(shattered=False, index=-1, convention=T.convention)
     m = int(pattern_counts(sub, T).counts.min())

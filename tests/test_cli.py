@@ -190,7 +190,7 @@ def test_jobs_caps_pool_at_primes_left(tmp_path, monkeypatch):
             sizes.append(max_workers)
             raise RuntimeError("no process is started in this test")
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(search, "_usable_cpus", lambda: 64)
     with pytest.raises(RuntimeError):
         main(["vcdim", "--range", "5:7", "--jobs", "5000",

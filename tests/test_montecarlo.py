@@ -119,6 +119,44 @@ def test_sampler_matches_scalar_draws(q):
             assert a.integers(0, 2**62) == b.integers(0, 2**62)
 
 
+@pytest.mark.parametrize("q", [101, 65537, 2**40 + 15])
+@pytest.mark.parametrize("n", [1, 2, 8, 20, 63])
+def test_fisher_yates_rows_match_scalar_rows(q, n):
+    # random rows, then rows whose swaps collide: j = i throughout, every
+    # j the same, and j at positions below n that a later step reads
+    rng = np.random.default_rng(n)
+    k = np.arange(n)
+    js = np.concatenate([
+        rng.integers(np.tile(k, 200), q).reshape(200, n),
+        k[None],
+        np.full((1, n), q - 1),
+        np.maximum(k, n - 1)[None],
+        np.maximum(k, rng.integers(0, n, size=(50, n)))])
+    got = montecarlo._fisher_yates_rows(js)
+    assert got.shape == js.shape
+    assert got.tolist() == [montecarlo._fisher_yates(q, row)
+                            for row in js.tolist()]
+
+
+@pytest.mark.parametrize("chunk", [montecarlo.DRAW_CHUNK, 11],
+                         ids=["16384", "11"])
+@pytest.mark.parametrize("conv", list(ZeroConvention))
+def test_interface_scan_is_estimate_p_at_each_point(conv, chunk, monkeypatch):
+    # one batch holds many points at the default chunk, and chunk 11 (2
+    # trials a batch at n = 5) splits a point over batches; the window
+    # at n = 6 holds q = 67, past the STRICT pigeonhole bound (64 > 61)
+    monkeypatch.setattr(montecarlo, "DRAW_CHUNK", chunk)
+    for n, lo, hi, trials in [(5, 0.7, 0.85, 7), (6, 0.95, 1.0, 9)]:
+        seed = 3 + n
+        points = interface_scan(n, lo, hi, density=1000, trials=trials,
+                                seed=seed, conv=conv)
+        assert len(points) > 1
+        assert points == [estimate_p(p.q, n, trials, point_seed(seed, n, p.q),
+                                     conv) for p in points]
+        if n == 6 and conv is ZeroConvention.STRICT:
+            assert [p.hits for p in points if p.q == 67] == [0]
+
+
 @pytest.mark.parametrize("module, cap, value", [
     (montecarlo, "DRAW_CHUNK", montecarlo.DRAW_CHUNK),
     (montecarlo, "DRAW_CHUNK", 11),

@@ -1,15 +1,20 @@
 import itertools
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import residuevc
+from residuevc import search
 from residuevc.errors import NotPrime, TooSmall
 from residuevc.field import ZeroConvention, log2_floor, make_field, squares_table
 from residuevc.primes import primes_in_range
-from residuevc import search
 from residuevc.search import longest_shattered_ap, vc_dimension, vc_sweep
 from residuevc.shatter import (ChildTally, is_shattered, pattern_counts,
                                shattering_index, signatures)
@@ -408,7 +413,8 @@ class RecordingPool:
 ])
 def test_sweep_bounds_pool_size(monkeypatch, jobs, cpus, want):
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
     got = [(r.q, r.vcdim) for r in vc_sweep(5, 13, jobs=jobs)]
     assert got == [(5, 2), (7, 2), (11, 3), (13, 3)]
@@ -416,6 +422,18 @@ def test_sweep_bounds_pool_size(monkeypatch, jobs, cpus, want):
     # one prime runs serially whatever jobs is
     assert [r.q for r in vc_sweep(13, 13, jobs=jobs)] == [13]
     assert RecordingPool.sizes == want
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # ``sweep`` imports the pool only when it starts one, so importing the
+    # package and its CLI loads no multiprocessing machinery
+    child = ("import sys, residuevc, residuevc.cli; "
+             "sys.exit('concurrent.futures.process' in sys.modules)")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(residuevc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

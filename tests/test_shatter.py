@@ -10,8 +10,8 @@ from residuevc.field import ZeroConvention, make_field, residue_table, squares_t
 from residuevc.primes import primes_in_range
 from residuevc.shatter import (ChildTally, Subset, fold_patterns,
                                is_shattered, membership_matrix, pattern_counts,
-                               row_counts, shatter_report, shattering_index,
-                               signatures)
+                               prefix_counts, row_counts, shatter_report,
+                               shattering_index, signatures)
 
 from oracles import legendre, member_vector, oracle_counts, oracle_shattered
 
@@ -137,6 +137,8 @@ def test_tallies_refuse_bins_far_past_pigeonhole():
         child_counts(T, 20)
     with pytest.raises(NTooLarge):
         next(row_counts(prefix_rows(20), T))
+    with pytest.raises(NTooLarge):
+        prefix_counts(20, T)
     # 2^9 bins exceed 4 per translate; 2^8 still fit, with some count zero
     with pytest.raises(NTooLarge):
         pattern_counts(range(9), T)
@@ -144,7 +146,10 @@ def test_tallies_refuse_bins_far_past_pigeonhole():
         child_counts(T, 9)
     with pytest.raises(NTooLarge):
         next(row_counts(prefix_rows(9), T))
+    with pytest.raises(NTooLarge):
+        prefix_counts(9, T)
     assert (pattern_counts(range(8), T).counts == 0).any()
+    assert (prefix_counts(8, T) == 0).any()
     assert child_counts(T, 8).min() == 0
     [counts] = row_counts(prefix_rows(8), T)
     assert (counts.min(axis=1) == 0).all()
@@ -184,6 +189,21 @@ def test_tallies_match_oracle_across_the_16_bit_switch(conv, n):
         want = oracle_counts(row, T.member, conv)
         assert np.array_equal(got, want)
         assert np.array_equal(pattern_counts(row, T).counts, want)
+
+
+@pytest.mark.parametrize("conv", CONVS)
+@pytest.mark.parametrize("qs", [primes_in_range(5, 200), [65537, 131071]],
+                         ids=["5-200", "65537-131071"])
+def test_prefix_counts_match_pattern_counts(qs, conv):
+    # every prefix width the progressions read, 1 <= n <= floor(log2 q);
+    # 65537 and 131071 reach n = 16, past the 16-bit switch
+    for q in qs:
+        T = table(q, conv)
+        for n in range(1, q.bit_length()):
+            got = prefix_counts(n, T)
+            want = pattern_counts(range(n), T).counts
+            assert got.dtype == want.dtype, (q, n)
+            assert np.array_equal(got, want), (q, n)
 
 
 def test_row_counts_check_raises_on_a_short_row(monkeypatch):

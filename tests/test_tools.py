@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
 
 # 15 lines; code lines are 5, 8, 11, 13, 14 and 15: the multi-line string
@@ -129,3 +131,41 @@ def test_bench_pairs_gain_rules():
     assert bp.metric_line("wall_s", wall_pairs(bp, parent, near)).endswith(
         "change wins 10 of 10; median gap 5 vs parent spread 5.5; "
         "gain rules fail")
+
+
+def test_bench_pairs_reads_the_parents_bounds(tmp_path):
+    bp = load_bench_pairs()
+    assert bp.load_bounds(tmp_path) == {}
+    spec = {"end_to_end": [{"name": "wall_s", "bound": 0.25},
+                           {"name": "peak_rss_mb", "bound": 0.1},
+                           {"name": "items"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    assert bp.load_bounds(tmp_path) == {"wall_s": 0.25, "peak_rss_mb": 0.1}
+
+
+def test_bench_pairs_says_whether_the_median_is_within_the_bound():
+    bp = load_bench_pairs()
+    parent = [10.0, 10.2, 10.4, 10.6, 10.8]  # quartiles 10.1, 10.4, 10.7
+    within = wall_pairs(bp, parent, [p * 1.2 for p in parent])
+    outside = wall_pairs(bp, parent, [p * 1.3 for p in parent])
+    assert bp.metric_line("wall_s", within, 0.25).endswith(
+        "gain rules fail; within bound 0.25: yes")
+    assert bp.metric_line("wall_s", outside, 0.25).endswith(
+        "; within bound 0.25: no")
+    # a parent spread of 0.6 is wider than a bound of 5 % of 10.4
+    assert bp.metric_line("wall_s", within, 0.05).endswith(
+        "; within bound 0.05: unresolved")
+    assert "bound" not in bp.metric_line("wall_s", within)
+    lines = bp.summarize(within, {"wall_s": 0.25, "setup_s": 0.25})
+    assert lines[0].endswith("within bound 0.25: yes")
+    assert lines[1].endswith("within bound 0.25: yes")  # setup_s is 0.2 each
+    assert "bound" not in lines[2]
+
+
+def test_bench_pairs_reports_a_failed_runs_stderr(monkeypatch, tmp_path):
+    bp = load_bench_pairs()
+    monkeypatch.setattr(bp.subprocess, "run",
+                        lambda args, **kw: bp.subprocess.CompletedProcess(
+                            args, 1, "", "ProgramMissing: setup probe failed"))
+    with pytest.raises(RuntimeError, match="exited 1\nProgramMissing"):
+        bp.run_once(tmp_path, "prob-ap", 6)

@@ -13,8 +13,12 @@ Prints each pair; then, for each of ``wall_s``, ``setup_s``, ``cpu_s``,
 the quartiles of each side, the number of pairs whose change run is
 lower, and whether the change passes both rules of a claimed gain: it
 is lower in at least 9 of 10 pairs, and its median is below the
-parent's by more than the parent's quartile spread (Q3 - Q1).  Last come
-the failed items of every run.  Defaults to 10 pairs, the number the
+parent's by more than the parent's quartile spread (Q3 - Q1).  For the
+metrics the parent's ``BENCHMARK.json`` bounds (read, never written), it
+also says whether the change's median is within the bound, at most
+(1 + bound) times the parent's median, or "unresolved" when the parent's
+own quartile spread is wider than the bound.  Last come the failed items
+of every run.  Defaults to 10 pairs, the number the
 first rule is stated for.  Uses only the standard library.
 """
 
@@ -60,27 +64,50 @@ def pair_line(i: int, p: dict, c: dict) -> str:
             f"{c['slowdown']:.4g}")
 
 
-def metric_line(key: str, pairs: list[tuple[dict, dict]]) -> str:
+def load_bounds(checkout: Path) -> dict[str, float]:
+    """The relative bound of each end-to-end metric in the checkout's
+    ``BENCHMARK.json``; none when it has no such file."""
+    path = checkout / "BENCHMARK.json"
+    if not path.exists():
+        return {}
+    spec = json.loads(path.read_text(encoding="utf-8"))
+    return {m["name"]: float(m["bound"]) for m in spec.get("end_to_end", [])
+            if "bound" in m}
+
+
+def metric_line(key: str, pairs: list[tuple[dict, dict]],
+                bound: float | None = None) -> str:
     """One metric: each side's Q1, median and Q3 (``statistics.quantiles``,
     exclusive method), the change's wins and the two rules of a claimed
-    gain."""
+    gain; then, given the metric's relative ``bound``, whether the
+    change's median is within it."""
     before = statistics.quantiles([p[key] for p, _ in pairs], n=4)
     after = statistics.quantiles([c[key] for _, c in pairs], n=4)
     change = f" ({after[1] / before[1] - 1:+.1%})" if before[1] else ""
     wins = sum(c[key] < p[key] for p, c in pairs)
     gap, spread = before[1] - after[1], before[2] - before[0]
     holds = wins >= WIN_SHARE * len(pairs) and gap > spread
-    return (f"{key}: parent {' / '.join(f'{v:.4g}' for v in before)}, "
+    line = (f"{key}: parent {' / '.join(f'{v:.4g}' for v in before)}, "
             f"change {' / '.join(f'{v:.4g}' for v in after)}{change}; "
             f"change wins {wins} of {len(pairs)}; median gap {gap:.4g} vs "
             f"parent spread {spread:.4g}; gain rules "
             f"{'hold' if holds else 'fail'}")
+    if bound is None:
+        return line
+    if spread > bound * before[1]:
+        verdict = "unresolved"
+    else:
+        verdict = "yes" if after[1] <= (1 + bound) * before[1] else "no"
+    return f"{line}; within bound {bound:g}: {verdict}"
 
 
-def summarize(pairs: list[tuple[dict, dict]]) -> list[str]:
+def summarize(pairs: list[tuple[dict, dict]],
+              bounds: dict[str, float] | None = None) -> list[str]:
     """Report lines for (parent, change) runs, printed after their pair
-    lines: one line per metric (``metric_line``), then the failed items."""
-    out = [metric_line(key, pairs) for key in KEYS]
+    lines: one line per metric (``metric_line``, with its bound in
+    ``bounds`` if any), then the failed items."""
+    bounds = bounds or {}
+    out = [metric_line(key, pairs, bounds.get(key)) for key in KEYS]
     failed = [f"pair {i} {side}: {run['failed']}/{run['attempted']} items"
               for i, pair in enumerate(pairs, 1)
               for side, run in zip(("parent", "change"), pair)
@@ -90,10 +117,14 @@ def summarize(pairs: list[tuple[dict, dict]]) -> list[str]:
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict[str, float]:
+    """The metrics of one run; a failed run raises with its stderr."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"),
          "--workload", workload, "--seed", str(seed), "--trace", "0"],
-        capture_output=True, text=True, check=True)
+        capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"{checkout} seed {seed}: run.py exited "
+                           f"{proc.returncode}\n{proc.stderr}")
     return parse_run(proc.stdout)
 
 
@@ -115,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
             c, p = (run_once(side, args.workload, i) for side in sides[::-1])
         pairs.append((p, c))
         print(pair_line(i, p, c), flush=True)
-    print("\n".join(summarize(pairs)))
+    print("\n".join(summarize(pairs, load_bounds(args.parent))))
     return 0
 
 
