@@ -25,11 +25,12 @@ one-row case of ``row_counts``.  It works in three steps:
   ``shatter.MAX_CELLS`` cells.  A subset is shattered when its least
   pattern count is positive.
 
-``sample_subset`` stays the scalar dict form, ``_fisher_yates``.  The
-theorem check draws one subset at a time between other draws, and there
-the array form of one row takes about 15 times as long as the dict
-steps (24 against 1.6 us at n = 4).  The scalar form is also the
-reference the row form is tested against.
+``sample_subset`` stays the scalar dict form, ``_fisher_yates``.  Its
+callers, ``weil._weil_specs`` (levels 3 and up of ``verify_weil``) and
+``weil.verify_equidistribution``, draw one subset at a time between
+other draws, and there the array form of one row takes about 15 times as
+long as the dict steps (24 against 1.6 us at n = 4).  The scalar form is
+also the reference the row form is tested against.
 
 All randomness flows through numpy's PCG64 generator.  Per-point seeds
 are derived from (master seed, n, q), so any single point can be

@@ -115,7 +115,6 @@ of primes, in order and optionally over processes, and ``vc_sweep`` maps
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import os
@@ -442,14 +441,18 @@ def sweep(solve, qs: list[int], jobs: int = 1, on_error=None):
     A prime whose ``solve`` raises an Exception yields nothing and is
     reported through ``on_error(q, exc)``.  The primes are solved in a
     pool of min(jobs, len(qs), usable CPUs) processes, which needs a
-    ``solve`` that pickles, or in this one when that number is 1.
+    ``solve`` that pickles, or in this one when that number is 1.  When
+    the sweep ends early, by an exception such as KeyboardInterrupt or by
+    closing the generator, the pool drops the primes it has not started.
     """
     workers = min(jobs, len(qs), _usable_cpus())
-    # imported here: a serial sweep, and ``import residuevc``, need no
-    # multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
+    pool = None
+    if workers > 1:
+        # imported only here, so a serial sweep, and ``import residuevc``,
+        # load no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
+    try:
         calls = ([pool.submit(solve, q).result for q in qs] if pool
                  else [functools.partial(solve, q) for q in qs])
         for q, call in zip(qs, calls):
@@ -458,6 +461,9 @@ def sweep(solve, qs: list[int], jobs: int = 1, on_error=None):
             except Exception as exc:  # noqa: BLE001 - per-prime isolation
                 if on_error is not None:
                     on_error(q, exc)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def vc_sweep(q_lo: int, q_hi: int,

@@ -25,10 +25,11 @@ window width, for the progressions.  ``ChildTally`` tallies related
 ones, Y + {m} for a vector of candidates m under an exclusion rule,
 reusing the signature of Y: the exact search walks its tree with it, and
 ``rooted_minima`` feeds it the rooted sets, those holding {0, ..., k - 1},
-of ``testing_dimension`` and of the theorem check.  Apart from both, the
-quad check's ``weil._quads_complete`` retires rows once all 16 patterns
-are seen, a different algorithm, and ``tests/oracles.py`` stays the
-independent check.
+of ``testing_dimension`` and of the theorem check.  The quad check's
+``weil._quads_complete`` is a second algorithm over the same windows:
+it reads the theorem check's own ``ChildTally`` and retires rows once
+all 16 patterns are seen.  ``tests/oracles.py`` stays the independent
+check.
 
 The table owns the translate columns every tally reads: ``ResidueTable``
 builds ``doubled``, its membership vector reflected and doubled, once.
@@ -333,12 +334,14 @@ class ChildTally:
     subset when y - x is in it for some element y.  None takes the
     convention's rule, {0} under STRICT and nothing otherwise.
     ``windows[n][q - m]`` is the column of m shifted to bit n, a strided
-    view, so a block gathers whole rows.  Its entries at the translates m
-    drops hold 2^(n+1), which lands the row's value in sentinel bins past
-    the 2^(n+1) patterns; the translates Y drops are set to 2^(n+1) once
-    a block.  A row's values stay below ``bins[n]`` <= 3 * 2^n, so the
-    windows, and the child signatures gathered from them, are uint16
-    while 3 * 2^n < 2^16 (n <= 14) and int64 from there on.
+    view, so a block gathers whole rows.  In general row i, read as y's
+    column, starts at the translate x = y + i (mod q), for i <= q.  Its
+    entries at the translates m drops hold 2^(n+1), which lands the row's
+    value in sentinel bins past the 2^(n+1) patterns; the translates Y
+    drops are set to 2^(n+1) once a block.  A row's values stay below
+    ``bins[n]`` <= 3 * 2^n, so the windows, and the child signatures
+    gathered from them, are uint16 while 3 * 2^n < 2^16 (n <= 14) and
+    int64 from there on.
     ``offsets[n]`` gives each row its own run of bins; adding it widens a
     block to ``intp`` once, for ``bincount``.
     """

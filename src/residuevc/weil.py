@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (Infeasible, IndexNotDividing, LengthMismatch,
                      ModulusMismatch)
@@ -35,7 +34,7 @@ from .field import (ZERO_EXP, CharacterTable, PrimeField, ZeroConvention,
                     character_table, log2_floor, residue_table)
 from .montecarlo import sample_subset
 from .search import quad_representatives
-from .shatter import ChildTally, rooted_minima, signatures
+from .shatter import ChildTally, _allowed_translates, rooted_minima
 
 WEIL_TOL = 1e-6
 OP_BUDGET = 10**9
@@ -331,73 +330,60 @@ def _witness_tally(F: PrimeField, C: CharacterTable, t: int) -> ChildTally:
 #: Translates ``_quads_complete`` scans per block before retiring rows.
 QUAD_BLOCK = 64
 
-def _quad_tables(T) -> tuple[np.ndarray, np.ndarray]:
-    """The tables ``_quads_complete`` reads for the ZERO_OUT squares ``T``,
-    in its scan order k = x - c mod q, c = q // 2.
 
-    The first is a window table: a ``sliding_window_view`` of width
-    ``QUAD_BLOCK`` over member[-i mod q] << 3 as int16, for i up to
-    2q + c + ``QUAD_BLOCK``, so that row q + c - v + lo holds v's bits at
-    the block of scan steps [lo, lo + ``QUAD_BLOCK``) for every v and
-    every q, also q < ``QUAD_BLOCK``.  The second is the signatures of
-    {0, 1} in scan order.
-    """
-    q = T.q
-    c = q // 2
-    col = T.doubled[:q].astype(np.int16) << 3
-    window = sliding_window_view(np.resize(col, 2 * q + c + QUAD_BLOCK),
-                                 QUAD_BLOCK)
-    return window, np.roll(signatures([0, 1], T).astype(np.int16), -c)
-
-
-def _quads_complete(window: np.ndarray, sig2: np.ndarray, u: int,
-                    vs: np.ndarray) -> bool:
+def _quads_complete(tally: ChildTally, u: int, vs: np.ndarray) -> bool:
     """Every {0, 1, u, v}, v in ``vs``, realizes all 16 patterns among the
     translates outside it.
 
-    The signature classes of {0, 1, u} are extended by the v bit, read
-    from the window table of ``_quad_tables``.  Translates are scanned
-    from x = c = q // 2 on, wrapping around (x = c + k mod q), in blocks
-    of ``QUAD_BLOCK``, and a row retires after the first block in which
-    its 16 patterns are complete.  A random quad sees all 16 after about
-    16 H_16 = 54 translates, so a first block of 64 retires most rows.
-    The scan starts at q // 2 because the small translates are no random
-    sample: the bits of 0 and 1 read the character at -x and 1 - x, which
+    ``tally`` is the r = 2 witness tally, whose windows are the STRICT
+    squares' (``_all_quads_ok``).  Row i of ``windows[n]``, read as y's
+    column, starts at the translate x = y + i (mod q): it holds y's bit
+    shifted to bit n, and 2^(n+1) at x = y.  Translates are scanned from
+    x = c = q // 2 on, wrapping around (x = c + k mod q).  So the
+    signature of {0, 1, u} is the sum of rows c, c - 1 and c - u (mod q)
+    of ``windows[0..2]``, with 16 set at x in {0, 1, u}, and the scan
+    steps [lo, lo + width) of v's bit are the first width entries of row
+    c + lo - v (mod q) of ``windows[3]``, one gather of that width per
+    block.  The 16 there at x = v drops v's own translate.  A row retires
+    after the first block of ``QUAD_BLOCK`` in which its 16 patterns are
+    complete.  A random quad sees all 16 after about 16 H_16 = 54
+    translates, so a first block of 64 retires most rows.  The scan
+    starts at q // 2 because the small translates are no random sample:
+    the bits of 0 and 1 read the character at -x and 1 - x, which
     multiplicativity ties to its values at small primes.  Over the primes
     1024-1049 the kernel keeps 179,238 quads and tallies 13,688,128 cells
     (rows times block width) in 1,425 blocks, with 34,377 rows entering a
     second block; scanning from x = 0 took 16,734,912 cells, 1,700 blocks
-    and 77,916 rows.  The window table makes a block one row gather of
-    pre-shifted int16, with no per-cell index arithmetic.
+    and 77,916 rows.
     """
-    q = sig2.shape[0]
+    q, w = tally.q, tally.windows
     c = q // 2
-    sig3 = sig2 + (window[q + c - u : 2 * q + c - u, 0] >> 1)
+    sig3 = w[0][c] + w[1][(c - 1) % q] + w[2][(c - u) % q]
     sig3[[-c % q, (1 - c) % q, (u - c) % q]] = 16  # excluded translates
-    own = (vs - c) % q  # the scan step of v's own translate
     full = np.uint32((1 << 16) - 1)
     one = np.uint32(1)
     flags = np.zeros(vs.shape[0], dtype=np.uint32)
     for lo in range(0, q, QUAD_BLOCK):
         width = min(QUAD_BLOCK, q - lo)
-        sig4 = window[q + c + lo - vs][:, :width]
+        sig4 = w[3][(c + lo - vs) % q, :width]
         sig4 += sig3[lo : lo + width]
-        rows = np.flatnonzero((own >= lo) & (own < lo + width))
-        sig4[rows, own[rows] - lo] = 16
         flags |= np.bitwise_or.reduce(one << sig4.astype(np.uint32), axis=1)
         keep = (flags & full) != full
         if not keep.any():
             return True
-        vs, own, flags = vs[keep], own[keep], flags[keep]
+        vs, flags = vs[keep], flags[keep]
     return False
 
 
-def _all_quads_ok(F: PrimeField, T) -> bool:
+def _all_quads_ok(F: PrimeField, tally: ChildTally) -> bool:
     """All quads {0, 1, u, v} pass the constructive check (r = 2).
 
-    ``T`` is the ZERO_OUT squares table.  For r = 2 the constructive
-    witness condition is exactly STRICT shattering of the squares S: every
-    one of the 16 patterns Y & (S + x) appears among the translates x
+    ``tally`` is ``_witness_tally`` at r = 2.  Every nonzero difference
+    lies in G_2 or t * G_2, so its rule forbids only the difference 0, and
+    its table is the ZERO_OUT squares: its windows are those of
+    ``ChildTally(squares_table(F, STRICT))``.  For r = 2 the constructive
+    witness condition is exactly STRICT shattering of the squares S, every
+    one of the 16 patterns Y & (S + x) appearing among the translates x
     outside Y.  Every affine map x -> c x + e (c != 0) keeps it: for x not
     in Y the differences y - x are nonzero and scale by c, so the patterns
     of the image are those of Y, each kept (c a square) or each
@@ -407,11 +393,10 @@ def _all_quads_ok(F: PrimeField, T) -> bool:
     one per orbit, about one quad in 12 (44,204 of 528,906 at q = 1031).
     ``_quads_complete`` checks the kept quads of each u.
     """
-    window, sig2 = _quad_tables(T)
     for us, vs in quad_representatives(F):
         starts = np.flatnonzero(np.diff(us, prepend=-1))
         for u, group in zip(us[starts], np.split(vs, starts[1:])):
-            if not _quads_complete(window, sig2, int(u), group):
+            if not _quads_complete(tally, int(u), group):
                 return False
     return True
 
@@ -433,12 +418,14 @@ def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremR
     one quad per affine orbit and stops at the first failing one, so there
     ``failures`` is 0 or 1: whether some quad fails, not how many.  At
     every other size ``failures`` counts the failing rooted subsets.
+    Both read the windows of one ``_witness_tally``, whose sentinel drops
+    each element's own translate.
 
     Other sizes walk the rooted subsets with ``rooted_minima``, after
-    checking their number against ``OP_BUDGET // q``, unless
-    2^n > q - n: an n-set then has fewer allowed translates than the 2^n
-    witnesses it needs, so every one fails.  Raises ValueError for a
-    non-finite ``epsilon``.
+    checking their number against ``OP_BUDGET // q``, unless 2^n > q - n:
+    an n-set then has fewer allowed translates, those outside it as under
+    STRICT, than the 2^n witnesses it needs, so every one fails.  Raises
+    ValueError for a non-finite ``epsilon``.
     """
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, not {epsilon}")
@@ -455,12 +442,11 @@ def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremR
     k = min(2 if r == 2 else 1, n)  # the rooted sets hold 0, ..., k-1
     checked = math.comb(q - k, n - k)
     if r == 2 and n == 4:
-        T = residue_table(F, 2, 1, ZeroConvention.ZERO_OUT)
-        failures = 0 if _all_quads_ok(F, T) else 1
+        failures = 0 if _all_quads_ok(F, _witness_tally(F, C, t)) else 1
     elif checked > OP_BUDGET // q:
         raise Infeasible(f"enumerating the rooted subsets at q={q}, n*={n} "
                          f"exceeds the operation budget")
-    elif (1 << n) > q - n:
+    elif (1 << n) > _allowed_translates(n, q, ZeroConvention.STRICT):
         # pigeonhole: every subset fails, and the count needs them all,
         # where ``_require_bins`` would refuse sizes far past the bound
         failures = checked

@@ -384,23 +384,24 @@ def test_sweep_parallel_matches_serial():
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
-    each task at submit, so no process starts."""
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and each
+    ``shutdown``, and runs each task at submit, so no process starts."""
 
     sizes = []
+    shutdowns = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shutdowns.append((wait, cancel_futures))
 
     def submit(self, fn, *args):
         future = Future()
-        future.set_result(fn(*args))
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:  # noqa: BLE001 - raised by result()
+            future.set_exception(exc)
         return future
 
 
@@ -424,10 +425,41 @@ def test_sweep_bounds_pool_size(monkeypatch, jobs, cpus, want):
     assert RecordingPool.sizes == want
 
 
+def test_interrupted_sweep_cancels_queued_primes(monkeypatch):
+    # a KeyboardInterrupt in one prime's result must not wait for the
+    # primes still queued: the pool is shut down once, cancelling them
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "shutdowns", [])
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+
+    def solve(q):
+        if q == 7:
+            raise KeyboardInterrupt
+        return q
+
+    got = []
+    with pytest.raises(KeyboardInterrupt):
+        for r in search.sweep(solve, [5, 7, 11, 13], jobs=2):
+            got.append(r)
+    assert got == [5]
+    assert RecordingPool.sizes == [2]
+    assert RecordingPool.shutdowns == [(True, True)]
+    # a consumer that stops early closes the sweep the same way
+    sweep = search.sweep(abs, [5, 11, 13], jobs=2)
+    assert next(sweep) == 5
+    sweep.close()
+    assert RecordingPool.shutdowns == [(True, True)] * 2
+
+
 def test_import_leaves_the_process_pool_unloaded():
     # ``sweep`` imports the pool only when it starts one, so importing the
-    # package and its CLI loads no multiprocessing machinery
+    # package and its CLI, and a serial sweep, load no multiprocessing
+    # machinery
     child = ("import sys, residuevc, residuevc.cli; "
+             "from residuevc.search import sweep; "
+             "assert list(sweep(abs, [5, 7])) == [5, 7]; "
              "sys.exit('concurrent.futures.process' in sys.modules)")
     env = dict(os.environ,
                PYTHONPATH=str(Path(residuevc.__file__).parents[1]))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from residuevc import weil
 from residuevc.errors import Infeasible, LengthMismatch, ModulusMismatch
 from residuevc.field import (ZeroConvention, character_table, make_field,
-                             residue_table)
+                             residue_table, squares_table)
 from residuevc.primes import primes_in_range
 from residuevc.search import quad_representatives
 from residuevc.shatter import ChildTally, rooted_minima
@@ -19,8 +19,7 @@ from residuevc.weil import (PolySpec, char_sum,
                             fuzzy_coset_probability,
                             verify_equidistribution,
                             verify_shattering_theorem, verify_weil,
-                            _all_quads_ok, _quad_tables, _quads_complete,
-                            _witness_tally)
+                            _all_quads_ok, _quads_complete, _witness_tally)
 
 from oracles import (char_sum_direct, legendre, member_vector,
                      oracle_counts, oracle_shattered, witnesses_complete)
@@ -389,20 +388,37 @@ def test_theorem_past_pigeonhole_fails_every_subset():
     assert not any(mins.any() for mins in minima)
 
 
+def _quad_tally(q):
+    """The r = 2 witness tally, the one ``_quads_complete`` reads."""
+    F, C = setup_fc(q, 2)
+    return _witness_tally(F, C, weil._first_non_power(F, C))
+
+
 def test_quad_fast_path_matches_generic():
     # every canonical quad through the kernel under STRICT, against the
     # orbit check; the answer is False at most primes below 101 and at 103
     answers = set()
     for q in primes_in_range(7, 251):
         F = make_field(q)
-        T = residue_table(F, 2, 1, ZeroConvention.ZERO_OUT)
         strict = ChildTally(residue_table(F, 2, 1, ZeroConvention.STRICT))
         # at q = 7 the 16 patterns outnumber the 3 translates
         generic = 16 <= q - 4 and all(
             mins.all() for mins in rooted_minima(strict, 2, 4))
-        assert _all_quads_ok(F, T) == generic, q
+        assert _all_quads_ok(F, _quad_tally(q)) == generic, q
         answers.add(generic)
     assert answers == {False, True}
+
+
+def test_r2_witness_tally_is_the_strict_squares_tally():
+    # the quad check's premise: at r = 2 the witness rule forbids only the
+    # difference 0, so its windows are the STRICT squares tally's
+    for q in primes_in_range(5, 400):
+        got = _quad_tally(q).windows
+        want = ChildTally(squares_table(make_field(q),
+                                        ZeroConvention.STRICT)).windows
+        assert len(got) == len(want), q
+        for n, (a, b) in enumerate(zip(got, want)):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (q, n)
 
 
 def _pattern_at(member, quad, x):
@@ -412,20 +428,22 @@ def _pattern_at(member, quad, x):
 
 @pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19, 61])
 def test_quad_window_rows_are_translate_columns(q):
-    # row q + c - v + lo of the window table holds v's bit, shifted to bit
-    # 3, at the translates x = c + lo + j (mod q) of a block, for every v
-    # and block, also at primes below one block
-    window, sig2 = _quad_tables(residue_table(make_field(q), 2, 1,
-                                              ZeroConvention.ZERO_OUT))
+    # row (c + lo - y) mod q of windows[n], cut to a block, holds y's bit
+    # shifted to bit n at the translates x = c + lo + j (mod q) and
+    # 2^(n+1) at x = y: the rows the kernel reads, for every y and block,
+    # also at primes below one block; n < 3 are the full rows of sig3
+    windows = _quad_tally(q).windows
     member = member_vector(q, 2, 1, ZeroConvention.ZERO_OUT)
     c = q // 2
-    xs = (c + np.arange(q)) % q
-    assert np.array_equal(sig2, member[-xs % q] + 2 * member[(1 - xs) % q])
-    for v in range(q):
-        for lo in range(0, q, weil.QUAD_BLOCK):
-            width = min(weil.QUAD_BLOCK, q - lo)
-            got = window[q + c - v + lo][:width]
-            assert np.array_equal(got, member[(v - xs[lo:lo + width]) % q] << 3)
+    for n in range(4):
+        block = weil.QUAD_BLOCK if n == 3 else q
+        for y in range(q):
+            for lo in range(0, q, block):
+                width = min(block, q - lo)
+                xs = (c + lo + np.arange(width)) % q
+                want = np.where(xs == y, 2 << n, member[(y - xs) % q] << n)
+                got = windows[n][(c + lo - y) % q, :width]
+                assert np.array_equal(got, want), (n, y, lo)
 
 
 @pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19, 23, 29, 31, 73, 103])
@@ -434,8 +452,7 @@ def test_quad_verdict_matches_strict_oracle(q):
     # at 73 and 103, past one block of translates, both verdicts occur,
     # and below one block the table still covers every translate
     block = weil.QUAD_BLOCK
-    window, sig2 = _quad_tables(residue_table(make_field(q), 2, 1,
-                                              ZeroConvention.ZERO_OUT))
+    tally = _quad_tally(q)
     member = member_vector(q, 2, 1, ZeroConvention.STRICT)
     c = q // 2  # the kernel scans x = c + k (mod q) for k = 0, 1, ...
     verdicts = {}
@@ -445,7 +462,7 @@ def test_quad_verdict_matches_strict_oracle(q):
         missing = np.flatnonzero(oracle_counts(
             quad, member, ZeroConvention.STRICT) == 0).tolist()
         verdicts[u, v] = not missing
-        got = _quads_complete(window, sig2, u, np.array([v], dtype=np.int64))
+        got = _quads_complete(tally, u, np.array([v], dtype=np.int64))
         assert got == verdicts[u, v], (q, u, v)
         # the scan steps of v in failing quads whose one missing pattern is
         # read at x = v only
@@ -466,7 +483,7 @@ def test_quad_verdict_matches_strict_oracle(q):
     # every v of one u in one call, so rows retire at different blocks
     for u in range(2, q - 1):
         vs = np.arange(u + 1, q, dtype=np.int64)
-        assert _quads_complete(window, sig2, u, vs) == all(
+        assert _quads_complete(tally, u, vs) == all(
             verdicts[u, int(v)] for v in vs), (q, u)
 
 
@@ -480,9 +497,8 @@ def test_quad_check_skips_translate_one():
                                            ZeroConvention.STRICT) == 0)
     at_one = _pattern_at(member, quad, 1)
     assert missing.tolist() == [at_one]
-    window, sig2 = _quad_tables(residue_table(make_field(q), 2, 1,
-                                              ZeroConvention.ZERO_OUT))
-    assert not _quads_complete(window, sig2, 2, np.array([3], dtype=np.int64))
+    assert not _quads_complete(_quad_tally(q), 2,
+                               np.array([3], dtype=np.int64))
 
 
 def _canonical(q, Z):
