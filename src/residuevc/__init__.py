@@ -21,9 +21,8 @@ from .field import (CharacterTable, PrimeField, ResidueTable, ZeroConvention,
 from .montecarlo import ProbPoint, estimate_p, interface_scan
 from .search import (ApResult, VcResult, longest_shattered_ap,
                      testing_dimension, vc_dimension, vc_sweep)
-from .shatter import (PatternCounts, ShatterReport, Subset, fold_patterns,
-                      is_shattered, membership_matrix, pattern_counts,
-                      shatter_report, shattering_index)
+from .shatter import (fold_patterns, is_shattered, membership_matrix,
+                      pattern_counts, shatter_report)
 from .weil import (PolySpec, char_sum, coset_probability, fourier_probability,
                    fuzzy_coset_probability, verify_weil,
                    verify_equidistribution, verify_shattering_theorem)
@@ -31,15 +30,14 @@ from .weil import (PolySpec, char_sum, coset_probability, fourier_probability,
 __all__ = [
     "ApResult", "CharacterTable", "EmptyFold", "EvenPrime",
     "FieldTooLarge", "Infeasible", "IndexNotDividing", "LengthMismatch",
-    "ModulusMismatch", "NotPrime", "NTooLarge", "PatternCounts", "PolySpec",
+    "ModulusMismatch", "NotPrime", "NTooLarge", "PolySpec",
     "PrimeField", "ProbPoint", "ResidueTable", "ResidueVCError",
-    "ShatterReport", "Subset",
     "TooSmall", "VcResult", "WidthOverflow", "ZeroConvention",
     "char_sum", "character_table", "coset_probability", "estimate_p",
     "fold_patterns", "fourier_probability", "fuzzy_coset_probability",
     "interface_scan", "is_shattered", "longest_shattered_ap", "make_field",
     "membership_matrix", "pattern_counts", "residue_table", "shatter_report",
-    "shattering_index", "squares_table", "testing_dimension", "vc_dimension",
+    "squares_table", "testing_dimension", "vc_dimension",
     "vc_sweep", "verify_equidistribution", "verify_shattering_theorem",
     "verify_weil",
 ]

@@ -440,9 +440,13 @@ def cmd_verify(args) -> int:
     parameters = {"q_max": args.q_max, "r": args.r, "n_max": args.n_max,
                   "epsilon": args.epsilon, "samples": args.samples,
                   "seed": args.seed}
+    qs = primes_in_range(5, args.q_max)
+    if not any((q - 1) % r == 0 for q in qs for r in args.r):
+        # a run that checks nothing must not read as passed
+        raise ValueError(f"no prime q in [5, {args.q_max}] has an index in "
+                         f"--r dividing q - 1, so nothing would be checked")
     total_violations = 0
     with _run(args, "verify", parameters) as (out, manifest):
-        qs = primes_in_range(5, args.q_max)
         csv_path = out / "verify.csv"
         with _Csv(csv_path, VERIFY_HEADER, resume=False) as sheet:
             manifest.outputs.append(str(csv_path))

@@ -89,7 +89,7 @@ class ResidueTable:
 
     ``doubled`` holds the translate columns: uint8, length 2q, with
     ``doubled[i] = member[-i mod q]``, so member[(y - x) mod q] over
-    x = 0..q-1 is the zero-copy slice [q-y : 2q-y] (``shatter.column``).
+    x = 0..q-1 is the zero-copy slice [q-y : 2q-y].
     Each reader widens it once to the dtype its sums need.  Both arrays
     are read-only.
     """

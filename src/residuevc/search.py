@@ -343,7 +343,7 @@ def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
     F = make_field(q)
     walks = _walks(F, conv)
     T = walks[0].tally.T
-    walks = [w for w in walks if shatter_report((0, 1), w.tally.T).shattered]
+    walks = [w for w in walks if shatter_report((0, 1), w.tally.T) >= 0]
     cap = max(log2_floor(q) - early_exit, 2)
     if walks:
         best, witness = 2, walks[0].witness((0, 1))
@@ -352,12 +352,12 @@ def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
             if found:
                 best, witness = size, found
                 break
-    elif shatter_report((0,), T).shattered:
+    elif shatter_report((0,), T) >= 0:
         best, witness = 1, (0,)
     else:
         best, witness = 0, ()
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    if witness and not shatter_report(witness, T).shattered:
+    if witness and shatter_report(witness, T) < 0:
         raise RuntimeError(f"witness {witness} is not shattered at q={q} "
                            f"under {conv.value}")
     depths = [sum(d) for d in zip(*(w.nodes_by_depth for w in walks))]

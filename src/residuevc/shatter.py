@@ -10,16 +10,19 @@ counts; Y is shattered exactly when every count is positive.
 The minimum pattern count also bounds how far Y can grow and stay
 shattered: extending Y by one element can at most split every pattern
 class in two, so a minimum count of m allows at most floor(log2 m) more
-elements.  ``shattering_index`` returns that floor (or -1 when some count
-is zero).  The exact search prunes by the same bound, read the other way
-round: a node must reach a fixed threshold 2^(s - |Y| - 1) to grow to s
-elements (``search`` docstring).
+elements.  ``shatter_report`` returns that floor, the shattering index
+(or -1 when some count is zero).  The exact search prunes by the same
+bound, read the other way round: a node must reach a fixed threshold
+2^(s - |Y| - 1) to grow to s elements (``search`` docstring).
 
 Two kernels tally many subsets, each with one ``bincount`` a block.
 ``row_counts`` tallies unrelated subsets, the rows of an array, such as
-the trials of a Monte Carlo point; ``signatures`` and ``pattern_counts``
-are its one-row case, so one sentinel rule and one sum check, ``_tally``,
-serve every such tally.  ``prefix_counts`` is the same tally of the
+the trials of a Monte Carlo point.  The single-subset functions
+(``membership_matrix``, ``signatures``, ``pattern_counts`` and
+``shatter_report``) are its one-row case: each sorts its subset into one
+row, which ``_check_rows`` checks as it checks every row of
+``row_counts``, so one check, one sentinel rule and one sum check,
+``_tally``, serve every such tally.  ``prefix_counts`` is the same tally of the
 prefix {0, ..., n - 1}, whose signatures it builds by doubling the
 window width, for the progressions.  ``ChildTally`` tallies related
 ones, Y + {m} for a vector of candidates m under an exclusion rule,
@@ -32,21 +35,20 @@ all 16 patterns are seen.  ``tests/oracles.py`` stays the independent
 check.
 
 The table owns the translate columns every tally reads: ``ResidueTable``
-builds ``doubled``, its membership vector reflected and doubled, once.
-``column`` slices one column out of it; the rows of the strided windows
-``row_counts`` and ``ChildTally`` gather are the same slices.
+builds ``doubled``, its membership vector reflected and doubled, once;
+the rows of the strided windows ``membership_matrix``, ``row_counts``
+and ``ChildTally`` gather are slices of it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .errors import EmptyFold, ModulusMismatch, NTooLarge, WidthOverflow
+from .errors import EmptyFold, NTooLarge, WidthOverflow
 from .field import ResidueTable, ZeroConvention
 
 MAX_WIDTH = 63
@@ -58,85 +60,49 @@ MAX_CELLS = 1 << 22
 BIN_SLACK = 4
 
 
-@dataclass(frozen=True)
-class Subset:
-    """A sorted duplicate-free subset of {0, ..., q-1}."""
+def _check_rows(rows, q: int) -> np.ndarray:
+    """``rows`` as an int64 array, once it is checked to be a 2-d integer
+    array of at most ``MAX_WIDTH`` columns whose rows are strictly
+    increasing in [0, q).
 
-    q: int
-    elems: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.elems) > MAX_WIDTH:
-            raise WidthOverflow(f"subset size {len(self.elems)} exceeds {MAX_WIDTH}")
-        prev = -1
-        for y in self.elems:
-            if not 0 <= y < self.q:
-                raise ValueError(f"element {y} outside field of size {self.q}")
-            if y <= prev:
-                raise ValueError("subset elements must be strictly increasing")
-            prev = y
-
-    @classmethod
-    def of(cls, q: int, elems: Iterable[int]) -> "Subset":
-        vals = sorted(int(y) for y in elems)
-        if any(a == b for a, b in zip(vals, vals[1:])):
-            raise ValueError("subset elements must be distinct")
-        return cls(q=q, elems=tuple(vals))
-
-    @property
-    def n(self) -> int:
-        return len(self.elems)
+    Raises WidthOverflow past ``MAX_WIDTH`` columns and ValueError for any
+    other fault.  Unsigned rows are checked as int64, where a decrease
+    cannot wrap round.
+    """
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.dtype.kind not in "iu":
+        raise ValueError("subsets must be the rows of a 2-d integer array")
+    if rows.shape[1] > MAX_WIDTH:
+        raise WidthOverflow(f"subset size {rows.shape[1]} exceeds {MAX_WIDTH}")
+    rows = rows.astype(np.int64, copy=False)
+    if rows.shape[1] and ((rows[:, 0] < 0).any() or (rows[:, -1] >= q).any()):
+        raise ValueError(f"element outside field of size {q}")
+    if (np.diff(rows, axis=1) <= 0).any():
+        raise ValueError("subset elements must be strictly increasing")
+    return rows
 
 
-SubsetLike = Union[Subset, Sequence[int]]
+def _row(Y: Iterable[int], T: ResidueTable) -> np.ndarray:
+    """The subset Y, sorted, as a checked (1, n) int64 array."""
+    vals = sorted(int(y) for y in Y)
+    # numpy reads [[]] as float, and elements past int64 as uint64 or object
+    return _check_rows(np.array([vals], dtype=None if vals else np.int64), T.q)
 
 
-@dataclass(frozen=True)
-class PatternCounts:
-    """How often each n-bit restriction pattern is realized by a translate."""
-
-    n: int
-    counts: np.ndarray
-    convention: ZeroConvention
-
-
-@dataclass(frozen=True)
-class ShatterReport:
-    shattered: bool
-    index: int
-    convention: ZeroConvention
-
-
-def _coerce(Y: SubsetLike, T: ResidueTable) -> Subset:
-    sub = Y if isinstance(Y, Subset) else Subset.of(T.q, Y)
-    if sub.q != T.q:
-        raise ModulusMismatch(f"subset modulus {sub.q} != table modulus {T.q}")
-    return sub
-
-
-def column(T: ResidueTable, y: int) -> np.ndarray:
-    """View of member[(y - x) mod q] over x = 0..q-1."""
-    return T.doubled[T.q - y : 2 * T.q - y]
-
-
-def membership_matrix(Y: SubsetLike, T: ResidueTable) -> np.ndarray:
+def membership_matrix(Y: Iterable[int], T: ResidueTable) -> np.ndarray:
     """q x n matrix A with A[x, i] = member[(y_i - x) mod q].
 
     Column i is the indicator of the reflected residue set translated
     by y_i; row x is the restriction of S + x to Y.
     """
-    sub = _coerce(Y, T)
-    if sub.n == 0:
-        return np.zeros((T.q, 0), dtype=np.uint8)
-    return np.stack([column(T, y) for y in sub.elems], axis=1)
+    return sliding_window_view(T.doubled, T.q)[T.q - _row(Y, T)[0]].T
 
 
-def signatures(Y: SubsetLike, T: ResidueTable) -> np.ndarray:
+def signatures(Y: Iterable[int], T: ResidueTable) -> np.ndarray:
     """Length-q vector of row signatures sum_i A[x, i] * 2^i, as a fresh
     array that the caller may overwrite: the one-row case of
     ``_signatures``, so uint16 below 16 elements and int64 from 16 on."""
-    sub = _coerce(Y, T)
-    return _signatures(np.array([sub.elems], dtype=np.int64), T)[0]
+    return _signatures(_row(Y, T), T)[0]
 
 
 def _signatures(rows: np.ndarray, T: ResidueTable) -> np.ndarray:
@@ -186,22 +152,20 @@ def _require_bins(n: int, allowed: int, q: int) -> None:
                         f"exceed {BIN_SLACK} per allowed translate")
 
 
-def pattern_counts(Y: SubsetLike, T: ResidueTable) -> PatternCounts:
-    """Tally how many allowed translates realize each of the 2^n patterns.
+def pattern_counts(Y: Iterable[int], T: ResidueTable) -> np.ndarray:
+    """How many allowed translates realize each of the 2^n patterns of Y:
+    the one-row ``row_counts``.
 
     Under STRICT the translates x in Y are skipped; otherwise all q
     translates contribute.  Raises NTooLarge when 2^n exceeds the allowed
     translates more than ``BIN_SLACK`` times.
     """
-    sub = _coerce(Y, T)
-    _require_bins(sub.n, _allowed_translates(sub.n, T.q, T.convention), T.q)
-    rows = np.array([sub.elems], dtype=np.int64)
-    counts = _tally(signatures(sub, T)[None], rows, T)[0]
-    return PatternCounts(n=sub.n, counts=counts, convention=T.convention)
+    [counts] = _row_counts(_row(Y, T), T)
+    return counts[0]
 
 
 def prefix_counts(n: int, T: ResidueTable) -> np.ndarray:
-    """``pattern_counts(range(n), T).counts``, from signatures built by
+    """``pattern_counts(range(n), T)``, from signatures built by
     doubling the window width.
 
     With D = ``T.doubled``, the signature of {0, ..., a - 1} at translate
@@ -261,61 +225,47 @@ def row_counts(rows: np.ndarray, T: ResidueTable) -> Iterator[np.ndarray]:
 
     Yields a (k, 2^n) count array for each run of k consecutive rows,
     in order, one ``bincount`` each; k x q is at most ``MAX_CELLS`` unless
-    k is 1.  Every row is checked as ``Subset`` checks one, and NTooLarge
-    is raised as by ``pattern_counts``, before any tally is allocated.
+    k is 1.  The rows are checked by ``_check_rows`` and NTooLarge is
+    raised as by ``pattern_counts``, both in this call, before any tally
+    is allocated.
     """
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.dtype.kind not in "iu":
-        raise ValueError("subsets must be the rows of a 2-d integer array")
+    return _row_counts(_check_rows(rows, T.q), T)
+
+
+def _row_counts(rows: np.ndarray, T: ResidueTable) -> Iterator[np.ndarray]:
+    """``row_counts`` of rows already checked."""
     m, n = rows.shape
-    if n > MAX_WIDTH:
-        raise WidthOverflow(f"subset size {n} exceeds {MAX_WIDTH}")
-    if n and ((rows[:, 0] < 0).any() or (rows[:, -1] >= T.q).any()):
-        raise ValueError(f"element outside field of size {T.q}")
-    if (np.diff(rows, axis=1) <= 0).any():
-        raise ValueError("subset elements must be strictly increasing")
     _require_bins(n, _allowed_translates(n, T.q, T.convention), T.q)
     step = max(1, MAX_CELLS // T.q)
-    for lo in range(0, m, step):
-        block = rows[lo : lo + step]
-        yield _tally(_signatures(block, T), block, T)
+    blocks = (rows[lo : lo + step] for lo in range(0, m, step))
+    return (_tally(_signatures(block, T), block, T) for block in blocks)
 
 
-def shatter_report(Y: SubsetLike, T: ResidueTable) -> ShatterReport:
-    """Shattering decision plus the extension-bounding index."""
-    sub = _coerce(Y, T)
-    if (1 << sub.n) > _allowed_translates(sub.n, T.q, T.convention):
+def shatter_report(Y: Iterable[int], T: ResidueTable) -> int:
+    """The shattering index of Y: floor(log2 of its least pattern count),
+    or -1 when some pattern is missing."""
+    row = _row(Y, T)
+    n = row.shape[1]
+    if (1 << n) > _allowed_translates(n, T.q, T.convention):
         # Pigeonhole: fewer translates than patterns, so some count is zero.
-        return ShatterReport(shattered=False, index=-1, convention=T.convention)
-    m = int(pattern_counts(sub, T).counts.min())
-    if m == 0:
-        return ShatterReport(shattered=False, index=-1, convention=T.convention)
-    return ShatterReport(shattered=True, index=m.bit_length() - 1,
-                         convention=T.convention)
+        return -1
+    [counts] = _row_counts(row, T)
+    return int(counts.min()).bit_length() - 1
 
 
-def is_shattered(Y: SubsetLike, T: ResidueTable) -> bool:
-    return shatter_report(Y, T).shattered
+def is_shattered(Y: Iterable[int], T: ResidueTable) -> bool:
+    return shatter_report(Y, T) >= 0
 
 
-def shattering_index(Y: SubsetLike, T: ResidueTable) -> int:
-    """floor(log2(min pattern count)), or -1 when Y is not shattered."""
-    return shatter_report(Y, T).index
-
-
-def realized(P: PatternCounts) -> np.ndarray:
-    """Boolean realized-pattern vector of a counts tally."""
-    return P.counts > 0
-
-
-def fold_patterns(R: Union[PatternCounts, np.ndarray]) -> np.ndarray:
-    """OR the two halves of a realized-pattern vector.
+def fold_patterns(R: np.ndarray) -> np.ndarray:
+    """OR the two halves of a realized-pattern vector, a boolean vector
+    such as ``pattern_counts(Y, T) > 0``.
 
     The result is the realized vector of the prefix subset
     {y_1, ..., y_(n-1)}: dropping y_n merges every pattern t with its
     top-bit sibling t + 2^(n-1).
     """
-    vec = realized(R) if isinstance(R, PatternCounts) else np.asarray(R, dtype=bool)
+    vec = np.asarray(R, dtype=bool)
     if vec.shape[0] <= 1:
         raise EmptyFold("cannot fold a width-0 pattern vector")
     half = vec.shape[0] // 2

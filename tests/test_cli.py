@@ -126,10 +126,26 @@ def test_verify_exit_zero(tmp_path):
                                           "shattering"}
 
 
-def test_verify_trivial_range(tmp_path):
+def test_verify_trivial_range(tmp_path, capsys):
+    # no prime from 5 to 3, so the run would check nothing
     out = tmp_path / "w"
-    assert main(["verify", "--q-max", "3", "--out-dir", str(out)]) == 0
-    assert read_csv(out / "verify.csv") == []
+    assert main(["verify", "--q-max", "3", "--out-dir", str(out)]) == 2
+    assert "nothing would be checked" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [["--q-max", "4"], ["--q-max", "-1"],
+                                 # 5 divides neither 5 - 1 nor 7 - 1
+                                 ["--q-max", "10", "--r", "5"]])
+def test_verify_checking_nothing_leaves_previous_run(tmp_path, bad, capsys):
+    out = tmp_path / "w"
+    assert main(["verify", "--q-max", "40", "--samples", "50",
+                 "--out-dir", str(out)]) == 0
+    before = _snapshot(out)
+    capsys.readouterr()
+    assert main(["verify", *bad, "--out-dir", str(out)]) == 2
+    assert "nothing would be checked" in capsys.readouterr().err
+    assert _snapshot(out) == before
 
 
 def test_verify_skips_non_dividing_r(tmp_path):

@@ -17,7 +17,7 @@ from residuevc.field import ZeroConvention, log2_floor, make_field, squares_tabl
 from residuevc.primes import primes_in_range
 from residuevc.search import longest_shattered_ap, vc_dimension, vc_sweep
 from residuevc.shatter import (ChildTally, is_shattered, pattern_counts,
-                               shattering_index, signatures)
+                               shatter_report, signatures)
 
 from oracles import (bitset_vc, legendre, member_vector, naive_all_shattered,
                      naive_vc, oracle_counts, oracle_shattered)
@@ -164,7 +164,7 @@ def test_shattering_index_bounds_supersets():
         for _ in range(30):
             n = int(rng.integers(2, 5))
             Y = sorted(rng.choice(q, size=n, replace=False).tolist())
-            k = shattering_index(Y, T)
+            k = shatter_report(Y, T)
             if k < 0:
                 continue
             pool = [v for v in range(q) if v not in Y]
@@ -197,7 +197,7 @@ def test_inherited_candidate_prune_is_sound(q, conv, data):
         assert low >= 1 << (len(Z) - len(Y) - 1), (Y, z, Z)
 
 
-def test_child_block_matches_oracle_two_levels():
+def test_child_tally_children_match_oracle_two_levels():
     # The STRICT sentinel overwrites a child's own columns; the grandchild
     # block built on that signature must still count exactly.
     rng = np.random.default_rng(7)

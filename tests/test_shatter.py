@@ -4,14 +4,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from residuevc import shatter
-from residuevc.errors import (EmptyFold, ModulusMismatch, NTooLarge,
-                              WidthOverflow)
+from residuevc.errors import EmptyFold, NTooLarge, WidthOverflow
 from residuevc.field import ZeroConvention, make_field, residue_table, squares_table
 from residuevc.primes import primes_in_range
-from residuevc.shatter import (ChildTally, Subset, fold_patterns,
-                               is_shattered, membership_matrix, pattern_counts,
+from residuevc.shatter import (ChildTally, fold_patterns, is_shattered,
+                               membership_matrix, pattern_counts,
                                prefix_counts, row_counts, shatter_report,
-                               shattering_index, signatures)
+                               signatures)
 
 from oracles import legendre, member_vector, oracle_counts, oracle_shattered
 
@@ -23,18 +22,40 @@ def table(q, conv=ZeroConvention.ZERO_IN):
 
 
 # ---------------------------------------------------------------------------
-# Subset
+# one subset check
 # ---------------------------------------------------------------------------
 
-def test_subset_rejects_duplicates_and_disorder():
-    with pytest.raises(ValueError):
-        Subset.of(7, [1, 1, 2])
-    with pytest.raises(ValueError):
-        Subset(7, (3, 2))
-    with pytest.raises(ValueError):
-        Subset.of(7, [9])
-    with pytest.raises(WidthOverflow):
-        Subset(101, tuple(range(64)))
+SINGLE = [membership_matrix, signatures, pattern_counts, shatter_report,
+          is_shattered]
+
+
+@pytest.mark.parametrize("Y, error", [
+    ([1, 1, 2], ValueError),              # duplicate
+    ([0, 11], ValueError),                # outside the field
+    ([-1, 2], ValueError),                # negative
+    (list(range(64)), WidthOverflow)],    # past the 63-bit signature
+    ids=["duplicate", "outside", "negative", "width-64"])
+def test_malformed_subset_refused_alike(Y, error):
+    # a single-subset function refuses what row_counts refuses in a row,
+    # by one check; at width 64 the check comes before the pigeonhole
+    T = table(11) if len(Y) < 64 else table(101)
+    with pytest.raises(error):
+        row_counts(np.array([sorted(Y)]), T)
+    for fn in SINGLE:
+        with pytest.raises(error):
+            fn(Y, T)
+
+
+@pytest.mark.parametrize("conv", CONVS)
+def test_any_form_of_a_subset_gives_one_result(conv):
+    # each single-subset function sorts its subset first
+    T = table(23, conv)
+    forms = [[7, 1, 4], (1, 4, 7), np.array([7, 4, 1], dtype=np.int32),
+             [np.int64(4), np.uint8(7), np.int16(1)], range(1, 8, 3)]
+    for fn in SINGLE:
+        want = fn([1, 4, 7], T)
+        for Y in forms:
+            assert np.array_equal(fn(Y, T), want), (fn.__name__, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +74,8 @@ def test_table_columns_are_translates(conv):
         for y in range(q):
             assert np.array_equal(T.doubled[q - y : 2 * q - y],
                                   vec[(y - xs) % q])
-            assert np.array_equal(shatter.column(T, y), vec[(y - xs) % q])
+            assert np.array_equal(membership_matrix([y], T)[:, 0],
+                                  vec[(y - xs) % q])
 
 
 # ---------------------------------------------------------------------------
@@ -87,30 +109,25 @@ def test_matrix_matches_direct_indexing():
                     assert A[x, i] == T.member[(y - x) % q]
 
 
-def test_modulus_mismatch():
-    with pytest.raises(ModulusMismatch):
-        membership_matrix(Subset.of(13, [0, 1]), table(11))
-
-
 # ---------------------------------------------------------------------------
-# pattern_counts / is_shattered / shattering_index
+# pattern_counts / is_shattered / shatter_report
 # ---------------------------------------------------------------------------
 
 def test_counts_q5_pair():
     P = pattern_counts([0, 1], table(5, ZeroConvention.ZERO_IN))
-    assert int(P.counts.sum()) == 5
-    assert (P.counts > 0).all()
+    assert int(P.sum()) == 5
+    assert (P > 0).all()
 
 
 def test_counts_empty_subset():
     for conv in CONVS:
         P = pattern_counts([], table(7, conv))
-        assert list(P.counts) == [7]
+        assert list(P) == [7]
 
 
 def test_pigeonhole_forces_gap():
     P = pattern_counts([0, 1, 2, 3], table(7, ZeroConvention.ZERO_IN))
-    assert (P.counts == 0).any()
+    assert (P == 0).any()
     assert not is_shattered([0, 1, 2, 3], table(7))
 
 
@@ -148,17 +165,19 @@ def test_tallies_refuse_bins_far_past_pigeonhole():
         next(row_counts(prefix_rows(9), T))
     with pytest.raises(NTooLarge):
         prefix_counts(9, T)
-    assert (pattern_counts(range(8), T).counts == 0).any()
+    assert (pattern_counts(range(8), T) == 0).any()
     assert (prefix_counts(8, T) == 0).any()
     assert child_counts(T, 8).min() == 0
     [counts] = row_counts(prefix_rows(8), T)
     assert (counts.min(axis=1) == 0).all()
+    # where the tallies refuse, the index is known by pigeonhole
+    assert shatter_report(range(20), T) == shatter_report(range(9), T) == -1
 
 
 def test_counts_check_raises_outside_asserts(monkeypatch):
-    short = shatter.signatures
-    monkeypatch.setattr(shatter, "signatures",
-                        lambda sub, T: short(sub, T)[1:])
+    short = shatter._signatures
+    monkeypatch.setattr(shatter, "_signatures",
+                        lambda rows, T: short(rows, T)[:, 1:])
     with pytest.raises(RuntimeError):
         pattern_counts([0, 1], table(11))
 
@@ -188,7 +207,7 @@ def test_tallies_match_oracle_across_the_16_bit_switch(conv, n):
     for row, got in zip(rows.tolist(), counts):
         want = oracle_counts(row, T.member, conv)
         assert np.array_equal(got, want)
-        assert np.array_equal(pattern_counts(row, T).counts, want)
+        assert np.array_equal(pattern_counts(row, T), want)
 
 
 @pytest.mark.parametrize("conv", CONVS)
@@ -201,7 +220,7 @@ def test_prefix_counts_match_pattern_counts(qs, conv):
         T = table(q, conv)
         for n in range(1, q.bit_length()):
             got = prefix_counts(n, T)
-            want = pattern_counts(range(n), T).counts
+            want = pattern_counts(range(n), T)
             assert got.dtype == want.dtype, (q, n)
             assert np.array_equal(got, want), (q, n)
 
@@ -226,7 +245,8 @@ def test_row_counts_check_raises_on_a_short_row(monkeypatch):
     ([[0, 1], [2, 2]], ValueError),       # repeated
     ([0, 1, 2], ValueError),              # not a 2-d array
     ([[0.0, 1.0]], ValueError),           # not integers
-    (np.arange(64)[None], WidthOverflow)])
+    (np.arange(64)[None], WidthOverflow),
+    (np.array([[0, 1], [3, 2]], dtype=np.uint8), ValueError)])  # 2 - 3 wraps
 def test_row_counts_checks_every_row(rows, error):
     with pytest.raises(error):
         next(row_counts(np.array(rows), table(11)))
@@ -238,7 +258,7 @@ def test_counts_sum_is_allowed_translates():
             T = table(q, conv)
             for Y in ([0], [0, 1], [1, 4, 6]):
                 expect = q - len(Y) if conv is ZeroConvention.STRICT else q
-                assert int(pattern_counts(Y, T).counts.sum()) == expect
+                assert int(pattern_counts(Y, T).sum()) == expect
 
 
 def test_counts_match_oracle():
@@ -250,7 +270,7 @@ def test_counts_match_oracle():
                 for _ in range(5):
                     Y = sorted(rng.choice(q, size=n, replace=False).tolist())
                     assert np.array_equal(
-                        pattern_counts(Y, T).counts,
+                        pattern_counts(Y, T),
                         oracle_counts(Y, T.member, conv))
 
 
@@ -260,9 +280,9 @@ def test_pair_always_shattered_zero_in():
 
 
 def test_shattering_index_values():
-    assert shattering_index([], table(5)) == 2  # floor(log2 5)
-    assert shattering_index([0, 1], table(5, ZeroConvention.ZERO_IN)) == 0
-    assert shattering_index([0, 1, 2, 3], table(7)) == -1
+    assert shatter_report([], table(5)) == 2  # floor(log2 5)
+    assert shatter_report([0, 1], table(5, ZeroConvention.ZERO_IN)) == 0
+    assert shatter_report([0, 1, 2, 3], table(7)) == -1
 
 
 def test_index_is_floor_log2_of_min():
@@ -271,11 +291,11 @@ def test_index_is_floor_log2_of_min():
             T = table(q, conv)
             for Y in ([0], [0, 1], [0, 2, 5]):
                 rep = shatter_report(Y, T)
-                m = int(pattern_counts(Y, T).counts.min())
+                m = int(pattern_counts(Y, T).min())
                 if m == 0:
-                    assert rep.index == -1 and not rep.shattered
+                    assert rep == -1 and not is_shattered(Y, T)
                 else:
-                    assert rep.shattered and rep.index == int(np.floor(np.log2(m)))
+                    assert is_shattered(Y, T) and rep == int(np.floor(np.log2(m)))
 
 
 def test_strict_pair_q5_not_shattered():
@@ -310,8 +330,8 @@ def test_fold_equals_direct_prefix():
         for conv in (ZeroConvention.ZERO_IN, ZeroConvention.ZERO_OUT):
             T = table(q, conv)
             n = q.bit_length() - 1
-            folded = fold_patterns(pattern_counts(range(n), T))
-            direct = pattern_counts(range(n - 1), T).counts > 0
+            folded = fold_patterns(pattern_counts(range(n), T) > 0)
+            direct = pattern_counts(range(n - 1), T) > 0
             assert np.array_equal(folded, direct)
 
 
@@ -319,8 +339,8 @@ def test_fold_conservative_under_strict():
     for q in primes_in_range(5, 61):
         T = table(q, ZeroConvention.STRICT)
         n = q.bit_length() - 1
-        folded = fold_patterns(pattern_counts(range(n), T))
-        direct = pattern_counts(range(n - 1), T).counts > 0
+        folded = fold_patterns(pattern_counts(range(n), T) > 0)
+        direct = pattern_counts(range(n - 1), T) > 0
         assert not (folded & ~direct).any()
 
 
@@ -497,7 +517,7 @@ def test_partitioned_accumulation_merges():
     for conv in CONVS:
         T = table(23, conv)
         Y = [0, 3, 8]
-        full = pattern_counts(Y, T).counts
+        full = pattern_counts(Y, T)
         A = membership_matrix(Y, T)
         merged = np.zeros_like(full)
         weights = 1 << np.arange(len(Y))
@@ -525,7 +545,7 @@ def test_batch_matches_single():
                 [(got_ms, _, counts)] = tally.children(Y, signatures(Y, T), ms)
                 assert np.array_equal(got_ms, ms)
                 for m, row in zip(ms.tolist(), counts):
-                    assert np.array_equal(row, pattern_counts(Y + [m], T).counts)
+                    assert np.array_equal(row, pattern_counts(Y + [m], T))
 
 
 @pytest.mark.parametrize("conv", CONVS)
@@ -599,7 +619,7 @@ def test_row_counts_match_oracle_row_by_row(qrows, conv):
     assert counts.shape == (rows.shape[0], 1 << rows.shape[1])
     for row, got in zip(rows.tolist(), counts):
         assert np.array_equal(got, oracle_counts(row, T.member, conv))
-        assert np.array_equal(got, pattern_counts(row, T).counts)
+        assert np.array_equal(got, pattern_counts(row, T))
 
 
 def test_oracle_consistency_random():

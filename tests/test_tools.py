@@ -169,3 +169,56 @@ def test_bench_pairs_reports_a_failed_runs_stderr(monkeypatch, tmp_path):
                             args, 1, "", "ProgramMissing: setup probe failed"))
     with pytest.raises(RuntimeError, match="exited 1\nProgramMissing"):
         bp.run_once(tmp_path, "prob-ap", 6)
+
+
+def test_bench_pairs_writes_a_json_record(tmp_path, monkeypatch, capsys):
+    bp = load_bench_pairs()
+    walls = {"parent": [0.6, 0.58, 0.62], "change": [0.45, 0.6, 0.44]}
+
+    def fake_run(checkout, workload, seed):
+        side = checkout.name
+        out = canned_run(walls[side][seed - 1], 1.0, 1.0,
+                         failed=3 if (side, seed) == ("change", 3) else 0)
+        env = json.dumps({"python": "3.11.7", "git_commit": side[0] * 40})
+        out = out.replace('{"python": "3.11.7"}', env)
+        return bp.parse_run(out), bp.parse_env(out)
+
+    monkeypatch.setattr(bp, "run_once", fake_run)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "bound": 0.25}]}))
+    path = tmp_path / "BENCH.json"
+    path.write_text(json.dumps({"workloads": {"prob-ap": {"stale": 1},
+                                              "theorem-quads": {"kept": 1}}}))
+    assert bp.main([str(parent), str(change), "--workload", "prob-ap",
+                    "--pairs", "3", "--json", str(path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    data = json.loads(path.read_text())
+    assert data["workloads"]["theorem-quads"] == {"kept": 1}
+    rec = data["workloads"]["prob-ap"]
+    assert [(r["pair"], r["first"], r["parent"]["wall_s"], r["change"]["wall_s"])
+            for r in rec["pairs"]] == [(1, "parent", 0.6, 0.45),
+                                       (2, "change", 0.58, 0.6),
+                                       (3, "parent", 0.62, 0.44)]
+    assert rec["pairs"][0]["change"] == {
+        "wall_s": 0.45, "setup_s": 0.2, "cpu_s": 0.44, "peak_rss_mb": 43.0,
+        "raw_wall_s": 1.0, "slowdown": 1.0, "failed": 0, "attempted": 300}
+    wall = rec["metrics"]["wall_s"]
+    assert wall["parent"] == [0.58, 0.6, 0.62]
+    assert wall["change"] == [0.44, 0.45, 0.6]
+    assert (wall["wins"], wall["pairs"]) == (2, 3)
+    assert wall["median_gap"] == pytest.approx(0.15)
+    assert wall["parent_spread"] == pytest.approx(0.04)
+    assert (wall["wins_rule"], wall["gap_rule"]) == (False, True)
+    assert (wall["bound"], wall["within_bound"]) == (0.25, "yes")
+    assert "bound" not in rec["metrics"]["cpu_s"]
+    assert list(rec["metrics"]) == list(bp.KEYS)
+    assert rec["failed_items"] == ["pair 3 change: 3/300 items"]
+    assert rec["commits"] == {"parent": "p" * 40, "change": "c" * 40}
+    assert rec["env"]["change"] == {"python": "3.11.7", "git_commit": "c" * 40}
+    # the printed report and the record agree
+    assert printed[3] == bp.metric_line("wall_s", [
+        (bp.parse_run(canned_run(p, 1.0, 1.0)),
+         bp.parse_run(canned_run(c, 1.0, 1.0)))
+        for p, c in zip(walls["parent"], walls["change"])], 0.25)
