@@ -317,7 +317,8 @@ def cmd_vcdim(args) -> int:
                  ";".join(str(y) for y in r.witness), r.convention.value,
                  f"{r.elapsed_ms:.1f}"],
                 {"vcdim": r.vcdim, "exact": r.exact, "nodes": r.nodes,
-                 "cells": r.cells, "nodes_by_depth": r.nodes_by_depth})
+                 "cells": r.cells, "pair_cells": r.pair_cells,
+                 "nodes_by_depth": r.nodes_by_depth})
 
     if args.resume and not args.early_exit:
         # an exact sweep must not keep an early-exit run's lower bounds

@@ -33,7 +33,7 @@ it for s from floor(log2 q) (no more than log2 q elements fit the q
 translates) down to 3, of walk A and then walk B, and the first size
 found is the answer: every larger size was refuted.  Early exit starts
 one size lower; refuting that size refutes every larger one too, as a
-shattered set's subsets are shattered.  Each walk counts its own blocks,
+shattered set's subsets are shattered.  Each walk counts its own nodes,
 and ``vc_dimension`` adds them up.  The roots settle sizes 1 and 2:
 the singletons are all shattered or none, so {0} decides size 1, and a
 pair is shattered exactly when {0, 1} is over walk A's or walk B's
@@ -44,13 +44,12 @@ STRICT, over the dual table.
 
 A walk visits the tree of supersets of {0, 1}: a node Y has children
 Y + {m}, visited in increasing m.  Each node carries the candidates it
-inherited from its parent and counts one block of children over exactly
-those candidates (the root's candidates are every m > 1, in walk B those
-passing its filter).  Looking for size s, only children whose minimum
-pattern count is at least 2^(s - |Y| - 1) survive, and the child Y + {m}
-inherits the survivors after m (in walk B, those at a nonzero square's
-distance from m).  When |Y| = s - 1 the threshold is 1, and any survivor
-is a shattered s-set.
+inherited from its parent (the root's candidates are every m > 1, in
+walk B those passing its filter).  Looking for size s, only the
+candidates m with Y + {m} at a minimum pattern count of at least
+2^(s - |Y| - 1) survive, and the child Y + {m} inherits the survivors
+after m (in walk B, those at a nonzero square's distance from m).  When
+|Y| = s - 1 the threshold is 1, and any survivor is a shattered s-set.
 
 The prune is sound under every zero convention.  Let Z be shattered with
 Y <= W <= Z.  Each pattern of W extends to 2^(|Z| - |W|) patterns of Z,
@@ -105,8 +104,26 @@ dividing through the discrete-log table.  ``quad_representatives``
 takes the same rule one map at a time, over the quads {0, 1, u, v} and
 the full affine group, for the theorem check ``weil._all_quads_ok``.
 
-``shatter.ChildTally`` counts each node's block of children (under STRICT
-with sentinel bins for the translates landing on the subset), and
+The kernel decides a node's children all at once.  Every child
+Y + {m} a node expands draws its candidates from the node's survivors,
+so deciding them is the pair question: is Y + {m, z} at the threshold
+2^(s - |Y| - 2), for survivors m < z of Y?  Group Y's allowed translates
+by their pattern p of Y, s_p of them, and let a_m(x) be the bit of m at
+translate x.  In class p, with c_m = the sum of a_m over the class and
+G[m, z] = that of a_m a_z, the set Y + {m, z} has G translates with both
+new bits set, c_m - G and c_z - G with one of them, and
+s_p - c_m - c_z + G with neither; G for every class is one stacked
+matrix product (``shatter.ChildTally.pairs``).  Under STRICT the set
+also drops the translates x = m and x = z, each from one cell of its own
+class: a_m(m) reads 0, so x = m leaves cell (0, a_z(m)) of class p(m)
+and x = z cell (a_m(z), 0) of class p(z).  One such table per node
+decides the survivors of all its children; a node whose children
+would count fewer than ``PAIR_MIN_CELLS`` cells in their own blocks,
+and the root, count ``shatter.ChildTally`` blocks instead (under STRICT
+with sentinel bins for the translates landing on the subset).  Either
+way each child decided counts as one node and its candidates times q as
+its cells, so the counters do not depend on which kernel ran;
+``pair_cells`` counts the tables' own entries.
 ``shatter.rooted_minima`` walks every set holding {0, 1} for
 ``testing_dimension``.  ``sweep`` maps a per-prime function over a list
 of primes, in order and optionally over processes, and ``vc_sweep`` maps
@@ -115,6 +132,7 @@ of primes, in order and optionally over processes, and ``vc_sweep`` maps
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import os
@@ -144,6 +162,7 @@ class VcResult:
     exact: bool
     nodes: int
     cells: int
+    pair_cells: int
     nodes_by_depth: tuple[int, ...]
 
 
@@ -241,6 +260,15 @@ def quad_representatives(F: PrimeField) -> Iterator[tuple[np.ndarray, np.ndarray
         yield u, v
 
 
+#: Fewest cells (candidate rows x q) the children of a node must count
+#: for one ``ChildTally.pairs`` table to decide them all; below it, each
+#: child counts its own ``ChildTally`` block.  Measured in-process over
+#: the nodes of ``vc_sweep(5, 167)`` and the STRICT and ZERO_OUT sweeps,
+#: the table is faster from about 4,000 cells on and up to 6 times faster
+#: past 64,000.
+PAIR_MIN_CELLS = 1 << 12
+
+
 class _Walk:
     """One walk from {0, 1} (module docstring), searching itself: the
     field, the pair rule of ``canonical``, the tally over its table, the
@@ -270,42 +298,70 @@ class _Walk:
     def find(self, size: int) -> tuple[int, ...] | None:
         """A shattered set of exactly ``size`` >= 3 elements that the walk
         looks for, mapped by its scale, or None when it has none."""
-        return self.descend([0, 1], self.sig, self.cands, size)
+        ms = self.survivors([0, 1], self.sig, self.cands, 1 << (size - 3))
+        if size == 3:
+            return self.witness([0, 1, int(ms[0])]) if ms.shape[0] else None
+        return self.descend([0, 1], self.sig, ms, size)
 
-    def descend(self, Y: list[int], sig: np.ndarray, cands: np.ndarray,
-                size: int) -> tuple[int, ...] | None:
-        """Depth-first search below a canonical shattered node Y for a
-        ``size``-element superset: count Y's children over ``cands``, keep
-        those whose minimum count reaches 2^(size - |Y| - 1), and visit
-        each canonical Y + {m} with the survivors after m as its
-        candidates (in walk B those at a square distance from m).  Returns
-        the first set found, mapped by the walk's scale, or None."""
-        n = len(Y)
-        need = 1 << (size - n - 1)
-        kept = []
-        for ms, csig, counts in self.tally.children(Y, sig, cands):
-            keep = counts.min(axis=1) >= need
-            kept.append((ms[keep], csig[keep]))
-        self.nodes_by_depth[n] += 1
+    def survivors(self, Y: list[int], sig: np.ndarray, cands: np.ndarray,
+                  need: int) -> np.ndarray:
+        """The candidates m with Y + {m} at ``need`` or more, from one
+        ``ChildTally`` block, counted as a node."""
+        kept = [ms[counts.min(axis=1) >= need]
+                for ms, _, counts in self.tally.children(Y, sig, cands)]
+        self.nodes_by_depth[len(Y)] += 1
         self.cells += cands.shape[0] * self.F.q
-        ms, csig = (kept[0] if len(kept) == 1
-                    else (np.concatenate(part) for part in zip(*kept)))
-        if n + 1 == size:
-            return self.witness(Y + [int(ms[0])]) if ms.shape[0] else None
+        return kept[0] if len(kept) == 1 else np.concatenate(kept)
+
+    def descend(self, Y: list[int], sig: np.ndarray, ms: np.ndarray,
+                size: int) -> tuple[int, ...] | None:
+        """Depth-first search below a canonical node Y with |Y| + 2 <=
+        ``size``, whose survivors ``ms`` are decided: visit each canonical
+        Y + {m} with enough survivors after m (in walk B those at a square
+        distance from m), deciding its own survivors, those z with
+        Y + {m, z} at 2^(size - |Y| - 2) or more, from one pair table of
+        Y.  Returns the first set found, mapped by the walk's scale, or
+        None."""
+        q, n = self.F.q, len(Y)
         # a child after this prefix has too few later survivors to grow from
         reach = ms[:ms.shape[0] + n + 1 - size]
         if not reach.shape[0]:
             return None
+        expand = []
         for i in np.flatnonzero(canonical(self.F, Y, reach,
                                           self.all_pairs)).tolist():
-            m = int(ms[i])
-            later = ms[i + 1:]
+            later, keep = ms[i + 1:], None
             if self.square is not None:
-                later = later[self.square[later - m]]
+                keep = self.square[later - ms[i]]
+                later = later[keep]
             if n + 1 + later.shape[0] >= size:
-                found = self.descend(Y + [m], csig[i], later, size)
-                if found:
-                    return found
+                expand.append((i, later, keep))
+        if not expand:
+            return None
+        need = 1 << (size - n - 2)
+        table = None
+        if sum(later.shape[0] for _, later, _ in expand) * q >= PAIR_MIN_CELLS:
+            table = self.tally.pairs(Y, sig, ms,
+                                     np.array([i for i, _, _ in expand]), need)
+        for row, (i, later, keep) in enumerate(expand):
+            m = int(ms[i])
+            csig = None
+            if table is None or n + 2 < size:
+                csig = self.tally.windows[n][q - m] + sig
+            if table is None:
+                survivors = self.survivors(Y + [m], csig, later, need)
+            else:
+                self.nodes_by_depth[n + 1] += 1
+                self.cells += later.shape[0] * q
+                passed = table[row, i + 1:]
+                survivors = later[passed if keep is None else passed[keep]]
+            if n + 2 == size:
+                if survivors.shape[0]:
+                    return self.witness(Y + [m, int(survivors[0])])
+                continue
+            found = self.descend(Y + [m], csig, survivors, size)
+            if found:
+                return found
         return None
 
 
@@ -334,9 +390,11 @@ def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
     floor(log2 q) - 1 but not below 2; the result is then exact
     (``exact=True``) only when it is below that start, and otherwise a
     lower bound.
-    ``nodes`` and ``cells`` count the child blocks evaluated and their
-    candidate rows times q, over every size and walk the call tried;
-    ``nodes_by_depth[d]`` counts the blocks of d-element nodes.
+    ``nodes`` and ``cells`` count the nodes decided and their candidates
+    times q, over every size and walk the call tried, whichever kernel
+    decided them; ``nodes_by_depth[d]`` counts the d-element nodes, and
+    ``pair_cells`` the class-by-row-by-column entries of the pair tables
+    (module docstring).
     """
     require_prime(q)
     start = time.perf_counter()
@@ -367,6 +425,7 @@ def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
                     witness=witness, elapsed_ms=elapsed_ms,
                     exact=not early_exit or best < cap, nodes=sum(depths),
                     cells=sum(w.cells for w in walks),
+                    pair_cells=sum(w.tally.pair_cells for w in walks),
                     nodes_by_depth=tuple(depths))
 
 
@@ -443,7 +502,8 @@ def sweep(solve, qs: list[int], jobs: int = 1, on_error=None):
     pool of min(jobs, len(qs), usable CPUs) processes, which needs a
     ``solve`` that pickles, or in this one when that number is 1.  When
     the sweep ends early, by an exception such as KeyboardInterrupt or by
-    closing the generator, the pool drops the primes it has not started.
+    closing the generator, it waits only for the primes the pool is
+    running (``_in_order``).
     """
     workers = min(jobs, len(qs), _usable_cpus())
     pool = None
@@ -453,8 +513,8 @@ def sweep(solve, qs: list[int], jobs: int = 1, on_error=None):
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        calls = ([pool.submit(solve, q).result for q in qs] if pool
-                 else [functools.partial(solve, q) for q in qs])
+        calls = (_in_order(pool, solve, qs, workers) if pool
+                 else (functools.partial(solve, q) for q in qs))
         for q, call in zip(qs, calls):
             try:
                 yield call()
@@ -464,6 +524,28 @@ def sweep(solve, qs: list[int], jobs: int = 1, on_error=None):
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+
+
+def _in_order(pool, solve, qs: list[int], workers: int):
+    """Yield ``future.result`` of ``solve(q)`` for each q of ``qs``, in its
+    order, from ``pool``, with at most ``workers`` primes unfinished: the
+    next prime is submitted when any running one finishes, and a prime
+    that finishes early waits for those before it.  The pool moves every
+    submitted task into its call queue, where ``shutdown`` cannot cancel
+    it, so this bounds what an interrupted sweep waits for."""
+    from concurrent.futures import FIRST_COMPLETED, wait
+
+    futures, running = collections.deque(), set()
+    for q in qs:
+        if len(running) == workers:
+            running = wait(running, return_when=FIRST_COMPLETED).not_done
+        future = pool.submit(solve, q)
+        running.add(future)
+        futures.append(future)
+        while futures and futures[0].done():
+            yield futures.popleft().result
+    while futures:
+        yield futures.popleft().result
 
 
 def vc_sweep(q_lo: int, q_hi: int,

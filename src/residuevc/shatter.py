@@ -28,11 +28,17 @@ window width, for the progressions.  ``ChildTally`` tallies related
 ones, Y + {m} for a vector of candidates m under an exclusion rule,
 reusing the signature of Y: the exact search walks its tree with it, and
 ``rooted_minima`` feeds it the rooted sets, those holding {0, ..., k - 1},
-of ``testing_dimension`` and of the theorem check.  The quad check's
-``weil._quads_complete`` is a second algorithm over the same windows:
-it reads the theorem check's own ``ChildTally`` and retires rows once
-all 16 patterns are seen.  ``tests/oracles.py`` stays the independent
-check.
+of ``testing_dimension`` and of the theorem check.  Its pair tally,
+``ChildTally.pairs``, answers the search's next question for a whole
+node at once, whether each Y + {i, j} over the node's survivors reaches
+a threshold: it groups Y's translates by their pattern of Y and counts
+the four new cells of every pair in a class from one matrix product per
+class, and the two marginals, rather than one ``bincount`` per child
+(the ``search`` docstring gives the identity and STRICT's corrections).
+The quad check's ``weil._quads_complete`` is a second algorithm over the
+same windows: it reads the theorem check's own ``ChildTally`` and
+retires rows once all 16 patterns are seen.  ``tests/oracles.py`` stays
+the independent check.
 
 The table owns the translate columns every tally reads: ``ResidueTable``
 builds ``doubled``, its membership vector reflected and doubled, once;
@@ -42,6 +48,7 @@ and ``ChildTally`` gather are slices of it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Iterator, Sequence
 
@@ -56,6 +63,9 @@ MAX_WIDTH = 63
 #: ``ChildTally``.  A search block has fewer than q rows, so below
 #: q = 2048 it is never split.
 MAX_CELLS = 1 << 22
+#: Most class-by-row-by-column entries one run of ``ChildTally.pairs``
+#: holds.
+PAIR_CELLS = 1 << 14
 #: Pattern bins a tally may hold per allowed translate (see _require_bins).
 BIN_SLACK = 4
 
@@ -293,7 +303,10 @@ class ChildTally:
     gathered from them, are uint16 while 3 * 2^n < 2^16 (n <= 14) and
     int64 from there on.
     ``offsets[n]`` gives each row its own run of bins; adding it widens a
-    block to ``intp`` once, for ``bincount``.
+    block to ``intp`` once, for ``bincount``.  ``pairs`` decides the
+    children of a search node from one pair table instead, over
+    ``columns``, the rows of windows[0] as 0/1 floats, built on first
+    use; ``pair_cells`` counts its tables' entries.
     """
 
     def __init__(self, T: ResidueTable, forbidden: Sequence[int] | None = None):
@@ -302,17 +315,36 @@ class ChildTally:
         if forbidden is None:
             forbidden = [0] if T.convention is ZeroConvention.STRICT else []
         self.forbidden = np.asarray(forbidden, dtype=np.int64)
-        dropped = np.isin(-np.arange(2 * q) % q, self.forbidden)
+        # the k in [0, 2q) with -k mod q forbidden
+        dropped = (-self.forbidden) % q
+        dropped = np.concatenate([dropped, dropped + q])
         # to floor(log2 q) + 1, the deepest block the bins check lets by
         depths = range(q.bit_length() + 1)
-        self.windows = [sliding_window_view(
-            np.where(dropped, 2 << n, T.doubled.astype(
-                np.uint16 if 3 << n < 1 << 16 else np.int64) << n), q)
-            for n in depths]
+        self.windows = []
+        for n in depths:
+            col = T.doubled.astype(np.uint16 if 3 << n < 1 << 16
+                                   else np.int64) << n
+            col[dropped] = 2 << n
+            self.windows.append(as_strided(col, (q + 1, q), col.strides * 2,
+                                           writeable=False))
         # a sentinel value plus a signature of Y stays below 3 * 2^n
         self.bins = [(3 if self.forbidden.size else 2) << n for n in depths]
         self.offsets = [np.arange(q, dtype=np.int64)[:, None] * bins
                         for bins in self.bins]
+        self.pair_cells = 0
+
+    @functools.cached_property
+    def columns(self) -> np.ndarray:
+        """``pairs``' bits: row q - m reads a_m(x) at translate x as 0 or
+        1, the rows of windows[0] with a dropped translate read as 0."""
+        q = self.q
+        if self.forbidden.any():
+            raise ValueError("pairs serves only the rules forbidding {0}")
+        flat = (self.T.doubled == 1).astype(np.float32 if q < 1 << 24
+                                            else np.float64)
+        if self.forbidden.size:
+            flat[[0, q]] = 0  # the translate x = m of row q - m
+        return sliding_window_view(flat, q)
 
     def children(self, Y: Sequence[int], sig: np.ndarray, ms: np.ndarray
                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -340,6 +372,96 @@ class ChildTally:
             binned = np.add(cols, self.offsets[n][:rows], dtype=np.intp)
             counts = np.bincount(binned.ravel(), minlength=rows * bins)
             yield block, cols, counts.reshape(rows, bins)[:, :width]
+
+    def pairs(self, Y: Sequence[int], sig: np.ndarray, ms: np.ndarray,
+              rows: np.ndarray, need: int) -> np.ndarray:
+        """Whether every pattern of Y + {ms[i], ms[j]} is realized by at
+        least ``need`` allowed translates, as a boolean array ``ok`` of
+        shape (len(rows), len(ms)): ``ok[r, j]`` answers i = rows[r], an
+        increasing index into ``ms``, for every j > i; the entries at
+        j <= i mean nothing.
+
+        ``sig`` is Y's signature; under STRICT its entries at Y are not
+        read.  The allowed translates of Y are grouped by class p, their
+        value of ``sig``, s_p of them.  With a_m(x) the bit of m at x,
+        c_m[p] the sum of a_m over class p and G[p, i, j] that of a_i a_j,
+        the pair's class-p cells (bits of i and j both set, i's only, j's
+        only, neither) count G, c_i - G, c_j - G and s_p - c_i - c_j + G,
+        so the pair passes when need <= G <= min(c_i, c_j) - need and
+        G >= c_i + c_j + need - s_p in every class.  Under STRICT the pair
+        also drops the translates x = i and x = j: a_i(i) reads 0, and
+        cell (0, a_j(i)) of class sig[i] and cell (a_i(j), 0) of class
+        sig[j] lose one; ``_strict_pairs`` retests the pairs that pass
+        without that.  G is one stacked matrix product over the
+        classes, each padded to the largest with bits read as 0; counts
+        are below q, so float32 (float64 from q = 2^24) holds them
+        exactly.  Rows are taken in runs of at most ``PAIR_CELLS``
+        class-by-row-by-column entries, each over the columns after its
+        first row; ``pair_cells`` adds up those entries.  Serves the rules
+        that forbid nothing or {0}, and raises ValueError for any other;
+        raises NTooLarge as ``children`` does for the children of Y + {i}.
+        """
+        q, n = self.q, len(Y)
+        _require_bins(n + 2, q - (n + 2) * (self.forbidden.size > 0), q)
+        width = 1 << n
+        if self.forbidden.size:
+            sig = sig.copy()
+            sig[list(Y)] = width
+        sizes = np.bincount(sig, minlength=width)[:width]
+        ends = np.add.accumulate(sizes)
+        order = sig.argsort(kind="stable")[:ends[-1]]
+        # the padded slot of each translate of Y's classes; padding reads 0
+        L = int(np.maximum.reduce(sizes))
+        slots = np.zeros(width * L, dtype=np.intp)
+        slots[np.arange(order.size)
+              + (np.arange(0, width * L, L) + sizes - ends)[sig[order]]] = order
+        # B[j, p, l]: the bit of ms[j] at the l-th translate of class p
+        B = self.columns[q - ms][:, slots.reshape(width, L)]
+        B *= np.arange(L) < sizes[:, None]
+        c = np.add.reduce(B, axis=2).T
+        hi = c - need  # G <= c_i - need and G <= c_j - need
+        # G >= c_i + c_j + need - s_p; float32 sizes keep the sums float32
+        lo = c + (need - sizes[:, None]).astype(c.dtype)
+        k = ms.shape[0]
+        ok = np.zeros((rows.shape[0], k), dtype=bool)
+        r0 = 0
+        while r0 < rows.shape[0]:
+            j0 = int(rows[r0]) + 1
+            part = rows[r0:r0 + max(1, PAIR_CELLS // (width * max(1, k - j0)))]
+            self.pair_cells += width * part.shape[0] * (k - j0)
+            G = np.matmul(B[part].transpose(1, 0, 2), B[j0:].transpose(1, 2, 0))
+            low = np.add(lo[:, part, None], c[:, None, j0:])
+            np.maximum(low, need, out=low)
+            good = G >= low
+            good &= G <= np.minimum(hi[:, part, None], hi[:, None, j0:])
+            chunk = ok[r0:r0 + part.shape[0], j0:]
+            np.logical_and.reduce(good, axis=0, out=chunk)
+            if self.forbidden.size:
+                self._strict_pairs(sig, ms, part, j0, G, c, sizes, need, chunk)
+            r0 += part.shape[0]
+        return ok
+
+    def _strict_pairs(self, sig, ms, part, j0, G, c, sizes, need, ok):
+        """Clear the pairs ``ok`` passed that fail once STRICT drops their
+        own translates: for (r, jj) in ``ok``, i = part[r] and
+        j = j0 + jj index ``ms``, and x = i leaves cell (0, a_j(i)) of
+        class sig[i], x = j cell (a_i(j), 0) of class sig[j]; when those
+        are one cell, it loses both."""
+        r, jj = np.nonzero(ok)
+        if not r.size:
+            return
+        i, j = part[r], j0 + jj
+        mi, mj = ms[i], ms[j]
+        e = self.columns[self.q - mj, mi]  # a_j(i)
+        f = self.columns[self.q - mi, mj]  # a_i(j)
+        pi, pj = sig[mi], sig[mj]
+        drop = 1 + ((pi == pj) & (e + f == 0))
+        n01 = c[pi, j] - G[pi, r, jj]
+        left_i = np.where(e, n01, sizes[pi] - c[pi, i] - n01)
+        n10 = c[pj, i] - G[pj, r, jj]
+        left_j = np.where(f, n10, sizes[pj] - c[pj, j] - n10)
+        fail = np.minimum(left_i, left_j) - drop < need
+        ok[r[fail], jj[fail]] = False
 
 
 def rooted_minima(tally: ChildTally, fixed: int, n: int) -> Iterator[np.ndarray]:

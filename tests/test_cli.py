@@ -373,6 +373,8 @@ def test_vcdim_manifest_work_counters(tmp_path):
     items = json.loads((out / "manifest.json").read_text())["items"]
     assert items and all(i["nodes"] == sum(i["nodes_by_depth"]) >= 0
                          and i["cells"] % i["q"] == 0 for i in items)
+    assert all(i["pair_cells"] >= 0 for i in items)
+    assert any(i["pair_cells"] > 0 for i in items)
     assert set(read_csv(out / "vcdim.csv")[0]) == {
         "q", "vcdim", "exact", "alpha_q", "witness", "convention",
         "elapsed_ms"}

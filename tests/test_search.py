@@ -2,7 +2,9 @@ import itertools
 import os
 import subprocess
 import sys
-from concurrent.futures import Future
+import threading
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -453,6 +455,50 @@ def test_interrupted_sweep_cancels_queued_primes(monkeypatch):
     assert RecordingPool.shutdowns == [(True, True)] * 2
 
 
+class CountingPool(ThreadPoolExecutor):
+    """Stands in for ProcessPoolExecutor with threads: counts the tasks
+    submitted and not yet finished, and the most there ever were."""
+
+    most = 0
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        self.lock = threading.Lock()
+        self.unfinished = 0
+
+    def submit(self, fn, *args):
+        with self.lock:
+            self.unfinished += 1
+            CountingPool.most = max(CountingPool.most, self.unfinished)
+
+        def run():
+            try:
+                return fn(*args)
+            finally:
+                with self.lock:
+                    self.unfinished -= 1
+        return super().submit(run)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_sweep_keeps_at_most_workers_primes_in_flight(monkeypatch, workers):
+    # the pool's call queue takes every submitted task, where shutdown
+    # cannot cancel it: the sweep submits the next prime only when one
+    # finishes, and still yields in order, the slow first prime included
+    monkeypatch.setattr(CountingPool, "most", 0)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        CountingPool)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: workers)
+    qs = [5, 7, 11, 13, 17, 19, 23, 29]
+
+    def solve(q):
+        time.sleep(0.05 if q == 5 else 0.005)
+        return q
+
+    assert list(search.sweep(solve, qs, jobs=workers)) == qs
+    assert CountingPool.most == workers
+
+
 def test_import_leaves_the_process_pool_unloaded():
     # ``sweep`` imports the pool only when it starts one, so importing the
     # package and its CLI, and a serial sweep, load no multiprocessing
@@ -540,6 +586,30 @@ def test_work_counters_repeat():
         assert (a.nodes, a.cells, a.nodes_by_depth) == \
             (b.nodes, b.cells, b.nodes_by_depth)
         assert a.nodes == sum(a.nodes_by_depth) > 0 and a.cells % 89 == 0
+
+
+def test_pair_cells_repeat():
+    # the pair tables' own work repeats like the walk's counters
+    for conv in CONVS:
+        a = vc_dimension(89, conv)
+        b = vc_dimension(89, conv)
+        assert a.pair_cells == b.pair_cells > 0, conv
+
+
+@pytest.mark.parametrize("conv", CONVS, ids=lambda c: c.value)
+def test_pair_tables_and_child_blocks_walk_alike(monkeypatch, conv):
+    # every node decided by one pair table, or every child by its own
+    # block: the same answer, witness and counters at every prime
+    def walk(min_cells):
+        monkeypatch.setattr(search, "PAIR_MIN_CELLS", min_cells)
+        return [vc_dimension(q, conv) for q in primes_in_range(5, 109)]
+
+    tables, blocks = walk(0), walk(1 << 62)
+    assert [r.pair_cells for r in blocks] == [0] * len(blocks)
+    assert sum(r.pair_cells for r in tables) > 0
+    for t, b in zip(tables, blocks):
+        assert (t.vcdim, t.witness, t.nodes, t.cells, t.nodes_by_depth) == \
+            (b.vcdim, b.witness, b.nodes, b.cells, b.nodes_by_depth), t.q
 
 
 # Kernel cells of vc_dimension(167), expanding one set per orbit and

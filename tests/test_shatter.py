@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -583,6 +585,104 @@ def test_batch_chunking_boundary(monkeypatch):
     for i, name in enumerate(("ms", "sigs", "counts")):
         assert np.array_equal(whole[0][i],
                               np.concatenate([b[i] for b in split])), name
+
+
+def pair_minima(Y, ms, member, conv):
+    """Least pattern count of Y + {ms[i], ms[j]} for each i < j, by the
+    oracle (0 elsewhere)."""
+    low = np.zeros((len(ms), len(ms)), dtype=np.int64)
+    for i, j in itertools.combinations(range(len(ms)), 2):
+        low[i, j] = oracle_counts(sorted(Y + [ms[i], ms[j]]), member,
+                                  conv).min()
+    return low
+
+
+def check_pairs(tally, Y, ms, needs=(1, 2, 3)):
+    """``tally.pairs`` of Y over ``ms`` against the oracle, for the rows of
+    every index but the last and for a sparse choice of rows."""
+    T = tally.T
+    low = pair_minima(Y, ms, T.member, T.convention)
+    ms = np.array(ms, dtype=np.int64)
+    upper = np.triu(np.ones(low.shape, dtype=bool), 1)
+    for need in needs:
+        for rows in (np.arange(len(ms) - 1), np.arange(0, len(ms) - 1, 3)):
+            got = tally.pairs(Y, signatures(Y, T), ms, rows, need)
+            # only the entries j > i are answers
+            assert np.array_equal(got & upper[rows],
+                                  (low >= need)[rows] & upper[rows]), \
+                (T.q, Y, need)
+
+
+@pytest.mark.parametrize("conv", CONVS, ids=lambda c: c.value)
+def test_pairs_match_the_oracle_on_every_pair(conv):
+    # both walks' tables: walk B's is the dual one, when q = 1 (mod 4)
+    from residuevc.search import _walks
+    rng = np.random.default_rng(17)
+    for q in [13, 17, 23, 29]:
+        for walk in _walks(make_field(q), conv):
+            for n in (1, 2, 3):
+                Y = sorted(rng.choice(q, size=n, replace=False).tolist())
+                ms = [m for m in range(q) if m not in Y]
+                check_pairs(walk.tally, Y, ms)
+
+
+def test_pairs_run_by_run(monkeypatch):
+    # one row a run, each over the columns after it, gives the same table
+    T = table(29, ZeroConvention.STRICT)
+    Y, ms = [0, 1], np.arange(2, 29, dtype=np.int64)
+    rows = np.arange(0, 26, 2)
+    upper = np.arange(len(ms)) > rows[:, None]
+    whole = ChildTally(T).pairs(Y, signatures(Y, T), ms, rows, 1) & upper
+    monkeypatch.setattr(shatter, "PAIR_CELLS", 1)
+    tally = ChildTally(T)
+    assert np.array_equal(
+        tally.pairs(Y, signatures(Y, T), ms, rows, 1) & upper, whole)
+    # 4 classes by the columns after each row
+    assert tally.pair_cells == 4 * sum(len(ms) - 1 - r for r in rows)
+    assert whole.any() and not whole[upper].all()
+    monkeypatch.setattr(shatter, "PAIR_CELLS", 4 * 26 * 5)  # 5-row runs
+    check_pairs(ChildTally(T), Y, ms.tolist(), needs=(1,))
+
+
+def test_pairs_refuse_other_exclusion_rules():
+    # the cell identity drops only x = i and x = j: a rule forbidding
+    # more than {0} is refused, not miscounted
+    T = table(29, ZeroConvention.STRICT)
+    Y, ms = [0, 1], np.arange(2, 29, dtype=np.int64)
+    with pytest.raises(ValueError):
+        ChildTally(T, forbidden=[0, 1]).pairs(Y, signatures(Y, T), ms,
+                                             np.arange(3), 1)
+
+
+def test_strict_pairs_drop_both_translates_from_one_cell():
+    # x = i and x = j fall in one class of Y and both read 0 for the other
+    # element: the pair's (0, 0) cell there loses two.  Some such pairs
+    # pass with x = i and x = j counted and fail without them.
+    q, Y = 37, [0, 1]
+    T = table(q, ZeroConvention.STRICT)
+    sig = signatures(Y, T)
+    ms = list(range(2, q))
+    low = pair_minima(Y, ms, T.member, T.convention)
+    flipped = []
+    for i, j in itertools.combinations(range(len(ms)), 2):
+        a, b = ms[i], ms[j]
+        if sig[a] != sig[b] or T.member[(b - a) % q] or T.member[(a - b) % q]:
+            continue
+        Z = sorted(Y + [a, b])
+        # the counts with the translates a and b kept
+        with_ij = np.bincount([sum(int(T.member[(z - x) % q]) << k
+                                   for k, z in enumerate(Z))
+                               for x in range(q) if x not in Y],
+                              minlength=16)
+        if with_ij.min() > low[i, j]:
+            flipped.append((i, j, int(low[i, j])))
+    assert flipped
+    tally = ChildTally(T)
+    msa = np.array(ms, dtype=np.int64)
+    for i, j, true_min in flipped:
+        for need in (true_min, true_min + 1):
+            got = tally.pairs(Y, sig, msa, np.array([i]), need)[0, j]
+            assert got == (need <= true_min), (ms[i], ms[j], need)
 
 
 def test_row_counts_blocks_stay_under_the_cell_cap(monkeypatch):

@@ -222,3 +222,37 @@ def test_bench_pairs_writes_a_json_record(tmp_path, monkeypatch, capsys):
         (bp.parse_run(canned_run(p, 1.0, 1.0)),
          bp.parse_run(canned_run(c, 1.0, 1.0)))
         for p, c in zip(walls["parent"], walls["change"])], 0.25)
+
+
+def test_bench_pairs_merges_work_counters(tmp_path, monkeypatch, capsys):
+    bp = load_bench_pairs()
+
+    def fake_run(checkout, workload, seed):
+        out = canned_run(0.5 if checkout.name == "parent" else 0.4, 1.0, 1.0)
+        return bp.parse_run(out), bp.parse_env(out)
+
+    monkeypatch.setattr(bp, "run_once", fake_run)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    path = tmp_path / "BENCH.json"
+    path.write_text(json.dumps({"workloads": {}, "counters": {
+        "kept": {"nodes": 1}, "replaced": {"nodes": 2}}}))
+    counters = tmp_path / "counters.json"
+    counters.write_text(json.dumps({"replaced": {"nodes": 3, "cells": 4},
+                                    "new": {"pair_cells": 5}}))
+    args = [str(parent), str(change), "--workload", "prob-ap", "--pairs", "2",
+            "--json", str(path), "--counters", str(counters)]
+    assert bp.main(args) == 0
+    data = json.loads(path.read_text())
+    assert data["counters"] == {"kept": {"nodes": 1},
+                                "replaced": {"nodes": 3, "cells": 4},
+                                "new": {"pair_cells": 5}}
+    assert list(data["workloads"]) == ["prob-ap"]
+    # counters need a record to go in, and must be a JSON object
+    for bad in ([str(parent), str(change), "--workload", "prob-ap",
+                 "--counters", str(counters)], args):
+        if bad is args:
+            counters.write_text("[1, 2]")
+        with pytest.raises(SystemExit) as exit_info:
+            bp.main(bad)
+        assert exit_info.value.code == 2
+    capsys.readouterr()

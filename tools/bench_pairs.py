@@ -1,7 +1,7 @@
 """Run a benchmark workload in two checkouts, in alternating pairs.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N \
-        [--json PATH]
+        [--json PATH [--counters PATH]]
 
 PARENT and CHANGE are checkouts of the repository.  Pair i (from 1) runs
 ``perfbench/run.py --workload W --seed i --trace 0`` in each, the parent
@@ -26,7 +26,10 @@ With ``--json PATH`` the same report is also kept as a record under
 ``workloads[W]`` of the JSON file at PATH, beside the other workloads
 already recorded there: each pair's raw metrics, each metric's quartiles,
 wins, gain rules and bound verdict, the failed items, and each side's
-``perfbench env`` line and the commit it names.
+``perfbench env`` line and the commit it names.  ``--counters PATH``
+also merges the JSON object at PATH, deterministic work counters such as
+a search's nodes and cells, into the file's top-level ``counters`` block,
+keeping the counters already recorded there under other keys.
 """
 
 from __future__ import annotations
@@ -167,12 +170,16 @@ def record(pairs: list[tuple[dict, dict]], bounds: dict[str, float],
     }
 
 
-def write_record(path: Path, workload: str, rec: dict) -> None:
+def write_record(path: Path, workload: str, rec: dict,
+                 counters: dict | None = None) -> None:
     """Put ``rec`` under ``workloads[workload]`` of the JSON file at
-    ``path``, keeping the other workloads recorded there."""
+    ``path``, keeping the other workloads recorded there, and merge
+    ``counters`` into its ``counters`` block."""
     data = (json.loads(path.read_text(encoding="utf-8")) if path.exists()
             else {"workloads": {}})
     data["workloads"][workload] = rec
+    if counters:
+        data.setdefault("counters", {}).update(counters)
     path.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
 
 
@@ -197,9 +204,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--json", type=Path, metavar="PATH",
                         help="also record the report in this JSON file")
+    parser.add_argument("--counters", type=Path, metavar="PATH",
+                        help="merge this JSON object of work counters into "
+                             "the record (needs --json)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, to have quartiles")
+    counters = None
+    if args.counters:
+        if not args.json:
+            parser.error("--counters needs --json")
+        counters = json.loads(args.counters.read_text(encoding="utf-8"))
+        if not isinstance(counters, dict):
+            parser.error(f"{args.counters} must hold a JSON object")
     checkouts = {"parent": args.parent, "change": args.change}
     pairs, envs = [], {}
     for i in range(1, args.pairs + 1):
@@ -213,7 +230,8 @@ def main(argv: list[str] | None = None) -> int:
     bounds = load_bounds(args.parent)
     print("\n".join(summarize(pairs, bounds)))
     if args.json:
-        write_record(args.json, args.workload, record(pairs, bounds, envs))
+        write_record(args.json, args.workload, record(pairs, bounds, envs),
+                     counters)
     return 0
 
 
