@@ -145,8 +145,11 @@ def _finite_float(text: str) -> float:
 
 
 def _index_list(text: str) -> list[int]:
-    """Comma-separated subgroup indices, each at least 2."""
-    return [_at_least(2, v) for v in text.split(",")]
+    """Comma-separated subgroup indices, each at least 2, none repeated."""
+    indices = [_at_least(2, v) for v in text.split(",")]
+    if len(set(indices)) < len(indices):
+        raise argparse.ArgumentTypeError(f"repeats an index: {text}")
+    return indices
 
 
 def _flag(text: str) -> bool:

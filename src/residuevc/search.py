@@ -100,9 +100,9 @@ or not.
 
 ``canonical`` decides a node's survivors, as far as the sibling cut can
 reach, in one pass: survivors times k(k - 1) pairs times k - 2 elements,
-dividing through the discrete-log table.  ``quad_representatives``
-takes the same rule one map at a time, over the quads {0, 1, u, v} and
-the full affine group, for the theorem check ``weil._all_quads_ok``.
+dividing through the discrete-log table.  It is the rule's one
+evaluation: the theorem check ``weil._all_quads_ok`` takes its canonical
+triples {0, 1, u} from it, with every pair valid.
 
 The kernel decides a node's children all at once.  Every child
 Y + {m} a node expands draws its candidates from the node's survivors,
@@ -138,7 +138,6 @@ import itertools
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -213,51 +212,6 @@ def canonical(F: PrimeField, Y: list[int], ms: np.ndarray,
     if not all_pairs:
         smaller &= logs[..., 0] % 2 == 0  # z - a is a square
     return ~smaller.any(axis=1)
-
-
-#: Pairs (u, v) the filter of ``quad_representatives`` holds at a time.
-QUAD_CHUNK = 1 << 14
-
-
-def quad_representatives(F: PrimeField) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield, chunk by chunk in (u, v) order, the pairs 2 <= u < v < q
-    whose quad {0, 1, u, v} is ``canonical`` with ``all_pairs``: one quad
-    per orbit of the affine group x -> c x + e, c != 0 (points 1 and 2
-    of the module docstring), for ``weil._all_quads_ok``.
-
-    The rule is ``canonical``'s, taken map by map for speed.  u runs over
-    the canonical triples {0, 1, u}, since a canonical quad drops v to
-    one (point 2).  The pair (1, 0) maps x -> 1 - x, which sends (u, v)
-    to (q + 1 - v, q + 1 - u), so only the pairs with u + v <= q + 1 are
-    generated, and the pair (0, 1) is the identity.  The other 10 rows
-    of ``_pair_maps(4)`` filter the pairs one map at a time, compacting
-    after each; a pair passes a map when it is at most the map's sorted
-    image, ties included.  A chunk is a run of consecutive u with at
-    most about ``QUAD_CHUNK`` pairs.  Over the primes 1024-1049, 540,968
-    pairs enter the filter and 179,238 are kept (44,204 at q = 1031).
-    """
-    q = F.q
-    us = np.arange(2, q, dtype=np.int64)
-    us = us[canonical(F, [0, 1], us, all_pairs=True)]
-    rows, _ = _pair_maps(4)
-    maps = rows[rows[:, :2].max(axis=1) > 1].tolist()  # not (0, 1), (1, 0)
-    step = max(1, QUAD_CHUNK // q)
-    for i in range(0, us.shape[0], step):
-        chunk = us[i:i + step]
-        runs = q + 1 - 2 * chunk  # v = u + 1, ..., q + 1 - u
-        u = np.repeat(chunk, runs)
-        v = (np.arange(u.shape[0], dtype=np.int64)
-             - np.repeat(np.cumsum(runs) - runs, runs) + u + 1)
-        for a, b, c, e in maps:
-            quad = (0, 1, u, v)
-            # negative differences index from the end, as in ``canonical``
-            shift = F.dlog[quad[b] - quad[a]]
-            x = F.powers[F.dlog[quad[c] - quad[a]] - shift]
-            y = F.powers[F.dlog[quad[e] - quad[a]] - shift]
-            lo = np.minimum(x, y)
-            keep = (u < lo) | ((u == lo) & (v <= np.maximum(x, y)))
-            u, v = u[keep], v[keep]
-        yield u, v
 
 
 #: Fewest cells (candidate rows x q) the children of a node must count

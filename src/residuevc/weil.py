@@ -33,7 +33,7 @@ from .errors import (Infeasible, IndexNotDividing, LengthMismatch,
 from .field import (ZERO_EXP, CharacterTable, PrimeField, ZeroConvention,
                     character_table, log2_floor, residue_table)
 from .montecarlo import sample_subset
-from .search import quad_representatives
+from .search import canonical
 from .shatter import ChildTally, _allowed_translates, rooted_minima
 
 WEIL_TOL = 1e-6
@@ -351,10 +351,9 @@ def _quads_complete(tally: ChildTally, u: int, vs: np.ndarray) -> bool:
     starts at q // 2 because the small translates are no random sample:
     the bits of 0 and 1 read the character at -x and 1 - x, which
     multiplicativity ties to its values at small primes.  Over the primes
-    1024-1049 the kernel keeps 179,238 quads and tallies 13,688,128 cells
-    (rows times block width) in 1,425 blocks, with 34,377 rows entering a
-    second block; scanning from x = 0 took 16,734,912 cells, 1,700 blocks
-    and 77,916 rows.
+    1024-1049 ``_all_quads_ok`` sends it 540,968 quads, and it tallies
+    41,204,032 cells (rows times block width) in 1,781 blocks, with
+    101,970 rows entering a second block.
     """
     q, w = tally.q, tally.windows
     c = q // 2
@@ -367,7 +366,10 @@ def _quads_complete(tally: ChildTally, u: int, vs: np.ndarray) -> bool:
         width = min(QUAD_BLOCK, q - lo)
         sig4 = w[3][(c + lo - vs) % q, :width]
         sig4 += sig3[lo : lo + width]
-        flags |= np.bitwise_or.reduce(one << sig4.astype(np.uint32), axis=1)
+        # no uint32 copy of the block: a small u sends about q rows, and
+        # blocks that wide page-faulted fresh memory at every call
+        flags |= np.bitwise_or.reduce(np.left_shift(one, sig4, dtype=np.uint32),
+                                       axis=1)
         keep = (flags & full) != full
         if not keep.any():
             return True
@@ -388,17 +390,28 @@ def _all_quads_ok(F: PrimeField, tally: ChildTally) -> bool:
     in Y the differences y - x are nonzero and scale by c, so the patterns
     of the image are those of Y, each kept (c a square) or each
     complemented, and the full set of 16 maps onto itself.  So one quad
-    per affine orbit decides every quad, and by points 1 and 2 of the
-    ``search`` docstring ``search.quad_representatives`` yields exactly
-    one per orbit, about one quad in 12 (44,204 of 528,906 at q = 1031).
-    ``_quads_complete`` checks the kept quads of each u.
+    per affine orbit decides every quad.
+
+    The quads checked are {0, 1, u, v} for the u with {0, 1, u}
+    ``search.canonical`` (all pairs valid) and u < v <= q + 1 - u, each
+    u's in one ``_quads_complete`` call, stopping at the first failure.
+    They hold every orbit's canonical member {0, 1, u, v}: each affine
+    orbit has exactly one (point 1 of the ``search`` docstring), its
+    triple {0, 1, u} is canonical too (point 2), and the pair (1, 0)
+    maps x -> 1 - x, sending (u, v) to (q + 1 - v, q + 1 - u), so a
+    canonical quad has v <= q + 1 - u.  Every other quad checked is a
+    quad holding {0, 1} too, so it fails only when some quad does and
+    cannot change a true verdict.  Over the primes 1024-1049 that is
+    540,968 quads (133,606 of 528,906 at q = 1031); filtering v by the
+    orbit rule would keep 179,238, but costs more than the kernel work
+    it saves.
     """
-    for us, vs in quad_representatives(F):
-        starts = np.flatnonzero(np.diff(us, prepend=-1))
-        for u, group in zip(us[starts], np.split(vs, starts[1:])):
-            if not _quads_complete(tally, int(u), group):
-                return False
-    return True
+    q = F.q
+    us = np.arange(2, q, dtype=np.int64)
+    us = us[canonical(F, [0, 1], us, all_pairs=True)]
+    return all(_quads_complete(tally, u, np.arange(u + 1, q + 2 - u,
+                                                   dtype=np.int64))
+               for u in us.tolist())
 
 
 def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremReport:
@@ -415,11 +428,11 @@ def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremR
     So the check decides the rooted n-sets, those holding {0, ..., k - 1}
     with k = 2 for r = 2 and k = 1 otherwise, and ``checked`` counts
     them, C(q - k, n - k).  At r = 2 and n* = 4 ``_all_quads_ok`` checks
-    one quad per affine orbit and stops at the first failing one, so there
-    ``failures`` is 0 or 1: whether some quad fails, not how many.  At
-    every other size ``failures`` counts the failing rooted subsets.
-    Both read the windows of one ``_witness_tally``, whose sentinel drops
-    each element's own translate.
+    quads that cover every affine orbit and stops at the first failing
+    one, so there ``failures`` is 0 or 1: whether some quad fails, not
+    how many.  At every other size ``failures`` counts the failing
+    rooted subsets.  Both read the windows of one ``_witness_tally``,
+    whose sentinel drops each element's own translate.
 
     Other sizes walk the rooted subsets with ``rooted_minima``, after
     checking their number against ``OP_BUDGET // q``, unless 2^n > q - n:

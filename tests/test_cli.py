@@ -160,8 +160,8 @@ def test_verify_skips_non_dividing_r(tmp_path):
     assert {int(r["q"]) for r in rows} == {11}
 
 
-@pytest.mark.parametrize("r", ["0", "1", "2,1", "-2", "2,x"])
-def test_verify_rejects_index_below_two(tmp_path, r, capsys):
+@pytest.mark.parametrize("r", ["0", "1", "2,1", "-2", "2,x", "2,2", "3,2,3"])
+def test_verify_rejects_bad_index_list(tmp_path, r, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--q-max", "31", "--r", r,
               "--out-dir", str(tmp_path / "w")])

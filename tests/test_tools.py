@@ -256,3 +256,46 @@ def test_bench_pairs_merges_work_counters(tmp_path, monkeypatch, capsys):
             bp.main(bad)
         assert exit_info.value.code == 2
     capsys.readouterr()
+
+
+MUTANTS = SCRIPT.parent / "mutants.py"
+
+
+def load_mutants():
+    spec = importlib.util.spec_from_file_location("mutants", MUTANTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mutants_report_killed_survived_and_anchor_missing(tmp_path, capsys):
+    mt = load_mutants()
+    source = "def add(a, b):\n    return a + b\n"
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "calc.py").write_text(source, encoding="utf-8")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_calc.py").write_text(
+        "from calc import add\n\n\ndef test_add():\n"
+        "    assert add(2, 3) == 5\n", encoding="utf-8")
+    tests = ("tests/test_calc.py",)
+    mutants = [mt.Mutant("minus", "src/calc.py", "a + b", "a - b", tests),
+               mt.Mutant("swapped", "src/calc.py", "a + b", "b + a", tests),
+               mt.Mutant("moved", "src/calc.py", "a * b", "a / b", tests),
+               mt.Mutant("unnamed-test", "src/calc.py", "a + b", "a - b",
+                         ("tests/test_none.py",))]
+    results = mt.run(tmp_path, mutants)
+    assert [(name, status) for name, status, _ in results] == [
+        ("minus", "killed"), ("swapped", "survived"),
+        ("moved", "anchor-missing"), ("unnamed-test", "error")]
+    # the edits went into a copy
+    assert (tmp_path / "src" / "calc.py").read_text(encoding="utf-8") == source
+    assert capsys.readouterr().out.splitlines()[0].startswith("killed")
+
+
+def test_mutants_anchors_occur_once_at_head():
+    mt = load_mutants()
+    root = MUTANTS.parent.parent
+    assert len({m.name for m in mt.MUTANTS}) == len(mt.MUTANTS)
+    for mutant in mt.MUTANTS:
+        text = (root / mutant.path).read_text(encoding="utf-8")
+        assert text.count(mutant.old) == 1, mutant.name

@@ -12,7 +12,6 @@ from residuevc.errors import Infeasible, LengthMismatch, ModulusMismatch
 from residuevc.field import (ZeroConvention, character_table, make_field,
                              residue_table, squares_table)
 from residuevc.primes import primes_in_range
-from residuevc.search import quad_representatives
 from residuevc.shatter import ChildTally, rooted_minima
 from residuevc.weil import (PolySpec, char_sum,
                             coset_probability, fourier_probability,
@@ -508,45 +507,48 @@ def _canonical(q, Z):
                for a, b in itertools.permutations(Z, 2))
 
 
-def test_orbit_filter_matches_brute_force_to_113():
-    # the kept quads are exactly the canonical ones, in (u, v) order, and
-    # each kept u is a canonical triple, which the triple level relies on
-    for q in primes_in_range(7, 113):
-        kept = [(int(u), int(v))
-                for us, vs in quad_representatives(make_field(q))
-                for u, v in zip(us, vs)]
-        brute = [(u, v) for u, v in itertools.combinations(range(2, q), 2)
-                 if _canonical(q, (0, 1, u, v))]
-        assert kept == brute, q
-        assert all(_canonical(q, (0, 1, u)) for u, _ in kept), q
-
-
-# quads kept at the primes of the theorem-quads benchmark workload
-KEPT_QUADS = {1031: 44204, 1033: 44377, 1039: 44894, 1049: 45763}
-
-
-@pytest.mark.parametrize("q", KEPT_QUADS)
-def test_orbit_filter_count(q):
-    assert sum(us.shape[0] for us, _ in
-               quad_representatives(make_field(q))) == KEPT_QUADS[q]
-
-
 def _affine_orbit_key(q, quad):
     """Least sorted image of ``quad`` under every map x -> c x + e."""
     return min(tuple(sorted((c * y + e) % q for y in quad))
                for c in range(1, q) for e in range(q))
 
 
+def _quads_sent(monkeypatch, q):
+    """The (u, vs) of every ``_quads_complete`` call ``_all_quads_ok``
+    makes at q, each answered True."""
+    calls = []
+
+    def spy(tally, u, vs):
+        calls.append((u, vs.tolist()))
+        return True
+
+    monkeypatch.setattr(weil, "_quads_complete", spy)
+    assert _all_quads_ok(make_field(q), _quad_tally(q))
+    return calls
+
+
 @pytest.mark.parametrize("q", [7, 11, 13, 17, 19, 23, 29])
-def test_one_kept_quad_per_affine_orbit(q):
-    kept = [(int(u), int(v)) for us, vs in quad_representatives(make_field(q))
-            for u, v in zip(us, vs)]
-    assert all(2 <= u < v < q for u, v in kept)
-    assert len(set(kept)) == len(kept)
+def test_quads_sent_cover_every_affine_orbit(monkeypatch, q):
+    # the verdict rests on this coverage: each canonical triple's u gets
+    # v = u + 1, ..., q + 1 - u, and the quads sent meet every orbit
+    calls = _quads_sent(monkeypatch, q)
+    assert [u for u, _ in calls] == [u for u in range(2, q)
+                                     if _canonical(q, (0, 1, u))]
+    assert all(vs == list(range(u + 1, q + 2 - u)) for u, vs in calls)
     orbits = {_affine_orbit_key(q, (0, 1, u, v))
               for u, v in itertools.combinations(range(2, q), 2)}
-    kept_orbits = [_affine_orbit_key(q, (0, 1, u, v)) for u, v in kept]
-    assert sorted(kept_orbits) == sorted(orbits)
+    assert {_affine_orbit_key(q, (0, 1, u, v))
+            for u, vs in calls for v in vs} == orbits
+
+
+# quads sent to the kernel at the primes of the theorem-quads workload
+SENT_QUADS = {1031: 133606, 1033: 136080, 1039: 134490, 1049: 136792}
+
+
+@pytest.mark.parametrize("q", SENT_QUADS)
+def test_quads_sent_count(monkeypatch, q):
+    assert sum(len(vs) for _, vs in _quads_sent(monkeypatch, q)) == (
+        SENT_QUADS[q])
 
 
 @settings(max_examples=200, deadline=None)
