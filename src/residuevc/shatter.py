@@ -36,9 +36,13 @@ the four new cells of every pair in a class from one matrix product per
 class, and the two marginals, rather than one ``bincount`` per child
 (the ``search`` docstring gives the identity and STRICT's corrections).
 The quad check's ``weil._quads_complete`` is a second algorithm over the
-same windows: it reads the theorem check's own ``ChildTally`` and
-retires rows once all 16 patterns are seen.  ``tests/oracles.py`` stays
-the independent check.
+same windows: it reads the theorem check's own ``ChildTally`` through
+``ChildTally.words``, the first 64 entries of each row of windows[0]
+packed into one uint64 word of bits and one of sentinels, so 64
+translates of a column are one word.  It ANDs those words with the
+8 pattern-class words of each triple {0, 1, u} and drops a quad once
+all 16 patterns are seen.  ``tests/oracles.py`` stays the independent
+check.
 
 The table owns the translate columns every tally reads: ``ResidueTable``
 builds ``doubled``, its membership vector reflected and doubled, once;
@@ -306,7 +310,8 @@ class ChildTally:
     block to ``intp`` once, for ``bincount``.  ``pairs`` decides the
     children of a search node from one pair table instead, over
     ``columns``, the rows of windows[0] as 0/1 floats, built on first
-    use; ``pair_cells`` counts its tables' entries.
+    use; ``pair_cells`` counts its tables' entries.  ``words`` packs the
+    rows of windows[0] into uint64 words for the quad check.
     """
 
     def __init__(self, T: ResidueTable, forbidden: Sequence[int] | None = None):
@@ -345,6 +350,21 @@ class ChildTally:
         if self.forbidden.size:
             flat[[0, q]] = 0  # the translate x = m of row q - m
         return sliding_window_view(flat, q)
+
+    @functools.cached_property
+    def words(self) -> tuple[np.ndarray, np.ndarray]:
+        """The quad check's bits: the first 64 entries of each row of
+        windows[0] (all q below q = 64) packed into one uint64 word per
+        row, entry j at bit j.  ``bits`` marks the entries that are the
+        element's bit, ``own`` the sentinels, the translates the rule
+        drops; row q - m reads 64 translates of m's column at once."""
+        rows = self.windows[0][:, :64]
+        packed = np.zeros((2, self.q + 1, 8), dtype=np.uint8)
+        for word, entry in zip(packed, (1, 2)):
+            bytes_ = np.packbits(rows == entry, axis=1, bitorder="little")
+            word[:, :bytes_.shape[1]] = bytes_
+        bits, own = packed.view("<u8")[..., 0].astype(np.uint64)
+        return bits, own
 
     def children(self, Y: Sequence[int], sig: np.ndarray, ms: np.ndarray
                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -327,54 +327,129 @@ def _witness_tally(F: PrimeField, C: CharacterTable, t: int) -> ChildTally:
                       forbidden)
 
 
-#: Translates ``_quads_complete`` scans per block before retiring rows.
+#: Translates ``_quads_complete`` scans per block before retiring rows:
+#: one uint64 word of ``ChildTally.words``.
 QUAD_BLOCK = 64
+#: Most quads ``_quads_complete`` scans together, one batch.
+QUAD_ROWS = 4096
 
 
-def _quads_complete(tally: ChildTally, u: int, vs: np.ndarray) -> bool:
-    """Every {0, 1, u, v}, v in ``vs``, realizes all 16 patterns among the
-    translates outside it.
+def _class_words(tally: ChildTally, us: np.ndarray) -> np.ndarray:
+    """(blocks, len(us), 8) uint64 class words of the triples {0, 1, u}.
+
+    Word p of block b, for u = us[k], has bit j set when the translate
+    x = c + 64 b + j (mod q), c = q // 2, gives {0, 1, u} the pattern p
+    (bit 0 for 0, bit 1 for 1, bit 2 for u).  The 8 words of a block
+    split its translates outside {0, 1, u}: the translates x in {0, 1, u}
+    (the ``own`` bits of their three rows) and the bits past the block's
+    width are cleared.
+    """
+    q = tally.q
+    bits, own = tally.words
+    los = np.arange(0, q, QUAD_BLOCK)
+    # row (c + lo - y) mod q of y = 0, 1 and each u, for every block
+    rows = (q // 2 + los)[:, None] - np.concatenate([[0, 1], us])
+    rows %= q
+    a0, a1, au = bits[rows[:, :1]], bits[rows[:, 1:2]], bits[rows[:, 2:]]
+    o0, o1, ou = own[rows[:, :1]], own[rows[:, 1:2]], own[rows[:, 2:]]
+    width = np.minimum(QUAD_BLOCK, q - los).astype(np.uint64)
+    ones = np.uint64(2**64 - 1) >> (np.uint64(QUAD_BLOCK) - width)[:, None]
+    word = ones & ~(o0 | o1 | ou)
+    classes = np.empty((los.size, us.size, 8), dtype=np.uint64)
+    for p in range(8):
+        classes[:, :, p] = word
+        for k, a in enumerate((a0, a1, au)):
+            classes[:, :, p] &= a if p >> k & 1 else ~a
+    return classes
+
+
+def _batches(vs: Iterable[np.ndarray]
+             ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(k, v) row arrays of at most ``QUAD_ROWS`` rows: every v of each
+    vs[k], in order, with its k.  A batch may span several k; all are
+    filled into the same two buffers."""
+    ks = np.empty(QUAD_ROWS, dtype=np.intp)
+    rows = np.empty(QUAD_ROWS, dtype=np.int64)
+    m = 0
+    for k, v in enumerate(vs):
+        while v.size:
+            n = min(QUAD_ROWS - m, v.size)
+            ks[m : m + n] = k
+            rows[m : m + n] = v[:n]
+            m, v = m + n, v[n:]
+            if m == QUAD_ROWS:
+                yield ks, rows
+                m = 0
+    if m:
+        yield ks[:m], rows[:m]
+
+
+def _quads_complete(tally: ChildTally, us: Sequence[int],
+                    vs: Iterable[np.ndarray]) -> bool:
+    """Every quad {0, 1, us[k], v}, v in vs[k], realizes all 16 patterns
+    among the translates outside it.
 
     ``tally`` is the r = 2 witness tally, whose windows are the STRICT
-    squares' (``_all_quads_ok``).  Row i of ``windows[n]``, read as y's
-    column, starts at the translate x = y + i (mod q): it holds y's bit
-    shifted to bit n, and 2^(n+1) at x = y.  Translates are scanned from
-    x = c = q // 2 on, wrapping around (x = c + k mod q).  So the
-    signature of {0, 1, u} is the sum of rows c, c - 1 and c - u (mod q)
-    of ``windows[0..2]``, with 16 set at x in {0, 1, u}, and the scan
-    steps [lo, lo + width) of v's bit are the first width entries of row
-    c + lo - v (mod q) of ``windows[3]``, one gather of that width per
-    block.  The 16 there at x = v drops v's own translate.  A row retires
-    after the first block of ``QUAD_BLOCK`` in which its 16 patterns are
-    complete.  A random quad sees all 16 after about 16 H_16 = 54
+    squares' (``_all_quads_ok``), and the kernel reads its ``words``:
+    row (c + lo - y) mod q, with c = q // 2, holds y's bits at the
+    translates x = c + lo + j (mod q), j < 64, and marks x = y in
+    ``own``.  Translates are scanned from x = c on, wrapping around, in
+    blocks of ``QUAD_BLOCK`` = 64, one word each.  ``_class_words``
+    splits each block's translates outside {0, 1, u} into the 8 pattern
+    classes of {0, 1, u}.  The quads run in batches of at most
+    ``QUAD_ROWS`` rows (``_batches``), so one batch may hold the v of
+    several u.  Per block, each row gathers v's bit word and its word of
+    allowed 0s (neither bit nor own) and ANDs each with its 8 class
+    words; byte p of the result, viewed as one uint64, is 1 when class p
+    meets the word, and ORs into the flags f1 (v's bit 1 seen) or f0
+    (v's bit 0 seen).  A row retires after the first block after which
+    every byte of f1 & f0 is 1, all 16 patterns seen, and a row still
+    open after the last block fails.  The per-block temporaries live in
+    buffers allocated once per call: a (4096, 8) uint64 block is
+    256 KB, above glibc's mmap threshold, and a fresh one page-faulted
+    at every block.
+
+    A random quad sees all 16 patterns after about 16 H_16 = 54
     translates, so a first block of 64 retires most rows.  The scan
     starts at q // 2 because the small translates are no random sample:
     the bits of 0 and 1 read the character at -x and 1 - x, which
-    multiplicativity ties to its values at small primes.  Over the primes
-    1024-1049 ``_all_quads_ok`` sends it 540,968 quads, and it tallies
-    41,204,032 cells (rows times block width) in 1,781 blocks, with
-    101,970 rows entering a second block.
+    multiplicativity ties to its values at small primes.  Over the
+    primes 1024-1049 ``_all_quads_ok`` sends it 540,968 quads in 134
+    batches; they take 643,813 row-blocks (one row scanning one block)
+    in 408 batch-blocks, and 101,970 rows enter a second block.
     """
-    q, w = tally.q, tally.windows
+    q = tally.q
     c = q // 2
-    sig3 = w[0][c] + w[1][(c - 1) % q] + w[2][(c - u) % q]
-    sig3[[-c % q, (1 - c) % q, (u - c) % q]] = 16  # excluded translates
-    full = np.uint32((1 << 16) - 1)
-    one = np.uint32(1)
-    flags = np.zeros(vs.shape[0], dtype=np.uint32)
-    for lo in range(0, q, QUAD_BLOCK):
-        width = min(QUAD_BLOCK, q - lo)
-        sig4 = w[3][(c + lo - vs) % q, :width]
-        sig4 += sig3[lo : lo + width]
-        # no uint32 copy of the block: a small u sends about q rows, and
-        # blocks that wide page-faulted fresh memory at every call
-        flags |= np.bitwise_or.reduce(np.left_shift(one, sig4, dtype=np.uint32),
-                                       axis=1)
-        keep = (flags & full) != full
-        if not keep.any():
-            return True
-        vs, flags = vs[keep], flags[keep]
-    return False
+    bits, own = tally.words
+    bits, zero = bits[:q], ~(bits | own)[:q]
+    classes = _class_words(tally, np.asarray(us, dtype=np.int64))
+    full = np.uint64(0x0101010101010101)  # all 8 class bytes hit
+    idx = np.empty(QUAD_ROWS, dtype=np.int64)
+    word = np.empty(QUAD_ROWS, dtype=np.uint64)
+    cls = np.empty((QUAD_ROWS, 8), dtype=np.uint64)
+    anded = np.empty((QUAD_ROWS, 8), dtype=np.uint64)
+    hit = np.empty((QUAD_ROWS, 8), dtype=bool)
+    for k, v in _batches(vs):
+        m = v.shape[0]
+        f1 = np.zeros(m, dtype=np.uint64)
+        f0 = np.zeros(m, dtype=np.uint64)
+        for b, lo in enumerate(range(0, q, QUAD_BLOCK)):
+            np.subtract(c + lo, v, out=idx[:m])  # v's row, mod q by "wrap"
+            np.take(classes[b], k, axis=0, out=cls[:m], mode="clip")
+            for table, flags in ((bits, f1), (zero, f0)):
+                np.take(table, idx[:m], out=word[:m], mode="wrap")
+                np.bitwise_and(cls[:m], word[:m, None], out=anded[:m])
+                np.not_equal(anded[:m], 0, out=hit[:m])
+                flags |= hit[:m].view(np.uint64)[:, 0]
+            keep = (f1 & f0) != full
+            if not keep.any():
+                break
+            if not keep.all():
+                k, v, f1, f0 = k[keep], v[keep], f1[keep], f0[keep]
+                m = v.shape[0]
+        else:
+            return False
+    return True
 
 
 def _all_quads_ok(F: PrimeField, tally: ChildTally) -> bool:
@@ -393,8 +468,10 @@ def _all_quads_ok(F: PrimeField, tally: ChildTally) -> bool:
     per affine orbit decides every quad.
 
     The quads checked are {0, 1, u, v} for the u with {0, 1, u}
-    ``search.canonical`` (all pairs valid) and u < v <= q + 1 - u, each
-    u's in one ``_quads_complete`` call, stopping at the first failure.
+    ``search.canonical`` (all pairs valid) and u < v <= q + 1 - u, all in
+    one ``_quads_complete`` call, which runs them in u-then-v order in
+    batches across triples and stops after the first batch holding a
+    failure.
     They hold every orbit's canonical member {0, 1, u, v}: each affine
     orbit has exactly one (point 1 of the ``search`` docstring), its
     triple {0, 1, u} is canonical too (point 2), and the pair (1, 0)
@@ -409,9 +486,9 @@ def _all_quads_ok(F: PrimeField, tally: ChildTally) -> bool:
     q = F.q
     us = np.arange(2, q, dtype=np.int64)
     us = us[canonical(F, [0, 1], us, all_pairs=True)]
-    return all(_quads_complete(tally, u, np.arange(u + 1, q + 2 - u,
-                                                   dtype=np.int64))
-               for u in us.tolist())
+    return _quads_complete(tally, us, (np.arange(u + 1, q + 2 - u,
+                                                 dtype=np.int64)
+                                       for u in us.tolist()))
 
 
 def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremReport:

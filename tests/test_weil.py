@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -393,19 +394,49 @@ def _quad_tally(q):
     return _witness_tally(F, C, weil._first_non_power(F, C))
 
 
+@functools.cache
+def _generic_quad_verdict(q):
+    """Whether every rooted quad at q is STRICT shattered, by the generic
+    rooted-minima walk; at q = 7 the 16 patterns outnumber the 3
+    translates."""
+    F = make_field(q)
+    strict = ChildTally(residue_table(F, 2, 1, ZeroConvention.STRICT))
+    return 16 <= q - 4 and all(mins.all()
+                               for mins in rooted_minima(strict, 2, 4))
+
+
 def test_quad_fast_path_matches_generic():
     # every canonical quad through the kernel under STRICT, against the
     # orbit check; the answer is False at most primes below 101 and at 103
     answers = set()
     for q in primes_in_range(7, 251):
-        F = make_field(q)
-        strict = ChildTally(residue_table(F, 2, 1, ZeroConvention.STRICT))
-        # at q = 7 the 16 patterns outnumber the 3 translates
-        generic = 16 <= q - 4 and all(
-            mins.all() for mins in rooted_minima(strict, 2, 4))
-        assert _all_quads_ok(F, _quad_tally(q)) == generic, q
+        generic = _generic_quad_verdict(q)
+        assert _all_quads_ok(make_field(q), _quad_tally(q)) == generic, q
         answers.add(generic)
     assert answers == {False, True}
+
+
+def test_quad_batches_split_triples_and_match_generic(monkeypatch):
+    # batches of 37 rows, odd and fewer than most triples' quads: a batch
+    # ends inside one triple's quads, and holds the end of one triple and
+    # the start of the next
+    monkeypatch.setattr(weil, "QUAD_ROWS", 37)
+    batches, triples = weil._batches, []
+
+    def spy(vs):
+        for k, v in batches(vs):
+            triples.append(set(k.tolist()))
+            yield k, v
+
+    monkeypatch.setattr(weil, "_batches", spy)
+    spans = splits = False
+    for q in primes_in_range(7, 251):
+        triples.clear()
+        assert _all_quads_ok(make_field(q), _quad_tally(q)) == (
+            _generic_quad_verdict(q)), q
+        spans |= any(len(ks) > 1 for ks in triples)
+        splits |= any(a & b for a, b in zip(triples, triples[1:]))
+    assert spans and splits
 
 
 def test_r2_witness_tally_is_the_strict_squares_tally():
@@ -425,24 +456,65 @@ def _pattern_at(member, quad, x):
     return sum(int(member[(y - x) % q]) << i for i, y in enumerate(quad))
 
 
+def _word_bits(words, width):
+    """The low ``width`` bits of each uint64 in ``words``, as a
+    (len(words), width) 0/1 array, bit j in column j."""
+    return (words[:, None] >> np.arange(width, dtype=np.uint64)) & 1
+
+
 @pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19, 61])
 def test_quad_window_rows_are_translate_columns(q):
-    # row (c + lo - y) mod q of windows[n], cut to a block, holds y's bit
-    # shifted to bit n at the translates x = c + lo + j (mod q) and
-    # 2^(n+1) at x = y: the rows the kernel reads, for every y and block,
-    # also at primes below one block; n < 3 are the full rows of sig3
-    windows = _quad_tally(q).windows
+    # word (c + lo - y) mod q of ``words``, cut to a block, holds y's bit
+    # at the translates x = c + lo + j (mod q) in ``bits`` and marks x = y
+    # in ``own``: the words the kernel reads, for y = 0, 1, u and v and
+    # every block, also at primes below one block
+    bits, own = _quad_tally(q).words
     member = member_vector(q, 2, 1, ZeroConvention.ZERO_OUT)
     c = q // 2
-    for n in range(4):
-        block = weil.QUAD_BLOCK if n == 3 else q
-        for y in range(q):
-            for lo in range(0, q, block):
-                width = min(block, q - lo)
-                xs = (c + lo + np.arange(width)) % q
-                want = np.where(xs == y, 2 << n, member[(y - xs) % q] << n)
-                got = windows[n][(c + lo - y) % q, :width]
-                assert np.array_equal(got, want), (n, y, lo)
+    for y in range(q):
+        for lo in range(0, q, weil.QUAD_BLOCK):
+            width = min(weil.QUAD_BLOCK, q - lo)
+            xs = (c + lo + np.arange(width)) % q
+            row = np.array([(c + lo - y) % q])
+            want = np.where(xs == y, 0, member[(y - xs) % q])
+            assert np.array_equal(_word_bits(bits[row], width)[0], want), (
+                y, lo)
+            assert np.array_equal(_word_bits(own[row], width)[0],
+                                  xs == y), (y, lo)
+
+
+@pytest.mark.parametrize("q", [5, 7, 13, 61, 67, 127, 131])
+def test_words_pack_the_window_rows(q):
+    # bit j of word i is entry j of window row i, the element's bit in
+    # ``bits`` and the sentinel in ``own``, for all q + 1 rows; below
+    # q = 64 a row has q entries and the bits past them are 0
+    tallies = [_quad_tally(q)] + [
+        ChildTally(squares_table(make_field(q), conv))
+        for conv in ZeroConvention]
+    for tally in tallies:
+        bits, own = tally.words
+        rows = tally.windows[0][:, :64]
+        assert bits.dtype == own.dtype == np.uint64
+        assert bits.shape == own.shape == (q + 1,)
+        assert np.array_equal(_word_bits(bits, 64)[:, :rows.shape[1]],
+                              rows == 1)
+        assert np.array_equal(_word_bits(own, 64)[:, :rows.shape[1]],
+                              rows == 2)
+        assert not (_word_bits(bits | own, 64)[:, rows.shape[1]:]).any()
+        assert (own != 0).any() == (tally.forbidden.size > 0)
+
+
+def _strict_quad_verdicts(q):
+    """Whether {0, 1, u, v} is STRICT shattered, for every 2 <= u < v."""
+    member = member_vector(q, 2, 1, ZeroConvention.STRICT)
+    return {(u, v): bool(oracle_counts((0, 1, u, v), member,
+                                       ZeroConvention.STRICT).all())
+            for u, v in itertools.combinations(range(2, q), 2)}
+
+
+def _one_quad_per_row(quads):
+    """The ``_quads_complete`` arguments with one quad (u, v) per row."""
+    return [u for u, _ in quads], [np.array([v]) for _, v in quads]
 
 
 @pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19, 23, 29, 31, 73, 103])
@@ -461,7 +533,7 @@ def test_quad_verdict_matches_strict_oracle(q):
         missing = np.flatnonzero(oracle_counts(
             quad, member, ZeroConvention.STRICT) == 0).tolist()
         verdicts[u, v] = not missing
-        got = _quads_complete(tally, u, np.array([v], dtype=np.int64))
+        got = _quads_complete(tally, [u], [np.array([v], dtype=np.int64)])
         assert got == verdicts[u, v], (q, u, v)
         # the scan steps of v in failing quads whose one missing pattern is
         # read at x = v only
@@ -482,8 +554,30 @@ def test_quad_verdict_matches_strict_oracle(q):
     # every v of one u in one call, so rows retire at different blocks
     for u in range(2, q - 1):
         vs = np.arange(u + 1, q, dtype=np.int64)
-        assert _quads_complete(tally, u, vs) == all(
+        assert _quads_complete(tally, [u], [vs]) == all(
             verdicts[u, int(v)] for v in vs), (q, u)
+
+
+@pytest.mark.parametrize("rows", [4096, 37])
+@pytest.mark.parametrize("q", [73, 103])
+def test_one_call_over_many_triples_matches_strict_oracle(monkeypatch, q,
+                                                          rows):
+    # one call, one quad per row, the rows of every u shuffled together:
+    # the shattered quads pass, and one failing quad anywhere among them
+    # fails the call, also when batches of 37 rows split the call
+    monkeypatch.setattr(weil, "QUAD_ROWS", rows)
+    tally = _quad_tally(q)
+    verdicts = _strict_quad_verdicts(q)
+    rng = np.random.default_rng(q)
+    good = [quad for quad, ok in verdicts.items() if ok]
+    bad = [quad for quad, ok in verdicts.items() if not ok]
+    good = [good[i] for i in rng.permutation(len(good))]
+    assert len({u for u, _ in good[:37]}) > 1 and bad
+    assert _quads_complete(tally, *_one_quad_per_row(good))
+    for quad in bad:
+        at = int(rng.integers(len(good) + 1))
+        quads = good[:at] + [quad] + good[at:]
+        assert not _quads_complete(tally, *_one_quad_per_row(quads)), quad
 
 
 def test_quad_check_skips_translate_one():
@@ -496,8 +590,8 @@ def test_quad_check_skips_translate_one():
                                            ZeroConvention.STRICT) == 0)
     at_one = _pattern_at(member, quad, 1)
     assert missing.tolist() == [at_one]
-    assert not _quads_complete(_quad_tally(q), 2,
-                               np.array([3], dtype=np.int64))
+    assert not _quads_complete(_quad_tally(q), [2],
+                               [np.array([3], dtype=np.int64)])
 
 
 def _canonical(q, Z):
@@ -514,12 +608,12 @@ def _affine_orbit_key(q, quad):
 
 
 def _quads_sent(monkeypatch, q):
-    """The (u, vs) of every ``_quads_complete`` call ``_all_quads_ok``
-    makes at q, each answered True."""
+    """The (u, vs) of every triple the one ``_quads_complete`` call of
+    ``_all_quads_ok`` at q gets, in order, answered True."""
     calls = []
 
-    def spy(tally, u, vs):
-        calls.append((u, vs.tolist()))
+    def spy(tally, us, vs):
+        calls.extend(zip(list(us), (v.tolist() for v in vs), strict=True))
         return True
 
     monkeypatch.setattr(weil, "_quads_complete", spy)

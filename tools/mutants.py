@@ -68,25 +68,28 @@ SEARCH_TESTS = (S + "test_matches_naive_small_primes",
                 S + "test_pinned_results", S + "test_pinned_work_counters")
 
 MUTANTS = (
-    # the quad check: the range of v, the triples, the excluded translates
+    # the quad check: the range of v, the triples, the excluded translates,
+    # its batches and its packed words
     Mutant("quad-v-range-one-short", WEIL, "q + 2 - u", "q + 1 - u",
            QUAD_TESTS),
-    Mutant("quad-first-triple-dropped", WEIL, "for u in us.tolist())",
-           "for u in us[1:].tolist())", QUAD_TESTS),
+    Mutant("quad-first-triple-dropped", WEIL, "us, all_pairs=True)]",
+           "us, all_pairs=True)][1:]", QUAD_TESTS),
     Mutant("quad-triple-mask-negated", WEIL, "us = us[canonical(",
            "us = us[~canonical(", QUAD_TESTS),
-    Mutant("quad-translate-one-kept", WEIL,
-           "sig3[[-c % q, (1 - c) % q, (u - c) % q]] = 16",
-           "sig3[[-c % q, (u - c) % q]] = 16",
-           (W + "test_quad_check_skips_translate_one",
-            W + "test_quad_verdict_matches_strict_oracle")),
-    Mutant("quad-no-u-mark", WEIL,
-           "sig3[[-c % q, (1 - c) % q, (u - c) % q]] = 16",
-           "sig3[[-c % q, (1 - c) % q]] = 16",
+    Mutant("quad-translate-one-kept", WEIL, "ones & ~(o0 | o1 | ou)",
+           "ones & ~(o0 | ou)", (W + "test_quad_check_skips_translate_one",)),
+    Mutant("quad-no-u-mark", WEIL, "ones & ~(o0 | o1 | ou)",
+           "ones & ~(o0 | o1)",
            (W + "test_quad_verdict_matches_strict_oracle",)),
     Mutant("quad-window-row-without-mod", WEIL,
-           "w[3][(c + lo - vs) % q, :width]", "w[3][c + lo - vs, :width]",
+           'np.take(table, idx[:m], out=word[:m], mode="wrap")',
+           'np.take(table, idx[:m], out=word[:m], mode="clip")',
            (W + "test_quad_verdict_matches_strict_oracle",)),
+    Mutant("quad-batch-rows-keep-first-triple", WEIL, "ks[m : m + n] = k",
+           "ks[m : m + n] = 0",
+           (W + "test_one_call_over_many_triples_matches_strict_oracle",)),
+    Mutant("words-bit-order-reversed", SHATTER, 'bitorder="little"',
+           'bitorder="big"', (W + "test_words_pack_the_window_rows",)),
     Mutant("r2-forbidden-without-0", WEIL,
            "forbidden = np.flatnonzero((e != 0) & (e != e[t]))",
            "forbidden = np.flatnonzero((e != 0) & (e != e[t]))[1:]",
