@@ -301,7 +301,8 @@ class _Walk:
             m = int(ms[i])
             csig = None
             if table is None or n + 2 < size:
-                csig = self.tally.windows[n][q - m] + sig
+                csig = self.tally.shift(self.tally.window[q - m].copy(), n)
+                csig += sig
             if table is None:
                 survivors = self.survivors(Y + [m], csig, later, need)
             else:

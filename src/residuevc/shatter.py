@@ -36,8 +36,8 @@ the four new cells of every pair in a class from one matrix product per
 class, and the two marginals, rather than one ``bincount`` per child
 (the ``search`` docstring gives the identity and STRICT's corrections).
 The quad check's ``weil._quads_complete`` is a second algorithm over the
-same windows: it reads the theorem check's own ``ChildTally`` through
-``ChildTally.words``, the first 64 entries of each row of windows[0]
+same window: it reads the theorem check's own ``ChildTally`` through
+``ChildTally.words``, the first 64 entries of each row of its window
 packed into one uint64 word of bits and one of sentinels, so 64
 translates of a column are one word.  It ANDs those words with the
 8 pattern-class words of each triple {0, 1, u} and drops a quad once
@@ -46,8 +46,9 @@ check.
 
 The table owns the translate columns every tally reads: ``ResidueTable``
 builds ``doubled``, its membership vector reflected and doubled, once;
-the rows of the strided windows ``membership_matrix``, ``row_counts``
-and ``ChildTally`` gather are slices of it.
+the rows of the strided windows ``membership_matrix`` and ``row_counts``
+gather are slices of it, and those ``ChildTally`` gathers are slices of
+its one copy marked with the rule's sentinel.
 """
 
 from __future__ import annotations
@@ -297,21 +298,24 @@ class ChildTally:
     ``forbidden`` is the exclusion rule: translate x is dropped for a
     subset when y - x is in it for some element y.  None takes the
     convention's rule, {0} under STRICT and nothing otherwise.
-    ``windows[n][q - m]`` is the column of m shifted to bit n, a strided
-    view, so a block gathers whole rows.  In general row i, read as y's
-    column, starts at the translate x = y + i (mod q), for i <= q.  Its
-    entries at the translates m drops hold 2^(n+1), which lands the row's
+    ``marked`` is the table's ``doubled`` as uint16 with the sentinel 2
+    at the entries the rule drops: one array of 2q entries serves every
+    depth.  ``window[q - m]``, a strided view over it, is the column of m,
+    so a block gathers whole rows.  In general row i, read as y's column,
+    starts at the translate x = y + i (mod q), for i <= q.  ``children``
+    shifts each gathered block to bit n = |Y| (``shift``), which turns the
+    sentinel at the translates m drops into 2^(n+1) and lands the row's
     value in sentinel bins past the 2^(n+1) patterns; the translates Y
-    drops are set to 2^(n+1) once a block.  A row's values stay below
-    ``bins[n]`` <= 3 * 2^n, so the windows, and the child signatures
-    gathered from them, are uint16 while 3 * 2^n < 2^16 (n <= 14) and
-    int64 from there on.
-    ``offsets[n]`` gives each row its own run of bins; adding it widens a
-    block to ``intp`` once, for ``bincount``.  ``pairs`` decides the
-    children of a search node from one pair table instead, over
-    ``columns``, the rows of windows[0] as 0/1 floats, built on first
-    use; ``pair_cells`` counts its tables' entries.  ``words`` packs the
-    rows of windows[0] into uint64 words for the quad check.
+    drops are set to 2^(n+1) once a block.  A row's values stay below its
+    (3 if the rule forbids anything, else 2) * 2^n bins, so a block, and
+    the child signatures taken from it, are uint16 while 3 * 2^n < 2^16
+    (n <= 14) and int64 from there on.  Adding each row's offset, its
+    own run of bins, widens a block to ``intp`` once, for ``bincount``.
+    ``pairs`` decides the children of a search node from one pair table
+    instead, over ``columns``, the rows of ``window`` as 0/1 floats with
+    the sentinel read as 0, built on first use; ``pair_cells`` counts its
+    tables' entries.  ``words`` packs the rows of ``window`` into uint64
+    words for the quad check.
     """
 
     def __init__(self, T: ResidueTable, forbidden: Sequence[int] | None = None):
@@ -320,45 +324,42 @@ class ChildTally:
         if forbidden is None:
             forbidden = [0] if T.convention is ZeroConvention.STRICT else []
         self.forbidden = np.asarray(forbidden, dtype=np.int64)
-        # the k in [0, 2q) with -k mod q forbidden
+        # the k in [0, 2q) with -k mod q forbidden hold the sentinel
         dropped = (-self.forbidden) % q
-        dropped = np.concatenate([dropped, dropped + q])
-        # to floor(log2 q) + 1, the deepest block the bins check lets by
-        depths = range(q.bit_length() + 1)
-        self.windows = []
-        for n in depths:
-            col = T.doubled.astype(np.uint16 if 3 << n < 1 << 16
-                                   else np.int64) << n
-            col[dropped] = 2 << n
-            self.windows.append(as_strided(col, (q + 1, q), col.strides * 2,
-                                           writeable=False))
-        # a sentinel value plus a signature of Y stays below 3 * 2^n
-        self.bins = [(3 if self.forbidden.size else 2) << n for n in depths]
-        self.offsets = [np.arange(q, dtype=np.int64)[:, None] * bins
-                        for bins in self.bins]
+        self.marked = T.doubled.astype(np.uint16)
+        self.marked[dropped] = self.marked[dropped + q] = 2
+        self.window = as_strided(self.marked, (q + 1, q),
+                                 self.marked.strides * 2, writeable=False)
         self.pair_cells = 0
+
+    @staticmethod
+    def shift(cols: np.ndarray, n: int) -> np.ndarray:
+        """``cols``, a new array of window entries, shifted to bit n in
+        place while a child's values fit uint16, 3 * 2^n < 2^16 (n <= 14),
+        and widened to int64 first from there on."""
+        if 3 << n >= 1 << 16:
+            cols = cols.astype(np.int64)
+        cols <<= n
+        return cols
 
     @functools.cached_property
     def columns(self) -> np.ndarray:
         """``pairs``' bits: row q - m reads a_m(x) at translate x as 0 or
-        1, the rows of windows[0] with a dropped translate read as 0."""
-        q = self.q
+        1, the rows of ``window`` with the sentinel read as 0."""
         if self.forbidden.any():
             raise ValueError("pairs serves only the rules forbidding {0}")
-        flat = (self.T.doubled == 1).astype(np.float32 if q < 1 << 24
-                                            else np.float64)
-        if self.forbidden.size:
-            flat[[0, q]] = 0  # the translate x = m of row q - m
-        return sliding_window_view(flat, q)
+        flat = (self.marked == 1).astype(np.float32 if self.q < 1 << 24
+                                         else np.float64)
+        return sliding_window_view(flat, self.q)
 
     @functools.cached_property
     def words(self) -> tuple[np.ndarray, np.ndarray]:
         """The quad check's bits: the first 64 entries of each row of
-        windows[0] (all q below q = 64) packed into one uint64 word per
+        ``window`` (all q below q = 64) packed into one uint64 word per
         row, entry j at bit j.  ``bits`` marks the entries that are the
         element's bit, ``own`` the sentinels, the translates the rule
         drops; row q - m reads 64 translates of m's column at once."""
-        rows = self.windows[0][:, :64]
+        rows = self.window[:, :64]
         packed = np.zeros((2, self.q + 1, 8), dtype=np.uint8)
         for word, entry in zip(packed, (1, 2)):
             bytes_ = np.packbits(rows == entry, axis=1, bitorder="little")
@@ -379,17 +380,20 @@ class ChildTally:
         """
         q, n = self.q, len(Y)
         _require_bins(n + 1, q - (n + 1) * (self.forbidden.size > 0), q)
-        width, bins = 2 << n, self.bins[n]
+        width = 2 << n
+        # a sentinel value plus a signature of Y stays below 3 * 2^n
+        bins = (3 if self.forbidden.size else 2) << n
         step = max(1, MAX_CELLS // q)
         for lo in range(0, ms.shape[0], step):
             block = ms[lo : lo + step]
             rows = block.shape[0]
-            cols = self.windows[n][q - block]
+            cols = self.shift(self.window[q - block], n)
             cols += sig
             if self.forbidden.size:
                 # negative differences index from the end, that is mod q
                 cols[:, np.array(Y, dtype=np.int64)[:, None] - self.forbidden] = width
-            binned = np.add(cols, self.offsets[n][:rows], dtype=np.intp)
+            offsets = np.arange(0, rows * bins, bins, dtype=np.intp)[:, None]
+            binned = np.add(cols, offsets, dtype=np.intp)
             counts = np.bincount(binned.ravel(), minlength=rows * bins)
             yield block, cols, counts.reshape(rows, bins)[:, :width]
 

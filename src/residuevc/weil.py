@@ -389,7 +389,7 @@ def _quads_complete(tally: ChildTally, us: Sequence[int],
     """Every quad {0, 1, us[k], v}, v in vs[k], realizes all 16 patterns
     among the translates outside it.
 
-    ``tally`` is the r = 2 witness tally, whose windows are the STRICT
+    ``tally`` is the r = 2 witness tally, whose window is the STRICT
     squares' (``_all_quads_ok``), and the kernel reads its ``words``:
     row (c + lo - y) mod q, with c = q // 2, holds y's bits at the
     translates x = c + lo + j (mod q), j < 64, and marks x = y in
@@ -457,7 +457,7 @@ def _all_quads_ok(F: PrimeField, tally: ChildTally) -> bool:
 
     ``tally`` is ``_witness_tally`` at r = 2.  Every nonzero difference
     lies in G_2 or t * G_2, so its rule forbids only the difference 0, and
-    its table is the ZERO_OUT squares: its windows are those of
+    its table is the ZERO_OUT squares: its window is that of
     ``ChildTally(squares_table(F, STRICT))``.  For r = 2 the constructive
     witness condition is exactly STRICT shattering of the squares S, every
     one of the 16 patterns Y & (S + x) appearing among the translates x
@@ -508,7 +508,7 @@ def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremR
     quads that cover every affine orbit and stops at the first failing
     one, so there ``failures`` is 0 or 1: whether some quad fails, not
     how many.  At every other size ``failures`` counts the failing
-    rooted subsets.  Both read the windows of one ``_witness_tally``,
+    rooted subsets.  Both read the window of one ``_witness_tally``,
     whose sentinel drops each element's own translate.
 
     Other sizes walk the rooted subsets with ``rooted_minima``, after

@@ -559,6 +559,8 @@ def test_child_tally_across_its_16_bit_switch(conv):
     T = table(q, conv)
     member = member_vector(q, 2, 1, conv)
     tally = ChildTally(T)
+    # one uint16 column serves both sides of the switch
+    assert tally.marked.dtype == np.uint16 and tally.marked.shape == (2 * q,)
     Y = list(range(14))
     sig = signatures(Y, T)
     for dtype, ms in [(np.uint16, [100, 5000]), (np.int64, [6000, 16400])]:

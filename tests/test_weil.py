@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from residuevc import weil
+from residuevc import search, weil
 from residuevc.errors import Infeasible, LengthMismatch, ModulusMismatch
 from residuevc.field import (ZeroConvention, character_table, make_field,
                              residue_table, squares_table)
@@ -441,14 +441,32 @@ def test_quad_batches_split_triples_and_match_generic(monkeypatch):
 
 def test_r2_witness_tally_is_the_strict_squares_tally():
     # the quad check's premise: at r = 2 the witness rule forbids only the
-    # difference 0, so its windows are the STRICT squares tally's
+    # difference 0, so its window is the STRICT squares tally's
     for q in primes_in_range(5, 400):
-        got = _quad_tally(q).windows
+        got = _quad_tally(q).window
         want = ChildTally(squares_table(make_field(q),
-                                        ZeroConvention.STRICT)).windows
-        assert len(got) == len(want), q
-        for n, (a, b) in enumerate(zip(got, want)):
-            assert a.dtype == b.dtype and np.array_equal(a, b), (q, n)
+                                        ZeroConvention.STRICT)).window
+        assert got.shape == want.shape, q
+        assert got.dtype == want.dtype and np.array_equal(got, want), q
+
+
+@pytest.mark.parametrize("epsilon, q_max, cases",
+                         [(0.1, 400, 75), (0, 400, 76), (-0.25, 101, 24),
+                          (-0.5, 61, 16)])
+def test_r2_theorem_check_is_strict_testing_dimension(epsilon, q_max, cases):
+    # for r = 2 the theorem check decides STRICT shattering of every
+    # n*-set, which testing_dimension decides by its own walk: the two
+    # verdicts agree whenever n* >= 1, at n* = 4 through the quad kernel
+    # and elsewhere through rooted_minima
+    seen = 0
+    for q in primes_in_range(5, q_max):
+        report = verify_shattering_theorem(make_field(q), 2, epsilon)
+        n = report.n_star
+        if n >= 1:
+            seen += 1
+            assert report.passed == (
+                search.testing_dimension(q, ZeroConvention.STRICT, n) >= n), q
+    assert seen == cases
 
 
 def _pattern_at(member, quad, x):
@@ -493,7 +511,7 @@ def test_words_pack_the_window_rows(q):
         for conv in ZeroConvention]
     for tally in tallies:
         bits, own = tally.words
-        rows = tally.windows[0][:, :64]
+        rows = tally.window[:, :64]
         assert bits.dtype == own.dtype == np.uint64
         assert bits.shape == own.shape == (q + 1,)
         assert np.array_equal(_word_bits(bits, 64)[:, :rows.shape[1]],

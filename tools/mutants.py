@@ -127,6 +127,16 @@ MUTANTS = (
            " = width", "pass",
            (S + "test_child_tally_children_match_oracle_two_levels",
             T + "test_child_tally_across_its_16_bit_switch")),
+    Mutant("child-block-unshifted", SHATTER, "cols <<= n", "cols <<= 0",
+           (S + "test_child_tally_children_match_oracle_two_levels",
+            T + "test_child_tally_across_its_16_bit_switch")),
+    Mutant("child-block-uint16-past-14", SHATTER, "if 3 << n >= 1 << 16:",
+           "if 3 << n >= 1 << 17:",
+           (T + "test_child_tally_across_its_16_bit_switch",)),
+    Mutant("child-tally-sentinel-not-marked", SHATTER,
+           "self.marked[dropped] = self.marked[dropped + q] = 2", "pass",
+           (S + "test_child_tally_children_match_oracle_two_levels",
+            W + "test_words_pack_the_window_rows")),
     Mutant("tally-offsets-not-advanced", SHATTER,
            "offsets = np.arange(0, m * bins, bins, dtype=np.intp)[:, None]",
            "offsets = np.zeros((m, 1), dtype=np.intp)",
