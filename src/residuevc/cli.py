@@ -533,10 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
                                     "size",
                        epilog="prob_n<k>.csv columns: " + ", ".join(PROB_HEADER))
     p.add_argument("--n", type=_parse_range, required=True, metavar="LO:HI")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--density", type=_finite_float, default=100,
                    help="expected number of sampled primes per plot")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--ratio-lo", type=_finite_float, default=0.7)
     p.add_argument("--ratio-hi", type=_finite_float, default=0.85)
     add_common(p, ZeroConvention.ZERO_IN.value)

@@ -112,8 +112,10 @@ by their pattern p of Y, s_p of them, and let a_m(x) be the bit of m at
 translate x.  In class p, with c_m = the sum of a_m over the class and
 G[m, z] = that of a_m a_z, the set Y + {m, z} has G translates with both
 new bits set, c_m - G and c_z - G with one of them, and
-s_p - c_m - c_z + G with neither; G for every class is one stacked
-matrix product (``shatter.ChildTally.pairs``).  Under STRICT the set
+s_p - c_m - c_z + G with neither, so the pair is at the threshold t
+when t <= G <= min(c_m, c_z) - t and G >= c_m + c_z + t - s_p in every
+class.  G for every class is one stacked matrix product
+(``_Walk.pairs``).  Under STRICT the set
 also drops the translates x = m and x = z, each from one cell of its own
 class: a_m(m) reads 0, so x = m leaves cell (0, a_z(m)) of class p(m)
 and x = z cell (a_m(z), 0) of class p(z).  One such table per node
@@ -140,6 +142,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import (PrimeField, ResidueTable, ZeroConvention, log2,
                     log2_floor, make_field, squares_table)
@@ -215,17 +218,21 @@ def canonical(F: PrimeField, Y: list[int], ms: np.ndarray,
 
 
 #: Fewest cells (candidate rows x q) the children of a node must count
-#: for one ``ChildTally.pairs`` table to decide them all; below it, each
+#: for one ``_Walk.pairs`` table to decide them all; below it, each
 #: child counts its own ``ChildTally`` block.  Measured in-process over
 #: the nodes of ``vc_sweep(5, 167)`` and the STRICT and ZERO_OUT sweeps,
 #: the table is faster from about 4,000 cells on and up to 6 times faster
 #: past 64,000.
 PAIR_MIN_CELLS = 1 << 12
+#: Most class-by-row-by-column entries one run of ``_Walk.pairs`` holds.
+PAIR_CELLS = 1 << 14
 
 
 class _Walk:
     """One walk from {0, 1} (module docstring), searching itself: the
     field, the pair rule of ``canonical``, the tally over its table, the
+    pair table's ``columns`` (row q - m reads a_m(x) at translate x as a
+    0/1 float, the tally's window with the sentinel read as 0), the
     scale its sets are mapped back by (1 in walk A, a non-square in walk
     B), walk B's square filter (None in walk A), the signature and
     candidates of the root, and the walk's own work counters."""
@@ -234,6 +241,10 @@ class _Walk:
         self.F = F
         self.all_pairs = T.convention is ZeroConvention.STRICT
         self.tally = ChildTally(T)
+        # counts are below q, so float32 holds them exactly below q = 2^24
+        flat = (self.tally.marked == 1).astype(np.float32 if F.q < 1 << 24
+                                               else np.float64)
+        self.columns = sliding_window_view(flat, F.q)
         self.scale = scale
         # read at nonzero differences only, where either table is the squares
         self.square = None if scale == 1 else T.member.astype(bool)
@@ -244,7 +255,7 @@ class _Walk:
         self.cands = cands
         # a shattered node has at most floor(log2 q) elements
         self.nodes_by_depth = [0] * F.q.bit_length()
-        self.cells = 0
+        self.cells = self.pair_cells = 0
 
     def witness(self, Y: list[int] | tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sorted(self.scale * y % self.F.q for y in Y))
@@ -295,8 +306,8 @@ class _Walk:
         need = 1 << (size - n - 2)
         table = None
         if sum(later.shape[0] for _, later, _ in expand) * q >= PAIR_MIN_CELLS:
-            table = self.tally.pairs(Y, sig, ms,
-                                     np.array([i for i, _, _ in expand]), need)
+            table = self.pairs(Y, sig, ms,
+                               np.array([i for i, _, _ in expand]), need)
         for row, (i, later, keep) in enumerate(expand):
             m = int(ms[i])
             csig = None
@@ -318,6 +329,85 @@ class _Walk:
             if found:
                 return found
         return None
+
+    def pairs(self, Y: list[int], sig: np.ndarray, ms: np.ndarray,
+              rows: np.ndarray, need: int) -> np.ndarray:
+        """Whether every pattern of Y + {ms[i], ms[j]} is realized by at
+        least ``need`` allowed translates, as a boolean array ``ok`` of
+        shape (len(rows), len(ms)): ``ok[r, j]`` answers i = rows[r], an
+        increasing index into ``ms``, for every j > i; the entries at
+        j <= i mean nothing.
+
+        ``sig`` is Y's signature; under STRICT its entries at Y are not
+        read.  Each pair is tested against ``need`` by the module
+        docstring's class cells, and under STRICT ``_strict_pairs``
+        retests the pairs that pass.  G is one stacked matrix product over
+        the classes, each padded to the largest with bits read as 0.
+        Rows are taken in runs of at most ``PAIR_CELLS`` class-by-row-by-
+        column entries, each over the columns after its first row;
+        ``pair_cells`` adds up those entries.
+        """
+        q, n = self.F.q, len(Y)
+        strict = self.tally.forbidden.size > 0
+        width = 1 << n
+        if strict:
+            sig = sig.copy()
+            sig[Y] = width
+        sizes = np.bincount(sig, minlength=width)[:width]
+        ends = np.add.accumulate(sizes)
+        order = sig.argsort(kind="stable")[:ends[-1]]
+        # the padded slot of each translate of Y's classes; padding reads 0
+        L = int(np.maximum.reduce(sizes))
+        slots = np.zeros(width * L, dtype=np.intp)
+        slots[np.arange(order.size)
+              + (np.arange(0, width * L, L) + sizes - ends)[sig[order]]] = order
+        # B[j, p, l]: the bit of ms[j] at the l-th translate of class p
+        B = self.columns[q - ms][:, slots.reshape(width, L)]
+        B *= np.arange(L) < sizes[:, None]
+        c = np.add.reduce(B, axis=2).T
+        hi = c - need  # G <= c_i - need and G <= c_j - need
+        # G >= c_i + c_j + need - s_p; float32 sizes keep the sums float32
+        lo = c + (need - sizes[:, None]).astype(c.dtype)
+        k = ms.shape[0]
+        ok = np.zeros((rows.shape[0], k), dtype=bool)
+        r0 = 0
+        while r0 < rows.shape[0]:
+            j0 = int(rows[r0]) + 1
+            part = rows[r0:r0 + max(1, PAIR_CELLS // (width * max(1, k - j0)))]
+            self.pair_cells += width * part.shape[0] * (k - j0)
+            G = np.matmul(B[part].transpose(1, 0, 2), B[j0:].transpose(1, 2, 0))
+            low = np.add(lo[:, part, None], c[:, None, j0:])
+            np.maximum(low, need, out=low)
+            good = G >= low
+            good &= G <= np.minimum(hi[:, part, None], hi[:, None, j0:])
+            chunk = ok[r0:r0 + part.shape[0], j0:]
+            np.logical_and.reduce(good, axis=0, out=chunk)
+            if strict:
+                self._strict_pairs(sig, ms, part, j0, G, c, sizes, need, chunk)
+            r0 += part.shape[0]
+        return ok
+
+    def _strict_pairs(self, sig, ms, part, j0, G, c, sizes, need, ok):
+        """Clear the pairs ``ok`` passed that fail once STRICT drops their
+        own translates: for (r, jj) in ``ok``, i = part[r] and
+        j = j0 + jj index ``ms``, and x = i leaves cell (0, a_j(i)) of
+        class sig[i], x = j cell (a_i(j), 0) of class sig[j]; when those
+        are one cell, it loses both."""
+        r, jj = np.nonzero(ok)
+        if not r.size:
+            return
+        i, j = part[r], j0 + jj
+        mi, mj = ms[i], ms[j]
+        e = self.columns[self.F.q - mj, mi]  # a_j(i)
+        f = self.columns[self.F.q - mi, mj]  # a_i(j)
+        pi, pj = sig[mi], sig[mj]
+        drop = 1 + ((pi == pj) & (e + f == 0))
+        n01 = c[pi, j] - G[pi, r, jj]
+        left_i = np.where(e, n01, sizes[pi] - c[pi, i] - n01)
+        n10 = c[pj, i] - G[pj, r, jj]
+        left_j = np.where(f, n10, sizes[pj] - c[pj, j] - n10)
+        fail = np.minimum(left_i, left_j) - drop < need
+        ok[r[fail], jj[fail]] = False
 
 
 def _walks(F: PrimeField, conv: ZeroConvention) -> list[_Walk]:
@@ -380,7 +470,7 @@ def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
                     witness=witness, elapsed_ms=elapsed_ms,
                     exact=not early_exit or best < cap, nodes=sum(depths),
                     cells=sum(w.cells for w in walks),
-                    pair_cells=sum(w.tally.pair_cells for w in walks),
+                    pair_cells=sum(w.pair_cells for w in walks),
                     nodes_by_depth=tuple(depths))
 
 

@@ -28,21 +28,11 @@ window width, for the progressions.  ``ChildTally`` tallies related
 ones, Y + {m} for a vector of candidates m under an exclusion rule,
 reusing the signature of Y: the exact search walks its tree with it, and
 ``rooted_minima`` feeds it the rooted sets, those holding {0, ..., k - 1},
-of ``testing_dimension`` and of the theorem check.  Its pair tally,
-``ChildTally.pairs``, answers the search's next question for a whole
-node at once, whether each Y + {i, j} over the node's survivors reaches
-a threshold: it groups Y's translates by their pattern of Y and counts
-the four new cells of every pair in a class from one matrix product per
-class, and the two marginals, rather than one ``bincount`` per child
-(the ``search`` docstring gives the identity and STRICT's corrections).
-The quad check's ``weil._quads_complete`` is a second algorithm over the
-same window: it reads the theorem check's own ``ChildTally`` through
-``ChildTally.words``, the first 64 entries of each row of its window
-packed into one uint64 word of bits and one of sentinels, so 64
-translates of a column are one word.  It ANDs those words with the
-8 pattern-class words of each triple {0, 1, u} and drops a quad once
-all 16 patterns are seen.  ``tests/oracles.py`` stays the independent
-check.
+of ``testing_dimension`` and of the theorem check.  Two algorithms read
+its marked column without tallying children: the search's pair table
+(``search._Walk.pairs``) and the quad check's 64-bit words
+(``weil._quad_words``), each proved where it lives.  ``tests/oracles.py``
+stays the independent check.
 
 The table owns the translate columns every tally reads: ``ResidueTable``
 builds ``doubled``, its membership vector reflected and doubled, once;
@@ -53,7 +43,6 @@ its one copy marked with the rule's sentinel.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Iterable, Iterator, Sequence
 
@@ -68,9 +57,6 @@ MAX_WIDTH = 63
 #: ``ChildTally``.  A search block has fewer than q rows, so below
 #: q = 2048 it is never split.
 MAX_CELLS = 1 << 22
-#: Most class-by-row-by-column entries one run of ``ChildTally.pairs``
-#: holds.
-PAIR_CELLS = 1 << 14
 #: Pattern bins a tally may hold per allowed translate (see _require_bins).
 BIN_SLACK = 4
 
@@ -311,11 +297,6 @@ class ChildTally:
     the child signatures taken from it, are uint16 while 3 * 2^n < 2^16
     (n <= 14) and int64 from there on.  Adding each row's offset, its
     own run of bins, widens a block to ``intp`` once, for ``bincount``.
-    ``pairs`` decides the children of a search node from one pair table
-    instead, over ``columns``, the rows of ``window`` as 0/1 floats with
-    the sentinel read as 0, built on first use; ``pair_cells`` counts its
-    tables' entries.  ``words`` packs the rows of ``window`` into uint64
-    words for the quad check.
     """
 
     def __init__(self, T: ResidueTable, forbidden: Sequence[int] | None = None):
@@ -330,7 +311,6 @@ class ChildTally:
         self.marked[dropped] = self.marked[dropped + q] = 2
         self.window = as_strided(self.marked, (q + 1, q),
                                  self.marked.strides * 2, writeable=False)
-        self.pair_cells = 0
 
     @staticmethod
     def shift(cols: np.ndarray, n: int) -> np.ndarray:
@@ -341,31 +321,6 @@ class ChildTally:
             cols = cols.astype(np.int64)
         cols <<= n
         return cols
-
-    @functools.cached_property
-    def columns(self) -> np.ndarray:
-        """``pairs``' bits: row q - m reads a_m(x) at translate x as 0 or
-        1, the rows of ``window`` with the sentinel read as 0."""
-        if self.forbidden.any():
-            raise ValueError("pairs serves only the rules forbidding {0}")
-        flat = (self.marked == 1).astype(np.float32 if self.q < 1 << 24
-                                         else np.float64)
-        return sliding_window_view(flat, self.q)
-
-    @functools.cached_property
-    def words(self) -> tuple[np.ndarray, np.ndarray]:
-        """The quad check's bits: the first 64 entries of each row of
-        ``window`` (all q below q = 64) packed into one uint64 word per
-        row, entry j at bit j.  ``bits`` marks the entries that are the
-        element's bit, ``own`` the sentinels, the translates the rule
-        drops; row q - m reads 64 translates of m's column at once."""
-        rows = self.window[:, :64]
-        packed = np.zeros((2, self.q + 1, 8), dtype=np.uint8)
-        for word, entry in zip(packed, (1, 2)):
-            bytes_ = np.packbits(rows == entry, axis=1, bitorder="little")
-            word[:, :bytes_.shape[1]] = bytes_
-        bits, own = packed.view("<u8")[..., 0].astype(np.uint64)
-        return bits, own
 
     def children(self, Y: Sequence[int], sig: np.ndarray, ms: np.ndarray
                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -396,96 +351,6 @@ class ChildTally:
             binned = np.add(cols, offsets, dtype=np.intp)
             counts = np.bincount(binned.ravel(), minlength=rows * bins)
             yield block, cols, counts.reshape(rows, bins)[:, :width]
-
-    def pairs(self, Y: Sequence[int], sig: np.ndarray, ms: np.ndarray,
-              rows: np.ndarray, need: int) -> np.ndarray:
-        """Whether every pattern of Y + {ms[i], ms[j]} is realized by at
-        least ``need`` allowed translates, as a boolean array ``ok`` of
-        shape (len(rows), len(ms)): ``ok[r, j]`` answers i = rows[r], an
-        increasing index into ``ms``, for every j > i; the entries at
-        j <= i mean nothing.
-
-        ``sig`` is Y's signature; under STRICT its entries at Y are not
-        read.  The allowed translates of Y are grouped by class p, their
-        value of ``sig``, s_p of them.  With a_m(x) the bit of m at x,
-        c_m[p] the sum of a_m over class p and G[p, i, j] that of a_i a_j,
-        the pair's class-p cells (bits of i and j both set, i's only, j's
-        only, neither) count G, c_i - G, c_j - G and s_p - c_i - c_j + G,
-        so the pair passes when need <= G <= min(c_i, c_j) - need and
-        G >= c_i + c_j + need - s_p in every class.  Under STRICT the pair
-        also drops the translates x = i and x = j: a_i(i) reads 0, and
-        cell (0, a_j(i)) of class sig[i] and cell (a_i(j), 0) of class
-        sig[j] lose one; ``_strict_pairs`` retests the pairs that pass
-        without that.  G is one stacked matrix product over the
-        classes, each padded to the largest with bits read as 0; counts
-        are below q, so float32 (float64 from q = 2^24) holds them
-        exactly.  Rows are taken in runs of at most ``PAIR_CELLS``
-        class-by-row-by-column entries, each over the columns after its
-        first row; ``pair_cells`` adds up those entries.  Serves the rules
-        that forbid nothing or {0}, and raises ValueError for any other;
-        raises NTooLarge as ``children`` does for the children of Y + {i}.
-        """
-        q, n = self.q, len(Y)
-        _require_bins(n + 2, q - (n + 2) * (self.forbidden.size > 0), q)
-        width = 1 << n
-        if self.forbidden.size:
-            sig = sig.copy()
-            sig[list(Y)] = width
-        sizes = np.bincount(sig, minlength=width)[:width]
-        ends = np.add.accumulate(sizes)
-        order = sig.argsort(kind="stable")[:ends[-1]]
-        # the padded slot of each translate of Y's classes; padding reads 0
-        L = int(np.maximum.reduce(sizes))
-        slots = np.zeros(width * L, dtype=np.intp)
-        slots[np.arange(order.size)
-              + (np.arange(0, width * L, L) + sizes - ends)[sig[order]]] = order
-        # B[j, p, l]: the bit of ms[j] at the l-th translate of class p
-        B = self.columns[q - ms][:, slots.reshape(width, L)]
-        B *= np.arange(L) < sizes[:, None]
-        c = np.add.reduce(B, axis=2).T
-        hi = c - need  # G <= c_i - need and G <= c_j - need
-        # G >= c_i + c_j + need - s_p; float32 sizes keep the sums float32
-        lo = c + (need - sizes[:, None]).astype(c.dtype)
-        k = ms.shape[0]
-        ok = np.zeros((rows.shape[0], k), dtype=bool)
-        r0 = 0
-        while r0 < rows.shape[0]:
-            j0 = int(rows[r0]) + 1
-            part = rows[r0:r0 + max(1, PAIR_CELLS // (width * max(1, k - j0)))]
-            self.pair_cells += width * part.shape[0] * (k - j0)
-            G = np.matmul(B[part].transpose(1, 0, 2), B[j0:].transpose(1, 2, 0))
-            low = np.add(lo[:, part, None], c[:, None, j0:])
-            np.maximum(low, need, out=low)
-            good = G >= low
-            good &= G <= np.minimum(hi[:, part, None], hi[:, None, j0:])
-            chunk = ok[r0:r0 + part.shape[0], j0:]
-            np.logical_and.reduce(good, axis=0, out=chunk)
-            if self.forbidden.size:
-                self._strict_pairs(sig, ms, part, j0, G, c, sizes, need, chunk)
-            r0 += part.shape[0]
-        return ok
-
-    def _strict_pairs(self, sig, ms, part, j0, G, c, sizes, need, ok):
-        """Clear the pairs ``ok`` passed that fail once STRICT drops their
-        own translates: for (r, jj) in ``ok``, i = part[r] and
-        j = j0 + jj index ``ms``, and x = i leaves cell (0, a_j(i)) of
-        class sig[i], x = j cell (a_i(j), 0) of class sig[j]; when those
-        are one cell, it loses both."""
-        r, jj = np.nonzero(ok)
-        if not r.size:
-            return
-        i, j = part[r], j0 + jj
-        mi, mj = ms[i], ms[j]
-        e = self.columns[self.q - mj, mi]  # a_j(i)
-        f = self.columns[self.q - mi, mj]  # a_i(j)
-        pi, pj = sig[mi], sig[mj]
-        drop = 1 + ((pi == pj) & (e + f == 0))
-        n01 = c[pi, j] - G[pi, r, jj]
-        left_i = np.where(e, n01, sizes[pi] - c[pi, i] - n01)
-        n10 = c[pj, i] - G[pj, r, jj]
-        left_j = np.where(f, n10, sizes[pj] - c[pj, j] - n10)
-        fail = np.minimum(left_i, left_j) - drop < need
-        ok[r[fail], jj[fail]] = False
 
 
 def rooted_minima(tally: ChildTally, fixed: int, n: int) -> Iterator[np.ndarray]:

@@ -328,14 +328,32 @@ def _witness_tally(F: PrimeField, C: CharacterTable, t: int) -> ChildTally:
 
 
 #: Translates ``_quads_complete`` scans per block before retiring rows:
-#: one uint64 word of ``ChildTally.words``.
+#: one uint64 word of ``_quad_words``.
 QUAD_BLOCK = 64
 #: Most quads ``_quads_complete`` scans together, one batch.
 QUAD_ROWS = 4096
 
 
-def _class_words(tally: ChildTally, us: np.ndarray) -> np.ndarray:
-    """(blocks, len(us), 8) uint64 class words of the triples {0, 1, u}.
+def _quad_words(tally: ChildTally) -> tuple[np.ndarray, np.ndarray]:
+    """The first 64 entries of each row of ``tally.window`` (all q below
+    q = 64) packed into one uint64 word per row, entry j at bit j.
+    ``bits`` marks the entries that are the element's bit, ``own`` the
+    sentinels, the translates the rule drops; row q - m reads 64
+    translates of m's column at once."""
+    rows = tally.window[:, :64]
+    packed = np.zeros((2, tally.q + 1, 8), dtype=np.uint8)
+    for word, entry in zip(packed, (1, 2)):
+        bytes_ = np.packbits(rows == entry, axis=1, bitorder="little")
+        word[:, :bytes_.shape[1]] = bytes_
+    bits, own = packed.view("<u8")[..., 0].astype(np.uint64)
+    return bits, own
+
+
+def _class_words(bits: np.ndarray, own: np.ndarray,
+                 us: np.ndarray) -> np.ndarray:
+    """(blocks, len(us), 8) uint64 class words of the triples {0, 1, u},
+    from the q + 1 ``_quad_words`` ``bits`` and ``own`` of a tally over
+    F_q.
 
     Word p of block b, for u = us[k], has bit j set when the translate
     x = c + 64 b + j (mod q), c = q // 2, gives {0, 1, u} the pattern p
@@ -344,8 +362,7 @@ def _class_words(tally: ChildTally, us: np.ndarray) -> np.ndarray:
     (the ``own`` bits of their three rows) and the bits past the block's
     width are cleared.
     """
-    q = tally.q
-    bits, own = tally.words
+    q = bits.shape[0] - 1
     los = np.arange(0, q, QUAD_BLOCK)
     # row (c + lo - y) mod q of y = 0, 1 and each u, for every block
     rows = (q // 2 + los)[:, None] - np.concatenate([[0, 1], us])
@@ -390,11 +407,11 @@ def _quads_complete(tally: ChildTally, us: Sequence[int],
     among the translates outside it.
 
     ``tally`` is the r = 2 witness tally, whose window is the STRICT
-    squares' (``_all_quads_ok``), and the kernel reads its ``words``:
-    row (c + lo - y) mod q, with c = q // 2, holds y's bits at the
-    translates x = c + lo + j (mod q), j < 64, and marks x = y in
-    ``own``.  Translates are scanned from x = c on, wrapping around, in
-    blocks of ``QUAD_BLOCK`` = 64, one word each.  ``_class_words``
+    squares' (``_all_quads_ok``).  The kernel packs its window once,
+    ``_quad_words``: row (c + lo - y) mod q, with c = q // 2, holds y's
+    bits at the translates x = c + lo + j (mod q), j < 64, and marks
+    x = y in ``own``.  Translates are scanned from x = c on, wrapping
+    around, in blocks of ``QUAD_BLOCK`` = 64, one word each.  ``_class_words``
     splits each block's translates outside {0, 1, u} into the 8 pattern
     classes of {0, 1, u}.  The quads run in batches of at most
     ``QUAD_ROWS`` rows (``_batches``), so one batch may hold the v of
@@ -420,9 +437,9 @@ def _quads_complete(tally: ChildTally, us: Sequence[int],
     """
     q = tally.q
     c = q // 2
-    bits, own = tally.words
+    bits, own = _quad_words(tally)
+    classes = _class_words(bits, own, np.asarray(us, dtype=np.int64))
     bits, zero = bits[:q], ~(bits | own)[:q]
-    classes = _class_words(tally, np.asarray(us, dtype=np.int64))
     full = np.uint64(0x0101010101010101)  # all 8 class bytes hit
     idx = np.empty(QUAD_ROWS, dtype=np.int64)
     word = np.empty(QUAD_ROWS, dtype=np.uint64)

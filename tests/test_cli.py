@@ -187,6 +187,34 @@ def test_bad_range_rejected():
         main(["vcdim", "--range", "oops"])
 
 
+@pytest.mark.parametrize("bad", ["5:x", "9:5"])
+def test_malformed_or_reversed_range_rejected(tmp_path, bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["vcdim", "--range", bad, "--out-dir", str(tmp_path / "v")])
+    assert exc.value.code == 2
+    assert "--range" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
+def test_vcdim_prime_that_raises_is_an_error_item(tmp_path, monkeypatch):
+    from residuevc import cli
+    solve = cli.vc_dimension
+
+    def failing(q, *args, **kwargs):
+        if q == 11:
+            raise RuntimeError("search failed")
+        return solve(q, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "vc_dimension", failing)
+    out = tmp_path / "v"
+    assert main(["vcdim", "--range", "5:13", "--out-dir", str(out)]) == 0
+    items = json.loads((out / "manifest.json").read_text())["items"]
+    assert [(i["q"], i["status"]) for i in items] == [
+        (5, "ok"), (7, "ok"), (11, "error"), (13, "ok")]
+    assert items[2]["detail"] == "search failed"
+    assert [int(r["q"]) for r in read_csv(out / "vcdim.csv")] == [5, 7, 13]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
 def test_jobs_below_one_rejected(tmp_path, jobs, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -367,6 +395,37 @@ def test_manifest_write_failure_keeps_previous(tmp_path):
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
+def test_manifest_save_failure_in_process_keeps_previous(tmp_path):
+    # the guarantee above, in this process: ``json.dumps`` refuses a value
+    # after the temporary file is opened
+    out = tmp_path / "m"
+    out.mkdir()
+    previous = RunManifest(command="ap", parameters={}).save(out).read_text()
+    with pytest.raises(TypeError):
+        RunManifest(command="vcdim", parameters={"bad": object()}).save(out)
+    assert (out / "manifest.json").read_text() == previous
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
+def test_verify_counts_forced_violations_as_failures(tmp_path, monkeypatch,
+                                                     capsys):
+    from residuevc import weil
+    monkeypatch.setattr(weil, "char_sum", lambda F, C, spec: complex(F.q))
+    out = tmp_path / "w"
+    assert main(["verify", "--q-max", "13", "--samples", "5",
+                 "--out-dir", str(out)]) == 1
+    rows = read_csv(out / "verify.csv")
+    weil_rows = [r for r in rows if r["check"] == "weil"]
+    assert [r["q"] for r in weil_rows] == ["5", "7", "11", "13"]
+    assert all(r["status"] == "FAIL" and r["violations"] == r["instances"]
+               for r in weil_rows)
+    assert all(r["status"] == "ok" for r in rows if r["check"] != "weil")
+    total = sum(int(r["violations"]) for r in rows)
+    assert json.loads((out / "manifest.json").read_text())[
+        "parameters"]["violations"] == total > 0
+    assert f"verify: {total} violation(s)" in capsys.readouterr().out
+
+
 def test_vcdim_manifest_work_counters(tmp_path):
     out = tmp_path / "v"
     assert main(["vcdim", "--range", "5:31", "--out-dir", str(out)]) == 0
@@ -508,10 +567,13 @@ def test_verify_interrupt_over_previous_run(tmp_path, monkeypatch):
     assert [i["q"] for i in manifest["items"]] == [5, 7, 11]
 
 
-@pytest.mark.parametrize("bad", [["--trials", "0"],
-                                 ["--trials", "0", "--density", "0"],
+@pytest.mark.parametrize("bad", [["--ratio-lo", "0"],
+                                 # an empty ratio window
+                                 ["--ratio-lo", "0.8", "--ratio-hi", "0.8"],
                                  ["--ratio-lo", "0.9", "--ratio-hi", "0.8"],
-                                 ["--seed", "-1"],
+                                 # n = 1 at primes of the window
+                                 ["--n", "1:1", "--ratio-lo", "0.1",
+                                  "--ratio-hi", "0.4"],
                                  # n = 1 is fine, n = 2's window reaches 2^40
                                  ["--n", "1:2", "--ratio-lo", "0.05",
                                   "--ratio-hi", "0.1", "--density", "0"],
@@ -543,6 +605,7 @@ _PREVIOUS = {"verify": ["verify", "--q-max", "40", "--samples", "50"],
     # a check over no size or no samples checks nothing
     ("verify", "--n-max=0"), ("verify", "--n-max=-1"),
     ("verify", "--samples=-5"), ("verify", "--samples=0"),
+    ("prob", "--seed=-1"), ("prob", "--trials=0"),
     ("prob", "--density=inf"), ("prob", "--density=nan"),
     ("prob", "--ratio-lo=nan"), ("prob", "--ratio-hi=inf")])
 def test_non_finite_or_negative_argument_rejected(tmp_path, command, bad,

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from residuevc import shatter
+from residuevc import search, shatter
 from residuevc.errors import EmptyFold, NTooLarge, WidthOverflow
 from residuevc.field import ZeroConvention, make_field, residue_table, squares_table
 from residuevc.primes import primes_in_range
+from residuevc.search import _walks
 from residuevc.shatter import (ChildTally, fold_patterns, is_shattered,
                                membership_matrix, pattern_counts,
                                prefix_counts, row_counts, shatter_report,
@@ -599,33 +600,37 @@ def pair_minima(Y, ms, member, conv):
     return low
 
 
-def check_pairs(tally, Y, ms, needs=(1, 2, 3)):
-    """``tally.pairs`` of Y over ``ms`` against the oracle, for the rows of
+def check_pairs(walk, Y, ms, needs=(1, 2, 3)):
+    """``walk.pairs`` of Y over ``ms`` against the oracle, for the rows of
     every index but the last and for a sparse choice of rows."""
-    T = tally.T
+    T = walk.tally.T
     low = pair_minima(Y, ms, T.member, T.convention)
     ms = np.array(ms, dtype=np.int64)
     upper = np.triu(np.ones(low.shape, dtype=bool), 1)
     for need in needs:
         for rows in (np.arange(len(ms) - 1), np.arange(0, len(ms) - 1, 3)):
-            got = tally.pairs(Y, signatures(Y, T), ms, rows, need)
+            got = walk.pairs(Y, signatures(Y, T), ms, rows, need)
             # only the entries j > i are answers
             assert np.array_equal(got & upper[rows],
                                   (low >= need)[rows] & upper[rows]), \
                 (T.q, Y, need)
 
 
+def walk_a(q, conv):
+    """Walk A of the search at q under ``conv``, over ``table(q, conv)``."""
+    return _walks(make_field(q), conv)[0]
+
+
 @pytest.mark.parametrize("conv", CONVS, ids=lambda c: c.value)
 def test_pairs_match_the_oracle_on_every_pair(conv):
     # both walks' tables: walk B's is the dual one, when q = 1 (mod 4)
-    from residuevc.search import _walks
     rng = np.random.default_rng(17)
     for q in [13, 17, 23, 29]:
         for walk in _walks(make_field(q), conv):
             for n in (1, 2, 3):
                 Y = sorted(rng.choice(q, size=n, replace=False).tolist())
                 ms = [m for m in range(q) if m not in Y]
-                check_pairs(walk.tally, Y, ms)
+                check_pairs(walk, Y, ms)
 
 
 def test_pairs_run_by_run(monkeypatch):
@@ -634,26 +639,17 @@ def test_pairs_run_by_run(monkeypatch):
     Y, ms = [0, 1], np.arange(2, 29, dtype=np.int64)
     rows = np.arange(0, 26, 2)
     upper = np.arange(len(ms)) > rows[:, None]
-    whole = ChildTally(T).pairs(Y, signatures(Y, T), ms, rows, 1) & upper
-    monkeypatch.setattr(shatter, "PAIR_CELLS", 1)
-    tally = ChildTally(T)
+    whole = walk_a(29, T.convention).pairs(Y, signatures(Y, T), ms, rows,
+                                           1) & upper
+    monkeypatch.setattr(search, "PAIR_CELLS", 1)
+    walk = walk_a(29, T.convention)
     assert np.array_equal(
-        tally.pairs(Y, signatures(Y, T), ms, rows, 1) & upper, whole)
+        walk.pairs(Y, signatures(Y, T), ms, rows, 1) & upper, whole)
     # 4 classes by the columns after each row
-    assert tally.pair_cells == 4 * sum(len(ms) - 1 - r for r in rows)
+    assert walk.pair_cells == 4 * sum(len(ms) - 1 - r for r in rows)
     assert whole.any() and not whole[upper].all()
-    monkeypatch.setattr(shatter, "PAIR_CELLS", 4 * 26 * 5)  # 5-row runs
-    check_pairs(ChildTally(T), Y, ms.tolist(), needs=(1,))
-
-
-def test_pairs_refuse_other_exclusion_rules():
-    # the cell identity drops only x = i and x = j: a rule forbidding
-    # more than {0} is refused, not miscounted
-    T = table(29, ZeroConvention.STRICT)
-    Y, ms = [0, 1], np.arange(2, 29, dtype=np.int64)
-    with pytest.raises(ValueError):
-        ChildTally(T, forbidden=[0, 1]).pairs(Y, signatures(Y, T), ms,
-                                             np.arange(3), 1)
+    monkeypatch.setattr(search, "PAIR_CELLS", 4 * 26 * 5)  # 5-row runs
+    check_pairs(walk_a(29, T.convention), Y, ms.tolist(), needs=(1,))
 
 
 def test_strict_pairs_drop_both_translates_from_one_cell():
@@ -679,11 +675,11 @@ def test_strict_pairs_drop_both_translates_from_one_cell():
         if with_ij.min() > low[i, j]:
             flipped.append((i, j, int(low[i, j])))
     assert flipped
-    tally = ChildTally(T)
+    walk = walk_a(q, T.convention)
     msa = np.array(ms, dtype=np.int64)
     for i, j, true_min in flipped:
         for need in (true_min, true_min + 1):
-            got = tally.pairs(Y, sig, msa, np.array([i]), need)[0, j]
+            got = walk.pairs(Y, sig, msa, np.array([i]), need)[0, j]
             assert got == (need <= true_min), (ms[i], ms[j], need)
 
 

@@ -19,7 +19,8 @@ from residuevc.weil import (PolySpec, char_sum,
                             fuzzy_coset_probability,
                             verify_equidistribution,
                             verify_shattering_theorem, verify_weil,
-                            _all_quads_ok, _quads_complete, _witness_tally)
+                            _all_quads_ok, _quad_words, _quads_complete,
+                            _witness_tally)
 
 from oracles import (char_sum_direct, legendre, member_vector,
                      oracle_counts, oracle_shattered, witnesses_complete)
@@ -161,6 +162,16 @@ def test_weil_pair_level_runs_at_large_q():
     assert rep.instances == q + q * (q - 1) // 2
 
 
+def test_weil_violations_are_counted_with_their_weights(monkeypatch):
+    # a sum of modulus q exceeds (n - 1) sqrt(q) at every level n <= 3
+    q, r, samples = 101, 2, 7
+    F, C = setup_fc(q, r)
+    monkeypatch.setattr(weil, "char_sum", lambda F, C, spec: complex(q))
+    rep = verify_weil(F, C, 3, samples=samples)
+    assert rep.instances == q + q * (q - 1) // 2 + samples
+    assert rep.violations == rep.instances
+
+
 def test_char_sum_invariant_when_character_coincides():
     # 11 = 2^7 mod 13 and 7 = 1 mod 3, so both roots induce the same
     # order-3 character and every sum matches exactly.
@@ -297,6 +308,22 @@ def test_equidistribution_clean():
     rep = verify_equidistribution(F, 2, 3, samples=500, seed=1)
     assert rep.violations == 0
     assert rep.max_normalized <= 1.0
+
+
+def test_equidistribution_violations_are_counted(monkeypatch):
+    # P = 1 is further than n/sqrt(q) + n/q from 2^-n for n <= 3 at q = 101
+    monkeypatch.setattr(weil, "coset_probability",
+                        lambda *args: Fraction(1))
+    rep = verify_equidistribution(make_field(101), 2, 3, samples=20, seed=1)
+    assert rep.instances == 3 * 20
+    assert rep.violations == rep.instances
+
+
+def test_equidistribution_stops_at_q_elements():
+    # no n-subset of F_q exists past n = q, so levels 6 and 7 are skipped
+    rep = verify_equidistribution(make_field(5), 2, 7, samples=10, seed=3)
+    assert (rep.n_max, rep.instances) == (7, 5 * 10)
+    assert rep.violations == 0
 
 
 def test_equidistribution_single_target_margin():
@@ -482,11 +509,11 @@ def _word_bits(words, width):
 
 @pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19, 61])
 def test_quad_window_rows_are_translate_columns(q):
-    # word (c + lo - y) mod q of ``words``, cut to a block, holds y's bit
-    # at the translates x = c + lo + j (mod q) in ``bits`` and marks x = y
-    # in ``own``: the words the kernel reads, for y = 0, 1, u and v and
-    # every block, also at primes below one block
-    bits, own = _quad_tally(q).words
+    # word (c + lo - y) mod q of ``_quad_words``, cut to a block, holds
+    # y's bit at the translates x = c + lo + j (mod q) in ``bits`` and
+    # marks x = y in ``own``: the words the kernel reads, for y = 0, 1, u
+    # and v and every block, also at primes below one block
+    bits, own = _quad_words(_quad_tally(q))
     member = member_vector(q, 2, 1, ZeroConvention.ZERO_OUT)
     c = q // 2
     for y in range(q):
@@ -510,7 +537,7 @@ def test_words_pack_the_window_rows(q):
         ChildTally(squares_table(make_field(q), conv))
         for conv in ZeroConvention]
     for tally in tallies:
-        bits, own = tally.words
+        bits, own = _quad_words(tally)
         rows = tally.window[:, :64]
         assert bits.dtype == own.dtype == np.uint64
         assert bits.shape == own.shape == (q + 1,)

@@ -63,6 +63,9 @@ M = "tests/test_montecarlo.py::"
 QUAD_TESTS = (W + "test_quads_sent_cover_every_affine_orbit",
               W + "test_quads_sent_count",
               W + "test_quad_fast_path_matches_generic")
+PAIR_TESTS = (T + "test_pairs_match_the_oracle_on_every_pair",)
+STRICT_PAIR_TESTS = PAIR_TESTS + (
+    T + "test_strict_pairs_drop_both_translates_from_one_cell",)
 SEARCH_TESTS = (S + "test_matches_naive_small_primes",
                 S + "test_find_matches_oracle_at_every_size",
                 S + "test_pinned_results", S + "test_pinned_work_counters")
@@ -88,7 +91,7 @@ MUTANTS = (
     Mutant("quad-batch-rows-keep-first-triple", WEIL, "ks[m : m + n] = k",
            "ks[m : m + n] = 0",
            (W + "test_one_call_over_many_triples_matches_strict_oracle",)),
-    Mutant("words-bit-order-reversed", SHATTER, 'bitorder="little"',
+    Mutant("words-bit-order-reversed", WEIL, 'bitorder="little"',
            'bitorder="big"', (W + "test_words_pack_the_window_rows",)),
     Mutant("r2-forbidden-without-0", WEIL,
            "forbidden = np.flatnonzero((e != 0) & (e != e[t]))",
@@ -98,6 +101,14 @@ MUTANTS = (
            "yield PolySpec((0, 1), (k1, k2)), q * (q - 1) // 2",
            "yield PolySpec((0, 1), (k1, k2)), q * (q - 1)",
            (W + "test_weil_exhaustive_levels_match_brute_force",)),
+    Mutant("weil-violations-not-counted", WEIL, "violations += weight",
+           "pass",
+           (W + "test_weil_violations_are_counted_with_their_weights",
+            "tests/test_cli.py::"
+            "test_verify_counts_forced_violations_as_failures")),
+    Mutant("equidistribution-violations-not-counted", WEIL,
+           "violations += 1", "pass",
+           (W + "test_equidistribution_violations_are_counted",)),
     # the search: walk B, the orbit rule, the prune and the sibling cut
     Mutant("walk-b-dropped", SEARCH,
            "walks.append(_Walk(F, squares_table(F, dual), F.g))", "pass",
@@ -121,6 +132,17 @@ MUTANTS = (
            " = True", "pass",
            (S + "test_ap_fold_agrees_with_direct_checks",
             S + "test_ap_equals_brute_prefix_scan")),
+    # the pair table: its class bounds and STRICT's own translates
+    Mutant("strict-pairs-skipped", SEARCH,
+           "self._strict_pairs(sig, ms, part, j0, G, c, sizes, need, chunk)",
+           "pass", STRICT_PAIR_TESTS + SEARCH_TESTS),
+    Mutant("strict-pairs-one-drop", SEARCH,
+           "drop = 1 + ((pi == pj) & (e + f == 0))", "drop = 1",
+           STRICT_PAIR_TESTS),
+    Mutant("pair-low-unclamped", SEARCH, "np.maximum(low, need, out=low)",
+           "pass", PAIR_TESTS + SEARCH_TESTS),
+    Mutant("pair-high-loosened", SEARCH, "hi = c - need",
+           "hi = c - need + 1", PAIR_TESTS + SEARCH_TESTS),
     # the tallies and the sampler
     Mutant("child-tally-sentinel-dropped", SHATTER,
            "cols[:, np.array(Y, dtype=np.int64)[:, None] - self.forbidden]"
