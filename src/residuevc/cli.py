@@ -32,7 +32,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import Infeasible, ResidueVCError
-from .field import ZeroConvention, character_table, log2, make_field
+from .field import ZeroConvention, character_table, make_field
 from .montecarlo import interface_primes, interface_scan
 from .primes import primes_in_range
 from .search import _usable_cpus, longest_shattered_ap, sweep, vc_dimension
@@ -335,7 +335,7 @@ def cmd_vcdim(args) -> int:
     return _sweep(args, "vcdim", VCDIM_FIELDS,
                   {"early_exit": args.early_exit, "jobs": args.jobs},
                   partial(vc_dimension, early_exit=args.early_exit),
-                  args.jobs, row, "vcdim", [log2],
+                  args.jobs, row, "vcdim", [math.log2],
                   x_label="prime q", y_label="largest shattered size",
                   title=f"VC dimension, convention {args.convention}")
 
@@ -350,11 +350,11 @@ AP_FIELDS = {"q": int, "longest": int, "log2_q": float, "ratio": float,
 
 def cmd_ap(args) -> int:
     def row(r, conv):
-        return ([r.q, r.longest, f"{log2(r.q):.6f}", f"{r.ratio:.6f}",
+        return ([r.q, r.longest, f"{math.log2(r.q):.6f}", f"{r.ratio:.6f}",
                  conv.value], {"longest": r.longest})
 
     return _sweep(args, "ap", AP_FIELDS, {}, longest_shattered_ap, 1, row,
-                  "longest", [log2, lambda q: log2(q) / 2],
+                  "longest", [math.log2, lambda q: math.log2(q) / 2],
                   x_label="prime q (log scale)",
                   y_label="longest shattered progression", log_x=True,
                   title=f"Shattered initial segments, convention "

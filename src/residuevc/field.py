@@ -251,6 +251,3 @@ def coset_representatives(F: PrimeField, r: int) -> list[int]:
 def log2_floor(q: int) -> int:
     return q.bit_length() - 1
 
-
-def log2(q: int) -> float:
-    return math.log2(q)

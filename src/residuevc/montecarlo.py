@@ -39,14 +39,14 @@ reproduced in isolation and reruns are bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .errors import NTooLarge
-from .field import (PrimeField, ZeroConvention, log2, make_field,
-                    squares_table)
+from .field import PrimeField, ZeroConvention, make_field, squares_table
 from .primes import primes_in_range, require_prime
 from .shatter import MAX_WIDTH, _allowed_translates, row_counts
 # shatter_report stays bound here, where perfbench's tracer test looks it up.
@@ -204,8 +204,8 @@ def _estimate(points: list[tuple[int, int]], n: int, trials: int,
             for counts in row_counts(rows[lo : lo + len(js)], T):
                 hits[k] += int(np.count_nonzero(counts.min(axis=1)))
             lo += len(js)
-    return [ProbPoint(q=q, n=n, trials=trials, hits=h, ratio=n / log2(q),
-                      p_hat=h / trials, seed=seed)
+    return [ProbPoint(q=q, n=n, trials=trials, hits=h,
+                      ratio=n / math.log2(q), p_hat=h / trials, seed=seed)
             for (q, seed), h in zip(points, hits)]
 
 
@@ -215,7 +215,7 @@ def scan_primes(n: int, ratio_lo: float, ratio_hi: float) -> list[int]:
     q_hi = 2 ** (n / ratio_lo)
     qs = primes_in_range(max(5, int(np.ceil(q_lo))), int(np.floor(q_hi)))
     return [q for q in qs
-            if ratio_lo <= n / log2(q) <= ratio_hi]
+            if ratio_lo <= n / math.log2(q) <= ratio_hi]
 
 
 def interface_primes(n: int, ratio_lo: float = 0.7, ratio_hi: float = 0.85,

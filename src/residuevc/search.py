@@ -30,17 +30,19 @@ from {0, 1} looks for:
 Each search is one fixed-size question, ``_Walk.find``: does the
 walk reach a shattered set of exactly s elements?  ``vc_dimension`` asks
 it for s from floor(log2 q) (no more than log2 q elements fit the q
-translates) down to 3, of walk A and then walk B, and the first size
+translates) down to 2, of walk A and then walk B, and the first size
 found is the answer: every larger size was refuted.  Early exit starts
 one size lower; refuting that size refutes every larger one too, as a
 shattered set's subsets are shattered.  Each walk counts its own nodes,
-and ``vc_dimension`` adds them up.  The roots settle sizes 1 and 2:
-the singletons are all shattered or none, so {0} decides size 1, and a
-pair is shattered exactly when {0, 1} is over walk A's or walk B's
-table.  ``testing_dimension`` uses the same map: from n = 2 on, every
-n-set is shattered exactly when every n-set holding {0, 1} is, over the
-convention's table and, when q = 1 (mod 4) and the convention is not
-STRICT, over the dual table.
+and ``vc_dimension`` adds them up.  Each walk decides once whether its
+root {0, 1} is shattered over its table: a walk whose root is not finds
+nothing at any size, and one whose root is answers size 2 with it, so a
+pair is shattered exactly when some walk is rooted.  When no walk is,
+the answer is 1: {0} is shattered at every prime q >= 5
+(``vc_dimension``).  ``testing_dimension`` uses the same map: from
+n = 2 on, every n-set is shattered exactly when every n-set holding
+{0, 1} is, over the convention's table and, when q = 1 (mod 4) and the
+convention is not STRICT, over the dual table.
 
 A walk visits the tree of supersets of {0, 1}: a node Y has children
 Y + {m}, visited in increasing m.  Each node carries the candidates it
@@ -137,6 +139,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -144,8 +147,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .field import (PrimeField, ResidueTable, ZeroConvention, log2,
-                    log2_floor, make_field, squares_table)
+from .field import (PrimeField, ResidueTable, ZeroConvention, log2_floor,
+                    make_field, squares_table)
 from .primes import primes_in_range, require_prime
 from .shatter import (ChildTally, fold_patterns, prefix_counts,
                       rooted_minima, shatter_report, signatures)
@@ -230,16 +233,19 @@ PAIR_CELLS = 1 << 14
 
 class _Walk:
     """One walk from {0, 1} (module docstring), searching itself: the
-    field, the pair rule of ``canonical``, the tally over its table, the
-    pair table's ``columns`` (row q - m reads a_m(x) at translate x as a
-    0/1 float, the tally's window with the sentinel read as 0), the
-    scale its sets are mapped back by (1 in walk A, a non-square in walk
-    B), walk B's square filter (None in walk A), the signature and
-    candidates of the root, and the walk's own work counters."""
+    field, ``strict`` (the table's convention is STRICT: every pair is
+    valid for ``canonical``, and the pair table drops each set's own
+    translates), the tally over its table, the pair table's ``columns``
+    (row q - m reads a_m(x) at translate x as a 0/1 float, the tally's
+    window with the sentinel read as 0), the scale its sets are mapped
+    back by (1 in walk A, a non-square in walk B), walk B's square filter
+    (None in walk A), whether its root {0, 1} is shattered over its
+    table (``rooted``), the signature and candidates of the root, and the
+    walk's own work counters."""
 
     def __init__(self, F: PrimeField, T: ResidueTable, scale: int):
         self.F = F
-        self.all_pairs = T.convention is ZeroConvention.STRICT
+        self.strict = T.convention is ZeroConvention.STRICT
         self.tally = ChildTally(T)
         # counts are below q, so float32 holds them exactly below q = 2^24
         flat = (self.tally.marked == 1).astype(np.float32 if F.q < 1 << 24
@@ -248,6 +254,7 @@ class _Walk:
         self.scale = scale
         # read at nonzero differences only, where either table is the squares
         self.square = None if scale == 1 else T.member.astype(bool)
+        self.rooted = shatter_report((0, 1), T) >= 0
         self.sig = signatures([0, 1], T)
         cands = np.arange(2, F.q, dtype=np.int64)
         if self.square is not None:
@@ -261,8 +268,13 @@ class _Walk:
         return tuple(sorted(self.scale * y % self.F.q for y in Y))
 
     def find(self, size: int) -> tuple[int, ...] | None:
-        """A shattered set of exactly ``size`` >= 3 elements that the walk
-        looks for, mapped by its scale, or None when it has none."""
+        """A shattered set of exactly ``size`` >= 2 elements that the walk
+        looks for, mapped by its scale, or None when it has none: at once
+        when the root is not shattered, and the root itself at size 2."""
+        if not self.rooted:
+            return None
+        if size == 2:
+            return self.witness((0, 1))
         ms = self.survivors([0, 1], self.sig, self.cands, 1 << (size - 3))
         if size == 3:
             return self.witness([0, 1, int(ms[0])]) if ms.shape[0] else None
@@ -273,7 +285,7 @@ class _Walk:
         """The candidates m with Y + {m} at ``need`` or more, from one
         ``ChildTally`` block, counted as a node."""
         kept = [ms[counts.min(axis=1) >= need]
-                for ms, _, counts in self.tally.children(Y, sig, cands)]
+                for ms, counts in self.tally.children(Y, sig, cands)]
         self.nodes_by_depth[len(Y)] += 1
         self.cells += cands.shape[0] * self.F.q
         return kept[0] if len(kept) == 1 else np.concatenate(kept)
@@ -294,15 +306,13 @@ class _Walk:
             return None
         expand = []
         for i in np.flatnonzero(canonical(self.F, Y, reach,
-                                          self.all_pairs)).tolist():
+                                          self.strict)).tolist():
             later, keep = ms[i + 1:], None
             if self.square is not None:
                 keep = self.square[later - ms[i]]
                 later = later[keep]
             if n + 1 + later.shape[0] >= size:
                 expand.append((i, later, keep))
-        if not expand:
-            return None
         need = 1 << (size - n - 2)
         table = None
         if sum(later.shape[0] for _, later, _ in expand) * q >= PAIR_MIN_CELLS:
@@ -348,9 +358,8 @@ class _Walk:
         ``pair_cells`` adds up those entries.
         """
         q, n = self.F.q, len(Y)
-        strict = self.tally.forbidden.size > 0
         width = 1 << n
-        if strict:
+        if self.strict:
             sig = sig.copy()
             sig[Y] = width
         sizes = np.bincount(sig, minlength=width)[:width]
@@ -382,7 +391,7 @@ class _Walk:
             good &= G <= np.minimum(hi[:, part, None], hi[:, None, j0:])
             chunk = ok[r0:r0 + part.shape[0], j0:]
             np.logical_and.reduce(good, axis=0, out=chunk)
-            if strict:
+            if self.strict:
                 self._strict_pairs(sig, ms, part, j0, G, c, sizes, need, chunk)
             r0 += part.shape[0]
         return ok
@@ -426,15 +435,17 @@ def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
                  early_exit: bool = False) -> VcResult:
     """Exact VC dimension of the squares table of F_q under ``conv``.
 
-    The roots settle sizes 1 and 2: {0} over the convention's table, then
-    {0, 1} over walk A's table and, when q = 1 (mod 4) and ``conv`` is not
-    STRICT, walk B's.  When a pair is shattered, each size from
-    floor(log2 q) down to 3 is looked for by walk A and then walk B, and
-    the first size either finds is the answer (see the module docstring
-    for why that is exact).  ``early_exit`` starts one size lower, at
-    floor(log2 q) - 1 but not below 2; the result is then exact
-    (``exact=True``) only when it is below that start, and otherwise a
-    lower bound.
+    Each size from floor(log2 q) down to 2 is looked for by walk A and
+    then, when q = 1 (mod 4) and ``conv`` is not STRICT, walk B, and the
+    first size either finds is the answer (see the module docstring for
+    why that is exact).  When none is found the answer is 1, with the
+    witness {0}: at every prime q >= 5 and under every convention, some
+    allowed translate x has -x a nonzero square and another has -x a
+    non-square, so {0} is shattered.  The witness is re-checked by
+    ``shatter_report`` before it is returned.  ``early_exit`` starts one
+    size lower, at floor(log2 q) - 1 but not below 2; the result is then
+    exact (``exact=True``) only when it is below that start, and
+    otherwise a lower bound.
     ``nodes`` and ``cells`` count the nodes decided and their candidates
     times q, over every size and walk the call tried, whichever kernel
     decided them; ``nodes_by_depth[d]`` counts the d-element nodes, and
@@ -445,29 +456,22 @@ def vc_dimension(q: int, conv: ZeroConvention = ZeroConvention.ZERO_IN,
     start = time.perf_counter()
     F = make_field(q)
     walks = _walks(F, conv)
-    T = walks[0].tally.T
-    walks = [w for w in walks if shatter_report((0, 1), w.tally.T) >= 0]
     cap = max(log2_floor(q) - early_exit, 2)
-    if walks:
-        best, witness = 2, walks[0].witness((0, 1))
-        for size in range(cap, 2, -1):
-            found = next(filter(None, (w.find(size) for w in walks)), None)
-            if found:
-                best, witness = size, found
-                break
-    elif shatter_report((0,), T) >= 0:
-        best, witness = 1, (0,)
-    else:
-        best, witness = 0, ()
+    best, witness = 1, (0,)
+    for size in range(cap, 1, -1):
+        found = next(filter(None, (w.find(size) for w in walks)), None)
+        if found:
+            best, witness = size, found
+            break
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    if witness and shatter_report(witness, T) < 0:
+    if shatter_report(witness, walks[0].tally.T) < 0:
         raise RuntimeError(f"witness {witness} is not shattered at q={q} "
                            f"under {conv.value}")
     depths = [sum(d) for d in zip(*(w.nodes_by_depth for w in walks))]
     while depths and not depths[-1]:
         depths.pop()
-    return VcResult(q=q, vcdim=best, alpha_q=best / log2(q), convention=conv,
-                    witness=witness, elapsed_ms=elapsed_ms,
+    return VcResult(q=q, vcdim=best, alpha_q=best / math.log2(q),
+                    convention=conv, witness=witness, elapsed_ms=elapsed_ms,
                     exact=not early_exit or best < cap, nodes=sum(depths),
                     cells=sum(w.cells for w in walks),
                     pair_cells=sum(w.pair_cells for w in walks),
@@ -530,7 +534,7 @@ def longest_shattered_ap(q: int,
         if conv is ZeroConvention.STRICT:
             # {0, ..., n-1} also keeps translate n; bit i is member[i - n]
             vec[sum(int(b) << i for i, b in enumerate(T.member[q - n:]))] = True
-    return ApResult(q=q, longest=n, ratio=n / log2(q))
+    return ApResult(q=q, longest=n, ratio=n / math.log2(q))
 
 
 def _usable_cpus() -> int:

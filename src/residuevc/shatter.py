@@ -294,9 +294,10 @@ class ChildTally:
     value in sentinel bins past the 2^(n+1) patterns; the translates Y
     drops are set to 2^(n+1) once a block.  A row's values stay below its
     (3 if the rule forbids anything, else 2) * 2^n bins, so a block, and
-    the child signatures taken from it, are uint16 while 3 * 2^n < 2^16
-    (n <= 14) and int64 from there on.  Adding each row's offset, its
-    own run of bins, widens a block to ``intp`` once, for ``bincount``.
+    a child's signature built from the same row by ``shift``, are uint16
+    while 3 * 2^n < 2^16 (n <= 14) and int64 from there on.  Adding each
+    row's offset, its own run of bins, widens a block to ``intp`` once,
+    for ``bincount``.
     """
 
     def __init__(self, T: ResidueTable, forbidden: Sequence[int] | None = None):
@@ -323,12 +324,13 @@ class ChildTally:
         return cols
 
     def children(self, Y: Sequence[int], sig: np.ndarray, ms: np.ndarray
-                 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield ``(ms, sigs, counts)`` for runs of at most ``MAX_CELLS``
-        cells, one ``bincount`` each: ``sigs[i]`` is the signature of
-        Y + {ms[i]}, ``counts[i]`` its pattern counts over the allowed
-        translates.  ``sig`` is the signature of Y, from ``signatures`` or
-        from an earlier block, in either case uint16 while |Y| <= 14.
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield ``(ms, counts)`` for runs of at most ``MAX_CELLS`` cells,
+        one ``bincount`` each: ``counts[i]`` is the pattern counts of
+        Y + {ms[i]} over the allowed translates.  ``sig`` is the signature
+        of Y, from ``signatures`` or built as Y's parent's signature plus
+        Y's last element's ``window`` row, ``shift``-ed to its bit, in
+        either case uint16 while |Y| <= 14.
         Raises NTooLarge when the patterns outnumber a child's translates
         more than ``BIN_SLACK`` times (a rule that forbids anything
         forbids 0).
@@ -350,7 +352,7 @@ class ChildTally:
             offsets = np.arange(0, rows * bins, bins, dtype=np.intp)[:, None]
             binned = np.add(cols, offsets, dtype=np.intp)
             counts = np.bincount(binned.ravel(), minlength=rows * bins)
-            yield block, cols, counts.reshape(rows, bins)[:, :width]
+            yield block, counts.reshape(rows, bins)[:, :width]
 
 
 def rooted_minima(tally: ChildTally, fixed: int, n: int) -> Iterator[np.ndarray]:
@@ -363,5 +365,5 @@ def rooted_minima(tally: ChildTally, fixed: int, n: int) -> Iterator[np.ndarray]
         Y = tuple(range(k if n > k else k - 1)) + c
         ms = np.arange(Y[-1] + 1 if Y else 0, q if n > k else k, dtype=np.int64)
         sig = signatures(Y, tally.T)
-        for _, _, counts in tally.children(Y, sig, ms):
+        for _, counts in tally.children(Y, sig, ms):
             yield counts.min(axis=1)

@@ -10,8 +10,8 @@ import statistics
 import numpy as np
 import pytest
 
-from residuevc.field import (ZeroConvention, character_table, log2,
-                             log2_floor, make_field, squares_table)
+from residuevc.field import (ZeroConvention, character_table, log2_floor,
+                             make_field, squares_table)
 from residuevc.montecarlo import interface_scan
 from residuevc.primes import primes_in_range
 from residuevc.search import longest_shattered_ap, vc_dimension, vc_sweep

@@ -116,6 +116,28 @@ def test_strict_q5_is_one():
     assert r.vcdim == 1
 
 
+def test_walks_own_their_roots():
+    # {0} is shattered at every prime q >= 5 under every convention, so
+    # the search needs no size-0 answer and takes size 1 as its floor
+    for q in primes_in_range(5, 2000):
+        F = make_field(q)
+        for conv in CONVS:
+            assert shatter_report((0,), squares_table(F, conv)) >= 0, (q, conv)
+    # size 2 is the root of a rooted walk; an unrooted walk finds nothing
+    # and decides no node at any size
+    for q, conv in itertools.product(primes_in_range(5, 200), CONVS):
+        for walk in search._walks(make_field(q), conv):
+            T = walk.tally.T
+            vec = member_vector(q, 2, 1, T.convention)
+            if oracle_shattered((0, 1), vec, T.convention):
+                assert walk.find(2) == walk.witness((0, 1)), (q, conv)
+                continue
+            for size in range(2, log2_floor(q) + 1):
+                assert walk.find(size) is None, (q, conv, size)
+            assert (sum(walk.nodes_by_depth), walk.cells,
+                    walk.pair_cells) == (0, 0, 0), (q, conv)
+
+
 def test_early_exit_finds_near_max_at_257():
     r = vc_dimension(257, ZeroConvention.ZERO_IN, early_exit=True)
     assert len(r.witness) >= 7
@@ -200,23 +222,27 @@ def test_inherited_candidate_prune_is_sound(q, conv, data):
 
 
 def test_child_tally_children_match_oracle_two_levels():
-    # The STRICT sentinel overwrites a child's own columns; the grandchild
-    # block built on that signature must still count exactly.
+    # A child's signature, built as the walk builds it from m's window
+    # row, carries the STRICT sentinel at the translate m drops; the
+    # grandchild block built on it must still count exactly.
     rng = np.random.default_rng(7)
     for q in [31, 61]:
         for conv in CONVS:
             T = squares_table(make_field(q), conv)
             tally = ChildTally(T)
             Y = [0, 1]
+            sig = signatures(Y, T)
             ms = np.arange(2, q, dtype=np.int64)
-            [(_, csig, counts)] = tally.children(Y, signatures(Y, T), ms)
+            [(_, counts)] = tally.children(Y, sig, ms)
             for m, row in zip(ms.tolist(), counts):
                 assert np.array_equal(row,
                                       oracle_counts(Y + [m], T.member, conv))
             for i in rng.choice(len(ms) - 1, size=5, replace=False).tolist():
-                child = Y + [int(ms[i])]
-                later = ms[i + 1:]
-                [(_, _, gcounts)] = tally.children(child, csig[i], later)
+                m = int(ms[i])
+                child, later = Y + [m], ms[i + 1:]
+                csig = ChildTally.shift(tally.window[q - m].copy(),
+                                        len(Y)) + sig
+                [(_, gcounts)] = tally.children(child, csig, later)
                 for m, row in zip(later.tolist(), gcounts):
                     want = oracle_counts(child + [m], T.member, conv)
                     assert np.array_equal(row, want), (q, conv, child, m)

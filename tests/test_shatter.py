@@ -139,7 +139,7 @@ def child_counts(T, n):
     Y = list(range(n - 1))
     blocks = ChildTally(T).children(Y, signatures(Y, T),
                                     np.array([n - 1], dtype=np.int64))
-    return next(blocks)[2][0]
+    return next(blocks)[1][0]
 
 
 def prefix_rows(n, m=3):
@@ -545,7 +545,7 @@ def test_batch_matches_single():
             for _ in range(10):
                 Y = sorted(rng.choice(q - 1, size=2, replace=False).tolist())
                 ms = np.arange(Y[-1] + 1, q, dtype=np.int64)
-                [(got_ms, _, counts)] = tally.children(Y, signatures(Y, T), ms)
+                [(got_ms, counts)] = tally.children(Y, signatures(Y, T), ms)
                 assert np.array_equal(got_ms, ms)
                 for m, row in zip(ms.tolist(), counts):
                     assert np.array_equal(row, pattern_counts(Y + [m], T))
@@ -565,13 +565,14 @@ def test_child_tally_across_its_16_bit_switch(conv):
     Y = list(range(14))
     sig = signatures(Y, T)
     for dtype, ms in [(np.uint16, [100, 5000]), (np.int64, [6000, 16400])]:
-        [(_, sigs, counts)] = tally.children(Y, sig,
-                                             np.array(ms, dtype=np.int64))
-        assert sigs.dtype == dtype
+        [(_, counts)] = tally.children(Y, sig, np.array(ms, dtype=np.int64))
         for m, row in zip(ms, counts):
             assert np.array_equal(row, oracle_counts(Y + [m], member, conv))
-        # the first child's signature is the next node's
-        Y, sig = Y + [ms[0]], sigs[0]
+        # the first child's signature, built as the search walk builds
+        # it, is the next node's
+        sig = ChildTally.shift(tally.window[q - ms[0]].copy(), len(Y)) + sig
+        assert sig.dtype == dtype
+        Y = Y + [ms[0]]
 
 
 def test_batch_chunking_boundary(monkeypatch):
@@ -585,7 +586,7 @@ def test_batch_chunking_boundary(monkeypatch):
     monkeypatch.setattr(shatter, "MAX_CELLS", 11)  # forces 1-row blocks
     split = blocks()
     assert len(whole) == 1 and len(split) == len(ms)
-    for i, name in enumerate(("ms", "sigs", "counts")):
+    for i, name in enumerate(("ms", "counts")):
         assert np.array_equal(whole[0][i],
                               np.concatenate([b[i] for b in split])), name
 

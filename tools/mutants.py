@@ -109,7 +109,11 @@ MUTANTS = (
     Mutant("equidistribution-violations-not-counted", WEIL,
            "violations += 1", "pass",
            (W + "test_equidistribution_violations_are_counted",)),
-    # the search: walk B, the orbit rule, the prune and the sibling cut
+    # the search: the walks' roots, walk B, the orbit rule, the prune and
+    # the sibling cut
+    Mutant("walk-root-unchecked", SEARCH,
+           "self.rooted = shatter_report((0, 1), T) >= 0",
+           "self.rooted = True", (S + "test_strict_q5_is_one",)),
     Mutant("walk-b-dropped", SEARCH,
            "walks.append(_Walk(F, squares_table(F, dual), F.g))", "pass",
            (S + "test_zero_out_q5_needs_walk_b",) + SEARCH_TESTS),
