@@ -28,7 +28,10 @@ from {0, 1} looks for:
   every y in it.  Walk B maps the sets it finds back by x -> g x.
 
 Each search is one fixed-size question, ``_Walk.find``: does the
-walk reach a shattered set of exactly s elements?  ``vc_dimension`` asks
+walk reach a shattered set of exactly s elements?  One step,
+``_Walk.descend``, answers it at every node from the root down: it
+decides the node's survivors, counts the node, answers at the last
+level and otherwise recurses into the node's children.  ``vc_dimension`` asks
 it for s from floor(log2 q) (no more than log2 q elements fit the q
 translates) down to 2, of walk A and then walk B, and the first size
 found is the answer: every larger size was refuted.  Early exit starts
@@ -121,12 +124,13 @@ class.  G for every class is one stacked matrix product
 also drops the translates x = m and x = z, each from one cell of its own
 class: a_m(m) reads 0, so x = m leaves cell (0, a_z(m)) of class p(m)
 and x = z cell (a_m(z), 0) of class p(z).  One such table per node
-decides the survivors of all its children; a node whose children
-would count fewer than ``PAIR_MIN_CELLS`` cells in their own blocks,
-and the root, count ``shatter.ChildTally`` blocks instead (under STRICT
+decides the survivors of all its children, each child reading its own
+row.  A node without a row, the root or a child of a node whose
+children would count fewer than ``PAIR_MIN_CELLS`` cells in their own
+blocks, counts one ``shatter.ChildTally`` block instead (under STRICT
 with sentinel bins for the translates landing on the subset).  Either
-way each child decided counts as one node and its candidates times q as
-its cells, so the counters do not depend on which kernel ran;
+way the step counts its node once, and its candidates times q as its
+cells, so the counters do not depend on which kernel decided it;
 ``pair_cells`` counts the tables' own entries.
 ``shatter.rooted_minima`` walks every set holding {0, 1} for
 ``testing_dimension``.  ``sweep`` maps a per-prime function over a list
@@ -241,7 +245,7 @@ class _Walk:
     back by (1 in walk A, a non-square in walk B), walk B's square filter
     (None in walk A), whether its root {0, 1} is shattered over its
     table (``rooted``), the signature and candidates of the root, and the
-    walk's own work counters."""
+    walk's own work counters, which ``descend`` adds to once a node."""
 
     def __init__(self, F: PrimeField, T: ResidueTable, scale: int):
         self.F = F
@@ -270,36 +274,42 @@ class _Walk:
     def find(self, size: int) -> tuple[int, ...] | None:
         """A shattered set of exactly ``size`` >= 2 elements that the walk
         looks for, mapped by its scale, or None when it has none: at once
-        when the root is not shattered, and the root itself at size 2."""
+        when the root is not shattered, the root itself at size 2, and
+        otherwise the first set ``descend`` finds from the root."""
         if not self.rooted:
             return None
         if size == 2:
             return self.witness((0, 1))
-        ms = self.survivors([0, 1], self.sig, self.cands, 1 << (size - 3))
-        if size == 3:
-            return self.witness([0, 1, int(ms[0])]) if ms.shape[0] else None
-        return self.descend([0, 1], self.sig, ms, size)
+        return self.descend([0, 1], self.sig, self.cands, size)
 
-    def survivors(self, Y: list[int], sig: np.ndarray, cands: np.ndarray,
-                  need: int) -> np.ndarray:
-        """The candidates m with Y + {m} at ``need`` or more, from one
-        ``ChildTally`` block, counted as a node."""
-        kept = [ms[counts.min(axis=1) >= need]
-                for ms, counts in self.tally.children(Y, sig, cands)]
-        self.nodes_by_depth[len(Y)] += 1
-        self.cells += cands.shape[0] * self.F.q
-        return kept[0] if len(kept) == 1 else np.concatenate(kept)
+    def descend(self, Y: list[int], sig: np.ndarray, cands: np.ndarray,
+                size: int, passed: np.ndarray | None = None
+                ) -> tuple[int, ...] | None:
+        """Depth-first search from a canonical node Y with |Y| < ``size``
+        and signature ``sig``, whose candidates ``cands`` it inherited.
 
-    def descend(self, Y: list[int], sig: np.ndarray, ms: np.ndarray,
-                size: int) -> tuple[int, ...] | None:
-        """Depth-first search below a canonical node Y with |Y| + 2 <=
-        ``size``, whose survivors ``ms`` are decided: visit each canonical
-        Y + {m} with enough survivors after m (in walk B those at a square
-        distance from m), deciding its own survivors, those z with
-        Y + {m, z} at 2^(size - |Y| - 2) or more, from one pair table of
-        Y.  Returns the first set found, mapped by the walk's scale, or
-        None."""
+        The node's survivors are the candidates m with Y + {m} at
+        2^(size - |Y| - 1) or more: ``passed``, the node's row of its
+        parent's pair table, marks them, or, when it is None, one
+        ``ChildTally`` block decides them.  The node counts once; one
+        element short of ``size`` it answers with its first survivor.
+        Otherwise it visits each canonical Y + {m} with enough survivors
+        after m (in walk B those at a square distance from m), passing it
+        those survivors and its row of one pair table of Y, or None when
+        the children would count too few cells for a table.  Returns the
+        first set found, mapped by the walk's scale, or None.  ``sig`` may
+        be None when ``passed`` is given and |Y| = size - 1: it is then
+        not read."""
         q, n = self.F.q, len(Y)
+        need = 1 << (size - n - 1)
+        if passed is None:
+            blocks = self.tally.children(Y, sig, cands)
+            passed = np.concatenate([c.min(axis=1) for c in blocks]) >= need
+        ms = cands[passed]
+        self.nodes_by_depth[n] += 1
+        self.cells += cands.shape[0] * q
+        if n + 1 == size:
+            return self.witness(Y + [int(ms[0])]) if ms.shape[0] else None
         # a child after this prefix has too few later survivors to grow from
         reach = ms[:ms.shape[0] + n + 1 - size]
         if not reach.shape[0]:
@@ -313,29 +323,20 @@ class _Walk:
                 later = later[keep]
             if n + 1 + later.shape[0] >= size:
                 expand.append((i, later, keep))
-        need = 1 << (size - n - 2)
         table = None
         if sum(later.shape[0] for _, later, _ in expand) * q >= PAIR_MIN_CELLS:
             table = self.pairs(Y, sig, ms,
-                               np.array([i for i, _, _ in expand]), need)
+                               np.array([i for i, _, _ in expand]), need >> 1)
         for row, (i, later, keep) in enumerate(expand):
             m = int(ms[i])
-            csig = None
-            if table is None or n + 2 < size:
+            passed = csig = None
+            if table is not None:
+                passed = table[row, i + 1:]
+                passed = passed if keep is None else passed[keep]
+            if passed is None or n + 2 < size:
                 csig = self.tally.shift(self.tally.window[q - m].copy(), n)
                 csig += sig
-            if table is None:
-                survivors = self.survivors(Y + [m], csig, later, need)
-            else:
-                self.nodes_by_depth[n + 1] += 1
-                self.cells += later.shape[0] * q
-                passed = table[row, i + 1:]
-                survivors = later[passed if keep is None else passed[keep]]
-            if n + 2 == size:
-                if survivors.shape[0]:
-                    return self.witness(Y + [m, int(survivors[0])])
-                continue
-            found = self.descend(Y + [m], csig, survivors, size)
+            found = self.descend(Y + [m], csig, later, size, passed)
             if found:
                 return found
         return None
@@ -547,7 +548,8 @@ def sweep(solve, qs: list[int], jobs: int = 1, on_error=None):
     """Yield ``solve(q)`` for each prime q of the list ``qs``, in its order.
 
     A prime whose ``solve`` raises an Exception yields nothing and is
-    reported through ``on_error(q, exc)``.  The primes are solved in a
+    reported through ``on_error(q, exc)``; without ``on_error`` the
+    exception ends the sweep and propagates.  The primes are solved in a
     pool of min(jobs, len(qs), usable CPUs) processes, which needs a
     ``solve`` that pickles, or in this one when that number is 1.  When
     the sweep ends early, by an exception such as KeyboardInterrupt or by
@@ -568,8 +570,9 @@ def sweep(solve, qs: list[int], jobs: int = 1, on_error=None):
             try:
                 yield call()
             except Exception as exc:  # noqa: BLE001 - per-prime isolation
-                if on_error is not None:
-                    on_error(q, exc)
+                if on_error is None:
+                    raise
+                on_error(q, exc)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -601,7 +604,8 @@ def vc_sweep(q_lo: int, q_hi: int,
              conv: ZeroConvention = ZeroConvention.ZERO_IN,
              early_exit: bool = False, jobs: int = 1, on_error=None):
     """Yield ``vc_dimension`` for each prime in [q_lo, q_hi], ascending,
-    through ``sweep``."""
+    through ``sweep``: a prime that raises is passed to ``on_error`` and
+    skipped, or, without ``on_error``, raises out of the sweep."""
     yield from sweep(functools.partial(vc_dimension, conv=conv,
                                        early_exit=early_exit),
                      primes_in_range(q_lo, q_hi), jobs, on_error)

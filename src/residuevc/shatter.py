@@ -26,7 +26,8 @@ row, which ``_check_rows`` checks as it checks every row of
 prefix {0, ..., n - 1}, whose signatures it builds by doubling the
 window width, for the progressions.  ``ChildTally`` tallies related
 ones, Y + {m} for a vector of candidates m under an exclusion rule,
-reusing the signature of Y: the exact search walks its tree with it, and
+reusing the signature of Y: the exact search decides with it the
+survivors of each node that no pair table decides, the root included, and
 ``rooted_minima`` feeds it the rooted sets, those holding {0, ..., k - 1},
 of ``testing_dimension`` and of the theorem check.  Two algorithms read
 its marked column without tallying children: the search's pair table
@@ -324,10 +325,11 @@ class ChildTally:
         return cols
 
     def children(self, Y: Sequence[int], sig: np.ndarray, ms: np.ndarray
-                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(ms, counts)`` for runs of at most ``MAX_CELLS`` cells,
-        one ``bincount`` each: ``counts[i]`` is the pattern counts of
-        Y + {ms[i]} over the allowed translates.  ``sig`` is the signature
+                 ) -> Iterator[np.ndarray]:
+        """Yield the pattern counts of Y + {m} over the allowed translates
+        for each m of ``ms``, in order, one row each, as the count arrays
+        of runs of at most ``MAX_CELLS`` cells, one ``bincount`` a run:
+        stacked, row i answers ms[i].  ``sig`` is the signature
         of Y, from ``signatures`` or built as Y's parent's signature plus
         Y's last element's ``window`` row, ``shift``-ed to its bit, in
         either case uint16 while |Y| <= 14.
@@ -352,7 +354,7 @@ class ChildTally:
             offsets = np.arange(0, rows * bins, bins, dtype=np.intp)[:, None]
             binned = np.add(cols, offsets, dtype=np.intp)
             counts = np.bincount(binned.ravel(), minlength=rows * bins)
-            yield block, counts.reshape(rows, bins)[:, :width]
+            yield counts.reshape(rows, bins)[:, :width]
 
 
 def rooted_minima(tally: ChildTally, fixed: int, n: int) -> Iterator[np.ndarray]:
@@ -365,5 +367,5 @@ def rooted_minima(tally: ChildTally, fixed: int, n: int) -> Iterator[np.ndarray]
         Y = tuple(range(k if n > k else k - 1)) + c
         ms = np.arange(Y[-1] + 1 if Y else 0, q if n > k else k, dtype=np.int64)
         sig = signatures(Y, tally.T)
-        for _, counts in tally.children(Y, sig, ms):
+        for counts in tally.children(Y, sig, ms):
             yield counts.min(axis=1)

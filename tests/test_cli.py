@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import residuevc
+from residuevc import svgplot
 from residuevc.cli import RunManifest, main
 from residuevc.field import log2_floor
 from residuevc.primes import primes_in_range
@@ -47,6 +48,23 @@ def test_vcdim_small_range(tmp_path):
         assert len(witness) == vcdim
     svg = (out / "vcdim.svg").read_text()
     assert svg.startswith("<?xml") and "<circle" in svg and "<polyline" in svg
+
+
+def test_vcdim_one_prime_plot(tmp_path):
+    # one prime spans no x range: the plot widens it to [5, 6], so the
+    # point sits at the left edge of the frame
+    out = tmp_path / "v"
+    assert main(["vcdim", "--range", "5:5", "--out-dir", str(out)]) == 0
+    assert [int(r["q"]) for r in read_csv(out / "vcdim.csv")] == [5]
+    svg = (out / "vcdim.svg").read_text()
+    assert '<circle cx="56.00"' in svg
+    assert "nan" not in svg and "inf" not in svg
+    # points all at one height widen the y range the same way, and an
+    # empty tick range is its one end
+    flat = tmp_path / "flat.svg"
+    svgplot.scatter_svg(flat, [(5, 2), (7, 2)])
+    assert "nan" not in flat.read_text()
+    assert svgplot._ticks(2.0, 2.0) == [2.0]
 
 
 def test_vcdim_resume_completes_missing(tmp_path):
@@ -276,10 +294,13 @@ def test_resume_skips_malformed_rows(tmp_path):
     assert main(["vcdim", "--range", "5:13", "--out-dir", str(out)]) == 0
     with csv_path.open("a", encoding="utf-8") as fh:
         fh.write("17,3,maybe,0.7,0;1;3,zero-in,1.0\n")
-    assert main(["vcdim", "--range", "5:17", "--resume",
+        # every field parses, but one more than the header follows them
+        fh.write("19,3,true,0.7,0;1;3,zero-in,1.0,2.0\n")
+    assert main(["vcdim", "--range", "5:19", "--resume",
                  "--out-dir", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert [i["q"] for i in manifest["items"] if i["status"] == "ok"] == [17]
+    assert [i["q"] for i in manifest["items"]
+            if i["status"] == "ok"] == [17, 19]
 
 
 def test_resume_rejects_foreign_header(tmp_path):

@@ -144,6 +144,18 @@ def test_index_must_divide():
         residue_table(make_field(7), 4, 1, ZeroConvention.ZERO_OUT)
 
 
+def test_coset_representative_must_be_nonzero():
+    with pytest.raises(ValueError):
+        residue_table(make_field(7), 2, t=7)
+
+
+def test_zero_convention_parse():
+    for conv in ZeroConvention:
+        assert ZeroConvention.parse(conv.value) is conv
+    with pytest.raises(ValueError, match="unknown zero convention"):
+        ZeroConvention.parse("zero")
+
+
 def test_member_counts_and_zero_flag():
     for q in SMALL_PRIMES:
         F = make_field(q)

@@ -12,8 +12,9 @@ import residuevc
 from residuevc import montecarlo, shatter
 from residuevc.errors import NotPrime
 from residuevc.field import ZeroConvention, make_field, squares_table
-from residuevc.montecarlo import (estimate_p, interface_scan, point_seed,
-                                  sample_subset, scan_primes)
+from residuevc.montecarlo import (estimate_p, interface_primes,
+                                  interface_scan, point_seed, sample_subset,
+                                  scan_primes)
 from residuevc.primes import primes_in_range
 
 from oracles import oracle_shattered
@@ -45,6 +46,13 @@ def test_pattern_table_bound():
     from residuevc.errors import NTooLarge
     with pytest.raises(NTooLarge):
         estimate_p(101, 64, trials=1)
+
+
+def test_trials_must_be_positive():
+    with pytest.raises(ValueError, match="trials"):
+        estimate_p(13, 3, trials=0)
+    with pytest.raises(ValueError, match="trials"):
+        interface_primes(8, trials=0)
 
 
 def test_deterministic_given_seed():

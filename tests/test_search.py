@@ -116,6 +116,22 @@ def test_strict_q5_is_one():
     assert r.vcdim == 1
 
 
+def test_witness_recheck_failure_raises(monkeypatch):
+    # the walks' root checks read (0, 1) as they are; every larger
+    # witness reads unshattered on its re-check, which must raise out of
+    # vc_dimension and, with no on_error, out of the sweep
+    report = search.shatter_report
+    monkeypatch.setattr(search, "shatter_report",
+                        lambda Y, T: -1 if len(Y) > 2 else report(Y, T))
+    with pytest.raises(RuntimeError, match="is not shattered"):
+        vc_dimension(41)
+    got = []
+    with pytest.raises(RuntimeError, match="q=11"):
+        for r in vc_sweep(5, 41):
+            got.append(r.q)
+    assert got == [5, 7]
+
+
 def test_walks_own_their_roots():
     # {0} is shattered at every prime q >= 5 under every convention, so
     # the search needs no size-0 answer and takes size 1 as its floor
@@ -233,7 +249,7 @@ def test_child_tally_children_match_oracle_two_levels():
             Y = [0, 1]
             sig = signatures(Y, T)
             ms = np.arange(2, q, dtype=np.int64)
-            [(_, counts)] = tally.children(Y, sig, ms)
+            [counts] = tally.children(Y, sig, ms)
             for m, row in zip(ms.tolist(), counts):
                 assert np.array_equal(row,
                                       oracle_counts(Y + [m], T.member, conv))
@@ -242,7 +258,7 @@ def test_child_tally_children_match_oracle_two_levels():
                 child, later = Y + [m], ms[i + 1:]
                 csig = ChildTally.shift(tally.window[q - m].copy(),
                                         len(Y)) + sig
-                [(_, gcounts)] = tally.children(child, csig, later)
+                [gcounts] = tally.children(child, csig, later)
                 for m, row in zip(later.tolist(), gcounts):
                     want = oracle_counts(child + [m], T.member, conv)
                     assert np.array_equal(row, want), (q, conv, child, m)
@@ -329,6 +345,8 @@ def test_testing_dimension_matches_uncanonicalized_oracle():
 
 def test_testing_dimension_respects_cap():
     assert search.testing_dimension(101, ZeroConvention.ZERO_IN, cap=2) == 2
+    with pytest.raises(ValueError):
+        search.testing_dimension(101, ZeroConvention.ZERO_IN, cap=-1)
 
 
 def test_testing_dimension_requires_prime():
@@ -403,6 +421,9 @@ def test_sweep_records_errors():
     res = list(vc_sweep(2, 7, on_error=lambda q, e: seen.append(q)))
     assert [r.q for r in res] == [5, 7]
     assert seen == [2, 3]
+    # without on_error the first failed prime raises
+    with pytest.raises(TooSmall):
+        list(vc_sweep(2, 7))
 
 
 def test_sweep_parallel_matches_serial():
@@ -483,9 +504,11 @@ def test_interrupted_sweep_cancels_queued_primes(monkeypatch):
 
 class CountingPool(ThreadPoolExecutor):
     """Stands in for ProcessPoolExecutor with threads: counts the tasks
-    submitted and not yet finished, and the most there ever were."""
+    submitted and not yet finished, the most there ever were, and each
+    ``shutdown``."""
 
     most = 0
+    shutdowns = 0
 
     def __init__(self, max_workers):
         super().__init__(max_workers)
@@ -505,6 +528,10 @@ class CountingPool(ThreadPoolExecutor):
                     self.unfinished -= 1
         return super().submit(run)
 
+    def shutdown(self, *args, **kwargs):
+        CountingPool.shutdowns += 1
+        super().shutdown(*args, **kwargs)
+
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_sweep_keeps_at_most_workers_primes_in_flight(monkeypatch, workers):
@@ -523,6 +550,28 @@ def test_sweep_keeps_at_most_workers_primes_in_flight(monkeypatch, workers):
 
     assert list(search.sweep(solve, qs, jobs=workers)) == qs
     assert CountingPool.most == workers
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_raises_a_failed_prime_without_on_error(monkeypatch, jobs):
+    # without on_error a prime that raises ends the sweep: the primes
+    # before it are yielded, and a pool, when there is one, is shut down
+    monkeypatch.setattr(CountingPool, "shutdowns", 0)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        CountingPool)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+
+    def solve(q):
+        if q == 11:
+            raise ValueError(f"failed at {q}")
+        return q
+
+    got = []
+    with pytest.raises(ValueError, match="failed at 11"):
+        for r in search.sweep(solve, [5, 7, 11, 13], jobs=jobs):
+            got.append(r)
+    assert got == [5, 7]
+    assert CountingPool.shutdowns == (jobs > 1)
 
 
 def test_import_leaves_the_process_pool_unloaded():

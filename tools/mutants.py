@@ -109,8 +109,8 @@ MUTANTS = (
     Mutant("equidistribution-violations-not-counted", WEIL,
            "violations += 1", "pass",
            (W + "test_equidistribution_violations_are_counted",)),
-    # the search: the walks' roots, walk B, the orbit rule, the prune and
-    # the sibling cut
+    # the search: the walks' roots, walk B, the orbit rule, the prune, the
+    # sibling cut, each node's survivors and the witness re-check
     Mutant("walk-root-unchecked", SEARCH,
            "self.rooted = shatter_report((0, 1), T) >= 0",
            "self.rooted = True", (S + "test_strict_q5_is_one",)),
@@ -129,8 +129,13 @@ MUTANTS = (
     Mutant("sibling-cut-unsound", SEARCH,
            "reach = ms[:ms.shape[0] + n + 1 - size]",
            "reach = ms[:ms.shape[0] + n - size]", SEARCH_TESTS),
-    Mutant("threshold-unsound", SEARCH, "need = 1 << (size - n - 2)",
-           "need = 1 << (size - n - 1)", SEARCH_TESTS),
+    Mutant("threshold-unsound", SEARCH, "need = 1 << (size - n - 1)",
+           "need = 1 << (size - n)", SEARCH_TESTS),
+    Mutant("node-survivors-unfiltered", SEARCH, "ms = cands[passed]",
+           "ms = cands", SEARCH_TESTS),
+    Mutant("witness-recheck-skipped", SEARCH,
+           "if shatter_report(witness, walks[0].tally.T) < 0:", "if False:",
+           (S + "test_witness_recheck_failure_raises",)),
     Mutant("ap-strict-mark-dropped", SEARCH,
            "vec[sum(int(b) << i for i, b in enumerate(T.member[q - n:]))]"
            " = True", "pass",
