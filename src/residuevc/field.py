@@ -1,8 +1,10 @@
 """Prime-field arithmetic, residue-set tables, and multiplicative characters.
 
-A ``PrimeField`` carries an odd prime modulus q and a primitive root g; its
-power and discrete-log tables base g are built on first read, so a caller
-that only needs residue tables never pays for them.  From it one builds:
+A ``PrimeField`` carries an odd prime modulus q.  Its primitive root g,
+and the power and discrete-log tables base g, are each found or built on
+first read, so a caller that only needs residue tables never pays for
+them: the progressions and the interface scans read none of the three.
+From it one builds:
 
 - ``ResidueTable``: the 0/1 membership vector of a multiplicative coset
   t * G_r, where G_r is the index-r subgroup of rth powers in F_q^x, built
@@ -60,17 +62,28 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """An odd prime modulus with a primitive root, and its log tables.
+    """An odd prime modulus, its primitive root and its log tables.
 
-    ``dlog[x]`` is the index a in {0, ..., q-2} with g^a = x (mod q) for
-    x != 0; ``dlog[0]`` holds -1 and must never be read as a logarithm.
-    ``powers[a]`` is g^a mod q for 0 <= a <= q - 2, the inverse table.
-    Both are read-only int64 arrays, each built the first time it is read
-    and kept on the instance from then on.
+    ``g`` is ``root`` when one is pinned, else the least primitive root
+    modulo q.  ``dlog[x]`` is the index a in {0, ..., q-2} with
+    g^a = x (mod q) for x != 0; ``dlog[0]`` holds -1 and must never be
+    read as a logarithm.  ``powers[a]`` is g^a mod q for 0 <= a <= q - 2,
+    the inverse table, a read-only int64 array like ``dlog``.  Each of the
+    three is found or built the first time it is read and kept on the
+    instance from then on.  Their readers are the search (``canonical``
+    reads both tables, walk B maps its sets back by g), the character
+    tables (``dlog``) and ``coset_representatives`` (g); no residue table
+    reads any of them.
     """
 
     q: int
-    g: int
+    root: int | None = None
+
+    @functools.cached_property
+    def g(self) -> int:
+        if self.root is not None:
+            return self.root
+        return _find_primitive_root(self.q)
 
     @functools.cached_property
     def powers(self) -> np.ndarray:
@@ -137,7 +150,8 @@ class CharacterTable:
         return vals
 
 
-def _find_primitive_root(q: int, factors: list[int]) -> int:
+def _find_primitive_root(q: int) -> int:
+    factors = prime_factors(q - 1)
     for g in range(2, q):
         if all(pow(g, (q - 1) // p, q) != 1 for p in factors):
             return g
@@ -147,9 +161,10 @@ def _find_primitive_root(q: int, factors: list[int]) -> int:
 def make_field(q: int, root: int | None = None) -> PrimeField:
     """Build a PrimeField for an odd prime q.
 
-    The primitive root is the smallest one unless ``root`` pins a specific
-    (validated) choice, which downstream character tables then inherit.
-    No table is built here (``PrimeField``).
+    The primitive root is the smallest one, found on first read of
+    ``g``, unless ``root`` pins a specific choice, validated here, which
+    downstream character tables then inherit.  No root is searched for
+    and no table is built here (``PrimeField``).
     """
     if q == 2:
         raise EvenPrime("q = 2 has no index-r subgroup with r >= 2")
@@ -158,14 +173,11 @@ def make_field(q: int, root: int | None = None) -> PrimeField:
                             f"would need {8 * q / 2**30:.0f} GiB")
     if not is_prime(q):
         raise NotPrime(f"{q} is not prime")
-    factors = prime_factors(q - 1)
-    if root is None:
-        g = _find_primitive_root(q, factors)
-    else:
+    if root is not None:
+        factors = prime_factors(q - 1)
         if not 1 < root < q or any(pow(root, (q - 1) // p, q) == 1 for p in factors):
             raise ValueError(f"{root} is not a primitive root modulo {q}")
-        g = root
-    return PrimeField(q=q, g=g)
+    return PrimeField(q=q, root=root)
 
 
 def power_table(q: int, g: int) -> np.ndarray:
@@ -195,6 +207,15 @@ def _check_index(F: PrimeField, r: int) -> None:
         raise IndexNotDividing(f"index r={r} must be >= 2 and divide q-1={F.q - 1}")
 
 
+def _mul_mod(a: np.ndarray, b, q: int) -> np.ndarray:
+    """a * b mod q, for int64 factors below q, as a new array.  The product
+    is reduced by floor division by q, which numpy takes for a scalar
+    divisor in about half the time of int64 ``%``."""
+    prod = a * b
+    prod -= prod // q * q
+    return prod
+
+
 def residue_table(F: PrimeField, r: int, t: int = 1,
                   conv: ZeroConvention = ZeroConvention.ZERO_IN) -> ResidueTable:
     """Membership table of the coset t * G_r, with 0 handled per ``conv``.
@@ -202,7 +223,8 @@ def residue_table(F: PrimeField, r: int, t: int = 1,
     t * G_r is the image of x -> t x^r over F_q^x, taken by square and
     multiply on an int64 range; every product stays below q^2 < 2^62.
     For r = 2 the range stops at (q - 1) / 2, as (-x)^2 = x^2, and t = 1
-    skips the last product.  No power or discrete-log table is read.
+    skips the last product.  Neither the primitive root nor a power or
+    discrete-log table is read.
     """
     _check_index(F, r)
     q = F.q
@@ -212,11 +234,11 @@ def residue_table(F: PrimeField, r: int, t: int = 1,
     x = np.arange(1, (q + 1) // 2 if r == 2 else q, dtype=np.int64)
     image = x
     for bit in bin(r)[3:]:  # the bits of r below its leading one
-        image = image * image % q
+        image = _mul_mod(image, image, q)
         if bit == "1":
-            image = image * x % q
+            image = _mul_mod(image, x, q)
     if t != 1:
-        image = image * t % q
+        image = _mul_mod(image, t, q)
     member = np.zeros(q, dtype=np.uint8)
     member[image] = 1
     if conv is ZeroConvention.ZERO_IN:

@@ -115,8 +115,8 @@ def _signatures(rows: np.ndarray, T: ResidueTable) -> np.ndarray:
     strided view over the table shifted to each bit.  The uint8 table is
     widened once: below n = 16 the columns are gathered and summed as
     uint16, which holds both the largest signature, 2^n - 1, and STRICT's
-    sentinel, 2^n; from n = 16 on they are int64.  ``_tally`` widens the
-    signatures once more, to index its bins.
+    sentinel, 2^n; from n = 16 on they are int64.  ``_tally`` adds its
+    bin offsets to them, in 16 bits while the bins fit.
     """
     m, n = rows.shape
     q = T.q
@@ -175,13 +175,16 @@ def prefix_counts(n: int, T: ResidueTable) -> np.ndarray:
     grow as w_2a[k] = w_a[k] + (w_a[k - a] << a), and a set bit a of n
     joins w_a to the width b built so far as w_(a+b)[k] =
     w_b[k] + (w_a[k - b] << b): about log2 n + popcount(n) whole-array
-    passes, where ``_signatures`` makes n.  Each w_a is kept as its
-    values at k < 2q from k = a - 1 on, and the signature as those at
-    q <= k < 2q.  Same widths, refusal and tally as ``pattern_counts``.
+    passes, where ``_signatures`` makes n.  The signature, w_n's values
+    at q <= k < 2q, reads D only from k = q - n + 1 on, so w_1 is D from
+    there and each w_a is kept as its values from k = q - n + a to
+    2q - 1: q + n - a entries, which hold the q values w_a[q - b : 2q - b]
+    read when it joins width b, as a + b <= n.  Same widths, refusal and
+    tally as ``pattern_counts``.
     """
     q = T.q
     _require_bins(n, _allowed_translates(n, q, T.convention), q)
-    w = T.doubled.astype(np.uint16 if n < 16 else np.int64)
+    w = T.doubled[q - n + 1 :].astype(np.uint16 if n < 16 else np.int64)
     sig, b, a = np.zeros(q, dtype=w.dtype), 0, 1
     while a <= n:
         if n & a:
@@ -195,15 +198,17 @@ def prefix_counts(n: int, T: ResidueTable) -> np.ndarray:
 
 def _tally(sig: np.ndarray, rows: np.ndarray, T: ResidueTable) -> np.ndarray:
     """Pattern counts of each subset in ``rows`` over its allowed
-    translates, from its signatures ``sig`` (overwritten under STRICT),
-    in one ``bincount``.
+    translates, from its signatures ``sig``, which it may overwrite, in one
+    ``bincount``.
 
     Row i gets its own run of 2^n + 1 bins; under STRICT its translates
     x in the subset go to the run's last bin, the sentinel, dropped here.
-    The signatures, 16-bit below n = 16 (``_signatures``), are widened to
-    ``intp`` once, as each row's bin offset is added: the copy
-    ``bincount`` would make of them anyway.  Raises RuntimeError when a
-    row's counts miss an allowed translate.
+    While the m (2^n + 1) bins fit 16 bits, each row's bin offset is
+    added to its signatures in place, uint16 (``_signatures`` makes them
+    so below n = 16), and ``bincount`` widens them to ``intp`` once; past
+    that the offsets are added into a new ``intp`` array, the copy
+    ``bincount`` would make anyway.  Raises RuntimeError when a row's
+    counts miss an allowed translate.
     """
     m, n = rows.shape
     width = 1 << n
@@ -211,8 +216,11 @@ def _tally(sig: np.ndarray, rows: np.ndarray, T: ResidueTable) -> np.ndarray:
     if T.convention is ZeroConvention.STRICT:
         sig[np.arange(m)[:, None], rows] = width
     offsets = np.arange(0, m * bins, bins, dtype=np.intp)[:, None]
-    counts = np.bincount(np.add(sig, offsets, dtype=np.intp).ravel(),
-                         minlength=m * bins)
+    if m * bins <= 1 << 16:
+        keys = np.add(sig, offsets.astype(sig.dtype), out=sig)
+    else:
+        keys = np.add(sig, offsets, dtype=np.intp)
+    counts = np.bincount(keys.ravel(), minlength=m * bins)
     counts = counts.reshape(m, bins)[:, :width]
     allowed = _allowed_translates(n, T.q, T.convention)
     if (counts.sum(axis=1) != allowed).any():

@@ -16,8 +16,6 @@ _TICK_TARGET = 6
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
     raw = (hi - lo) / _TICK_TARGET
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 2.5, 5, 10):

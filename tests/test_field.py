@@ -109,6 +109,28 @@ def test_pinned_root_must_be_primitive():
     assert make_field(7, root=5).g == 5
 
 
+def _order(a, q):
+    k, x = 1, a
+    while x != 1:
+        k, x = k + 1, x * a % q
+    return k
+
+
+def test_primitive_root_found_on_first_read():
+    # make_field checks q and a pinned root only; g is the least element
+    # of order q - 1, found when it is first read
+    for q in primes_in_range(5, 2000):
+        F = make_field(q)
+        assert "g" not in vars(F)
+        least = next(a for a in range(2, q) if _order(a, q) == q - 1)
+        assert F.g == least and vars(F)["g"] == least
+        pinned = pow(least, -1, q)  # a primitive root's inverse is one
+        assert make_field(q, root=pinned).g == pinned
+        for bad in (0, 1, least * least % q, q - 1, q):
+            with pytest.raises(ValueError):
+                make_field(q, root=bad)
+
+
 def test_tables_immutable():
     F = make_field(11)
     with pytest.raises(ValueError):
@@ -179,9 +201,23 @@ def test_tables_match_enumeration_oracle():
                                           member_vector(q, r, t, conv)), (q, r, t)
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_tables_match_python_ints_past_2_to_32(r):
+    # at q = 1000003 the products x * x, x^2 * x and x^r * t pass 2^32
+    q = 1_000_003
+    F = make_field(q)
+    t = next(a for a in range(2, q) if pow(a, (q - 1) // r, q) != 1)
+    for coset in (1, t):
+        T = residue_table(F, r, coset, ZeroConvention.ZERO_OUT)
+        want = member_vector(q, r, coset, ZeroConvention.ZERO_OUT)
+        assert np.array_equal(T.member, want), coset
+
+
 def test_residue_tables_build_no_log_tables(monkeypatch):
+    # neither the progressions nor the interface scans read the primitive
+    # root or a log table; this test's own fields read g for a coset
     from residuevc import montecarlo, search
-    built = []
+    own, built = [], []
 
     def recording(q):
         built.append(make_field(q))
@@ -194,12 +230,14 @@ def test_residue_tables_build_no_log_tables(monkeypatch):
             F = make_field(q)
             squares_table(F, conv)
             residue_table(F, 2, F.g, conv)
-            built.append(F)
+            own.append(F)
             longest_shattered_ap(q, conv)
             estimate_p(q, 6, trials=20, seed=1, conv=conv)
-    assert len(built) == 18
-    for F in built:
+    assert len(own) == 6 and len(built) == 12
+    for F in own + built:
         assert "dlog" not in vars(F) and "powers" not in vars(F)
+    assert all("g" in vars(F) for F in own)
+    assert not any("g" in vars(F) for F in built)
 
 
 def test_log_tables_read_after_residue_tables():

@@ -194,23 +194,30 @@ def test_signatures_hold_wide_subsets():
     assert signatures(Y, T).tolist() == expect
 
 
-@pytest.mark.parametrize("n", [15, 16])
+@pytest.mark.parametrize("q, n, m", [
+    pytest.param(16411, 15, 3, id="15"), pytest.param(16411, 16, 3, id="16"),
+    pytest.param(1009, 8, 255, id="255-rows"),
+    pytest.param(1009, 8, 256, id="256-rows")])
 @pytest.mark.parametrize("conv", CONVS)
-def test_tallies_match_oracle_across_the_16_bit_switch(conv, n):
+def test_tallies_match_oracle_across_the_16_bit_switch(conv, q, n, m):
     # below 16 elements signatures are 16-bit, STRICT's sentinel 2^15
     # included; from 16 on they are int64.  At q = 16411 the bins check
-    # lets n = 16 through under every convention.
-    q = 16411
+    # lets n = 16 through under every convention.  A block's bin keys,
+    # m (2^n + 1) of them, stay 16-bit up to 2^16: 255 rows of 257 bins
+    # make 65,535 keys, 256 rows 65,792.  The first two and last two rows
+    # are checked against the oracle, every row against its own tally.
     T = table(q, conv)
     rng = np.random.default_rng(n)
-    rows = np.array([np.arange(n), np.arange(q - n, q),
-                     np.sort(rng.choice(q, size=n, replace=False))])
+    rows = np.array([np.arange(n), np.arange(q - n, q)]
+                    + [np.sort(rng.choice(q, size=n, replace=False))
+                       for _ in range(m - 2)])
     assert signatures(rows[0], T).dtype == (np.uint16 if n < 16 else np.int64)
     [counts] = row_counts(rows, T)
-    for row, got in zip(rows.tolist(), counts):
-        want = oracle_counts(row, T.member, conv)
-        assert np.array_equal(got, want)
-        assert np.array_equal(pattern_counts(row, T), want)
+    assert counts.shape == (m, 1 << n)
+    for i, (row, got) in enumerate(zip(rows.tolist(), counts)):
+        assert np.array_equal(got, pattern_counts(row, T))
+        if i < 2 or i >= m - 2:
+            assert np.array_equal(got, oracle_counts(row, T.member, conv))
 
 
 @pytest.mark.parametrize("conv", CONVS)

@@ -51,11 +51,13 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+FIELD = "src/residuevc/field.py"
 WEIL = "src/residuevc/weil.py"
 SEARCH = "src/residuevc/search.py"
 SHATTER = "src/residuevc/shatter.py"
 MONTECARLO = "src/residuevc/montecarlo.py"
 
+F = "tests/test_field.py::"
 W = "tests/test_weil.py::"
 S = "tests/test_search.py::"
 T = "tests/test_shatter.py::"
@@ -152,6 +154,10 @@ MUTANTS = (
            "pass", PAIR_TESTS + SEARCH_TESTS),
     Mutant("pair-high-loosened", SEARCH, "hi = c - need",
            "hi = c - need + 1", PAIR_TESTS + SEARCH_TESTS),
+    # the field's primitive root
+    Mutant("primitive-root-unchecked", FIELD,
+           "if all(pow(g, (q - 1) // p, q) != 1 for p in factors):",
+           "if True:", (F + "test_primitive_root_found_on_first_read",)),
     # the tallies and the sampler
     Mutant("child-tally-sentinel-dropped", SHATTER,
            "cols[:, np.array(Y, dtype=np.int64)[:, None] - self.forbidden]"
@@ -177,9 +183,12 @@ MUTANTS = (
            "doubled = T.doubled.astype(np.uint16 if n < 16 else np.int64)",
            "doubled = T.doubled.astype(np.uint8 if n < 16 else np.int64)",
            (T + "test_tallies_match_oracle_across_the_16_bit_switch",)),
+    Mutant("tally-keys-past-switch", SHATTER, "if m * bins <= 1 << 16:",
+           "if m * bins <= 1 << 17:",
+           (T + "test_tallies_match_oracle_across_the_16_bit_switch",)),
     Mutant("prefix-windows-uint8", SHATTER,
-           "w = T.doubled.astype(np.uint16 if n < 16 else np.int64)",
-           "w = T.doubled.astype(np.uint8 if n < 16 else np.int64)",
+           "w = T.doubled[q - n + 1 :].astype(np.uint16 if n < 16 else np.int64)",
+           "w = T.doubled[q - n + 1 :].astype(np.uint8 if n < 16 else np.int64)",
            (T + "test_prefix_counts_match_pattern_counts",)),
     Mutant("prefix-slice-one-off", SHATTER,
            "sig += w[w.size - b - q : w.size - b] << b",
