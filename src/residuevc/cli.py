@@ -190,15 +190,16 @@ def _read_rows(path: Path, fields: dict) -> list[dict]:
     return rows
 
 
-def _checkpointed(path: Path, fields: dict, conv: ZeroConvention) -> set[int]:
-    """Primes already in a checkpoint CSV, which must hold only rows of
-    convention ``conv``; mixing conventions in one file is refused."""
+def _checkpointed(path: Path, fields: dict, conv: ZeroConvention) -> list[dict]:
+    """The trusted rows of a checkpoint CSV (``_read_rows``), which must
+    all be of convention ``conv``; mixing conventions in one file is
+    refused."""
     rows = _read_rows(path, fields)
     foreign = sorted({row["convention"].value for row in rows} - {conv.value})
     if foreign:
         raise ValueError(f"{path} holds rows of convention "
                          f"{', '.join(foreign)}, not {conv.value}")
-    return {row["q"] for row in rows}
+    return rows
 
 
 class _Csv:
@@ -269,8 +270,11 @@ def _sweep(args, command: str, fields: dict, params: dict, solve, jobs: int,
     <command>.csv, with ``fields`` as header and checkpoint parsers; the
     figure plots column ``plot_key`` of every row against q, with
     ``curves`` (functions f drawn over the range's primes) and
-    ``svg`` passed on to ``scatter_svg``.  An interrupted sweep's rows are
-    complete, so --resume picks up from them.
+    ``svg`` passed on to ``scatter_svg``.  Those rows are the checkpointed
+    ones and this run's, held as they are made, so the CSV is not read
+    back; ``plot_key`` must name a manifest item field that equals its
+    column.  An interrupted sweep's rows are complete, so --resume picks
+    up from them.
     """
     conv = ZeroConvention.parse(args.convention)
     q_lo, q_hi = args.range
@@ -279,7 +283,9 @@ def _sweep(args, command: str, fields: dict, params: dict, solve, jobs: int,
                   "deterministic": "no RNG used by this command"}
     with _run(args, command, parameters) as (out, manifest):
         csv_path = out / f"{command}.csv"
-        done = _checkpointed(csv_path, fields, conv) if args.resume else set()
+        kept = _checkpointed(csv_path, fields, conv) if args.resume else []
+        done = {r["q"] for r in kept}
+        points = [(r["q"], r[plot_key]) for r in kept]
         qs = primes_in_range(max(q_lo, 5), q_hi)
         for q in sorted(done):
             manifest.items.append({"q": q, "status": "checkpointed"})
@@ -295,10 +301,9 @@ def _sweep(args, command: str, fields: dict, params: dict, solve, jobs: int,
                 values, item = row(r, conv)
                 sheet.row(values)
                 manifest.items.append({"q": r.q, "status": "ok", **item})
-        points = sorted((r["q"], r[plot_key])
-                        for r in _read_rows(csv_path, fields))
+                points.append((r.q, item[plot_key]))
         svg_path = out / f"{command}.svg"
-        scatter_svg(svg_path, points,
+        scatter_svg(svg_path, sorted(points),
                     curves=[[(q, f(q)) for q in qs or [5, 7]]
                             for f in curves], **svg)
         manifest.outputs.append(str(svg_path))

@@ -102,7 +102,8 @@ class ResidueTable:
 
     ``doubled`` holds the translate columns: uint8, length 2q, with
     ``doubled[i] = member[-i mod q]``, so member[(y - x) mod q] over
-    x = 0..q-1 is the zero-copy slice [q-y : 2q-y].
+    x = 0..q-1 is the zero-copy slice [q-y : 2q-y].  It is filled with
+    one reversed copy of ``member``, whose first half then repeats.
     Each reader widens it once to the dtype its sums need.  Both arrays
     are read-only.
     """
@@ -115,8 +116,11 @@ class ResidueTable:
     doubled: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        member = _freeze(self.member)
-        doubled = np.concatenate([member[:1], member[:0:-1]] * 2)
+        member, q = _freeze(self.member), self.q
+        doubled = np.empty(2 * q, dtype=member.dtype)
+        doubled[0] = member[0]
+        doubled[1:q] = member[:0:-1]
+        doubled[q:] = doubled[:q]
         object.__setattr__(self, "doubled", _freeze(doubled))
 
 

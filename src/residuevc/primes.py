@@ -1,12 +1,14 @@
 """Primality testing, prime enumeration, and factorization helpers.
 
 All moduli handled by the package are desk-scale (well under 64 bits), so a
-deterministic Miller-Rabin witness set and trial-division factorization are
+sieve of the numbers below 2^16, built once on first use, a deterministic
+Miller-Rabin witness set above it, and trial-division factorization are
 enough.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -23,16 +25,31 @@ _SMALL_MR_BOUND = 3_215_031_751
 #: would need 16 GiB and products of two residues would overflow int64, so
 #: ``primes_in_range`` lists no prime past them either.
 MAX_MODULUS = 1 << 31
+#: ``is_prime`` reads every n below this from ``_prime_table``.
+_TABLE_BOUND = 1 << 16
+
+
+@functools.cache
+def _prime_table() -> bytes:
+    """Byte n is 1 exactly when n < ``_TABLE_BOUND`` is prime: a sieve of
+    Eratosthenes, 64 KiB, built on first call."""
+    table = bytearray([1]) * _TABLE_BOUND
+    table[:2] = b"\0\0"
+    for p in range(2, math.isqrt(_TABLE_BOUND)):
+        if table[p]:
+            table[p * p :: p] = bytes(len(range(p * p, _TABLE_BOUND, p)))
+    return bytes(table)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit integers: witnesses 2, 3, 5
-    and 7 below ``_SMALL_MR_BOUND``, all of ``_MR_WITNESSES`` above."""
-    if n < 2:
+    """Whether n is prime: read from ``_prime_table`` below 2^16, else
+    deterministic Miller-Rabin for 64-bit integers, with witnesses 2, 3,
+    5 and 7 below ``_SMALL_MR_BOUND`` and all of ``_MR_WITNESSES``
+    above."""
+    if n < _TABLE_BOUND:
+        return n >= 2 and _prime_table()[n] == 1
+    if any(n % p == 0 for p in _MR_WITNESSES):
         return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
     d = n - 1
     s = 0
     while d % 2 == 0:

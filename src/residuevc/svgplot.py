@@ -68,9 +68,13 @@ def scatter_svg(path, points, *, curves=(), x_label: str = "", y_label: str = ""
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
+    if log_x:
+        log_lo = math.log10(x_lo)
+        log_span = math.log10(x_hi) - log_lo
+
     def tx(x: float) -> float:
         if log_x:
-            frac = (math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
+            frac = (math.log10(x) - log_lo) / log_span
         else:
             frac = (x - x_lo) / (x_hi - x_lo)
         return _MARGIN_L + frac * plot_w

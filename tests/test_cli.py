@@ -301,6 +301,26 @@ def test_resume_skips_malformed_rows(tmp_path):
             if i["status"] == "ok"] == [17, 19]
 
 
+def test_resumed_sweep_plots_what_a_fresh_one_does(tmp_path):
+    # the plot is drawn from the checkpointed rows and the new results,
+    # never from the malformed rows a resume skips
+    def svg(command, hi, before=None, append=""):
+        out = tmp_path / f"{command}_{before}"
+        if before:
+            assert main([command, "--range", f"5:{before}",
+                         "--out-dir", str(out)]) == 0
+            with (out / f"{command}.csv").open("a", encoding="utf-8") as fh:
+                fh.write(append)
+        assert main([command, "--range", f"5:{hi}", "--out-dir", str(out),
+                     *(["--resume"] if before else [])]) == 0
+        return (out / f"{command}.svg").read_bytes()
+
+    assert svg("ap", 300, before=100) == svg("ap", 300)
+    malformed = ("17,3,maybe,0.7,0;1;3,zero-in,1.0\n"
+                 "19,3,true,0.7,0;1;3,zero-in,1.0,2.0\n")
+    assert svg("vcdim", 60, before=13, append=malformed) == svg("vcdim", 60)
+
+
 def test_resume_rejects_foreign_header(tmp_path):
     out = tmp_path / "v"
     out.mkdir()

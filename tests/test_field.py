@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import residuevc
 from residuevc.errors import EvenPrime, FieldTooLarge, IndexNotDividing, NotPrime
 from residuevc.field import (ZERO_EXP, ZeroConvention, character_table,
                              coset_representatives, make_field, residue_table,
@@ -362,15 +367,30 @@ def test_miller_rabin_agrees_with_trial_division():
     def slow(n):
         return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
-    for n in range(1000):
-        assert is_prime(n) == slow(n)
+    for n in [*range(1000), 65_521, 65_536, 65_537, -7]:
+        assert is_prime(n) == slow(n), n
     for n in [2**31 - 1, 10**12 + 39, 10**12 + 61]:
         assert is_prime(n)
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
 
 
+def test_prime_table_is_built_on_first_call_not_at_import():
+    child = ("import residuevc\n"
+             "from residuevc import primes\n"
+             "built = primes._prime_table.cache_info\n"
+             "assert built().currsize == 0\n"
+             "assert primes.is_prime(65_537) and built().currsize == 0\n"
+             "assert primes.is_prime(65_521) and built().currsize == 1\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(residuevc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", child], env=env, timeout=60)
+    assert proc.returncode == 0
+
+
 def test_miller_rabin_agrees_with_a_sieve():
-    # below 3,215,031,751 only the witnesses 2, 3, 5 and 7 are tried
+    # below 2^16 is_prime reads its own table, which this independent
+    # sieve checks; from 2^16 to 3,215,031,751 only the witnesses 2, 3, 5
+    # and 7 are tried
     limit = 10**6
     sieve = np.ones(limit, dtype=bool)
     sieve[:2] = False

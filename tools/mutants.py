@@ -56,12 +56,15 @@ WEIL = "src/residuevc/weil.py"
 SEARCH = "src/residuevc/search.py"
 SHATTER = "src/residuevc/shatter.py"
 MONTECARLO = "src/residuevc/montecarlo.py"
+PRIMES = "src/residuevc/primes.py"
+CLI = "src/residuevc/cli.py"
 
 F = "tests/test_field.py::"
 W = "tests/test_weil.py::"
 S = "tests/test_search.py::"
 T = "tests/test_shatter.py::"
 M = "tests/test_montecarlo.py::"
+C = "tests/test_cli.py::"
 QUAD_TESTS = (W + "test_quads_sent_cover_every_affine_orbit",
               W + "test_quads_sent_count",
               W + "test_quad_fast_path_matches_generic")
@@ -154,10 +157,21 @@ MUTANTS = (
            "pass", PAIR_TESTS + SEARCH_TESTS),
     Mutant("pair-high-loosened", SEARCH, "hi = c - need",
            "hi = c - need + 1", PAIR_TESTS + SEARCH_TESTS),
-    # the field's primitive root
+    # the prime table, the field's primitive root and its translate columns
+    Mutant("prime-table-stops-early", PRIMES,
+           "for p in range(2, math.isqrt(_TABLE_BOUND)):",
+           "for p in range(2, math.isqrt(_TABLE_BOUND) // 2):",
+           (F + "test_miller_rabin_agrees_with_a_sieve",)),
     Mutant("primitive-root-unchecked", FIELD,
            "if all(pow(g, (q - 1) // p, q) != 1 for p in factors):",
            "if True:", (F + "test_primitive_root_found_on_first_read",)),
+    Mutant("doubled-unreversed", FIELD, "doubled[1:q] = member[:0:-1]",
+           "doubled[1:q] = member[1:]",
+           (T + "test_table_columns_are_translates",)),
+    # a resumed sweep's plot
+    Mutant("plot-drops-checkpointed-rows", CLI,
+           'points = [(r["q"], r[plot_key]) for r in kept]', "points = []",
+           (C + "test_resumed_sweep_plots_what_a_fresh_one_does",)),
     # the tallies and the sampler
     Mutant("child-tally-sentinel-dropped", SHATTER,
            "cols[:, np.array(Y, dtype=np.int64)[:, None] - self.forbidden]"
