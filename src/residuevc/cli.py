@@ -162,63 +162,63 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(";")] if text else []
 
 
-def _read_rows(path: Path, fields: dict) -> list[dict]:
-    """Parsed rows of a checkpoint CSV written with header ``list(fields)``.
+def _checkpointed(path: Path, fields: dict,
+                  required: dict) -> tuple[list[dict], int]:
+    """The trusted rows of a checkpoint CSV written with header
+    ``list(fields)``, and ``end``, the byte length of its complete lines;
+    the file is read once, and a missing one gives ``([], 0)``.
 
     A row is trusted only when its line is complete, every header field is
     present and parses with its converter; any other row is dropped, so
     its item is redone.  So a partial last line, left by an interrupted
-    write, is ignored here and cut off by ``_Csv`` on resume.
+    write, is ignored here and cut off at ``end`` by ``_Csv``.  A trusted
+    row whose text in a field of ``required`` differs from the value
+    there (another convention, say) is stale: the file is refused, with
+    that field, its value and the rows' primes.
     """
-    if not path.exists():
-        return []
-    with path.open(newline="", encoding="utf-8") as fh:
-        text = fh.read()
-    reader = csv.DictReader(io.StringIO(text[:text.rfind("\n") + 1],
+    data = path.read_bytes() if path.exists() else b""
+    end = data.rfind(b"\n") + 1
+    reader = csv.DictReader(io.StringIO(data[:end].decode("utf-8"),
                                         newline=""))
     if reader.fieldnames is not None and reader.fieldnames != list(fields):
         raise ValueError(f"{path} has columns {reader.fieldnames}, "
                          f"expected {list(fields)}")
-    rows = []
+    trusted = []
     for raw in reader:
         if None in raw or None in raw.values():
             continue  # more or fewer fields than the header
         try:
-            rows.append({k: parse(raw[k]) for k, parse in fields.items()})
+            trusted.append((raw, {k: parse(raw[k])
+                                  for k, parse in fields.items()}))
         except (TypeError, ValueError):
             continue
-    return rows
-
-
-def _checkpointed(path: Path, fields: dict, conv: ZeroConvention) -> list[dict]:
-    """The trusted rows of a checkpoint CSV (``_read_rows``), which must
-    all be of convention ``conv``; mixing conventions in one file is
-    refused."""
-    rows = _read_rows(path, fields)
-    foreign = sorted({row["convention"].value for row in rows} - {conv.value})
-    if foreign:
-        raise ValueError(f"{path} holds rows of convention "
-                         f"{', '.join(foreign)}, not {conv.value}")
-    return rows
+    for key, value in required.items():
+        stale = [str(row["q"]) for raw, row in trusted if raw[key] != value]
+        if stale:
+            raise ValueError(f"{path} holds rows whose {key} is not {value}, "
+                             f"for q = {', '.join(stale)}; resume them with "
+                             f"the options that wrote them, or drop --resume")
+    return [row for _, row in trusted], end
 
 
 class _Csv:
     """Append-mode CSV writer that flushes after every row; a context
     manager that closes the file.
 
-    On resume, a partial last line left by an interrupted write is cut
-    off first, so every appended row starts on a fresh line.
+    With ``keep`` 0 the file is written afresh, from ``header``.
+    Otherwise it is a resumed checkpoint: it is cut to its first ``keep``
+    bytes (``_checkpointed``'s ``end``, dropping a partial last line left
+    by an interrupted write) and appended to, so every new row starts on
+    a fresh line.
     """
 
-    def __init__(self, path: Path, header: list[str], resume: bool):
-        if resume and path.exists():
-            with path.open("r+b") as fh:
-                data = fh.read()
-                fh.truncate(data.rfind(b"\n") + 1)
-        fresh = not (resume and path.exists() and path.stat().st_size > 0)
-        self.fh = path.open("w" if fresh else "a", newline="", encoding="utf-8")
+    def __init__(self, path: Path, header: list[str], keep: int = 0):
+        if keep:
+            os.truncate(path, keep)
+        self.fh = path.open("a" if keep else "w", newline="",
+                            encoding="utf-8")
         self.writer = csv.writer(self.fh)
-        if fresh:
+        if not keep:
             self.writer.writerow(header)
             self.fh.flush()
 
@@ -258,7 +258,7 @@ def _run(args, command: str, parameters: dict):
 
 
 def _sweep(args, command: str, fields: dict, params: dict, solve, jobs: int,
-           row, plot_key: str, curves: list, **svg) -> int:
+           row, plot_key: str, curves: list, required: dict, **svg) -> int:
     """Run a checkpointed per-prime sweep over the primes of ``args.range``
     from 5 on.
 
@@ -267,7 +267,11 @@ def _sweep(args, command: str, fields: dict, params: dict, solve, jobs: int,
     ascending order, and a failed prime becomes an ``error`` item of the
     manifest.  ``row(r, conv)`` gives a result's CSV values and the fields
     of its manifest item after q and status.  The rows go to
-    <command>.csv, with ``fields`` as header and checkpoint parsers; the
+    <command>.csv, with ``fields`` as header and checkpoint parsers.  On
+    --resume, ``_checkpointed`` reads that file once, before any output is
+    opened, and refuses it when a trusted row differs from this run's
+    convention or from ``required`` (more field texts a row must hold);
+    ``_Csv`` then cuts it to its complete lines and appends.  The
     figure plots column ``plot_key`` of every row against q, with
     ``curves`` (functions f drawn over the range's primes) and
     ``svg`` passed on to ``scatter_svg``.  Those rows are the checkpointed
@@ -283,7 +287,9 @@ def _sweep(args, command: str, fields: dict, params: dict, solve, jobs: int,
                   "deterministic": "no RNG used by this command"}
     with _run(args, command, parameters) as (out, manifest):
         csv_path = out / f"{command}.csv"
-        kept = _checkpointed(csv_path, fields, conv) if args.resume else []
+        kept, end = (_checkpointed(csv_path, fields,
+                                   {"convention": conv.value, **required})
+                     if args.resume else ([], 0))
         done = {r["q"] for r in kept}
         points = [(r["q"], r[plot_key]) for r in kept]
         qs = primes_in_range(max(q_lo, 5), q_hi)
@@ -294,7 +300,7 @@ def _sweep(args, command: str, fields: dict, params: dict, solve, jobs: int,
             manifest.items.append({"q": q, "status": "error",
                                    "detail": str(exc)})
 
-        with _Csv(csv_path, list(fields), args.resume) as sheet:
+        with _Csv(csv_path, list(fields), end) as sheet:
             manifest.outputs.append(str(csv_path))
             for r in sweep(partial(solve, conv=conv),
                            [q for q in qs if q not in done], jobs, on_error):
@@ -328,19 +334,12 @@ def cmd_vcdim(args) -> int:
                  "cells": r.cells, "pair_cells": r.pair_cells,
                  "nodes_by_depth": r.nodes_by_depth})
 
-    if args.resume and not args.early_exit:
-        # an exact sweep must not keep an early-exit run's lower bounds
-        path = _out_dir(args, "vcdim") / "vcdim.csv"
-        inexact = [str(r["q"]) for r in _read_rows(path, VCDIM_FIELDS)
-                   if not r["exact"]]
-        if inexact:
-            raise ValueError(f"{path} holds early-exit lower bounds "
-                             f"(exact=false) for q = {', '.join(inexact)}; "
-                             f"add --early-exit or drop --resume")
+    # an exact sweep must not keep an early-exit run's lower bounds
     return _sweep(args, "vcdim", VCDIM_FIELDS,
                   {"early_exit": args.early_exit, "jobs": args.jobs},
                   partial(vc_dimension, early_exit=args.early_exit),
                   args.jobs, row, "vcdim", [math.log2],
+                  {} if args.early_exit else {"exact": "true"},
                   x_label="prime q", y_label="largest shattered size",
                   title=f"VC dimension, convention {args.convention}")
 
@@ -359,7 +358,7 @@ def cmd_ap(args) -> int:
                  conv.value], {"longest": r.longest})
 
     return _sweep(args, "ap", AP_FIELDS, {}, longest_shattered_ap, 1, row,
-                  "longest", [math.log2, lambda q: math.log2(q) / 2],
+                  "longest", [math.log2, lambda q: math.log2(q) / 2], {},
                   x_label="prime q (log scale)",
                   y_label="longest shattered progression", log_x=True,
                   title=f"Shattered initial segments, convention "
@@ -393,7 +392,7 @@ def cmd_prob(args) -> int:
         for n in range(n_lo, n_hi + 1):
             points = interface_scan(n, *scan, conv=conv)
             csv_path = out / f"prob_n{n}.csv"
-            with _Csv(csv_path, PROB_HEADER, resume=False) as sheet:
+            with _Csv(csv_path, PROB_HEADER) as sheet:
                 manifest.outputs.append(str(csv_path))
                 for p in points:
                     sheet.row([p.n, p.q, f"{p.ratio:.6f}", p.trials, p.hits,
@@ -457,7 +456,7 @@ def cmd_verify(args) -> int:
     total_violations = 0
     with _run(args, "verify", parameters) as (out, manifest):
         csv_path = out / "verify.csv"
-        with _Csv(csv_path, VERIFY_HEADER, resume=False) as sheet:
+        with _Csv(csv_path, VERIFY_HEADER) as sheet:
             manifest.outputs.append(str(csv_path))
             for q in qs:
                 F = make_field(q)

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import (Infeasible, IndexNotDividing, LengthMismatch,
                      ModulusMismatch)
 from .field import (ZERO_EXP, CharacterTable, PrimeField, ZeroConvention,
-                    character_table, log2_floor, residue_table)
+                    character_table, residue_table)
 from .montecarlo import sample_subset
 from .search import canonical
 from .shatter import ChildTally, _allowed_translates, rooted_minima

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -331,7 +332,7 @@ def test_resume_rejects_foreign_header(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["vcdim", "ap"])
-def test_resume_rejects_rows_of_another_convention(tmp_path, command):
+def test_resume_rejects_rows_of_another_convention(tmp_path, command, capsys):
     out = tmp_path / command
     csv_path = out / f"{command}.csv"
     assert main([command, "--range", "5:13", "--out-dir", str(out)]) == 0
@@ -339,8 +340,12 @@ def test_resume_rejects_rows_of_another_convention(tmp_path, command):
         with csv_path.open("a", encoding="utf-8") as fh:
             fh.write(tail)
         before = csv_path.read_bytes()
+        capsys.readouterr()
         assert main([command, "--range", "5:17", "--convention", "strict",
                      "--resume", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "convention is not strict" in err
+        assert "q = 5, 7, 11, 13;" in err
         assert csv_path.read_bytes() == before
 
 
@@ -362,6 +367,31 @@ def test_exact_resume_rejects_early_exit_rows(tmp_path, capsys):
         assert "q = 5, 7, 11, 13, 17, 19, 23;" in capsys.readouterr().err
         assert csv_path.read_bytes() == before
         assert (out / "manifest.json").read_bytes() == manifest
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("vcdim", []), ("vcdim", ["--early-exit"]), ("ap", [])])
+def test_resume_reads_its_checkpoint_once(tmp_path, monkeypatch, command,
+                                          flags):
+    out = tmp_path / command
+    csv_path = out / f"{command}.csv"
+    assert main([command, "--range", "5:13", *flags,
+                 "--out-dir", str(out)]) == 0
+    with csv_path.open("a", encoding="utf-8") as fh:
+        fh.write("17,3")  # a partial last line, cut off on resume
+    reads = []
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if str(file) == str(csv_path) and ("r" in mode or "+" in mode):
+            reads.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    assert main([command, "--range", "5:31", *flags, "--resume",
+                 "--out-dir", str(out)]) == 0
+    assert len(reads) == 1
+    assert [int(r["q"]) for r in read_csv(csv_path)] == primes_in_range(5, 31)
 
 
 def test_early_exit_resume_keeps_exact_rows(tmp_path):

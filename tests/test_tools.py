@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -299,3 +300,46 @@ def test_mutants_anchors_occur_once_at_head():
     for mutant in mt.MUTANTS:
         text = (root / mutant.path).read_text(encoding="utf-8")
         assert text.count(mutant.old) == 1, mutant.name
+
+
+PACKAGE = SCRIPT.parent.parent / "src" / "residuevc"
+
+
+def unread_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, apart from those listed in
+    its ``__all__`` or imported on a line marked ``# noqa: F401``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported.add(alias.asname or alias.name.split(".")[0])
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            exported.update(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read - exported)
+
+
+def test_unread_imports_finds_what_no_line_reads():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport sys as system\n"
+              "from math import log2, pi\n"
+              "from json import dumps  # noqa: F401\n"
+              "from csv import writer\n"
+              "__all__ = ['writer']\n"
+              "print(os.path.sep, log2(system.maxsize))\n")
+    assert unread_imports(source) == ["pi"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_package_modules_read_every_import(path):
+    assert unread_imports(path.read_text(encoding="utf-8")) == []

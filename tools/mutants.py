@@ -168,7 +168,12 @@ MUTANTS = (
     Mutant("doubled-unreversed", FIELD, "doubled[1:q] = member[:0:-1]",
            "doubled[1:q] = member[1:]",
            (T + "test_table_columns_are_translates",)),
-    # a resumed sweep's plot
+    # a resumed sweep: its refusal of stale rows, its cut and its plot
+    Mutant("checkpoint-required-ignored", CLI, "if stale:", "if False:",
+           (C + "test_resume_rejects_rows_of_another_convention",
+            C + "test_exact_resume_rejects_early_exit_rows")),
+    Mutant("checkpoint-cut-skipped", CLI, "os.truncate(path, keep)", "pass",
+           (C + "test_resume_redoes_truncated_last_row",)),
     Mutant("plot-drops-checkpointed-rows", CLI,
            'points = [(r["q"], r[plot_key]) for r in kept]', "points = []",
            (C + "test_resumed_sweep_plots_what_a_fresh_one_does",)),
