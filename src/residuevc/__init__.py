@@ -13,9 +13,8 @@ Library layout:
 __version__ = "0.1.0"
 
 from .errors import (EmptyFold, EvenPrime, FieldTooLarge, Infeasible,
-                     IndexNotDividing, LengthMismatch, ModulusMismatch,
-                     NotPrime, NTooLarge, ResidueVCError, TooSmall,
-                     WidthOverflow)
+                     IndexNotDividing, LengthMismatch, NotPrime, NTooLarge,
+                     ResidueVCError, TooSmall, WidthOverflow)
 from .field import (CharacterTable, PrimeField, ResidueTable, ZeroConvention,
                     character_table, make_field, residue_table, squares_table)
 from .montecarlo import ProbPoint, estimate_p, interface_scan
@@ -30,7 +29,7 @@ from .weil import (PolySpec, char_sum, coset_probability, fourier_probability,
 __all__ = [
     "ApResult", "CharacterTable", "EmptyFold", "EvenPrime",
     "FieldTooLarge", "Infeasible", "IndexNotDividing", "LengthMismatch",
-    "ModulusMismatch", "NotPrime", "NTooLarge", "PolySpec",
+    "NotPrime", "NTooLarge", "PolySpec",
     "PrimeField", "ProbPoint", "ResidueTable", "ResidueVCError",
     "TooSmall", "VcResult", "WidthOverflow", "ZeroConvention",
     "char_sum", "character_table", "coset_probability", "estimate_p",

@@ -25,10 +25,6 @@ class IndexNotDividing(ResidueVCError):
     """The subgroup index r does not divide q - 1."""
 
 
-class ModulusMismatch(ResidueVCError):
-    """Two objects built over different moduli were combined."""
-
-
 class WidthOverflow(ResidueVCError):
     """Subset size exceeds the 63-bit signature width."""
 

@@ -77,12 +77,12 @@ def sample_subset(rng: np.random.Generator, q: int, n: int) -> list[int]:
     The n swap indices j_i in [i, q) are drawn in one call, which gives the
     same PCG64 stream as n scalar ``rng.integers(i, q)`` draws.
     """
-    return _fisher_yates(q, rng.integers(np.arange(n), q).tolist())
+    return _fisher_yates(rng.integers(np.arange(n), q).tolist())
 
 
-def _fisher_yates(q: int, js: list[int]) -> list[int]:
-    """Sorted first len(js) entries of range(q) after swapping entry i with
-    entry js[i], for i = 0, 1, ... in turn.
+def _fisher_yates(js: list[int]) -> list[int]:
+    """Sorted first len(js) entries of the pool 0, 1, 2, ... after swapping
+    entry i with entry js[i], for i = 0, 1, ... in turn.
 
     Only the displaced pool entries are stored, so memory is O(len(js)).
     """

@@ -1,6 +1,8 @@
 """Numerical verification of the character-sum machinery at small scale.
 
-Three independent checks:
+Every character sum and coset probability reads one ``CharacterTable``
+C, which carries q and r: C.exp_of[x] is the e with x in the coset
+g^e * G_r, and ``ZERO_EXP`` at x = 0.  Three independent checks:
 
 - ``verify_weil``: complete character sums over root products stay within
   (n-1) * sqrt(q) whenever the polynomial has n distinct roots and is not
@@ -28,8 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (Infeasible, IndexNotDividing, LengthMismatch,
-                     ModulusMismatch)
+from .errors import Infeasible, LengthMismatch
 from .field import (ZERO_EXP, CharacterTable, PrimeField, ZeroConvention,
                     character_table, residue_table)
 from .montecarlo import sample_subset
@@ -64,17 +65,16 @@ class PolySpec:
         return sum(1 for k in self.powers if k >= 1)
 
 
-def char_sum(F: PrimeField, C: CharacterTable, spec: PolySpec) -> complex:
-    """Sum of chi_r(f(x)) over all x, with chi_r(0) = 0.
+def char_sum(C: CharacterTable, spec: PolySpec) -> complex:
+    """Sum of chi_r(f(x)) over all x in F_q, with chi_r(0) = 0, for the
+    q and r of ``C``.
 
     The sum is accumulated as a histogram of exponents mod r and turned
     into a complex number once, so there is no per-term rounding.  Raises
     ValueError when two roots are equal mod q, since ``spec`` then does
     not have the distinct roots it claims.
     """
-    if C.q != F.q:
-        raise ModulusMismatch("character table was built for another field")
-    q, r = F.q, C.r
+    q, r = C.q, C.r
     if len({y % q for y in spec.roots}) != len(spec.roots):
         raise ValueError(f"roots must be distinct mod {q}")
     xs = np.arange(q, dtype=np.int64)
@@ -124,9 +124,10 @@ def _weil_specs(q: int, r: int, n_max: int, samples: int,
             yield PolySpec(tuple(Y), ks), 1
 
 
-def verify_weil(F: PrimeField, C: CharacterTable, n_max: int,
-                samples: int = 500, seed: int = 0) -> WeilReport:
-    """Check |char_sum| <= (n-1)*sqrt(q) + tolerance over PolySpecs.
+def verify_weil(C: CharacterTable, n_max: int, samples: int = 500,
+                seed: int = 0) -> WeilReport:
+    """Check |char_sum| <= (n-1)*sqrt(q) + tolerance over PolySpecs, for
+    the q and r of ``C``.
 
     Levels n = 1 and n = 2 are exhaustive: every root subset and every
     exponent vector in [1, r-1]^n is counted in ``instances``.  Levels
@@ -148,14 +149,14 @@ def verify_weil(F: PrimeField, C: CharacterTable, n_max: int,
     and ``worst`` is the (roots, powers) reaching it; a level-2 maximum is
     reported at the roots (0, 1).
     """
-    q, r = F.q, C.r
+    q, r = C.q, C.r
     sqrt_q = math.sqrt(q)
     instances = violations = 0
     max_ratio = 0.0
     max_abs = 0.0
     worst = None
     for spec, weight in _weil_specs(q, r, n_max, samples, seed):
-        s = abs(char_sum(F, C, spec))
+        s = abs(char_sum(C, spec))
         bound = (spec.distinct_roots - 1) * sqrt_q
         instances += weight
         if s > bound + WEIL_TOL:
@@ -169,15 +170,13 @@ def verify_weil(F: PrimeField, C: CharacterTable, n_max: int,
                       max_abs_sum=max_abs, worst=worst)
 
 
-def _targets(F: PrimeField, C: CharacterTable, Y: Sequence[int],
+def _targets(C: CharacterTable, Y: Sequence[int],
              t: Sequence[int]) -> tuple[int, ...]:
     """The exponents of the coset targets (t_1, ..., t_n) of Y, after
-    checking the input every coset probability shares: ``C`` is a table
-    of ``F``, there is one target per element, the elements of Y are
-    distinct mod q and every target is nonzero."""
-    q = F.q
-    if C.q != q:
-        raise ModulusMismatch("character table was built for another field")
+    checking the input every coset probability shares: there is one
+    target per element, the elements of Y are distinct mod q and every
+    target is nonzero."""
+    q = C.q
     if len(t) != len(Y):
         raise LengthMismatch(f"|Y| = {len(Y)} but |t| = {len(t)}")
     if len({y % q for y in Y}) != len(Y):
@@ -187,14 +186,14 @@ def _targets(F: PrimeField, C: CharacterTable, Y: Sequence[int],
     return tuple(int(C.exp_of[tj % q]) for tj in t)
 
 
-def _coset_counts(F: PrimeField, C: CharacterTable, Y: Sequence[int],
+def _coset_counts(C: CharacterTable, Y: Sequence[int],
                   t: Sequence[int]) -> tuple[int, int]:
     """Numbers of translates x with y_j - x in t_j * G_r for every j:
     ``inside`` those with no y_j - x = 0, ``boundary`` those with one
     y_i - x = 0 and every other y_j - x in its coset.  As Y is distinct,
     no translate hits two elements."""
-    exps = np.array(_targets(F, C, Y, t), dtype=np.int64)
-    q = F.q
+    exps = np.array(_targets(C, Y, t), dtype=np.int64)
+    q = C.q
     ys = np.array([y % q for y in Y], dtype=np.int64)
     e = C.exp_of[(ys[:, None] - np.arange(q, dtype=np.int64)) % q]
     hit = e == exps[:, None]
@@ -204,8 +203,7 @@ def _coset_counts(F: PrimeField, C: CharacterTable, Y: Sequence[int],
     return inside, boundary
 
 
-def coset_probability(F: PrimeField, C: CharacterTable,
-                      Y: Sequence[int], t: Sequence[int],
+def coset_probability(C: CharacterTable, Y: Sequence[int], t: Sequence[int],
                       conv: ZeroConvention = ZeroConvention.ZERO_OUT) -> Fraction:
     """Exact fraction of x in F_q with y_j - x in t_j * G_r for every j.
 
@@ -213,14 +211,14 @@ def coset_probability(F: PrimeField, C: CharacterTable,
     every coset under ZERO_IN and as non-members otherwise.  The
     denominator is always q.
     """
-    inside, boundary = _coset_counts(F, C, Y, t)
+    inside, boundary = _coset_counts(C, Y, t)
     if conv is ZeroConvention.ZERO_IN:
         inside += boundary
-    return Fraction(inside, F.q)
+    return Fraction(inside, C.q)
 
 
-def fuzzy_coset_probability(F: PrimeField, C: CharacterTable,
-                            Y: Sequence[int], t: Sequence[int]) -> Fraction:
+def fuzzy_coset_probability(C: CharacterTable, Y: Sequence[int],
+                            t: Sequence[int]) -> Fraction:
     """Coset probability with boundary translates weighted 1/r.
 
     A translate x = y_j contributes weight 1/r times the product of the
@@ -228,19 +226,19 @@ def fuzzy_coset_probability(F: PrimeField, C: CharacterTable,
     exact weighting under which the character expansion below is an
     identity.
     """
-    inside, boundary = _coset_counts(F, C, Y, t)
-    return (inside + Fraction(boundary, C.r)) / F.q
+    inside, boundary = _coset_counts(C, Y, t)
+    return (inside + Fraction(boundary, C.r)) / C.q
 
 
-def fourier_probability(F: PrimeField, C: CharacterTable,
-                        Y: Sequence[int], t: Sequence[int]) -> complex:
+def fourier_probability(C: CharacterTable, Y: Sequence[int],
+                        t: Sequence[int]) -> complex:
     """Character-expansion form of the fuzzy coset probability.
 
     r^(-n) * (1 + sum over nonzero exponent vectors k of
     conj(chi)(prod t_j^k_j) * (1/q) * char_sum(f_k)).
     """
-    exps = _targets(F, C, Y, t)
-    q, r = F.q, C.r
+    exps = _targets(C, Y, t)
+    q, r = C.q, C.r
     n = len(Y)
     phases = np.exp(2j * np.pi * np.arange(r) / r)
     total = 1.0 + 0.0j
@@ -249,7 +247,7 @@ def fourier_probability(F: PrimeField, C: CharacterTable,
             continue
         prod_exp = sum(k * e for k, e in zip(ks, exps)) % r
         b = phases[prod_exp].conjugate()
-        s = char_sum(F, C, PolySpec(tuple(Y), ks))
+        s = char_sum(C, PolySpec(tuple(Y), ks))
         total += b * s / q
     return total / r**n
 
@@ -265,16 +263,16 @@ class EquiReport:
     max_normalized: float
 
 
-def verify_equidistribution(F: PrimeField, r: int, n_max: int,
+def verify_equidistribution(C: CharacterTable, n_max: int,
                             samples: int = 500, seed: int = 0) -> EquiReport:
-    """Sample (Y, t) pairs and check |P - r^(-n)| <= n/sqrt(q) + n/q.
+    """Sample (Y, t) pairs and check |P - r^(-n)| <= n/sqrt(q) + n/q, for
+    the q and r of ``C``.
 
     Counts are integers (boundary translates are non-members, as under
     STRICT); the n/q term absorbs their gap from the weight-1/r
     idealization.
     """
-    C = character_table(F, r)
-    q = F.q
+    q, r = C.q, C.r
     rng = np.random.default_rng(seed)
     instances = violations = 0
     max_norm = 0.0
@@ -284,7 +282,7 @@ def verify_equidistribution(F: PrimeField, r: int, n_max: int,
         for _ in range(samples):
             Y = sample_subset(rng, q, n)
             t = [int(v) for v in rng.integers(1, q, size=n)]
-            p = coset_probability(F, C, Y, t, ZeroConvention.STRICT)
+            p = coset_probability(C, Y, t, ZeroConvention.STRICT)
             bound = n / math.sqrt(q) + n / q
             gap = abs(float(p) - r ** -n)
             instances += 1
@@ -311,11 +309,10 @@ class TheoremReport:
     passed: bool
 
 
-def _first_non_power(F: PrimeField, C: CharacterTable) -> int:
-    for t in range(2, F.q):
-        if int(C.exp_of[t]) != 0:
-            return t
-    raise IndexNotDividing("no non-trivial coset exists")
+def _first_non_power(C: CharacterTable) -> int:
+    """The least t in F_q outside G_r; one exists, as r >= 2 divides
+    q - 1 (``character_table``)."""
+    return int(np.flatnonzero(C.exp_of > 0)[0])
 
 
 def _witness_tally(F: PrimeField, C: CharacterTable, t: int) -> ChildTally:
@@ -539,7 +536,7 @@ def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremR
     C = character_table(F, r)
     q = F.q
     n_star = int((0.5 - epsilon) * math.log(q, r))
-    t = _first_non_power(F, C)
+    t = _first_non_power(C)
     if n_star <= 0:
         return TheoremReport(q=q, r=r, epsilon=epsilon, n_star=n_star,
                              checked=0, failures=0, passed=True)

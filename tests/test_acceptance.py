@@ -112,7 +112,7 @@ def test_criterion_5_weil_bound():
         for r in (2, 3):
             if (q - 1) % r:
                 continue
-            rep = verify_weil(F, character_table(F, r), 3, samples=500, seed=0)
+            rep = verify_weil(character_table(F, r), 3, samples=500, seed=0)
             total += rep.instances
             violations += rep.violations
             worst = max(worst, rep.max_ratio)
@@ -130,7 +130,8 @@ def test_criterion_6_equidistribution():
     total = violations = 0
     worst = 0.0
     for q in (101, 499, 997):
-        rep = verify_equidistribution(make_field(q), 2, 4, samples=500, seed=0)
+        rep = verify_equidistribution(character_table(make_field(q), 2), 4,
+                                      samples=500, seed=0)
         total += rep.instances
         violations += rep.violations
         worst = max(worst, rep.max_normalized)
@@ -159,8 +160,8 @@ def test_criterion_7_fourier_identity():
                 for _ in range(4):
                     Y = sorted(rng.choice(q, size=n, replace=False).tolist())
                     t = [int(v) for v in rng.integers(1, q, size=n)]
-                    lhs = float(fuzzy_coset_probability(F, C, Y, t))
-                    rhs = fourier_probability(F, C, Y, t)
+                    lhs = float(fuzzy_coset_probability(C, Y, t))
+                    rhs = fourier_probability(C, Y, t)
                     max_gap = max(max_gap, abs(lhs - rhs.real), abs(rhs.imag))
                     checked += 1
     ok = max_gap <= 1e-6

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -479,7 +480,7 @@ def test_manifest_save_failure_in_process_keeps_previous(tmp_path):
 def test_verify_counts_forced_violations_as_failures(tmp_path, monkeypatch,
                                                      capsys):
     from residuevc import weil
-    monkeypatch.setattr(weil, "char_sum", lambda F, C, spec: complex(F.q))
+    monkeypatch.setattr(weil, "char_sum", lambda C, spec: complex(C.q))
     out = tmp_path / "w"
     assert main(["verify", "--q-max", "13", "--samples", "5",
                  "--out-dir", str(out)]) == 1
@@ -529,6 +530,24 @@ def test_verify_skips_checks_over_budget(tmp_path, monkeypatch):
                and "budget" in i["skipped"]["shattering"]
                for i in partial.values())
 
+
+def test_verify_builds_two_character_tables_per_index(tmp_path, monkeypatch):
+    # one for the Weil and equidistribution checks, and the one the
+    # theorem check builds for itself
+    from residuevc import cli, weil
+    built = Counter()
+    real = cli.character_table
+
+    def counting(F, r):
+        built[F.q, r] += 1
+        return real(F, r)
+
+    monkeypatch.setattr(cli, "character_table", counting)
+    monkeypatch.setattr(weil, "character_table", counting)
+    assert main(["verify", "--q-max", "31", "--r", "2,3", "--samples", "20",
+                 "--out-dir", str(tmp_path / "w")]) == 0
+    assert built == {(q, r): 2 for q in primes_in_range(5, 31)
+                     for r in (2, 3) if (q - 1) % r == 0}
 
 def _interrupt_at(stop_q, monkeypatch):
     """Make ``sweep``, as the CLI calls it, raise KeyboardInterrupt when it

@@ -142,7 +142,7 @@ def test_fisher_yates_rows_match_scalar_rows(q, n):
         np.maximum(k, rng.integers(0, n, size=(50, n)))])
     got = montecarlo._fisher_yates_rows(js)
     assert got.shape == js.shape
-    assert got.tolist() == [montecarlo._fisher_yates(q, row)
+    assert got.tolist() == [montecarlo._fisher_yates(row)
                             for row in js.tolist()]
 
 

@@ -277,17 +277,23 @@ def test_mutants_report_killed_survived_and_anchor_missing(tmp_path, capsys):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_calc.py").write_text(
         "from calc import add\n\n\ndef test_add():\n"
-        "    assert add(2, 3) == 5\n", encoding="utf-8")
-    tests = ("tests/test_calc.py",)
+        "    assert add(2, 3) == 5\n\n\ndef test_add_zero():\n"
+        "    assert add(4, 0) == 4\n", encoding="utf-8")
+    tests = ("tests/test_calc.py::test_add",)
+    both = tests + ("tests/test_calc.py::test_add_zero",)
     mutants = [mt.Mutant("minus", "src/calc.py", "a + b", "a - b", tests),
                mt.Mutant("swapped", "src/calc.py", "a + b", "b + a", tests),
                mt.Mutant("moved", "src/calc.py", "a * b", "a / b", tests),
                mt.Mutant("unnamed-test", "src/calc.py", "a + b", "a - b",
-                         ("tests/test_none.py",))]
+                         ("tests/test_none.py",)),
+               # each named test runs, and each kills it alone
+               mt.Mutant("times", "src/calc.py", "a + b", "a * b", both)]
     results = mt.run(tmp_path, mutants)
     assert [(name, status) for name, status, _ in results] == [
         ("minus", "killed"), ("swapped", "survived"),
-        ("moved", "anchor-missing"), ("unnamed-test", "error")]
+        ("moved", "anchor-missing"), ("unnamed-test", "error"),
+        ("times", "killed")]
+    assert results[-1][2].startswith("2 failed in ")
     # the edits went into a copy
     assert (tmp_path / "src" / "calc.py").read_text(encoding="utf-8") == source
     assert capsys.readouterr().out.splitlines()[0].startswith("killed")
@@ -343,3 +349,46 @@ def test_unread_imports_finds_what_no_line_reads():
                          ids=lambda path: path.name)
 def test_package_modules_read_every_import(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``function.parameter`` for each named parameter of a function or
+    lambda, apart from ``self`` and ``cls``, that its body never reads;
+    a read in a nested function's body counts.  ``*args`` and
+    ``**kwargs`` are not named: they take what a protocol passes, as
+    ``__exit__(self, *exc)`` does."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        named = [a.arg for a in (*args.posonlyargs, *args.args,
+                                 *args.kwonlyargs)]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"{name}.{arg}" for arg in named
+                   if arg not in read and arg not in ("self", "cls")]
+    return sorted(unread)
+
+
+def test_unread_parameters_finds_what_no_body_reads():
+    source = ("class A:\n"
+              "    def f(self, a, b, *rest, c=1, **extra):\n"
+              "        def inner(d):\n"
+              "            return a + c\n"
+              "        b = 2\n"
+              "        return inner\n"
+              "    @classmethod\n"
+              "    def g(cls, /, e):\n"
+              "        return lambda x, y: x\n")
+    assert unread_parameters(source) == [
+        "<lambda>.y", "f.b", "g.e", "inner.d"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_package_functions_read_every_parameter(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []

@@ -5,8 +5,10 @@
 Copies the checkout at DIR (default: the repository root) to a temporary
 directory once, then, for each mutant (the named ones, or all of
 ``MUTANTS``), applies its one exact-string edit to the copy, runs its
-fast tests there with pytest, and restores the file.  Prints one line
-per mutant:
+fast tests there with pytest, and restores the file.  Every named test
+runs, also after one has failed.  Prints one line per mutant, with
+pytest's last line as its detail, so a mutant that names k tests and
+reads ``k failed`` is killed by each of them alone:
 
 - ``killed``: a test failed, as it should;
 - ``survived``: every test passed, so no test pins the reduction the edit
@@ -98,6 +100,8 @@ MUTANTS = (
            (W + "test_one_call_over_many_triples_matches_strict_oracle",)),
     Mutant("words-bit-order-reversed", WEIL, 'bitorder="little"',
            'bitorder="big"', (W + "test_words_pack_the_window_rows",)),
+    Mutant("first-non-power-in-subgroup", WEIL, "C.exp_of > 0",
+           "C.exp_of >= 0", (W + "test_theorem_q997",)),
     Mutant("r2-forbidden-without-0", WEIL,
            "forbidden = np.flatnonzero((e != 0) & (e != e[t]))",
            "forbidden = np.flatnonzero((e != 0) & (e != e[t]))[1:]",
@@ -242,7 +246,7 @@ def run_tests(copy: Path, tests: tuple[str, ...]) -> tuple[str, str]:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          *tests], cwd=copy, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines() or [proc.stderr.strip()]
     status = {0: "survived", 1: "killed"}.get(proc.returncode, "error")
