@@ -377,31 +377,85 @@ def _class_words(bits: np.ndarray, own: np.ndarray,
     return classes
 
 
-def _batches(vs: Iterable[np.ndarray]
+#: Most quads, kept or not, one chunk of ``_kept_quads`` marks, unless a
+#: single triple has more: a chunk holds max(1, QUAD_CHUNK // q)
+#: consecutive triples, each with fewer than q quads.
+QUAD_CHUNK = 1 << 14
+
+
+def _kept_quads(q: int, us: np.ndarray
+                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(k, v) arrays of the quads {0, 1, us[k], v} that ``_all_quads_ok``
+    sends, in u-then-v order: for each u = us[k], the v in
+    u < v <= q + 1 - u outside the four progressions
+    v = a + t (z - a) (mod q), 2 <= t < u, of the pairs (a, z) = (0, u),
+    (u, 0), (1, u) and (u, 1).  With w = t u and w' = t (u - 1) mod q,
+    these are v = w, u - w, 1 + w' and u - w' (mod q).  Their places
+    among u's quads, v - u - 1, are w - u - 1, q - 1 - w, w' - u and
+    q - 1 - w' whenever they lie in range: u - w and u - w' can only
+    reach it as u - w + q and u - w' + q.
+
+    Each chunk marks its quads in a keep mask of one byte a quad, a row
+    per triple with one spare byte at its end, where every place out of
+    range goes; its (k, v) arrays are built from the mask, so no array
+    spans the prime's quads."""
+    n = q + 1 - 2 * us  # >= 0: a canonical u is at most 1 - u = q + 1 - u
+    steps = us - 2
+    # where each triple's row, of n + 1 bytes, starts in one mask over
+    # every triple, and where its t start in one array over every triple
+    starts = np.concatenate(([0], np.cumsum(n + 1)))
+    ts = np.concatenate(([0], np.cumsum(steps)))
+    ds = np.stack((us, us - 1))
+    per = max(1, QUAD_CHUNK // q)
+    for i in range(0, us.size, per):
+        j = min(i + per, us.size)
+        bounds = starts[i : j + 1] - starts[i]
+        first, s = bounds[:-1], steps[i:j]
+        keep = np.ones(bounds[-1], dtype=bool)
+        t = np.arange(ts[i], ts[j]) - np.repeat(ts[i:j] - 2, s)
+        d = np.repeat(ds[:, i:j], s, axis=1)  # u and u - 1 at each t
+        w = t * d % q
+        nt, ft = np.repeat(n[i:j], s).view(np.uint64), np.repeat(first, s)
+        for at in (w[0] - d[0] - 1, q - 1 - w[0], w[1] - d[0], q - 1 - w[1]):
+            # a negative place reads as a huge uint64: both ends of the
+            # range clamp to the spare byte
+            np.minimum(at.view(np.uint64), nt, out=at.view(np.uint64))
+            at += ft
+            keep[at] = False
+        keep[bounds[1:] - 1] = False
+        v = np.flatnonzero(keep)
+        ends = np.searchsorted(v, bounds)
+        counts = ends[1:] - ends[:-1]
+        v += np.repeat(us[i:j] + 1 - first, counts)
+        yield np.repeat(np.arange(i, j), counts), v
+
+
+def _batches(rows: Iterable[tuple[np.ndarray, np.ndarray]]
              ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(k, v) row arrays of at most ``QUAD_ROWS`` rows: every v of each
-    vs[k], in order, with its k.  A batch may span several k; all are
-    filled into the same two buffers."""
+    """(k, v) row arrays of ``QUAD_ROWS`` rows, the last one of at most
+    that many: the rows of each (k, v) pair of ``rows``, in order.  A batch
+    may span several pairs and several k; all are filled into the same
+    two buffers."""
     ks = np.empty(QUAD_ROWS, dtype=np.intp)
-    rows = np.empty(QUAD_ROWS, dtype=np.int64)
+    vs = np.empty(QUAD_ROWS, dtype=np.int64)
     m = 0
-    for k, v in enumerate(vs):
+    for k, v in rows:
         while v.size:
             n = min(QUAD_ROWS - m, v.size)
-            ks[m : m + n] = k
-            rows[m : m + n] = v[:n]
-            m, v = m + n, v[n:]
+            ks[m : m + n] = k[:n]
+            vs[m : m + n] = v[:n]
+            m, k, v = m + n, k[n:], v[n:]
             if m == QUAD_ROWS:
-                yield ks, rows
+                yield ks, vs
                 m = 0
     if m:
-        yield ks[:m], rows[:m]
+        yield ks[:m], vs[:m]
 
 
 def _quads_complete(tally: ChildTally, us: Sequence[int],
-                    vs: Iterable[np.ndarray]) -> bool:
-    """Every quad {0, 1, us[k], v}, v in vs[k], realizes all 16 patterns
-    among the translates outside it.
+                    rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> bool:
+    """Every quad {0, 1, us[k], v}, for the (k, v) rows of the arrays in
+    ``rows``, realizes all 16 patterns among the translates outside it.
 
     ``tally`` is the r = 2 witness tally, whose window is the STRICT
     squares' (``_all_quads_ok``).  The kernel packs its window once,
@@ -410,9 +464,9 @@ def _quads_complete(tally: ChildTally, us: Sequence[int],
     x = y in ``own``.  Translates are scanned from x = c on, wrapping
     around, in blocks of ``QUAD_BLOCK`` = 64, one word each.  ``_class_words``
     splits each block's translates outside {0, 1, u} into the 8 pattern
-    classes of {0, 1, u}.  The quads run in batches of at most
-    ``QUAD_ROWS`` rows (``_batches``), so one batch may hold the v of
-    several u.  Per block, each row gathers v's bit word and its word of
+    classes of {0, 1, u}.  The quads run in batches of ``QUAD_ROWS`` rows
+    (``_batches``), so one batch may hold the v of several u.  Per block,
+    each row gathers v's bit word and its word of
     allowed 0s (neither bit nor own) and ANDs each with its 8 class
     words; byte p of the result, viewed as one uint64, is 1 when class p
     meets the word, and ORs into the flags f1 (v's bit 1 seen) or f0
@@ -428,9 +482,9 @@ def _quads_complete(tally: ChildTally, us: Sequence[int],
     starts at q // 2 because the small translates are no random sample:
     the bits of 0 and 1 read the character at -x and 1 - x, which
     multiplicativity ties to its values at small primes.  Over the
-    primes 1024-1049 ``_all_quads_ok`` sends it 540,968 quads in 134
-    batches; they take 643,813 row-blocks (one row scanning one block)
-    in 408 batch-blocks, and 101,970 rows enter a second block.
+    primes 1024-1049 ``_all_quads_ok`` sends it 362,452 quads in 91
+    batches; they take 432,240 row-blocks (one row scanning one block)
+    in 278 batch-blocks, and 69,220 rows enter a second block.
     """
     q = tally.q
     c = q // 2
@@ -443,7 +497,7 @@ def _quads_complete(tally: ChildTally, us: Sequence[int],
     cls = np.empty((QUAD_ROWS, 8), dtype=np.uint64)
     anded = np.empty((QUAD_ROWS, 8), dtype=np.uint64)
     hit = np.empty((QUAD_ROWS, 8), dtype=bool)
-    for k, v in _batches(vs):
+    for k, v in _batches(rows):
         m = v.shape[0]
         f1 = np.zeros(m, dtype=np.uint64)
         f0 = np.zeros(m, dtype=np.uint64)
@@ -482,27 +536,37 @@ def _all_quads_ok(F: PrimeField, tally: ChildTally) -> bool:
     per affine orbit decides every quad.
 
     The quads checked are {0, 1, u, v} for the u with {0, 1, u}
-    ``search.canonical`` (all pairs valid) and u < v <= q + 1 - u, all in
-    one ``_quads_complete`` call, which runs them in u-then-v order in
+    ``search.canonical`` (all pairs valid) and u < v <= q + 1 - u, less
+    those a pair map of their own triple sends lower, all in one
+    ``_quads_complete`` call, which runs them in u-then-v order in
     batches across triples and stops after the first batch holding a
-    failure.
-    They hold every orbit's canonical member {0, 1, u, v}: each affine
-    orbit has exactly one (point 1 of the ``search`` docstring), its
-    triple {0, 1, u} is canonical too (point 2), and the pair (1, 0)
-    maps x -> 1 - x, sending (u, v) to (q + 1 - v, q + 1 - u), so a
-    canonical quad has v <= q + 1 - u.  Every other quad checked is a
-    quad holding {0, 1} too, so it fails only when some quad does and
-    cannot change a true verdict.  Over the primes 1024-1049 that is
-    540,968 quads (133,606 of 528,906 at q = 1031); filtering v by the
-    orbit rule would keep 179,238, but costs more than the kernel work
-    it saves.
+    failure.  They hold every orbit's canonical member {0, 1, u, v}: each
+    affine orbit has exactly one (point 1 of the ``search`` docstring),
+    and its triple {0, 1, u} is canonical too (point 2).  Two rules drop
+    only non-canonical quads:
+
+    - The pair (1, 0) maps x -> 1 - x, sending (u, v) to
+      (q + 1 - v, q + 1 - u), so a canonical quad has v <= q + 1 - u.
+    - Take a pair (a, z) of {0, 1, u} and its map
+      phi(x) = (x - a)/(z - a).  The triple is canonical with every pair
+      valid, so phi sends its third element to some c >= u.  If
+      phi(v) = t with 2 <= t < u, the quad's image sorts as
+      (0, 1, t, c) < (0, 1, u, v), so the quad is not canonical.  As
+      phi(v) = t is v = a + t (z - a) mod q, the quads dropped are the
+      v of four progressions, for (a, z) = (0, u), (u, 0), (1, u) and
+      (u, 1), listed without computing c (``_kept_quads``).  The first
+      rule is this one for the pair (1, 0); the pair (0, 1) drops
+      nothing, its images of v being v itself.
+
+    Every other quad checked is a quad holding {0, 1} too, so it fails
+    only when some quad does and cannot change a true verdict.  Over the
+    primes 1024-1049 that is 362,452 quads (90,551 of 528,906 at
+    q = 1031), of which 179,238 are canonical.
     """
     q = F.q
     us = np.arange(2, q, dtype=np.int64)
     us = us[canonical(F, [0, 1], us, all_pairs=True)]
-    return _quads_complete(tally, us, (np.arange(u + 1, q + 2 - u,
-                                                 dtype=np.int64)
-                                       for u in us.tolist()))
+    return _quads_complete(tally, us, _kept_quads(q, us))
 
 
 def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremReport:

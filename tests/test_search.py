@@ -367,14 +367,17 @@ def test_ap_q5():
 
 
 def test_ap_fold_agrees_with_direct_checks():
-    for q in primes_in_range(5, 101):
-        for conv in CONVS:
-            T = squares_table(make_field(q), conv)
-            n = longest_shattered_ap(q, conv).longest
-            assert 1 <= n <= log2_floor(q)
-            assert is_shattered(list(range(n)), T)
-            if n + 1 <= log2_floor(q):
-                assert not is_shattered(list(range(n + 1)), T)
+    # 181, 191 and 349 (STRICT) are the primes below 2000 whose answer
+    # the fold's STRICT mark changes
+    cases = [(q, conv) for q in primes_in_range(5, 101) for conv in CONVS]
+    for q, conv in cases + [(q, ZeroConvention.STRICT)
+                            for q in (181, 191, 349)]:
+        T = squares_table(make_field(q), conv)
+        n = longest_shattered_ap(q, conv).longest
+        assert 1 <= n <= log2_floor(q)
+        assert is_shattered(list(range(n)), T)
+        if n + 1 <= log2_floor(q):
+            assert not is_shattered(list(range(n + 1)), T)
 
 
 def test_ap_equals_brute_prefix_scan():

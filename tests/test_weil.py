@@ -441,24 +441,27 @@ def test_quad_fast_path_matches_generic():
 def test_quad_batches_split_triples_and_match_generic(monkeypatch):
     # batches of 37 rows, odd and fewer than most triples' quads: a batch
     # ends inside one triple's quads, and holds the end of one triple and
-    # the start of the next
+    # the start of the next; with one triple a chunk, that batch also
+    # spans two chunks of ``_kept_quads``
     monkeypatch.setattr(weil, "QUAD_ROWS", 37)
     batches, triples = weil._batches, []
 
-    def spy(vs):
-        for k, v in batches(vs):
+    def spy(rows):
+        for k, v in batches(rows):
             triples.append(set(k.tolist()))
             yield k, v
 
     monkeypatch.setattr(weil, "_batches", spy)
-    spans = splits = False
-    for q in primes_in_range(7, 251):
-        triples.clear()
-        assert _all_quads_ok(make_field(q), _quad_tally(q)) == (
-            _generic_quad_verdict(q)), q
-        spans |= any(len(ks) > 1 for ks in triples)
-        splits |= any(a & b for a, b in zip(triples, triples[1:]))
-    assert spans and splits
+    for chunk in (weil.QUAD_CHUNK, 1):
+        monkeypatch.setattr(weil, "QUAD_CHUNK", chunk)
+        spans = splits = False
+        for q in primes_in_range(7, 251):
+            triples.clear()
+            assert _all_quads_ok(make_field(q), _quad_tally(q)) == (
+                _generic_quad_verdict(q)), (q, chunk)
+            spans |= any(len(ks) > 1 for ks in triples)
+            splits |= any(a & b for a, b in zip(triples, triples[1:]))
+        assert spans and splits, chunk
 
 
 def test_r2_witness_tally_is_the_strict_squares_tally():
@@ -552,9 +555,18 @@ def _strict_quad_verdicts(q):
             for u, v in itertools.combinations(range(2, q), 2)}
 
 
+def _rows(vs):
+    """The (k, v) rows of ``_quads_complete`` for the one triple us[0]
+    and the v in ``vs``."""
+    vs = np.asarray(vs, dtype=np.int64)
+    return [(np.zeros(vs.size, dtype=np.intp), vs)]
+
+
 def _one_quad_per_row(quads):
-    """The ``_quads_complete`` arguments with one quad (u, v) per row."""
-    return [u for u, _ in quads], [np.array([v]) for _, v in quads]
+    """The ``_quads_complete`` arguments with one quad (u, v) per row, row
+    k for us[k] = u."""
+    return [u for u, _ in quads], [(np.arange(len(quads), dtype=np.intp),
+                                    np.array([v for _, v in quads]))]
 
 
 @pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19, 23, 29, 31, 73, 103])
@@ -573,7 +585,7 @@ def test_quad_verdict_matches_strict_oracle(q):
         missing = np.flatnonzero(oracle_counts(
             quad, member, ZeroConvention.STRICT) == 0).tolist()
         verdicts[u, v] = not missing
-        got = _quads_complete(tally, [u], [np.array([v], dtype=np.int64)])
+        got = _quads_complete(tally, [u], _rows([v]))
         assert got == verdicts[u, v], (q, u, v)
         # the scan steps of v in failing quads whose one missing pattern is
         # read at x = v only
@@ -594,7 +606,7 @@ def test_quad_verdict_matches_strict_oracle(q):
     # every v of one u in one call, so rows retire at different blocks
     for u in range(2, q - 1):
         vs = np.arange(u + 1, q, dtype=np.int64)
-        assert _quads_complete(tally, [u], [vs]) == all(
+        assert _quads_complete(tally, [u], _rows(vs)) == all(
             verdicts[u, int(v)] for v in vs), (q, u)
 
 
@@ -630,8 +642,7 @@ def test_quad_check_skips_translate_one():
                                            ZeroConvention.STRICT) == 0)
     at_one = _pattern_at(member, quad, 1)
     assert missing.tolist() == [at_one]
-    assert not _quads_complete(_quad_tally(q), [2],
-                               [np.array([3], dtype=np.int64)])
+    assert not _quads_complete(_quad_tally(q), [2], _rows([3]))
 
 
 def _canonical(q, Z):
@@ -649,11 +660,15 @@ def _affine_orbit_key(q, quad):
 
 def _quads_sent(monkeypatch, q):
     """The (u, vs) of every triple the one ``_quads_complete`` call of
-    ``_all_quads_ok`` at q gets, in order, answered True."""
+    ``_all_quads_ok`` at q gets, in order, answered True: vs lists the v
+    of the rows (k, v) with us[k] = u, which arrive in u-then-v order."""
     calls = []
 
-    def spy(tally, us, vs):
-        calls.extend(zip(list(us), (v.tolist() for v in vs), strict=True))
+    def spy(tally, us, rows):
+        ks, vs = (np.concatenate(a) for a in zip(*rows))
+        assert np.array_equal(np.lexsort((vs, ks)), np.arange(ks.size))
+        for k, u in enumerate(us.tolist()):
+            calls.append((u, vs[ks == k].tolist()))
         return True
 
     monkeypatch.setattr(weil, "_quads_complete", spy)
@@ -661,22 +676,53 @@ def _quads_sent(monkeypatch, q):
     return calls
 
 
+def _own_pair_drops(q, u):
+    """The v that a pair map x -> (x - a)/(z - a) of {0, 1, u} sends to
+    some t with 2 <= t < u, for the pairs (0, u), (u, 0), (1, u) and
+    (u, 1): v = a + t (z - a) mod q."""
+    return {(a + t * (z - a)) % q for a, z in ((0, u), (u, 0), (1, u), (u, 1))
+            for t in range(2, u)}
+
+
 @pytest.mark.parametrize("q", [7, 11, 13, 17, 19, 23, 29])
 def test_quads_sent_cover_every_affine_orbit(monkeypatch, q):
     # the verdict rests on this coverage: each canonical triple's u gets
-    # v = u + 1, ..., q + 1 - u, and the quads sent meet every orbit
+    # v = u + 1, ..., q + 1 - u but those its own pair maps send lower,
+    # and the quads sent meet every orbit
     calls = _quads_sent(monkeypatch, q)
     assert [u for u, _ in calls] == [u for u in range(2, q)
                                      if _canonical(q, (0, 1, u))]
-    assert all(vs == list(range(u + 1, q + 2 - u)) for u, vs in calls)
+    assert all(vs == [v for v in range(u + 1, q + 2 - u)
+                      if v not in _own_pair_drops(q, u)] for u, vs in calls)
     orbits = {_affine_orbit_key(q, (0, 1, u, v))
               for u, v in itertools.combinations(range(2, q), 2)}
     assert {_affine_orbit_key(q, (0, 1, u, v))
             for u, vs in calls for v in vs} == orbits
 
 
+@pytest.mark.parametrize("q", primes_in_range(5, 400) + [1031, 1033, 1039,
+                                                          1049])
+def test_every_canonical_quad_is_sent(monkeypatch, q):
+    # the filter is sound: every canonical quad {0, 1, u, v} is sent, so
+    # every quad in u < v <= q + 1 - u that is not sent is non-canonical
+    # (below q = 60 canonical is also decided by the brute-force
+    # ``_canonical``)
+    F = make_field(q)
+    sent = {(u, v) for u, vs in _quads_sent(monkeypatch, q) for v in vs}
+    assert all(u < v <= q + 1 - u for u, v in sent)
+    canonical = set()
+    for u in range(2, q - 1):
+        vs = np.arange(u + 1, q, dtype=np.int64)
+        kept = vs[search.canonical(F, [0, 1, u], vs, all_pairs=True)]
+        canonical.update((u, v) for v in kept.tolist())
+    if q < 60:
+        assert canonical == {(u, v) for u, v in itertools.combinations(
+            range(2, q), 2) if _canonical(q, (0, 1, u, v))}
+    assert canonical <= sent
+
+
 # quads sent to the kernel at the primes of the theorem-quads workload
-SENT_QUADS = {1031: 133606, 1033: 136080, 1039: 134490, 1049: 136792}
+SENT_QUADS = {1031: 90551, 1033: 90974, 1039: 89412, 1049: 91515}
 
 
 @pytest.mark.parametrize("q", SENT_QUADS)

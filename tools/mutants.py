@@ -80,8 +80,8 @@ SEARCH_TESTS = (S + "test_matches_naive_small_primes",
 MUTANTS = (
     # the quad check: the range of v, the triples, the excluded translates,
     # its batches and its packed words
-    Mutant("quad-v-range-one-short", WEIL, "q + 2 - u", "q + 1 - u",
-           QUAD_TESTS),
+    Mutant("quad-v-range-one-short", WEIL, "n = q + 1 - 2 * us",
+           "n = q - 2 * us", QUAD_TESTS),
     Mutant("quad-first-triple-dropped", WEIL, "us, all_pairs=True)]",
            "us, all_pairs=True)][1:]", QUAD_TESTS),
     Mutant("quad-triple-mask-negated", WEIL, "us = us[canonical(",
@@ -95,9 +95,15 @@ MUTANTS = (
            'np.take(table, idx[:m], out=word[:m], mode="wrap")',
            'np.take(table, idx[:m], out=word[:m], mode="clip")',
            (W + "test_quad_verdict_matches_strict_oracle",)),
-    Mutant("quad-batch-rows-keep-first-triple", WEIL, "ks[m : m + n] = k",
+    Mutant("quad-batch-rows-keep-first-triple", WEIL, "ks[m : m + n] = k[:n]",
            "ks[m : m + n] = 0",
            (W + "test_one_call_over_many_triples_matches_strict_oracle",)),
+    # the quads a pair map of their own triple sends lower: t up to u
+    # inclusive, and the step u - 1 of the pair (1, u) read as u
+    Mutant("quad-filter-overreach", WEIL, "steps = us - 2", "steps = us - 1",
+           (W + "test_every_canonical_quad_is_sent",)),
+    Mutant("quad-filter-wrong-step", WEIL, "w[1] - d[0], q - 1",
+           "w[0] - d[0], q - 1", (W + "test_every_canonical_quad_is_sent",)),
     Mutant("words-bit-order-reversed", WEIL, 'bitorder="little"',
            'bitorder="big"', (W + "test_words_pack_the_window_rows",)),
     Mutant("first-non-power-in-subgroup", WEIL, "C.exp_of > 0",
@@ -200,8 +206,7 @@ MUTANTS = (
     Mutant("tally-offsets-not-advanced", SHATTER,
            "offsets = np.arange(0, m * bins, bins, dtype=np.intp)[:, None]",
            "offsets = np.zeros((m, 1), dtype=np.intp)",
-           (T + "test_batch_matches_single",
-            T + "test_row_counts_match_oracle_row_by_row")),
+           (T + "test_row_counts_match_oracle_row_by_row",)),
     Mutant("signatures-uint8", SHATTER,
            "doubled = T.doubled.astype(np.uint16 if n < 16 else np.int64)",
            "doubled = T.doubled.astype(np.uint8 if n < 16 else np.int64)",
