@@ -31,8 +31,8 @@ survivors of each node that no pair table decides, the root included, and
 ``rooted_minima`` feeds it the rooted sets, those holding {0, ..., k - 1},
 of ``testing_dimension`` and of the theorem check.  Two algorithms read
 its marked column without tallying children: the search's pair table
-(``search._Walk.pairs``) and the quad check's 64-bit words
-(``weil._quad_words``), each proved where it lives.  ``tests/oracles.py``
+(``search._Walk.pairs``) and the quad check's bitsets over v
+(``weil._quad_rows``), each proved where it lives.  ``tests/oracles.py``
 stays the independent check.
 
 The table owns the translate columns every tally reads: ``ResidueTable``

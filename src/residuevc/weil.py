@@ -26,9 +26,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import Infeasible, LengthMismatch
 from .field import (ZERO_EXP, CharacterTable, PrimeField, ZeroConvention,
@@ -324,200 +325,123 @@ def _witness_tally(F: PrimeField, C: CharacterTable, t: int) -> ChildTally:
                       forbidden)
 
 
-#: Translates ``_quads_complete`` scans per block before retiring rows:
-#: one uint64 word of ``_quad_words``.
-QUAD_BLOCK = 64
-#: Most quads ``_quads_complete`` scans together, one batch.
-QUAD_ROWS = 4096
+#: Translates the quad check sorts into classes at once, one chunk of its
+#: scan; the accumulators still open after a chunk are carried into the next.
+QUAD_CHUNK = 128
+#: Most accumulators one gather of ``_quad_rows`` serves: 256 x 2 x 17
+#: words, 70 KB, at q = 1031, where the first step has 1,376.
+QUAD_SLICE = 256
 
 
-def _quad_words(tally: ChildTally) -> tuple[np.ndarray, np.ndarray]:
-    """The first 64 entries of each row of ``tally.window`` (all q below
-    q = 64) packed into one uint64 word per row, entry j at bit j.
-    ``bits`` marks the entries that are the element's bit, ``own`` the
-    sentinels, the translates the rule drops; row q - m reads 64
-    translates of m's column at once."""
-    rows = tally.window[:, :64]
-    packed = np.zeros((2, tally.q + 1, 8), dtype=np.uint8)
-    for word, entry in zip(packed, (1, 2)):
-        bytes_ = np.packbits(rows == entry, axis=1, bitorder="little")
-        word[:, :bytes_.shape[1]] = bytes_
-    bits, own = packed.view("<u8")[..., 0].astype(np.uint64)
-    return bits, own
+def _quad_rows(tally: ChildTally) -> np.ndarray:
+    """(q, 2, ceil(q / 64)) uint64 rows R of the r = 2 witness tally over
+    F_q, bit v of a row at bit v % 64 of word v // 64.
 
-
-def _class_words(bits: np.ndarray, own: np.ndarray,
-                 us: np.ndarray) -> np.ndarray:
-    """(blocks, len(us), 8) uint64 class words of the triples {0, 1, u},
-    from the q + 1 ``_quad_words`` ``bits`` and ``own`` of a tally over
-    F_q.
-
-    Word p of block b, for u = us[k], has bit j set when the translate
-    x = c + 64 b + j (mod q), c = q // 2, gives {0, 1, u} the pattern p
-    (bit 0 for 0, bit 1 for 1, bit 2 for u).  The 8 words of a block
-    split its translates outside {0, 1, u}: the translates x in {0, 1, u}
-    (the ``own`` bits of their three rows) and the bits past the block's
-    width are cleared.
-    """
-    q = bits.shape[0] - 1
-    los = np.arange(0, q, QUAD_BLOCK)
-    # row (c + lo - y) mod q of y = 0, 1 and each u, for every block
-    rows = (q // 2 + los)[:, None] - np.concatenate([[0, 1], us])
-    rows %= q
-    a0, a1, au = bits[rows[:, :1]], bits[rows[:, 1:2]], bits[rows[:, 2:]]
-    o0, o1, ou = own[rows[:, :1]], own[rows[:, 1:2]], own[rows[:, 2:]]
-    width = np.minimum(QUAD_BLOCK, q - los).astype(np.uint64)
-    ones = np.uint64(2**64 - 1) >> (np.uint64(QUAD_BLOCK) - width)[:, None]
-    word = ones & ~(o0 | o1 | ou)
-    classes = np.empty((los.size, us.size, 8), dtype=np.uint64)
-    for p in range(8):
-        classes[:, :, p] = word
-        for k, a in enumerate((a0, a1, au)):
-            classes[:, :, p] &= a if p >> k & 1 else ~a
-    return classes
-
-
-#: Most quads, kept or not, one chunk of ``_kept_quads`` marks, unless a
-#: single triple has more: a chunk holds max(1, QUAD_CHUNK // q)
-#: consecutive triples, each with fewer than q quads.
-QUAD_CHUNK = 1 << 14
-
-
-def _kept_quads(q: int, us: np.ndarray
-                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(k, v) arrays of the quads {0, 1, us[k], v} that ``_all_quads_ok``
-    sends, in u-then-v order: for each u = us[k], the v in
-    u < v <= q + 1 - u outside the four progressions
-    v = a + t (z - a) (mod q), 2 <= t < u, of the pairs (a, z) = (0, u),
-    (u, 0), (1, u) and (u, 1).  With w = t u and w' = t (u - 1) mod q,
-    these are v = w, u - w, 1 + w' and u - w' (mod q).  Their places
-    among u's quads, v - u - 1, are w - u - 1, q - 1 - w, w' - u and
-    q - 1 - w' whenever they lie in range: u - w and u - w' can only
-    reach it as u - w + q and u - w' + q.
-
-    Each chunk marks its quads in a keep mask of one byte a quad, a row
-    per triple with one spare byte at its end, where every place out of
-    range goes; its (k, v) arrays are built from the mask, so no array
-    spans the prime's quads."""
-    n = q + 1 - 2 * us  # >= 0: a canonical u is at most 1 - u = q + 1 - u
-    steps = us - 2
-    # where each triple's row, of n + 1 bytes, starts in one mask over
-    # every triple, and where its t start in one array over every triple
-    starts = np.concatenate(([0], np.cumsum(n + 1)))
-    ts = np.concatenate(([0], np.cumsum(steps)))
-    ds = np.stack((us, us - 1))
-    per = max(1, QUAD_CHUNK // q)
-    for i in range(0, us.size, per):
-        j = min(i + per, us.size)
-        bounds = starts[i : j + 1] - starts[i]
-        first, s = bounds[:-1], steps[i:j]
-        keep = np.ones(bounds[-1], dtype=bool)
-        t = np.arange(ts[i], ts[j]) - np.repeat(ts[i:j] - 2, s)
-        d = np.repeat(ds[:, i:j], s, axis=1)  # u and u - 1 at each t
-        w = t * d % q
-        nt, ft = np.repeat(n[i:j], s).view(np.uint64), np.repeat(first, s)
-        for at in (w[0] - d[0] - 1, q - 1 - w[0], w[1] - d[0], q - 1 - w[1]):
-            # a negative place reads as a huge uint64: both ends of the
-            # range clamp to the spare byte
-            np.minimum(at.view(np.uint64), nt, out=at.view(np.uint64))
-            at += ft
-            keep[at] = False
-        keep[bounds[1:] - 1] = False
-        v = np.flatnonzero(keep)
-        ends = np.searchsorted(v, bounds)
-        counts = ends[1:] - ends[:-1]
-        v += np.repeat(us[i:j] + 1 - first, counts)
-        yield np.repeat(np.arange(i, j), counts), v
-
-
-def _batches(rows: Iterable[tuple[np.ndarray, np.ndarray]]
-             ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(k, v) row arrays of ``QUAD_ROWS`` rows, the last one of at most
-    that many: the rows of each (k, v) pair of ``rows``, in order.  A batch
-    may span several pairs and several k; all are filled into the same
-    two buffers."""
-    ks = np.empty(QUAD_ROWS, dtype=np.intp)
-    vs = np.empty(QUAD_ROWS, dtype=np.int64)
-    m = 0
-    for k, v in rows:
-        while v.size:
-            n = min(QUAD_ROWS - m, v.size)
-            ks[m : m + n] = k[:n]
-            vs[m : m + n] = v[:n]
-            m, k, v = m + n, k[n:], v[n:]
-            if m == QUAD_ROWS:
-                yield ks, vs
-                m = 0
-    if m:
-        yield ks[:m], vs[:m]
-
-
-def _quads_complete(tally: ChildTally, us: Sequence[int],
-                    rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> bool:
-    """Every quad {0, 1, us[k], v}, for the (k, v) rows of the arrays in
-    ``rows``, realizes all 16 patterns among the translates outside it.
-
-    ``tally`` is the r = 2 witness tally, whose window is the STRICT
-    squares' (``_all_quads_ok``).  The kernel packs its window once,
-    ``_quad_words``: row (c + lo - y) mod q, with c = q // 2, holds y's
-    bits at the translates x = c + lo + j (mod q), j < 64, and marks
-    x = y in ``own``.  Translates are scanned from x = c on, wrapping
-    around, in blocks of ``QUAD_BLOCK`` = 64, one word each.  ``_class_words``
-    splits each block's translates outside {0, 1, u} into the 8 pattern
-    classes of {0, 1, u}.  The quads run in batches of ``QUAD_ROWS`` rows
-    (``_batches``), so one batch may hold the v of several u.  Per block,
-    each row gathers v's bit word and its word of
-    allowed 0s (neither bit nor own) and ANDs each with its 8 class
-    words; byte p of the result, viewed as one uint64, is 1 when class p
-    meets the word, and ORs into the flags f1 (v's bit 1 seen) or f0
-    (v's bit 0 seen).  A row retires after the first block after which
-    every byte of f1 & f0 is 1, all 16 patterns seen, and a row still
-    open after the last block fails.  The per-block temporaries live in
-    buffers allocated once per call: a (4096, 8) uint64 block is
-    256 KB, above glibc's mmap threshold, and a fresh one page-faulted
-    at every block.
-
-    A random quad sees all 16 patterns after about 16 H_16 = 54
-    translates, so a first block of 64 retires most rows.  The scan
-    starts at q // 2 because the small translates are no random sample:
-    the bits of 0 and 1 read the character at -x and 1 - x, which
-    multiplicativity ties to its values at small primes.  Over the
-    primes 1024-1049 ``_all_quads_ok`` sends it 362,452 quads in 91
-    batches; they take 432,240 row-blocks (one row scanning one block)
-    in 278 batch-blocks, and 69,220 rows enter a second block.
+    R[x, 0] holds the v with v - x a nonzero square and R[x, 1] those
+    with v - x a non-square; both hold v = x, the tally's sentinel 2.
+    Entry v of R[x, 0] is marked[x + q - v] != 0, read from the reversed
+    column, so the rows are windows of one boolean vector, packed 64 at
+    a time; R[x, 1] is the complement with bit x set again and the bits
+    past q cleared.
     """
     q = tally.q
-    c = q // 2
-    bits, own = _quad_words(tally)
-    classes = _class_words(bits, own, np.asarray(us, dtype=np.int64))
-    bits, zero = bits[:q], ~(bits | own)[:q]
-    full = np.uint64(0x0101010101010101)  # all 8 class bytes hit
-    idx = np.empty(QUAD_ROWS, dtype=np.int64)
-    word = np.empty(QUAD_ROWS, dtype=np.uint64)
-    cls = np.empty((QUAD_ROWS, 8), dtype=np.uint64)
-    anded = np.empty((QUAD_ROWS, 8), dtype=np.uint64)
-    hit = np.empty((QUAD_ROWS, 8), dtype=bool)
-    for k, v in _batches(rows):
-        m = v.shape[0]
-        f1 = np.zeros(m, dtype=np.uint64)
-        f0 = np.zeros(m, dtype=np.uint64)
-        for b, lo in enumerate(range(0, q, QUAD_BLOCK)):
-            np.subtract(c + lo, v, out=idx[:m])  # v's row, mod q by "wrap"
-            np.take(classes[b], k, axis=0, out=cls[:m], mode="clip")
-            for table, flags in ((bits, f1), (zero, f0)):
-                np.take(table, idx[:m], out=word[:m], mode="wrap")
-                np.bitwise_and(cls[:m], word[:m, None], out=anded[:m])
-                np.not_equal(anded[:m], 0, out=hit[:m])
-                flags |= hit[:m].view(np.uint64)[:, 0]
-            keep = (f1 & f0) != full
-            if not keep.any():
+    words = -(-q // 64)
+    rows = sliding_window_view(tally.marked[::-1] != 0, q)[q - 1 :: -1]
+    packed = np.zeros((q, 2, words * 8), dtype=np.uint8)
+    for lo in range(0, q, 64):
+        block = np.packbits(rows[lo : lo + 64], axis=1, bitorder="little")
+        packed[lo : lo + 64, 0, : block.shape[1]] = block
+    R = packed.view("<u8").astype(np.uint64, copy=False)
+    x = np.arange(q)
+    np.invert(R[:, 0], out=R[:, 1])
+    R[x, 1, x >> 6] |= np.uint64(1) << (x & 63).astype(np.uint64)
+    R[:, 1, -1] &= np.uint64(2**64 - 1) >> np.uint64(64 * words - q)
+    return R
+
+
+def _failing_quads(tally: ChildTally, us: np.ndarray) -> np.ndarray:
+    """(len(us), ceil(q / 64)) uint64 words, bit v of row k set when the
+    quad {0, 1, us[k], v}, for u = us[k] < v <= q + 1 - u, misses one of
+    the 16 patterns among the translates outside it.
+
+    ``tally`` is the r = 2 witness tally (``_all_quads_ok``), read through
+    its ``window`` and ``_quad_rows``.  Let X_p be the translates
+    x outside {0, 1, u} at which {0, 1, u} shows the pattern p.  The quad
+    shows the patterns (p, b) at the x of X_p other than v, where b is
+    v's bit at x, 1 for v - x in S, the nonzero squares, and 0 for v - x
+    in N, the non-squares; x = v, where v - x = 0, is the quad's own
+    translate and shows nothing.  So the quad misses (p, 0) exactly when
+    every x in X_p other than v has v - x in S, and (p, 1) exactly when
+    every such x has v - x in N, an empty X_p - {v} missing both.  Row x
+    of polarity 0 of ``_quad_rows`` holds the v with v - x in S and
+    v = x, so their intersection over X_p is the set of v missing (p, 0),
+    and polarity 1 gives (p, 1) from N alike.
+
+    One accumulator per (triple, class p) holds both polarities, each
+    starting at the v in range.  Translates are scanned from x = q // 2
+    on, wrapping around, in chunks of ``QUAD_CHUNK``: a stable sort by
+    pattern lists each class's members in scan order, and each step ANDs
+    the next member's two rows into its accumulator, ``QUAD_SLICE``
+    accumulators a gather.  An accumulator stops once both polarities are
+    empty, as no v of it can fail, and one whose class has no member left
+    in the chunk is carried into the next; those open after the last
+    chunk hold the failing v.  Stopped accumulators stay in place, their
+    gathers clipped, until they are half of the array, which is then
+    compacted: a copy at every step doubled the kernel's peak memory.
+    A random quad sees all 16 patterns after about 16 H_16 = 54
+    translates, so nearly every accumulator empties in the first chunk.
+    The scan starts at q // 2 because the small translates are no random
+    sample: the bits of 0 and 1 read the character at -x and 1 - x, which
+    multiplicativity ties to its values at small primes.
+    """
+    q = tally.q
+    R = _quad_rows(tally)
+    v = np.arange(R.shape[-1] * 64)
+    start = (v > us[:, None]) & (v <= q + 1 - us[:, None])
+    start = np.packbits(start, axis=1, bitorder="little").view("<u8")
+    # accumulator a is (triple a >> 3, class a & 7), both polarities
+    acc = np.repeat(start, 16, axis=0)
+    acc = acc.reshape(-1, 2, R.shape[-1])
+    a = np.arange(acc.shape[0])
+    scan = (q // 2 + np.arange(q, dtype=np.int32)) % q
+    for lo in range(0, q, QUAD_CHUNK):
+        open_ = acc.max(axis=(1, 2), initial=0) != 0
+        if not open_.any():
+            break
+        xs = scan[lo : lo + QUAD_CHUNK]
+        ks, k = np.unique(a >> 3, return_inverse=True)
+        # the entries of 0, 1 and each open u at xs; 2 marks x = y
+        cols = tally.window[q - np.concatenate(([0, 1], us[ks]))[:, None], xs]
+        pattern = cols[0] + 2 * cols[1] + 4 * cols[2:]
+        pattern[(cols[0] == 2) | (cols[1] == 2) | (cols[2:] == 2)] = 8
+        members = xs[np.argsort(pattern, axis=1, kind="stable")].ravel()
+        counts = np.bincount((pattern + 9 * np.arange(ks.size)[:, None]).ravel(),
+                             minlength=9 * ks.size)
+        cls = 9 * k + (a & 7)
+        at, n = (np.cumsum(counts) - counts)[cls], counts[cls]
+        carried = [(a[:0], acc[:0])]
+        live = open_ & (n > 0)
+        while True:
+            # an open accumulator whose class has no member left in the
+            # chunk is carried into the next one
+            carry = open_ & (n == 0)
+            if carry.any():
+                carried.append((a[carry], acc[carry]))
+            if 2 * np.count_nonzero(live) <= live.size:
+                a, acc, at, n, live = a[live], acc[live], at[live], n[live], live[live]
+            if not a.size:
                 break
-            if not keep.all():
-                k, v, f1, f0 = k[keep], v[keep], f1[keep], f0[keep]
-                m = v.shape[0]
-        else:
-            return False
-    return True
+            for s in range(0, a.size, QUAD_SLICE):
+                part = slice(s, s + QUAD_SLICE)
+                acc[part] &= R[members.take(at[part], mode="clip")]
+            at += 1
+            n -= 1
+            open_ = live & (acc.max(axis=(1, 2)) != 0)
+            live &= open_ & (n > 0)
+        a, acc = (np.concatenate(arrays) for arrays in zip(*carried))
+    failing = np.zeros(start.shape, dtype=np.uint64)
+    np.bitwise_or.at(failing, a >> 3, acc[:, 0] | acc[:, 1])
+    return failing
 
 
 def _all_quads_ok(F: PrimeField, tally: ChildTally) -> bool:
@@ -536,37 +460,21 @@ def _all_quads_ok(F: PrimeField, tally: ChildTally) -> bool:
     per affine orbit decides every quad.
 
     The quads checked are {0, 1, u, v} for the u with {0, 1, u}
-    ``search.canonical`` (all pairs valid) and u < v <= q + 1 - u, less
-    those a pair map of their own triple sends lower, all in one
-    ``_quads_complete`` call, which runs them in u-then-v order in
-    batches across triples and stops after the first batch holding a
-    failure.  They hold every orbit's canonical member {0, 1, u, v}: each
-    affine orbit has exactly one (point 1 of the ``search`` docstring),
-    and its triple {0, 1, u} is canonical too (point 2).  Two rules drop
-    only non-canonical quads:
-
-    - The pair (1, 0) maps x -> 1 - x, sending (u, v) to
-      (q + 1 - v, q + 1 - u), so a canonical quad has v <= q + 1 - u.
-    - Take a pair (a, z) of {0, 1, u} and its map
-      phi(x) = (x - a)/(z - a).  The triple is canonical with every pair
-      valid, so phi sends its third element to some c >= u.  If
-      phi(v) = t with 2 <= t < u, the quad's image sorts as
-      (0, 1, t, c) < (0, 1, u, v), so the quad is not canonical.  As
-      phi(v) = t is v = a + t (z - a) mod q, the quads dropped are the
-      v of four progressions, for (a, z) = (0, u), (u, 0), (1, u) and
-      (u, 1), listed without computing c (``_kept_quads``).  The first
-      rule is this one for the pair (1, 0); the pair (0, 1) drops
-      nothing, its images of v being v itself.
-
-    Every other quad checked is a quad holding {0, 1} too, so it fails
-    only when some quad does and cannot change a true verdict.  Over the
-    primes 1024-1049 that is 362,452 quads (90,551 of 528,906 at
-    q = 1031), of which 179,238 are canonical.
+    ``search.canonical`` (all pairs valid) and u < v <= q + 1 - u, all
+    decided together by one ``_failing_quads`` call.  They hold every
+    orbit's canonical member {0, 1, u, v}: each affine orbit has exactly
+    one (point 1 of the ``search`` docstring), its triple {0, 1, u} is
+    canonical too (point 2), and the pair (1, 0) maps x -> 1 - x, sending
+    (u, v) to (q + 1 - v, q + 1 - u), so a canonical quad has
+    v <= q + 1 - u.  Every other quad checked holds {0, 1} too, so it
+    fails only when some quad does and cannot change a true verdict.
+    Over the primes 1024-1049 that is 540,968 quads (133,606 of 528,906
+    at q = 1031) over 694 triples, of which 179,238 quads are canonical.
     """
     q = F.q
     us = np.arange(2, q, dtype=np.int64)
     us = us[canonical(F, [0, 1], us, all_pairs=True)]
-    return _quads_complete(tally, us, _kept_quads(q, us))
+    return not _failing_quads(tally, us).any()
 
 
 def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremReport:
@@ -582,9 +490,9 @@ def verify_shattering_theorem(F: PrimeField, r: int, epsilon: float) -> TheoremR
     translations and, for r = 2, by every affine map (``_all_quads_ok``).
     So the check decides the rooted n-sets, those holding {0, ..., k - 1}
     with k = 2 for r = 2 and k = 1 otherwise, and ``checked`` counts
-    them, C(q - k, n - k).  At r = 2 and n* = 4 ``_all_quads_ok`` checks
-    quads that cover every affine orbit and stops at the first failing
-    one, so there ``failures`` is 0 or 1: whether some quad fails, not
+    them, C(q - k, n - k).  At r = 2 and n* = 4 ``_all_quads_ok`` decides
+    quads that cover every affine orbit, all of them together, and
+    answers whether some quad fails, so there ``failures`` is 0 or 1, not
     how many.  At every other size ``failures`` counts the failing
     rooted subsets.  Both read the window of one ``_witness_tally``,
     whose sentinel drops each element's own translate.

@@ -144,6 +144,19 @@ def test_verify_exit_zero(tmp_path):
                                           "shattering"}
 
 
+def test_verify_reaches_the_quad_check(tmp_path):
+    # from q = 1024 on, n* = 4 at the default epsilon: the shattering rows
+    # of 1031 and 1033 come from the quad check, which finds no failure
+    out = tmp_path / "w"
+    assert main(["verify", "--q-max", "1033", "--r", "2", "--n-max", "1",
+                 "--samples", "1", "--out-dir", str(out)]) == 0
+    rows = {r["q"]: r for r in read_csv(out / "verify.csv")
+            if r["check"] == "shattering"}
+    for q in ("1031", "1033"):
+        assert "n_star=4" in rows[q]["params"].split(";"), q
+        assert rows[q]["violations"] == "0" and rows[q]["status"] == "ok", q
+
+
 def test_verify_trivial_range(tmp_path, capsys):
     # no prime from 5 to 3, so the run would check nothing
     out = tmp_path / "w"

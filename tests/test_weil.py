@@ -19,7 +19,7 @@ from residuevc.weil import (PolySpec, char_sum,
                             fuzzy_coset_probability,
                             verify_equidistribution,
                             verify_shattering_theorem, verify_weil,
-                            _all_quads_ok, _quad_words, _quads_complete,
+                            _all_quads_ok, _failing_quads, _quad_rows,
                             _witness_tally)
 
 from oracles import (char_sum_direct, legendre, member_vector,
@@ -411,7 +411,7 @@ def test_theorem_past_pigeonhole_fails_every_subset():
 
 
 def _quad_tally(q):
-    """The r = 2 witness tally, the one ``_quads_complete`` reads."""
+    """The r = 2 witness tally, the one ``_failing_quads`` reads."""
     F, C = setup_fc(q, 2)
     return _witness_tally(F, C, weil._first_non_power(C))
 
@@ -438,30 +438,19 @@ def test_quad_fast_path_matches_generic():
     assert answers == {False, True}
 
 
-def test_quad_batches_split_triples_and_match_generic(monkeypatch):
-    # batches of 37 rows, odd and fewer than most triples' quads: a batch
-    # ends inside one triple's quads, and holds the end of one triple and
-    # the start of the next; with one triple a chunk, that batch also
-    # spans two chunks of ``_kept_quads``
-    monkeypatch.setattr(weil, "QUAD_ROWS", 37)
-    batches, triples = weil._batches, []
-
-    def spy(rows):
-        for k, v in batches(rows):
-            triples.append(set(k.tolist()))
-            yield k, v
-
-    monkeypatch.setattr(weil, "_batches", spy)
-    for chunk in (weil.QUAD_CHUNK, 1):
+def test_quad_chunks_carry_accumulators_and_match_generic(monkeypatch):
+    # chunks of 5 and 37 translates: most classes need several chunks, so
+    # an accumulator open at the end of a chunk must be carried into the
+    # next, and a failure is decided only after the last one
+    for chunk in (5, 37):
         monkeypatch.setattr(weil, "QUAD_CHUNK", chunk)
-        spans = splits = False
+        answers = set()
         for q in primes_in_range(7, 251):
-            triples.clear()
-            assert _all_quads_ok(make_field(q), _quad_tally(q)) == (
-                _generic_quad_verdict(q)), (q, chunk)
-            spans |= any(len(ks) > 1 for ks in triples)
-            splits |= any(a & b for a, b in zip(triples, triples[1:]))
-        assert spans and splits, chunk
+            generic = _generic_quad_verdict(q)
+            assert _all_quads_ok(make_field(q), _quad_tally(q)) == generic, (
+                q, chunk)
+            answers.add(generic)
+        assert answers == {False, True}, chunk
 
 
 def test_r2_witness_tally_is_the_strict_squares_tally():
@@ -500,136 +489,74 @@ def _pattern_at(member, quad, x):
 
 
 def _word_bits(words, width):
-    """The low ``width`` bits of each uint64 in ``words``, as a
-    (len(words), width) 0/1 array, bit j in column j."""
-    return (words[:, None] >> np.arange(width, dtype=np.uint64)) & 1
+    """The low ``width`` bits of the uint64 words in the last axis of
+    ``words``, as 0/1 entries, bit v at bit v % 64 of word v // 64."""
+    shifts = np.arange(64, dtype=np.uint64)
+    bits = (words[..., None] >> shifts) & np.uint64(1)
+    return bits.reshape(words.shape[:-1] + (-1,))[..., :width]
 
 
 @pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19, 61])
 def test_quad_window_rows_are_translate_columns(q):
-    # word (c + lo - y) mod q of ``_quad_words``, cut to a block, holds
-    # y's bit at the translates x = c + lo + j (mod q) in ``bits`` and
-    # marks x = y in ``own``: the words the kernel reads, for y = 0, 1, u
-    # and v and every block, also at primes below one block
-    bits, own = _quad_words(_quad_tally(q))
+    # row x of ``_quad_rows`` holds, over v, the translate x's column read
+    # by v: polarity 0 the v with v - x a nonzero square, polarity 1 those
+    # with v - x a non-square, both v = x
+    R = _quad_rows(_quad_tally(q))
     member = member_vector(q, 2, 1, ZeroConvention.ZERO_OUT)
-    c = q // 2
-    for y in range(q):
-        for lo in range(0, q, weil.QUAD_BLOCK):
-            width = min(weil.QUAD_BLOCK, q - lo)
-            xs = (c + lo + np.arange(width)) % q
-            row = np.array([(c + lo - y) % q])
-            want = np.where(xs == y, 0, member[(y - xs) % q])
-            assert np.array_equal(_word_bits(bits[row], width)[0], want), (
-                y, lo)
-            assert np.array_equal(_word_bits(own[row], width)[0],
-                                  xs == y), (y, lo)
+    v = np.arange(q)
+    for x in range(q):
+        square = member[(v - x) % q] == 1
+        assert np.array_equal(_word_bits(R[x, 0], q), square | (v == x)), x
+        assert np.array_equal(_word_bits(R[x, 1], q), ~square | (v == x)), x
 
 
 @pytest.mark.parametrize("q", [5, 7, 13, 61, 67, 127, 131])
 def test_words_pack_the_window_rows(q):
-    # bit j of word i is entry j of window row i, the element's bit in
-    # ``bits`` and the sentinel in ``own``, for all q + 1 rows; below
-    # q = 64 a row has q entries and the bits past them are 0
-    tallies = [_quad_tally(q)] + [
-        ChildTally(squares_table(make_field(q), conv))
-        for conv in ZeroConvention]
-    for tally in tallies:
-        bits, own = _quad_words(tally)
-        rows = tally.window[:, :64]
-        assert bits.dtype == own.dtype == np.uint64
-        assert bits.shape == own.shape == (q + 1,)
-        assert np.array_equal(_word_bits(bits, 64)[:, :rows.shape[1]],
-                              rows == 1)
-        assert np.array_equal(_word_bits(own, 64)[:, :rows.shape[1]],
-                              rows == 2)
-        assert not (_word_bits(bits | own, 64)[:, rows.shape[1]:]).any()
-        assert (own != 0).any() == (tally.forbidden.size > 0)
+    # bit v of row x, polarity 0, is entry q - 1 - v of window row x + 1
+    # (nonzero: the element's bit or the sentinel), bit v % 64 of word
+    # v // 64; polarity 1 is its complement but for the sentinel; the
+    # bits past q are 0 and the sentinel sits at v = x
+    tally = _quad_tally(q)
+    R = _quad_rows(tally)
+    words = -(-q // 64)
+    assert R.dtype == np.uint64 and R.shape == (q, 2, words)
+    entries = tally.window[1:, ::-1]
+    bits = _word_bits(R, 64 * words)
+    assert np.array_equal(bits[:, 0, :q], entries != 0)
+    assert np.array_equal(bits[:, 1, :q], entries != 1)
+    assert not bits[:, :, q:].any()
+    assert (np.diagonal(bits[:, 0, :q]) == 1).all()
+    assert (np.diagonal(bits[:, 1, :q]) == 1).all()
 
 
-def _strict_quad_verdicts(q):
-    """Whether {0, 1, u, v} is STRICT shattered, for every 2 <= u < v."""
-    member = member_vector(q, 2, 1, ZeroConvention.STRICT)
-    return {(u, v): bool(oracle_counts((0, 1, u, v), member,
-                                       ZeroConvention.STRICT).all())
-            for u, v in itertools.combinations(range(2, q), 2)}
-
-
-def _rows(vs):
-    """The (k, v) rows of ``_quads_complete`` for the one triple us[0]
-    and the v in ``vs``."""
-    vs = np.asarray(vs, dtype=np.int64)
-    return [(np.zeros(vs.size, dtype=np.intp), vs)]
-
-
-def _one_quad_per_row(quads):
-    """The ``_quads_complete`` arguments with one quad (u, v) per row, row
-    k for us[k] = u."""
-    return [u for u, _ in quads], [(np.arange(len(quads), dtype=np.intp),
-                                    np.array([v for _, v in quads]))]
+def _failing_vs(tally, u):
+    """The v that ``_failing_quads`` reports for the one triple {0, 1, u}."""
+    words = _failing_quads(tally, np.array([u], dtype=np.int64))[0]
+    return set(np.flatnonzero(_word_bits(words, tally.q)).tolist())
 
 
 @pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19, 23, 29, 31, 73, 103])
 def test_quad_verdict_matches_strict_oracle(q):
-    # one quad at a time, so each verdict is that of {0, 1, u, v} alone;
-    # at 73 and 103, past one block of translates, both verdicts occur,
-    # and below one block the table still covers every translate
-    block = weil.QUAD_BLOCK
+    # one triple at a time: the v reported failing are exactly the v in
+    # u < v <= q + 1 - u whose quad {0, 1, u, v} misses a pattern; below
+    # q = 20 every quad fails (16 patterns, fewer translates), so the
+    # report is the whole range; past one chunk both verdicts occur
     tally = _quad_tally(q)
     member = member_vector(q, 2, 1, ZeroConvention.STRICT)
-    c = q // 2  # the kernel scans x = c + k (mod q) for k = 0, 1, ...
-    verdicts = {}
-    v_steps, completes_late = [], False
-    for u, v in itertools.combinations(range(2, q), 2):
-        quad = (0, 1, u, v)
-        missing = np.flatnonzero(oracle_counts(
-            quad, member, ZeroConvention.STRICT) == 0).tolist()
-        verdicts[u, v] = not missing
-        got = _quads_complete(tally, [u], _rows([v]))
-        assert got == verdicts[u, v], (q, u, v)
-        # the scan steps of v in failing quads whose one missing pattern is
-        # read at x = v only
-        if missing == [_pattern_at(member, quad, v)]:
-            v_steps.append((v - c) % q)
-        # a shattered quad whose 16 patterns need translates past the first
-        # block
-        if not missing and not completes_late:
-            first = {(c + k) % q for k in range(block)} - set(quad)
-            completes_late = len({_pattern_at(member, quad, x)
-                                  for x in first}) < 16
-    if q > block:
-        assert set(verdicts.values()) == {False, True}
-    if q in (73, 103):
-        assert v_steps and completes_late
-    if q == 103:  # v = 48 with u = 47, excluded in the second block
-        assert max(v_steps) >= block
-    # every v of one u in one call, so rows retire at different blocks
-    for u in range(2, q - 1):
-        vs = np.arange(u + 1, q, dtype=np.int64)
-        assert _quads_complete(tally, [u], _rows(vs)) == all(
-            verdicts[u, int(v)] for v in vs), (q, u)
-
-
-@pytest.mark.parametrize("rows", [4096, 37])
-@pytest.mark.parametrize("q", [73, 103])
-def test_one_call_over_many_triples_matches_strict_oracle(monkeypatch, q,
-                                                          rows):
-    # one call, one quad per row, the rows of every u shuffled together:
-    # the shattered quads pass, and one failing quad anywhere among them
-    # fails the call, also when batches of 37 rows split the call
-    monkeypatch.setattr(weil, "QUAD_ROWS", rows)
-    tally = _quad_tally(q)
-    verdicts = _strict_quad_verdicts(q)
-    rng = np.random.default_rng(q)
-    good = [quad for quad, ok in verdicts.items() if ok]
-    bad = [quad for quad, ok in verdicts.items() if not ok]
-    good = [good[i] for i in rng.permutation(len(good))]
-    assert len({u for u, _ in good[:37]}) > 1 and bad
-    assert _quads_complete(tally, *_one_quad_per_row(good))
-    for quad in bad:
-        at = int(rng.integers(len(good) + 1))
-        quads = good[:at] + [quad] + good[at:]
-        assert not _quads_complete(tally, *_one_quad_per_row(quads)), quad
+    verdicts = set()
+    for u in range(2, q):
+        want = set()
+        for v in range(u + 1, q + 2 - u):
+            ok = bool(oracle_counts((0, 1, u, v), member,
+                                    ZeroConvention.STRICT).all())
+            verdicts.add(ok)
+            if not ok:
+                want.add(v)
+        assert _failing_vs(tally, u) == want, (q, u)
+    if q < 20:
+        assert verdicts == {False}
+    if q > weil.QUAD_CHUNK:
+        assert verdicts == {False, True}
 
 
 def test_quad_check_skips_translate_one():
@@ -642,7 +569,30 @@ def test_quad_check_skips_translate_one():
                                            ZeroConvention.STRICT) == 0)
     at_one = _pattern_at(member, quad, 1)
     assert missing.tolist() == [at_one]
-    assert not _quads_complete(_quad_tally(q), [2], _rows([3]))
+    assert 3 in _failing_vs(_quad_tally(q), 2)
+
+
+def test_quad_check_excludes_translate_v():
+    # quads whose one missing pattern (p, b) is the one the translate
+    # x = v, of class p of {0, 1, u}, would show if v's own entry read b:
+    # x = v counts for neither polarity, so they fail; both b occur
+    seen = set()
+    for q, u in itertools.product((61, 73), range(2, 73)):
+        if u >= q:
+            continue
+        member = member_vector(q, 2, 1, ZeroConvention.STRICT)
+        tally = _quad_tally(q)
+        failing = _failing_vs(tally, u)
+        for v in range(u + 1, q + 2 - u):
+            quad = (0, 1, u, v)
+            missing = np.flatnonzero(oracle_counts(
+                quad, member, ZeroConvention.STRICT) == 0).tolist()
+            p = _pattern_at(member, quad[:3], v)
+            for b in (0, 1):
+                if missing == [p | b << 3]:
+                    seen.add((q, b))
+                    assert v in failing, (q, u, v)
+    assert {b for _, b in seen} == {0, 1}
 
 
 def _canonical(q, Z):
@@ -659,41 +609,27 @@ def _affine_orbit_key(q, quad):
 
 
 def _quads_sent(monkeypatch, q):
-    """The (u, vs) of every triple the one ``_quads_complete`` call of
-    ``_all_quads_ok`` at q gets, in order, answered True: vs lists the v
-    of the rows (k, v) with us[k] = u, which arrive in u-then-v order."""
+    """The (u, vs) of every triple that the one ``_failing_quads`` call of
+    ``_all_quads_ok`` at q decides, in order, answered with no failure:
+    vs lists its v, u < v <= q + 1 - u."""
     calls = []
 
-    def spy(tally, us, rows):
-        ks, vs = (np.concatenate(a) for a in zip(*rows))
-        assert np.array_equal(np.lexsort((vs, ks)), np.arange(ks.size))
-        for k, u in enumerate(us.tolist()):
-            calls.append((u, vs[ks == k].tolist()))
-        return True
+    def spy(tally, us):
+        calls.extend((u, list(range(u + 1, q + 2 - u))) for u in us.tolist())
+        return np.zeros((us.size, 1), dtype=np.uint64)
 
-    monkeypatch.setattr(weil, "_quads_complete", spy)
+    monkeypatch.setattr(weil, "_failing_quads", spy)
     assert _all_quads_ok(make_field(q), _quad_tally(q))
     return calls
 
 
-def _own_pair_drops(q, u):
-    """The v that a pair map x -> (x - a)/(z - a) of {0, 1, u} sends to
-    some t with 2 <= t < u, for the pairs (0, u), (u, 0), (1, u) and
-    (u, 1): v = a + t (z - a) mod q."""
-    return {(a + t * (z - a)) % q for a, z in ((0, u), (u, 0), (1, u), (u, 1))
-            for t in range(2, u)}
-
-
 @pytest.mark.parametrize("q", [7, 11, 13, 17, 19, 23, 29])
 def test_quads_sent_cover_every_affine_orbit(monkeypatch, q):
-    # the verdict rests on this coverage: each canonical triple's u gets
-    # v = u + 1, ..., q + 1 - u but those its own pair maps send lower,
-    # and the quads sent meet every orbit
+    # the verdict rests on this coverage: the canonical triples, each
+    # with v = u + 1, ..., q + 1 - u, meet every orbit
     calls = _quads_sent(monkeypatch, q)
     assert [u for u, _ in calls] == [u for u in range(2, q)
                                      if _canonical(q, (0, 1, u))]
-    assert all(vs == [v for v in range(u + 1, q + 2 - u)
-                      if v not in _own_pair_drops(q, u)] for u, vs in calls)
     orbits = {_affine_orbit_key(q, (0, 1, u, v))
               for u, v in itertools.combinations(range(2, q), 2)}
     assert {_affine_orbit_key(q, (0, 1, u, v))
@@ -703,8 +639,8 @@ def test_quads_sent_cover_every_affine_orbit(monkeypatch, q):
 @pytest.mark.parametrize("q", primes_in_range(5, 400) + [1031, 1033, 1039,
                                                           1049])
 def test_every_canonical_quad_is_sent(monkeypatch, q):
-    # the filter is sound: every canonical quad {0, 1, u, v} is sent, so
-    # every quad in u < v <= q + 1 - u that is not sent is non-canonical
+    # the triple filter and the v range are sound: every canonical quad
+    # {0, 1, u, v} is decided
     # (below q = 60 canonical is also decided by the brute-force
     # ``_canonical``)
     F = make_field(q)
@@ -721,8 +657,8 @@ def test_every_canonical_quad_is_sent(monkeypatch, q):
     assert canonical <= sent
 
 
-# quads sent to the kernel at the primes of the theorem-quads workload
-SENT_QUADS = {1031: 90551, 1033: 90974, 1039: 89412, 1049: 91515}
+# quads decided by the kernel at the primes of the theorem-quads workload
+SENT_QUADS = {1031: 133606, 1033: 136080, 1039: 134490, 1049: 136792}
 
 
 @pytest.mark.parametrize("q", SENT_QUADS)

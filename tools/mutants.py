@@ -79,33 +79,31 @@ SEARCH_TESTS = (S + "test_matches_naive_small_primes",
 
 MUTANTS = (
     # the quad check: the range of v, the triples, the excluded translates,
-    # its batches and its packed words
-    Mutant("quad-v-range-one-short", WEIL, "n = q + 1 - 2 * us",
-           "n = q - 2 * us", QUAD_TESTS),
+    # the carried accumulators and the packed rows
+    Mutant("quad-v-range-one-short", WEIL, "(v <= q + 1 - us[:, None])",
+           "(v <= q - us[:, None])",
+           (W + "test_quad_verdict_matches_strict_oracle",)),
     Mutant("quad-first-triple-dropped", WEIL, "us, all_pairs=True)]",
            "us, all_pairs=True)][1:]", QUAD_TESTS),
     Mutant("quad-triple-mask-negated", WEIL, "us = us[canonical(",
            "us = us[~canonical(", QUAD_TESTS),
-    Mutant("quad-translate-one-kept", WEIL, "ones & ~(o0 | o1 | ou)",
-           "ones & ~(o0 | ou)", (W + "test_quad_check_skips_translate_one",)),
-    Mutant("quad-no-u-mark", WEIL, "ones & ~(o0 | o1 | ou)",
-           "ones & ~(o0 | o1)",
-           (W + "test_quad_verdict_matches_strict_oracle",)),
-    Mutant("quad-window-row-without-mod", WEIL,
-           'np.take(table, idx[:m], out=word[:m], mode="wrap")',
-           'np.take(table, idx[:m], out=word[:m], mode="clip")',
-           (W + "test_quad_verdict_matches_strict_oracle",)),
-    Mutant("quad-batch-rows-keep-first-triple", WEIL, "ks[m : m + n] = k[:n]",
-           "ks[m : m + n] = 0",
-           (W + "test_one_call_over_many_triples_matches_strict_oracle",)),
-    # the quads a pair map of their own triple sends lower: t up to u
-    # inclusive, and the step u - 1 of the pair (1, u) read as u
-    Mutant("quad-filter-overreach", WEIL, "steps = us - 2", "steps = us - 1",
-           (W + "test_every_canonical_quad_is_sent",)),
-    Mutant("quad-filter-wrong-step", WEIL, "w[1] - d[0], q - 1",
-           "w[0] - d[0], q - 1", (W + "test_every_canonical_quad_is_sent",)),
-    Mutant("words-bit-order-reversed", WEIL, 'bitorder="little"',
-           'bitorder="big"', (W + "test_words_pack_the_window_rows",)),
+    # 1's entry at its own translate read as 0, so x = 1 joins a class
+    Mutant("quad-translate-one-kept", WEIL,
+           "2 * cols[1] + 4 * cols[2:]\n"
+           "        pattern[(cols[0] == 2) | (cols[1] == 2) |",
+           "2 * (cols[1] & 1) + 4 * cols[2:]\n"
+           "        pattern[(cols[0] == 2) |",
+           (W + "test_quad_check_skips_translate_one",)),
+    Mutant("quad-translate-v-counted", WEIL,
+           "R[x, 1, x >> 6] |= np.uint64(1) << (x & 63).astype(np.uint64)",
+           "pass", (W + "test_quad_check_excludes_translate_v",)),
+    Mutant("quad-accumulators-not-carried", WEIL,
+           "carried.append((a[carry], acc[carry]))", "pass",
+           (W + "test_quad_chunks_carry_accumulators_and_match_generic",)),
+    Mutant("quad-rows-bit-order-reversed", WEIL,
+           'block = np.packbits(rows[lo : lo + 64], axis=1, bitorder="little")',
+           'block = np.packbits(rows[lo : lo + 64], axis=1, bitorder="big")',
+           (W + "test_words_pack_the_window_rows",)),
     Mutant("first-non-power-in-subgroup", WEIL, "C.exp_of > 0",
            "C.exp_of >= 0", (W + "test_theorem_q997",)),
     Mutant("r2-forbidden-without-0", WEIL,
