@@ -400,8 +400,7 @@ def _failing_quads(tally: ChildTally, us: np.ndarray) -> np.ndarray:
     start = (v > us[:, None]) & (v <= q + 1 - us[:, None])
     start = np.packbits(start, axis=1, bitorder="little").view("<u8")
     # accumulator a is (triple a >> 3, class a & 7), both polarities
-    acc = np.repeat(start, 16, axis=0)
-    acc = acc.reshape(-1, 2, R.shape[-1])
+    acc = np.repeat(start, 16, axis=0).reshape(-1, 2, R.shape[-1])
     a = np.arange(acc.shape[0])
     scan = (q // 2 + np.arange(q, dtype=np.int32)) % q
     for lo in range(0, q, QUAD_CHUNK):
