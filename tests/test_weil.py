@@ -559,6 +559,33 @@ def test_quad_verdict_matches_strict_oracle(q):
         assert verdicts == {False, True}
 
 
+@pytest.mark.parametrize("rows", [4096, 37])
+@pytest.mark.parametrize("q", [73, 103])
+def test_one_call_over_many_triples_matches_strict_oracle(monkeypatch, q,
+                                                          rows):
+    # one call over every u, shuffled: row k holds the failing v of us[k]
+    # alone, also when gathers of 37 accumulators mix the classes of
+    # several triples and compaction moves them; 4096 gathers them all
+    monkeypatch.setattr(weil, "QUAD_SLICE", rows)
+    tally = _quad_tally(q)
+    member = member_vector(q, 2, 1, ZeroConvention.STRICT)
+    us = np.random.default_rng(q).permutation(np.arange(2, q, dtype=np.int64))
+    assert list(us) != sorted(us)
+    failing = _failing_quads(tally, us)
+    assert failing.shape == (q - 2, -(-q // 64))
+    mixed = 0
+    for k, u in enumerate(us.tolist()):
+        want = {v for v in range(u + 1, q + 2 - u)
+                if not oracle_counts((0, 1, u, v), member,
+                                     ZeroConvention.STRICT).all()}
+        got = set(np.flatnonzero(_word_bits(failing[k], q)).tolist())
+        assert got == want, (q, u)
+        mixed += 0 < len(want) < q + 1 - 2 * u
+    # some triple has both a failing and a shattered quad
+    assert mixed
+    assert _failing_quads(tally, us[::-1]).tolist() == failing[::-1].tolist()
+
+
 def test_quad_check_skips_translate_one():
     # {0, 1, 2, 3} at q = 31 misses exactly one pattern among the
     # translates outside it, the pattern of the translate x = 1
