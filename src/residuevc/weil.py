@@ -325,38 +325,51 @@ def _witness_tally(F: PrimeField, C: CharacterTable, t: int) -> ChildTally:
                       forbidden)
 
 
-#: Translates the quad check sorts into classes at once, one chunk of its
-#: scan; the accumulators still open after a chunk are carried into the next.
-QUAD_CHUNK = 128
-#: Most accumulators one gather of ``_quad_rows`` serves: 256 x 2 x 17
-#: words, 70 KB, at q = 1031, where the first step has 1,376.
-QUAD_SLICE = 256
+#: The table of one round of the quad check: each of the four groups of
+#: translates gets ``QUAD_BLOCKS`` blocks of ``QUAD_BITS`` members, and
+#: each block 2^QUAD_BITS rows, the ANDs of its members' subsets.
+QUAD_BLOCKS = 6
+QUAD_BITS = 5
+#: Entry n is the uint64 word with its n low bits set.
+_LOW = np.array([(1 << n) - 1 for n in range(65)], dtype=np.uint64)
+
+
+def _low_bits(k: np.ndarray, words: int) -> np.ndarray:
+    """(len(k), words) uint64 rows, row i with the bits v < k[i] set, bit
+    v at bit v % 64 of word v // 64."""
+    return _LOW[np.clip(k[:, None] - 64 * np.arange(words), 0, 64)]
 
 
 def _quad_rows(tally: ChildTally) -> np.ndarray:
-    """(q, 2, ceil(q / 64)) uint64 rows R of the r = 2 witness tally over
-    F_q, bit v of a row at bit v % 64 of word v // 64.
+    """(q + 1, 2, ceil(q / 64)) uint64 rows R of the r = 2 witness tally
+    over F_q, bit v of a row at bit v % 64 of word v // 64.
 
     R[x, 0] holds the v with v - x a nonzero square and R[x, 1] those
     with v - x a non-square; both hold v = x, the tally's sentinel 2.
-    Entry v of R[x, 0] is marked[x + q - v] != 0, read from the reversed
-    column, so the rows are windows of one boolean vector, packed 64 at
-    a time; R[x, 1] is the complement with bit x set again and the bits
+    Row q is all ones, a member that ANDs nothing away.  Entry v of
+    R[x, pol] is c_pol[q - 1 - x + v] for the reversed column read as
+    c_0 = marked[2q - 1 - i] != 0 and c_1 = marked[2q - 1 - i] != 1, so
+    row x is the window of c_pol at offset s = q - 1 - x: words s // 64
+    on of c_pol packed from bit s % 64.  The 64 packings of each c_pol
+    shifted by 0-63 bits are made at once, and their word windows are
+    copied in the order of s; R is that array reversed, with the bits
     past q cleared.
     """
     q = tally.q
     words = -(-q // 64)
-    rows = sliding_window_view(tally.marked[::-1] != 0, q)[q - 1 :: -1]
-    packed = np.zeros((q, 2, words * 8), dtype=np.uint8)
-    for lo in range(0, q, 64):
-        block = np.packbits(rows[lo : lo + 64], axis=1, bitorder="little")
-        packed[lo : lo + 64, 0, : block.shape[1]] = block
-    R = packed.view("<u8").astype(np.uint64, copy=False)
-    x = np.arange(q)
-    np.invert(R[:, 0], out=R[:, 1])
-    R[x, 1, x >> 6] |= np.uint64(1) << (x & 63).astype(np.uint64)
-    R[:, 1, -1] &= np.uint64(2**64 - 1) >> np.uint64(64 * words - q)
-    return R
+    span = (q - 1) // 64 + words  # words of c_pol that a row's window reaches
+    c = np.zeros((2, 64 * (span + 1)), dtype=bool)
+    c[0, : 2 * q] = tally.marked[::-1] != 0
+    c[1, : 2 * q] = tally.marked[::-1] != 1
+    shifted = np.packbits(sliding_window_view(c, 64 * span, axis=1)[:, :64],
+                          axis=2, bitorder="little").view("<u8")
+    windows = sliding_window_view(shifted, words, axis=2)
+    # row 1 + s is window s // 64 of shift s % 64, row 0 the all-ones row
+    by_s = np.empty((1 + 64 * windows.shape[2], 2, words), dtype=np.uint64)
+    by_s[1:].reshape(-1, 64, 2, words)[...] = windows.transpose(2, 1, 0, 3)
+    by_s[:, :, -1] &= _LOW[q - 64 * (words - 1)]
+    by_s[0] = _LOW[64]
+    return by_s[q::-1]
 
 
 def _failing_quads(tally: ChildTally, us: np.ndarray) -> np.ndarray:
@@ -365,7 +378,7 @@ def _failing_quads(tally: ChildTally, us: np.ndarray) -> np.ndarray:
     the 16 patterns among the translates outside it.
 
     ``tally`` is the r = 2 witness tally (``_all_quads_ok``), read through
-    its ``window`` and ``_quad_rows``.  Let X_p be the translates
+    its ``marked`` column and ``_quad_rows``.  Let X_p be the translates
     x outside {0, 1, u} at which {0, 1, u} shows the pattern p.  The quad
     shows the patterns (p, b) at the x of X_p other than v, where b is
     v's bit at x, 1 for v - x in S, the nonzero squares, and 0 for v - x
@@ -377,69 +390,73 @@ def _failing_quads(tally: ChildTally, us: np.ndarray) -> np.ndarray:
     v = x, so their intersection over X_p is the set of v missing (p, 0),
     and polarity 1 gives (p, 1) from N alike.
 
-    One accumulator per (triple, class p) holds both polarities, each
-    starting at the v in range.  Translates are scanned from x = q // 2
-    on, wrapping around, in chunks of ``QUAD_CHUNK``: a stable sort by
-    pattern lists each class's members in scan order, and each step ANDs
-    the next member's two rows into its accumulator, ``QUAD_SLICE``
-    accumulators a gather.  An accumulator stops once both polarities are
-    empty, as no v of it can fail, and one whose class has no member left
-    in the chunk is carried into the next; those open after the last
-    chunk hold the failing v.  Stopped accumulators stay in place, their
-    gathers clipped, until they are half of the array, which is then
-    compacted: a copy at every step doubled the kernel's peak memory.
-    A random quad sees all 16 patterns after about 16 H_16 = 54
-    translates, so nearly every accumulator empties in the first chunk.
-    The scan starts at q // 2 because the small translates are no random
-    sample: the bits of 0 and 1 read the character at -x and 1 - x, which
-    multiplicativity ties to its values at small primes.
+    The bits of 0 and 1 at x do not depend on u, so the translates fall
+    into four groups g = (bit of 0) + 2 (bit of 1) that every triple
+    shares; x in {0, 1}, where one of them reads the sentinel 2, joins
+    none.  For the triple u, X_p with p = (g, b) is the members of group
+    g at which u's bit is b, and x = u, u's sentinel, is in neither.
+    Each triple keeps one accumulator per (b, g), both polarities, each
+    starting at the v in range.  The groups list their members in the
+    scan order from x = q // 2 on, wrapping around, and each round takes
+    the next ``QUAD_BLOCKS`` blocks of ``QUAD_BITS`` members of each
+    group, the absent members past a group's end reading as row q, all
+    ones.  A round builds one table, for all triples, of the AND of the
+    rows of every subset of each block's members, by doubling; then
+    accumulator (b, g) of each triple ANDs, for each block of group g,
+    the entry of the subset of members at which u's bit is b.  AND does
+    not depend on order or grouping, so after the last round an
+    accumulator is the intersection over its class, and the triple's
+    failing v are the union of its 16 rows.  A triple whose 16 rows are
+    empty after a round has no failing v and leaves the rounds, which
+    end once no triple is left.  A random quad sees all 16 patterns
+    after about 16 H_16 = 54 translates, so one round of 4 x 30 members
+    empties most of them: at the primes 1024-1049 about 112 of a
+    prime's 173 triples are left for a second round, and none for a
+    third.  The scan starts at q // 2 because the small translates are
+    no random sample: the bits of 0 and 1 read the character at -x and
+    1 - x, which multiplicativity ties to its values at small primes.
     """
     q = tally.q
     R = _quad_rows(tally)
-    v = np.arange(R.shape[-1] * 64)
-    start = (v > us[:, None]) & (v <= q + 1 - us[:, None])
-    start = np.packbits(start, axis=1, bitorder="little").view("<u8")
-    # accumulator a is (triple a >> 3, class a & 7), both polarities
-    acc = np.repeat(start, 16, axis=0).reshape(-1, 2, R.shape[-1])
-    a = np.arange(acc.shape[0])
-    scan = (q // 2 + np.arange(q, dtype=np.int32)) % q
-    for lo in range(0, q, QUAD_CHUNK):
-        open_ = acc.max(axis=(1, 2), initial=0) != 0
-        if not open_.any():
+    words = R.shape[-1]
+    scan = (q // 2 + np.arange(q)) % q
+    e0, e1 = tally.window[q, scan], tally.window[q - 1, scan]
+    g = e0 + 2 * e1
+    g[(e0 == 2) | (e1 == 2)] = 4
+    groups = [scan[g == i] for i in range(4)]
+    # round r, group g: QUAD_BLOCKS blocks of QUAD_BITS members, q if absent
+    per_round = QUAD_BLOCKS * QUAD_BITS
+    width = -(-max(map(len, groups)) // per_round) * per_round
+    rounds = np.full((4, width), q)
+    for i, xs in enumerate(groups):
+        rounds[i, : xs.size] = xs
+    rounds = rounds.reshape(4, -1, QUAD_BLOCKS, QUAD_BITS).swapaxes(0, 1)
+    start = _low_bits(q + 2 - us, words) & ~_low_bits(us + 1, words)
+    # accumulator (b, g) of triple k, both polarities
+    acc = np.repeat(start, 16, axis=0).reshape(-1, 2, 4, 2, words)
+    k = np.arange(us.size)
+    bits = 1 << np.arange(QUAD_BITS)
+    base = np.arange(4 * QUAD_BLOCKS).reshape(4, -1) << QUAD_BITS
+    for members in rounds:
+        table = np.empty((4, QUAD_BLOCKS, 1 << QUAD_BITS, 2, words),
+                         dtype=np.uint64)
+        table[:, :, 0] = _LOW[64]
+        for j in range(QUAD_BITS):
+            table[:, :, 1 << j : 2 << j] = (table[:, :, : 1 << j]
+                                            & R[members[..., j], None])
+        table = table.reshape(-1, 2, words)
+        # u's entries at the members: 0, 1, or the sentinel 2 at x = u;
+        # an absent member reads an entry of no consequence
+        entries = tally.marked[(q - us[k])[:, None, None, None] + members]
+        index = np.stack([entries == 0, entries == 1], axis=1) @ bits + base
+        for b in range(QUAD_BLOCKS):
+            acc &= table[index[..., b]]
+        live = acc.any(axis=(1, 2, 3, 4))
+        k, acc = k[live], acc[live]
+        if not k.size:
             break
-        xs = scan[lo : lo + QUAD_CHUNK]
-        ks, k = np.unique(a >> 3, return_inverse=True)
-        # the entries of 0, 1 and each open u at xs; 2 marks x = y
-        cols = tally.window[q - np.concatenate(([0, 1], us[ks]))[:, None], xs]
-        pattern = cols[0] + 2 * cols[1] + 4 * cols[2:]
-        pattern[(cols[0] == 2) | (cols[1] == 2) | (cols[2:] == 2)] = 8
-        members = xs[np.argsort(pattern, axis=1, kind="stable")].ravel()
-        counts = np.bincount((pattern + 9 * np.arange(ks.size)[:, None]).ravel(),
-                             minlength=9 * ks.size)
-        cls = 9 * k + (a & 7)
-        at, n = (np.cumsum(counts) - counts)[cls], counts[cls]
-        carried = [(a[:0], acc[:0])]
-        live = open_ & (n > 0)
-        while True:
-            # an open accumulator whose class has no member left in the
-            # chunk is carried into the next one
-            carry = open_ & (n == 0)
-            if carry.any():
-                carried.append((a[carry], acc[carry]))
-            if 2 * np.count_nonzero(live) <= live.size:
-                a, acc, at, n, live = a[live], acc[live], at[live], n[live], live[live]
-            if not a.size:
-                break
-            for s in range(0, a.size, QUAD_SLICE):
-                part = slice(s, s + QUAD_SLICE)
-                acc[part] &= R[members.take(at[part], mode="clip")]
-            at += 1
-            n -= 1
-            open_ = live & (acc.max(axis=(1, 2)) != 0)
-            live &= open_ & (n > 0)
-        a, acc = (np.concatenate(arrays) for arrays in zip(*carried))
     failing = np.zeros(start.shape, dtype=np.uint64)
-    np.bitwise_or.at(failing, a >> 3, acc[:, 0] | acc[:, 1])
+    failing[k] = np.bitwise_or.reduce(acc.reshape(k.size, 16, words), axis=1)
     return failing
 
 
@@ -468,7 +485,9 @@ def _all_quads_ok(F: PrimeField, tally: ChildTally) -> bool:
     v <= q + 1 - u.  Every other quad checked holds {0, 1} too, so it
     fails only when some quad does and cannot change a true verdict.
     Over the primes 1024-1049 that is 540,968 quads (133,606 of 528,906
-    at q = 1031) over 694 triples, of which 179,238 quads are canonical.
+    at q = 1031) over 694 triples, of which 179,238 quads are canonical;
+    the four checks took about 6 ms of CPU in all on a 2-vCPU machine
+    (best of 30 in one process).
     """
     q = F.q
     us = np.arange(2, q, dtype=np.int64)

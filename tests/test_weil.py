@@ -438,19 +438,20 @@ def test_quad_fast_path_matches_generic():
     assert answers == {False, True}
 
 
-def test_quad_chunks_carry_accumulators_and_match_generic(monkeypatch):
-    # chunks of 5 and 37 translates: most classes need several chunks, so
-    # an accumulator open at the end of a chunk must be carried into the
-    # next, and a failure is decided only after the last one
-    for chunk in (5, 37):
-        monkeypatch.setattr(weil, "QUAD_CHUNK", chunk)
+def test_quad_rounds_match_generic(monkeypatch):
+    # rounds of 2 and 6 members a group: most triples need several rounds,
+    # the groups run out inside a block, whose absent members must AND
+    # nothing away, and a failure is decided only after the last round
+    for blocks, bits in ((1, 2), (2, 3)):
+        monkeypatch.setattr(weil, "QUAD_BLOCKS", blocks)
+        monkeypatch.setattr(weil, "QUAD_BITS", bits)
         answers = set()
         for q in primes_in_range(7, 251):
             generic = _generic_quad_verdict(q)
             assert _all_quads_ok(make_field(q), _quad_tally(q)) == generic, (
-                q, chunk)
+                q, blocks, bits)
             answers.add(generic)
-        assert answers == {False, True}, chunk
+        assert answers == {False, True}, (blocks, bits)
 
 
 def test_r2_witness_tally_is_the_strict_squares_tally():
@@ -515,13 +516,15 @@ def test_words_pack_the_window_rows(q):
     # bit v of row x, polarity 0, is entry q - 1 - v of window row x + 1
     # (nonzero: the element's bit or the sentinel), bit v % 64 of word
     # v // 64; polarity 1 is its complement but for the sentinel; the
-    # bits past q are 0 and the sentinel sits at v = x
+    # bits past q are 0 and the sentinel sits at v = x; row q, the absent
+    # member, is all ones
     tally = _quad_tally(q)
     R = _quad_rows(tally)
     words = -(-q // 64)
-    assert R.dtype == np.uint64 and R.shape == (q, 2, words)
+    assert R.dtype == np.uint64 and R.shape == (q + 1, 2, words)
+    assert (R[q] == np.uint64(2**64 - 1)).all()
     entries = tally.window[1:, ::-1]
-    bits = _word_bits(R, 64 * words)
+    bits = _word_bits(R[:q], 64 * words)
     assert np.array_equal(bits[:, 0, :q], entries != 0)
     assert np.array_equal(bits[:, 1, :q], entries != 1)
     assert not bits[:, :, q:].any()
@@ -540,7 +543,7 @@ def test_quad_verdict_matches_strict_oracle(q):
     # one triple at a time: the v reported failing are exactly the v in
     # u < v <= q + 1 - u whose quad {0, 1, u, v} misses a pattern; below
     # q = 20 every quad fails (16 patterns, fewer translates), so the
-    # report is the whole range; past one chunk both verdicts occur
+    # report is the whole range; from q = 73 on both verdicts occur
     tally = _quad_tally(q)
     member = member_vector(q, 2, 1, ZeroConvention.STRICT)
     verdicts = set()
@@ -555,18 +558,20 @@ def test_quad_verdict_matches_strict_oracle(q):
         assert _failing_vs(tally, u) == want, (q, u)
     if q < 20:
         assert verdicts == {False}
-    if q > weil.QUAD_CHUNK:
+    if q >= 73:
         assert verdicts == {False, True}
 
 
-@pytest.mark.parametrize("rows", [4096, 37])
+@pytest.mark.parametrize("shape", [(6, 5), (2, 3)], ids=["6x5", "2x3"])
 @pytest.mark.parametrize("q", [73, 103])
 def test_one_call_over_many_triples_matches_strict_oracle(monkeypatch, q,
-                                                          rows):
+                                                          shape):
     # one call over every u, shuffled: row k holds the failing v of us[k]
-    # alone, also when gathers of 37 accumulators mix the classes of
-    # several triples and compaction moves them; 4096 gathers them all
-    monkeypatch.setattr(weil, "QUAD_SLICE", rows)
+    # alone, also when triples leave the rounds at different times and
+    # the live ones are compacted; at (2, 3) most triples take several
+    # rounds, at (6, 5) most take one
+    monkeypatch.setattr(weil, "QUAD_BLOCKS", shape[0])
+    monkeypatch.setattr(weil, "QUAD_BITS", shape[1])
     tally = _quad_tally(q)
     member = member_vector(q, 2, 1, ZeroConvention.STRICT)
     us = np.random.default_rng(q).permutation(np.arange(2, q, dtype=np.int64))
@@ -584,6 +589,35 @@ def test_one_call_over_many_triples_matches_strict_oracle(monkeypatch, q,
     # some triple has both a failing and a shattered quad
     assert mixed
     assert _failing_quads(tally, us[::-1]).tolist() == failing[::-1].tolist()
+
+
+@pytest.mark.parametrize("q", [29, 31, 37, 41, 43])
+def test_one_member_a_lookup_matches_strict_oracle(monkeypatch, q):
+    # table shape (1, 1): each lookup ANDs the row of at most one member,
+    # so an entry that ANDs a member other than the one it names, or one
+    # of another class, shows against the per-quad oracle
+    monkeypatch.setattr(weil, "QUAD_BLOCKS", 1)
+    monkeypatch.setattr(weil, "QUAD_BITS", 1)
+    member = member_vector(q, 2, 1, ZeroConvention.STRICT)
+    tally = _quad_tally(q)
+    for u in range(2, q):
+        want = {v for v in range(u + 1, q + 2 - u)
+                if not oracle_counts((0, 1, u, v), member,
+                                     ZeroConvention.STRICT).all()}
+        assert _failing_vs(tally, u) == want, (q, u)
+
+
+@pytest.mark.parametrize("words", [1, 2, 3])
+def test_low_bits_match_packed_booleans(words):
+    # the word edges: no bit, a word but one, one word, one bit past it,
+    # and every word
+    ks = np.array([0, 1, 63, 64, 65, 127, 128, 129, 64 * words - 1,
+                   64 * words], dtype=np.int64)
+    got = weil._low_bits(ks, words)
+    assert got.dtype == np.uint64 and got.shape == (ks.size, words)
+    want = np.packbits(np.arange(64 * words) < ks[:, None], axis=1,
+                       bitorder="little").view("<u8")
+    assert got.tolist() == want.tolist()
 
 
 def test_quad_check_skips_translate_one():

@@ -79,30 +79,41 @@ SEARCH_TESTS = (S + "test_matches_naive_small_primes",
 
 MUTANTS = (
     # the quad check: the range of v, the triples, the excluded translates,
-    # the carried accumulators and the packed rows
-    Mutant("quad-v-range-one-short", WEIL, "(v <= q + 1 - us[:, None])",
-           "(v <= q - us[:, None])",
+    # the classes, the subset table, the rounds and the packed rows
+    Mutant("quad-v-range-one-short", WEIL, "_low_bits(q + 2 - us, words)",
+           "_low_bits(q + 1 - us, words)",
            (W + "test_quad_verdict_matches_strict_oracle",)),
     Mutant("quad-first-triple-dropped", WEIL, "us, all_pairs=True)]",
            "us, all_pairs=True)][1:]", QUAD_TESTS),
     Mutant("quad-triple-mask-negated", WEIL, "us = us[canonical(",
            "us = us[~canonical(", QUAD_TESTS),
-    # 1's entry at its own translate read as 0, so x = 1 joins a class
+    # 1's entry at its own translate read as 0, so x = 1 joins a group
     Mutant("quad-translate-one-kept", WEIL,
-           "2 * cols[1] + 4 * cols[2:]\n"
-           "        pattern[(cols[0] == 2) | (cols[1] == 2) |",
-           "2 * (cols[1] & 1) + 4 * cols[2:]\n"
-           "        pattern[(cols[0] == 2) |",
+           "g = e0 + 2 * e1\n"
+           "    g[(e0 == 2) | (e1 == 2)] = 4",
+           "g = e0 + 2 * (e1 & 1)\n"
+           "    g[(e0 == 2)] = 4",
            (W + "test_quad_check_skips_translate_one",)),
+    # polarity 1 reads the sentinel as a square, so x = v counts there
     Mutant("quad-translate-v-counted", WEIL,
-           "R[x, 1, x >> 6] |= np.uint64(1) << (x & 63).astype(np.uint64)",
-           "pass", (W + "test_quad_check_excludes_translate_v",)),
-    Mutant("quad-accumulators-not-carried", WEIL,
-           "carried.append((a[carry], acc[carry]))", "pass",
-           (W + "test_quad_chunks_carry_accumulators_and_match_generic",)),
+           "c[1, : 2 * q] = tally.marked[::-1] != 1",
+           "c[1, : 2 * q] = tally.marked[::-1] == 0",
+           (W + "test_quad_check_excludes_translate_v",)),
+    Mutant("quad-class-bit-swapped", WEIL,
+           "np.stack([entries == 0, entries == 1]",
+           "np.stack([entries == 1, entries == 1]",
+           (W + "test_one_member_a_lookup_matches_strict_oracle",)),
+    # the table's second level ANDs the absent member's row of ones
+    Mutant("quad-table-level-skipped", WEIL,
+           "& R[members[..., j], None]",
+           "& R[np.where(j == 1, q, members[..., j]), None]",
+           (W + "test_quad_rounds_match_generic",)),
+    Mutant("quad-rounds-stop-after-one", WEIL, "for members in rounds:",
+           "for members in rounds[:1]:",
+           (W + "test_quad_rounds_match_generic",)),
     Mutant("quad-rows-bit-order-reversed", WEIL,
-           'block = np.packbits(rows[lo : lo + 64], axis=1, bitorder="little")',
-           'block = np.packbits(rows[lo : lo + 64], axis=1, bitorder="big")',
+           'bitorder="little").view("<u8")',
+           'bitorder="big").view("<u8")',
            (W + "test_words_pack_the_window_rows",)),
     Mutant("first-non-power-in-subgroup", WEIL, "C.exp_of > 0",
            "C.exp_of >= 0", (W + "test_theorem_q997",)),
